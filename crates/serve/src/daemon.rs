@@ -237,7 +237,7 @@ fn now_ns(shared: &Shared) -> u64 {
 /// guarded here is either monotonic counters or a queue whose entries
 /// are self-contained, so the state a panicking thread leaves behind is
 /// safe to keep using.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -628,7 +628,13 @@ impl Daemon {
             metrics.jobs_completed += (ids.len() - n_valid) as u64;
             metrics.jobs_failed += (ids.len() - n_valid) as u64;
         }
-        self.shared.work_ready.notify_all();
+        // One wake-up per queued job. Waking every idle worker for one
+        // job sends the losers straight back to sleep, but first they
+        // compete with the submitting thread for the cores, and a wire
+        // handler's ack waits behind them.
+        for _ in 0..n_valid {
+            self.shared.work_ready.notify_one();
+        }
         Ok(ResultStream {
             rx,
             ids,

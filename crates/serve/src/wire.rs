@@ -25,11 +25,18 @@
 //!   Lines above [`MAX_LINE_BYTES`] close the connection (hostile-input
 //!   bound).
 //!
+//! # Framing
+//!
+//! Both ends write each envelope as one frame (text and `\n` in a
+//! single write) on a `TCP_NODELAY` socket. A frame split across two
+//! writes would leave its `\n` in Nagle's buffer until the peer's
+//! delayed ACK, stalling every round trip by tens of milliseconds.
+//!
 //! [`WireClient`] speaks the client side, buffering interleaved result
 //! envelopes so `submit → ack` reads stay simple. The `serve_daemon`
 //! example drives a full mixed-priority session over a loopback socket.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,7 +46,7 @@ use std::thread::JoinHandle;
 
 use hgp_obs::{JobTrace, OpProfileSnapshot};
 
-use crate::daemon::Daemon;
+use crate::daemon::{lock, Daemon, ResultStream};
 use crate::job::{JobId, JobRequest, JobResult, Priority, Rejected};
 use crate::json::{obj, JsonCodec, Value};
 use crate::metrics::ServeMetrics;
@@ -304,15 +311,24 @@ fn read_capped_line<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Str
     }
 }
 
-/// Writes one envelope line under the connection's writer lock, so a
+/// Writes one envelope as one frame: the JSON text and its trailing
+/// `\n` in a single buffer and a single `write_all`.
+///
+/// A frame split across two writes stalls under Nagle's algorithm: the
+/// lone `\n` waits for the peer's delayed ACK (tens of ms on Linux), and
+/// the peer cannot act until it has the newline. Together with
+/// `TCP_NODELAY` on both ends, one write per envelope keeps every round
+/// trip free of that stall.
+fn write_frame<W: Write>(writer: &mut W, mut text: String) -> io::Result<()> {
+    text.push('\n');
+    writer.write_all(text.as_bytes())
+}
+
+/// Writes one envelope frame under the connection's writer lock, so a
 /// streaming forwarder and the request handler never tear each other's
 /// lines. Returns `false` once the peer is gone.
-fn write_line(writer: &Mutex<TcpStream>, text: &str) -> bool {
-    let mut stream = writer.lock().unwrap_or_else(|e| e.into_inner());
-    stream
-        .write_all(text.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .is_ok()
+fn write_line<W: Write>(writer: &Mutex<W>, text: String) -> bool {
+    write_frame(&mut *lock(writer), text).is_ok()
 }
 
 /// Encodes a response defensively: [`Value::from_f64`] panics on
@@ -336,8 +352,10 @@ pub struct WireServer {
     daemon: Arc<Daemon>,
     listener_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Live connection streams, for forced unblock at shutdown.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// Live connection streams by connection id, for forced unblock at
+    /// shutdown. A handler removes its own entry when it exits, so the
+    /// registry holds one descriptor per *open* connection.
+    conns: Arc<Mutex<BTreeMap<u64, TcpStream>>>,
     accept_handle: Option<JoinHandle<()>>,
 }
 
@@ -352,27 +370,39 @@ impl WireServer {
         let listener = TcpListener::bind(addr)?;
         let listener_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<BTreeMap<u64, TcpStream>>> = Arc::new(Mutex::new(BTreeMap::new()));
         let accept_handle = {
             let daemon = Arc::clone(&daemon);
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             std::thread::spawn(move || {
                 let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-                for stream in listener.incoming() {
+                for (conn_id, stream) in (0u64..).zip(listener.incoming()) {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
+                    // Dropping a finished thread's handle releases it.
+                    handlers.retain(|h| !h.is_finished());
                     let Ok(stream) = stream else { continue };
-                    if let Ok(registered) = stream.try_clone() {
-                        conns
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(registered);
+                    let Ok(registered) = stream.try_clone() else {
+                        continue;
+                    };
+                    {
+                        // `shutdown` sets `stop` before it drains the
+                        // registry, so re-checking under the registry lock
+                        // means a connection is either registered in time
+                        // to be severed or refused here.
+                        let mut live = lock(&conns);
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        live.insert(conn_id, registered);
                     }
                     let daemon = Arc::clone(&daemon);
+                    let conns = Arc::clone(&conns);
                     handlers.push(std::thread::spawn(move || {
-                        handle_connection(daemon, stream)
+                        handle_connection(daemon, stream);
+                        lock(&conns).remove(&conn_id);
                     }));
                 }
                 for handle in handlers {
@@ -409,12 +439,7 @@ impl WireServer {
         }
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.listener_addr);
-        for conn in self
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-        {
+        for conn in std::mem::take(&mut *lock(&self.conns)).into_values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.accept_handle.take() {
@@ -429,10 +454,13 @@ impl Drop for WireServer {
     }
 }
 
-/// Serves one connection: parse a request line, run daemon admission,
-/// write the ack, and hand accepted streams to a forwarder thread that
-/// delivers `result` envelopes as jobs complete.
+/// Serves one connection: parse a request line, answer it (for a
+/// submission: run daemon admission and write the ack), and hand
+/// accepted streams to a forwarder thread that delivers `result`
+/// envelopes as jobs complete.
 fn handle_connection(daemon: Arc<Daemon>, stream: TcpStream) {
+    // Best effort: without it envelopes still arrive, only later.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -446,103 +474,90 @@ fn handle_connection(daemon: Arc<Daemon>, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let request = match WireRequest::from_json_str(&line) {
-            Ok(request) => request,
-            Err(message) => {
-                let response = WireResponse::Error { message };
-                if !write_line(&writer, &response.to_json_string()) {
-                    break;
-                }
-                continue;
-            }
-        };
-        let (requests, priority) = match request {
-            WireRequest::Ping => {
-                if !write_line(&writer, &WireResponse::Pong.to_json_string()) {
-                    break;
-                }
-                continue;
-            }
-            WireRequest::Metrics => {
-                let response = WireResponse::Metrics {
+        let (response, accepted) = match WireRequest::from_json_str(&line) {
+            Err(message) => (WireResponse::Error { message }, None),
+            Ok(WireRequest::Ping) => (WireResponse::Pong, None),
+            Ok(WireRequest::Metrics) => (
+                WireResponse::Metrics {
                     metrics: daemon.metrics(),
-                };
-                if !write_line(&writer, &response.to_json_string()) {
-                    break;
-                }
-                continue;
-            }
-            WireRequest::MetricsSnapshot => {
-                let response = WireResponse::MetricsSnapshot {
+                },
+                None,
+            ),
+            Ok(WireRequest::MetricsSnapshot) => (
+                WireResponse::MetricsSnapshot {
                     metrics: daemon.metrics(),
                     profile: daemon.profile_snapshot(),
-                };
-                if !write_line(&writer, &response.to_json_string()) {
-                    break;
-                }
-                continue;
-            }
-            WireRequest::TraceTail { limit } => {
-                let response = WireResponse::TraceTail {
+                },
+                None,
+            ),
+            Ok(WireRequest::TraceTail { limit }) => (
+                WireResponse::TraceTail {
                     traces: daemon.trace_tail(limit),
-                };
-                if !write_line(&writer, &response.to_json_string()) {
-                    break;
-                }
-                continue;
+                },
+                None,
+            ),
+            Ok(WireRequest::Submit { request, priority }) => {
+                admit(&daemon, vec![request], priority)
             }
-            WireRequest::Submit { request, priority } => (vec![request], priority),
-            WireRequest::SubmitGroup { requests, priority } => (requests, priority),
+            Ok(WireRequest::SubmitGroup { requests, priority }) => {
+                admit(&daemon, requests, priority)
+            }
         };
-        if requests.is_empty() {
-            let response = WireResponse::Error {
-                message: "cannot submit an empty group".to_string(),
-            };
-            if !write_line(&writer, &response.to_json_string()) {
-                break;
-            }
-            continue;
+        // Ack first — the protocol promises the client its ids before
+        // any result of this submission.
+        if !write_line(&writer, response.to_json_string()) {
+            break;
         }
-        match daemon.submit_group(requests, priority) {
-            Err(rejected) => {
-                let response = WireResponse::Rejected { rejected };
-                if !write_line(&writer, &response.to_json_string()) {
-                    break;
-                }
-            }
-            Ok(stream) => {
-                // Ack first — the protocol promises the client its ids
-                // before any result of this submission.
-                let ack = WireResponse::Accepted {
-                    ids: stream.ids().to_vec(),
-                };
-                if !write_line(&writer, &ack.to_json_string()) {
-                    break;
-                }
-                let writer = Arc::clone(&writer);
-                forwarders.push(std::thread::spawn(move || {
-                    for result in stream {
-                        let id = result.id;
-                        let text = match encode_response(&WireResponse::Result { result }) {
-                            Ok(text) => text,
-                            Err(message) => WireResponse::Error {
-                                message: format!("result for {id} not representable: {message}"),
-                            }
-                            .to_json_string(),
-                        };
-                        if !write_line(&writer, &text) {
-                            // Peer gone: drain silently so the daemon's
-                            // workers never block on this stream.
-                            continue;
-                        }
-                    }
-                }));
-            }
+        if let Some(stream) = accepted {
+            forwarders.retain(|h| !h.is_finished());
+            forwarders.push(forward_results(Arc::clone(&writer), stream));
         }
     }
     for handle in forwarders {
         let _ = handle.join();
     }
+}
+
+/// Runs daemon admission for one submission: the ack (or typed refusal)
+/// to write, plus the accepted jobs' result stream.
+fn admit(
+    daemon: &Daemon,
+    requests: Vec<JobRequest>,
+    priority: Priority,
+) -> (WireResponse, Option<ResultStream>) {
+    if requests.is_empty() {
+        let message = "cannot submit an empty group".to_string();
+        return (WireResponse::Error { message }, None);
+    }
+    match daemon.submit_group(requests, priority) {
+        Err(rejected) => (WireResponse::Rejected { rejected }, None),
+        Ok(stream) => (
+            WireResponse::Accepted {
+                ids: stream.ids().to_vec(),
+            },
+            Some(stream),
+        ),
+    }
+}
+
+/// Spawns the thread that writes each of `stream`'s results as a
+/// `result` envelope as it completes.
+fn forward_results(writer: Arc<Mutex<TcpStream>>, stream: ResultStream) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        for result in stream {
+            let id = result.id;
+            let text =
+                encode_response(&WireResponse::Result { result }).unwrap_or_else(|message| {
+                    WireResponse::Error {
+                        message: format!("result for {id} not representable: {message}"),
+                    }
+                    .to_json_string()
+                });
+            // A write fails once the peer is gone: keep draining silently
+            // so the daemon's workers never block on this stream.
+            write_line(&writer, text);
+        }
+    })
 }
 
 /// A blocking client for the envelope protocol.
@@ -566,6 +581,7 @@ impl WireClient {
     /// Errors if the connection cannot be established.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let read_half = stream.try_clone()?;
         Ok(Self {
             reader: BufReader::new(read_half),
@@ -580,8 +596,7 @@ impl WireClient {
     ///
     /// Errors if the socket write fails.
     pub fn send(&mut self, request: &WireRequest) -> io::Result<()> {
-        self.writer.write_all(request.to_json_string().as_bytes())?;
-        self.writer.write_all(b"\n")
+        write_frame(&mut self.writer, request.to_json_string())
     }
 
     /// Reads the next response envelope off the socket (not the result
@@ -758,6 +773,80 @@ impl WireClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobSpec;
+    use hgp_core::qaoa::qaoa_circuit;
+    use hgp_graph::instances;
+
+    /// A `Write` that accepts every byte in one call and counts calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One `write` carrying exactly the envelope text and one `\n`.
+    fn assert_one_frame(writer: &CountingWriter, text: &str) {
+        assert_eq!(writer.writes, 1, "one write per envelope");
+        assert_eq!(writer.bytes, format!("{text}\n").as_bytes());
+        let newlines = writer.bytes.iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(newlines, 1, "the frame's only newline is its last byte");
+    }
+
+    #[test]
+    fn server_framing_is_one_write_per_envelope() {
+        let responses = [
+            WireResponse::Pong,
+            WireResponse::Accepted {
+                ids: (0..64).map(JobId).collect(),
+            },
+            // An embedded newline must be escaped, not end the frame.
+            WireResponse::Error {
+                message: "two\nlines".repeat(10_000),
+            },
+        ];
+        for response in responses {
+            let text = response.to_json_string();
+            let writer = Mutex::new(CountingWriter::default());
+            assert!(write_line(&writer, text.clone()));
+            assert_one_frame(&writer.into_inner().unwrap(), &text);
+        }
+    }
+
+    #[test]
+    fn client_framing_is_one_write_per_envelope() {
+        let circuit = qaoa_circuit(&instances::task1_three_regular_6(), 1);
+        let request = JobRequest::new(circuit, vec![0.35, 0.25], JobSpec::StateVector);
+        let requests = [
+            WireRequest::Ping,
+            WireRequest::Submit {
+                request: request.clone(),
+                priority: Priority::Interactive,
+            },
+            WireRequest::SubmitGroup {
+                requests: vec![request; 32],
+                priority: Priority::Batch,
+            },
+        ];
+        // `WireClient::send` is exactly `write_frame` over its stream.
+        for request in requests {
+            let text = request.to_json_string();
+            let mut writer = CountingWriter::default();
+            write_frame(&mut writer, text.clone()).unwrap();
+            assert_one_frame(&writer, &text);
+        }
+    }
 
     #[test]
     fn capped_line_reader_enforces_the_bound() {
