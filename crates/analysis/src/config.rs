@@ -82,8 +82,8 @@ impl Default for Config {
                 // results never depend on them.
                 "crates/serve/src/daemon.rs",
                 "crates/serve/src/metrics.rs",
-                "crates/serve/src/service.rs",
                 "crates/serve/src/wire.rs",
+                "crates/serve/src/worker.rs",
             ]),
             // The whole simulation crate: every engine in it carries a
             // bit-parity pin against a reference implementation
@@ -94,11 +94,7 @@ impl Default for Config {
                 "crates/sim/src/replay.rs",
                 "crates/sim/src/replay/",
             ]),
-            spawn_allowed: s(&[
-                "crates/serve/src/daemon.rs",
-                "crates/serve/src/service.rs",
-                "crates/serve/src/wire.rs",
-            ]),
+            spawn_allowed: s(&["crates/serve/src/daemon.rs", "crates/serve/src/wire.rs"]),
             dispatch_macros: s(&["kernel"]),
         }
     }

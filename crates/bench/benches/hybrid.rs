@@ -30,7 +30,7 @@ use hgp_core::compile::{CircuitCompiler, HybridShape};
 use hgp_core::models::{GateModelOptions, HybridModel, VqaModel};
 use hgp_device::Backend;
 use hgp_graph::instances;
-use hgp_serve::{JobRequest, JobSpec, ServeConfig, Service};
+use hgp_serve::{Daemon, DaemonConfig, JobRequest, JobSpec};
 
 const N_JOBS: usize = 24;
 const SHOTS: usize = 64;
@@ -91,17 +91,20 @@ fn bench_naive_density_24x(c: &mut Criterion) {
 }
 
 /// The same sweep served: one compiled hybrid shape (warm cache),
-/// `O(2^n)`-per-shot trajectory sampling through the worker pool.
+/// `O(2^n)`-per-shot trajectory sampling through the daemon's worker
+/// pool.
 fn bench_served_trajectory_24x(c: &mut Criterion) {
     let (backend, shape) = shape();
     let points = parameter_points(&shape, N_JOBS);
-    let mut service = Service::new(&backend, ServeConfig::new(LAYOUT6.to_vec()));
+    let daemon = Daemon::start(backend, DaemonConfig::new(LAYOUT6.to_vec()));
     // Warm the cache: the steady-state serving regime is what's measured.
-    service.run(JobRequest::hybrid(
-        shape.clone(),
-        points[0].clone(),
-        JobSpec::HybridTrajectoryCounts { shots: SHOTS },
-    ));
+    daemon
+        .run_batch(vec![JobRequest::hybrid(
+            shape.clone(),
+            points[0].clone(),
+            JobSpec::HybridTrajectoryCounts { shots: SHOTS },
+        )])
+        .expect("admitted");
     c.bench_function("hybrid_served_trajectory_batch_24x_qaoa6", |b| {
         b.iter(|| {
             let requests: Vec<JobRequest> = points
@@ -114,7 +117,7 @@ fn bench_served_trajectory_24x(c: &mut Criterion) {
                     )
                 })
                 .collect();
-            service.run_batch(requests)
+            daemon.run_batch(requests).expect("admitted")
         })
     });
 }

@@ -10,7 +10,7 @@
 //! cancellation + SABRE placement + routing (the *shape* work) repeated
 //! for every parameter point, then binding and execution. The served
 //! path pays the shape work once and streams bindings through the
-//! worker pool.
+//! daemon's worker pool.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -19,7 +19,7 @@ use hgp_core::compile::CircuitCompiler;
 use hgp_core::qaoa::qaoa_circuit;
 use hgp_device::Backend;
 use hgp_graph::instances;
-use hgp_serve::{JobRequest, JobSpec, ServeConfig, Service};
+use hgp_serve::{Daemon, DaemonConfig, JobRequest, JobSpec};
 use hgp_sim::{SimBackend, StateVector};
 
 const N_JOBS: usize = 32;
@@ -58,13 +58,15 @@ fn bench_naive_32x(c: &mut Criterion) {
 fn bench_served_32x(c: &mut Criterion) {
     let (backend, circuit, layout) = shape();
     let points = parameter_points(N_JOBS);
-    let mut service = Service::new(&backend, ServeConfig::new(layout));
+    let daemon = Daemon::start(backend, DaemonConfig::new(layout));
     // Warm the cache: the steady-state serving regime is what's measured.
-    service.run(JobRequest::new(
-        circuit.clone(),
-        points[0].clone(),
-        JobSpec::StateVector,
-    ));
+    daemon
+        .run_batch(vec![JobRequest::new(
+            circuit.clone(),
+            points[0].clone(),
+            JobSpec::StateVector,
+        )])
+        .expect("admitted");
     c.bench_function("serve_cached_batch_32x_qaoa6", |b| {
         b.iter(|| {
             let requests: Vec<JobRequest> = points
@@ -73,29 +75,26 @@ fn bench_served_32x(c: &mut Criterion) {
                     JobRequest::new(black_box(&circuit).clone(), x.clone(), JobSpec::StateVector)
                 })
                 .collect();
-            service.run_batch(requests)
+            daemon.run_batch(requests).expect("admitted")
         })
     });
 }
 
-/// Single-job dispatch latency against a warm cache (pool spin-up,
-/// admission, hash lookup, bind, execute, decode).
+/// Single-job dispatch latency against a warm cache (admission, queue
+/// hand-off to a worker, hash lookup, bind, execute, decode, delivery).
 fn bench_served_singleton(c: &mut Criterion) {
     let (backend, circuit, layout) = shape();
-    let mut service = Service::new(&backend, ServeConfig::new(layout).with_workers(1));
-    service.run(JobRequest::new(
-        circuit.clone(),
-        vec![0.3, 0.2],
-        JobSpec::StateVector,
-    ));
+    let daemon = Daemon::start(backend, DaemonConfig::new(layout).with_workers(1));
+    let request = || {
+        JobRequest::new(
+            black_box(&circuit).clone(),
+            vec![0.3, 0.2],
+            JobSpec::StateVector,
+        )
+    };
+    daemon.run_batch(vec![request()]).expect("admitted");
     c.bench_function("serve_cached_single_job_qaoa6", |b| {
-        b.iter(|| {
-            service.run(JobRequest::new(
-                black_box(&circuit).clone(),
-                vec![0.3, 0.2],
-                JobSpec::StateVector,
-            ))
-        })
+        b.iter(|| daemon.run_batch(vec![request()]).expect("admitted"))
     });
 }
 

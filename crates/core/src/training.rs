@@ -126,7 +126,7 @@ fn evaluate_probe(
 /// batch objective — the training loop's optimizer core, factored out
 /// so the same protocol can run over *any* evaluation engine: the local
 /// parallel executor ([`train`] wraps it) or a serving layer
-/// (`hgp_serve::Service::hybrid_expectation_batch` is exactly this
+/// (`hgp_serve::Daemon::hybrid_expectation_batch` is exactly this
 /// objective shape).
 ///
 /// Protocol:

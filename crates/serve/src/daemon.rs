@@ -2,13 +2,13 @@
 //! bounded, priority-classed submission queue with streaming result
 //! delivery.
 //!
-//! [`crate::Service::run_batch`] is the synchronous shape of the serving
-//! layer: submit N jobs, block, collect. The [`Daemon`] is the
-//! production shape the rest of the stack was built for — a service many
-//! tenants share, that a training loop can *pipeline* against: clients
-//! [`Daemon::submit`] individual jobs or [`Daemon::submit_group`] job
-//! groups and receive results **as they complete** over an mpsc-backed
-//! [`ResultStream`], while the next submission is already queued.
+//! The [`Daemon`] is the one scheduler of the serving layer — a service
+//! many tenants share, that a training loop can *pipeline* against:
+//! clients [`Daemon::submit`] individual jobs or [`Daemon::submit_group`]
+//! job groups and receive results **as they complete** over an
+//! mpsc-backed [`ResultStream`], while the next submission is already
+//! queued. [`Daemon::run_batch`] and [`Daemon::expectation_batch`] are
+//! the blocking shapes: submit a group, wait, collect in order.
 //!
 //! # Lifecycle of a submission
 //!
@@ -23,7 +23,8 @@
 //!    perturb the seeds of jobs that were admitted.
 //! 2. **Admission** — each job of an accepted group takes the next
 //!    [`JobId`] and its position-derived seed
-//!    ([`hgp_sim::seed::stream_seed`]), exactly as `run_batch` does.
+//!    ([`hgp_sim::seed::stream_seed`]), exactly as
+//!    [`crate::run_sequential`] does.
 //!    Requests that fail validation still consume their position and are
 //!    answered through the stream with a validate-stage
 //!    [`crate::JobError`]; valid jobs enter their priority class's FIFO.
@@ -34,9 +35,9 @@
 //!    `(compiled shape, params, seed)` — all fixed at admission — **any
 //!    worker count, arrival order, or priority interleaving yields
 //!    results bit-identical to the sequential reference** (pinned by the
-//!    `daemon_serving` proptests against [`crate::Service::run_batch`]).
+//!    `daemon_serving` proptests against [`crate::run_sequential`]).
 //! 4. **Execution** — workers share one structural-key LRU
-//!    [`crate::ProgramCache`] and the batch path's worker core
+//!    [`crate::ProgramCache`] and the worker core of [`crate::worker`]
 //!    (`execute_job`): compile once per shape, bind per dispatch,
 //!    trajectory kinds ride the replay template. The `catch_unwind`
 //!    panic boundary means a poisoned job fails alone with a typed
@@ -69,7 +70,7 @@ use crate::job::{
     JobError, JobId, JobOutput, JobProgram, JobRequest, JobResult, JobSpec, Priority, Rejected,
 };
 use crate::metrics::ServeMetrics;
-use crate::service::{
+use crate::worker::{
     compile_artifact, execute_job, trajectory_shots, validate_request, PreparedJob, ServeConfig,
 };
 
@@ -78,7 +79,7 @@ use crate::service::{
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Worker pool / cache / seed / compile configuration, shared with
-    /// the batch path.
+    /// [`crate::run_sequential`].
     pub service: ServeConfig,
     /// Maximum jobs waiting in the submission queue (in-flight jobs on
     /// workers do not count). Submissions that would overflow are
@@ -324,7 +325,7 @@ impl ResultStream {
 
     /// Drains the stream and returns all results sorted back into
     /// submission order — the blocking shape, equivalent to what
-    /// [`crate::Service::run_batch`] returns for the same requests.
+    /// [`crate::run_sequential`] returns for the same requests.
     pub fn collect_ordered(mut self) -> Vec<JobResult> {
         let mut results: Vec<JobResult> = Vec::with_capacity(self.ids.len());
         while let Some(result) = self.recv() {
@@ -468,7 +469,7 @@ impl Daemon {
     /// contiguously, so the group occupies positions
     /// `ids()[0] ..= ids()[n-1]` of the evaluation stream. Jobs that
     /// fail validation consume their position and are answered through
-    /// the stream, identical to [`crate::Service::run_batch`] semantics.
+    /// the stream, identical to [`crate::run_sequential`] semantics.
     ///
     /// # Errors
     ///
@@ -480,7 +481,9 @@ impl Daemon {
     /// # Panics
     ///
     /// Panics if `requests` is empty — an empty group has no results to
-    /// stream.
+    /// stream. The blocking wrappers ([`Daemon::run_batch`],
+    /// [`Daemon::expectation_batch`]) answer an empty input with an empty
+    /// result instead.
     pub fn submit_group(
         &self,
         requests: Vec<JobRequest>,
@@ -539,9 +542,7 @@ impl Daemon {
                     limit: config.max_queue_depth,
                 });
             }
-            for (index, (request, (validation, validate_job_ns))) in
-                requests.into_iter().zip(validations).enumerate()
-            {
+            for (request, (validation, validate_job_ns)) in requests.into_iter().zip(validations) {
                 let id = JobId(queue.next_job);
                 queue.next_job += 1;
                 let seed = request
@@ -567,7 +568,6 @@ impl Daemon {
                     ],
                 });
                 let job = PreparedJob {
-                    index,
                     id,
                     seed,
                     params: request.params,
@@ -643,17 +643,20 @@ impl Daemon {
     }
 
     /// The blocking convenience: submits a group at [`Priority::Batch`]
-    /// and waits for all results in submission order — a drop-in
-    /// stand-in for [`crate::Service::run_batch`] on a shared daemon.
+    /// and waits for all results in submission order. An empty input
+    /// returns an empty result and consumes nothing.
     pub fn run_batch(&self, requests: Vec<JobRequest>) -> Result<Vec<JobResult>, Rejected> {
+        if requests.is_empty() {
+            return Ok(Vec::new());
+        }
         Ok(self
             .submit_group(requests, Priority::Batch)?
             .collect_ordered())
     }
 
     /// Evaluates `observable` on `circuit` at a slice of parameter
-    /// points through the daemon — the pipelined, service-backed form
-    /// of an `hgp_optim` `BatchObjective`. Each optimizer probe batch
+    /// points through the daemon — the served form of an `hgp_optim`
+    /// `BatchObjective`. Each optimizer probe batch
     /// is one submitted group; because submission returns as soon as
     /// the group is admitted, a training loop naturally pipelines its
     /// bookkeeping against the pool, and many tenants' objectives
@@ -669,7 +672,7 @@ impl Daemon {
     ///
     /// Panics if the submission is rejected or any job fails (an
     /// optimization driver is programmer infrastructure, not a request
-    /// boundary).
+    /// boundary). No points means no jobs and an empty result.
     pub fn expectation_batch(
         &self,
         circuit: &Circuit,
@@ -721,6 +724,9 @@ impl Daemon {
     }
 
     fn collect_expectations(&self, requests: Vec<JobRequest>, priority: Priority) -> Vec<f64> {
+        if requests.is_empty() {
+            return Vec::new();
+        }
         self.submit_group(requests, priority)
             .expect("objective batch admitted")
             .collect_ordered()
@@ -851,7 +857,7 @@ fn worker_loop(shared: &Shared) {
             if !cache_hit {
                 metrics.compile_hist.record(compile_ns);
             }
-            metrics.record_job_stages(Some(queue_ns), bind_ns, exec_ns, priority, kind);
+            metrics.record_job_stages(queue_ns, bind_ns, exec_ns, priority, kind);
             metrics.jobs_completed += 1;
             if result.output.is_err() {
                 metrics.jobs_failed += 1;
@@ -940,6 +946,33 @@ mod tests {
         assert!(results.iter().all(|r| r.output.is_ok()));
         let metrics = daemon.shutdown();
         assert_eq!(metrics.jobs_completed, 4);
+    }
+
+    #[test]
+    fn empty_batches_return_empty_results_without_consuming_positions() {
+        let graph = instances::task1_three_regular_6();
+        let circuit = qaoa_circuit(&graph, 1);
+        let observable = hgp_core::qaoa::cost_hamiltonian(&graph);
+        let shape = HybridShape::new(graph, 1);
+        let daemon = Daemon::start(
+            Backend::ibmq_guadalupe(),
+            DaemonConfig::new(vec![0, 1, 2, 3, 4, 5]).with_workers(1),
+        );
+        assert!(daemon.run_batch(Vec::new()).expect("admitted").is_empty());
+        assert!(daemon
+            .expectation_batch(&circuit, &observable, &[], Priority::Interactive)
+            .is_empty());
+        assert!(daemon
+            .hybrid_expectation_batch(&shape, &observable, &[], Priority::Batch)
+            .is_empty());
+        // Nothing was admitted, so the next job takes position 0.
+        let results = daemon
+            .run_batch(vec![counts_request(&circuit, 0.3)])
+            .expect("admitted");
+        assert_eq!(results[0].id, JobId(0));
+        let metrics = daemon.shutdown();
+        assert_eq!(metrics.batches, 1);
+        assert_eq!(metrics.admitted_total(), 1);
     }
 
     #[test]

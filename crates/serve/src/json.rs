@@ -1391,7 +1391,6 @@ impl JsonCodec for ServeMetrics {
             ("jobs_completed", Value::from_u64(self.jobs_completed)),
             ("jobs_failed", Value::from_u64(self.jobs_failed)),
             ("batches", Value::from_u64(self.batches)),
-            ("shape_groups", Value::from_u64(self.shape_groups)),
             ("cache_hits", Value::from_u64(self.cache_hits)),
             ("cache_misses", Value::from_u64(self.cache_misses)),
             ("validate_ns", Value::from_u64(self.validate_ns)),
@@ -1420,7 +1419,6 @@ impl JsonCodec for ServeMetrics {
             jobs_completed: value.get("jobs_completed")?.as_u64()?,
             jobs_failed: value.get("jobs_failed")?.as_u64()?,
             batches: value.get("batches")?.as_u64()?,
-            shape_groups: value.get("shape_groups")?.as_u64()?,
             cache_hits: value.get("cache_hits")?.as_u64()?,
             cache_misses: value.get("cache_misses")?.as_u64()?,
             validate_ns: value.get("validate_ns")?.as_u64()?,

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 
-//! `hgp_serve` — the batched job-execution service over the hybrid
-//! gate-pulse engine.
+//! `hgp_serve` — the job-execution daemon over the hybrid gate-pulse
+//! engine.
 //!
 //! The workloads this workspace reproduces are *shape-repetitive*:
 //! thousands of QAOA evaluations that differ only in bound parameters.
@@ -20,21 +20,20 @@
 //!   programs — transpilation happens once per circuit *shape*
 //!   ([`hgp_circuit::Circuit::structural_key`]), parameter binding at
 //!   dispatch ([`hgp_core::compile`]),
-//! - [`service`]: the worker-pool [`Service`] (std threads + channels)
-//!   with same-shape batching and per-job deterministic seed derivation
-//!   ([`hgp_sim::seed`]) — any concurrent schedule is bit-identical to
-//!   sequential execution,
+//! - [`daemon`]: the one scheduler, the long-lived [`Daemon`] — a
+//!   persistent worker pool behind a bounded, priority-classed
+//!   submission queue with streaming [`ResultStream`] delivery,
+//!   admission control and backpressure ([`Rejected`]), and a graceful
+//!   draining shutdown,
+//! - [`worker`]: the shared worker core (validate, compile, bind,
+//!   execute) with per-job deterministic seed derivation
+//!   ([`hgp_sim::seed`]), plus [`run_sequential`], the one-thread
+//!   reference the daemon is pinned bit-identical against,
 //! - [`metrics`]: throughput/latency/cache accounting
-//!   ([`ServeMetrics`]) — batch wall time, per-stage latencies, and the
-//!   daemon's queue gauge / per-priority admission counters,
+//!   ([`ServeMetrics`]) — uptime, per-stage latencies, the queue gauge
+//!   and per-priority admission counters,
 //! - [`json`]: the canonical wire format ([`json::JsonCodec`]),
 //!   self-contained because the vendored serde facade is a no-op,
-//! - [`daemon`]: the long-lived serving [`Daemon`] — a persistent
-//!   worker pool behind a bounded, priority-classed submission queue
-//!   with streaming [`ResultStream`] delivery, admission control and
-//!   backpressure ([`Rejected`]), and a graceful draining shutdown;
-//!   shares the batch path's worker core, so the bit-identity contract
-//!   holds across both,
 //! - [`wire`]: the TCP front end — line-delimited JSON
 //!   [`WireRequest`] / [`WireResponse`] envelopes over a socket,
 //!   served by [`WireServer`] and spoken by [`WireClient`].
@@ -45,28 +44,26 @@
 //! use hgp_core::qaoa::qaoa_circuit;
 //! use hgp_device::Backend;
 //! use hgp_graph::instances;
-//! use hgp_serve::{JobRequest, JobSpec, ServeConfig, Service};
+//! use hgp_serve::{Daemon, DaemonConfig, JobRequest, JobSpec};
 //!
-//! let backend = Backend::ibmq_guadalupe();
 //! let graph = instances::task1_three_regular_6();
 //! let circuit = qaoa_circuit(&graph, 1); // parametrized: one shape
-//! let mut service = Service::new(&backend, ServeConfig::new(vec![0, 1, 2, 3, 4, 5]));
+//! let config = DaemonConfig::new(vec![0, 1, 2, 3, 4, 5]).with_workers(1);
+//! let daemon = Daemon::start(Backend::ibmq_guadalupe(), config);
 //! let jobs = (0..4)
 //!     .map(|i| {
 //!         let gamma = 0.1 * (i + 1) as f64;
 //!         JobRequest::new(circuit.clone(), vec![gamma, 0.25], JobSpec::Counts { shots: 256 })
 //!     })
 //!     .collect();
-//! let results = service.run_batch(jobs);
+//! let results = daemon.run_batch(jobs).expect("admitted");
 //! assert_eq!(results.len(), 4);
 //! // One shape => one compilation; every later job hits the cache.
-//! assert_eq!(service.metrics().cache_misses, 1);
-//! assert_eq!(service.metrics().cache_hits, 0); // same batch compiled it once
-//! let again = service.run_batch(vec![JobRequest::new(
-//!     circuit.clone(),
-//!     vec![0.3, 0.25],
-//!     JobSpec::StateVector,
-//! )]);
+//! assert_eq!(daemon.metrics().cache_misses, 1);
+//! assert_eq!(daemon.metrics().cache_hits, 3);
+//! let again = daemon
+//!     .run_batch(vec![JobRequest::new(circuit, vec![0.3, 0.25], JobSpec::StateVector)])
+//!     .expect("admitted");
 //! assert!(again[0].cache_hit);
 //! ```
 
@@ -75,8 +72,8 @@ pub mod daemon;
 pub mod job;
 pub mod json;
 pub mod metrics;
-pub mod service;
 pub mod wire;
+pub mod worker;
 
 pub use cache::{CompiledArtifact, ProgramCache};
 pub use daemon::{Daemon, DaemonConfig, ResultStream};
@@ -86,5 +83,5 @@ pub use job::{
     Rejected,
 };
 pub use metrics::ServeMetrics;
-pub use service::{ServeConfig, Service};
 pub use wire::{WireClient, WireRequest, WireResponse, WireServer};
+pub use worker::{run_sequential, ServeConfig};

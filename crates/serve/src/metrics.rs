@@ -1,4 +1,4 @@
-//! Service throughput and latency accounting.
+//! Daemon throughput and latency accounting.
 
 use std::fmt;
 
@@ -7,11 +7,10 @@ use hgp_obs::{Histogram, PromText};
 
 use crate::job::{JobSpec, Priority};
 
-/// Cumulative counters over a service's lifetime.
+/// Cumulative counters over a daemon's lifetime.
 ///
-/// `wall_ns` accumulates end-to-end [`crate::Service::run_batch`] time
-/// (compile + dispatch + execution + collection), while the per-job
-/// worker time is split into stages — `bind_ns` (parameter
+/// `wall_ns` is the daemon's uptime, while the per-job worker time is
+/// split into stages — `bind_ns` (parameter
 /// substitution into the cached shape) and `exec_ns` (the simulation
 /// itself) — next to the per-shape `compile_ns` and the admission-time
 /// `validate_ns`. The split is what tells a cache-hit-heavy trajectory
@@ -26,11 +25,8 @@ pub struct ServeMetrics {
     /// Jobs answered with a typed [`crate::JobError`] (a subset of
     /// `jobs_completed`; failed jobs still consume stream positions).
     pub jobs_failed: u64,
-    /// `run_batch` calls served.
+    /// Submission groups admitted (a single `submit` is a group of one).
     pub batches: u64,
-    /// Shape groups dispatched (one per distinct structural key per
-    /// batch).
-    pub shape_groups: u64,
     /// Compiled-program cache hits (shape lookups).
     pub cache_hits: u64,
     /// Compiled-program cache misses (each one paid a compilation).
@@ -45,17 +41,16 @@ pub struct ServeMetrics {
     pub bind_ns: u64,
     /// Summed per-job execution time across workers (binding excluded).
     pub exec_ns: u64,
-    /// Summed end-to-end batch wall time. [`crate::Service::run_batch`]
-    /// accumulates per call; daemon snapshots report uptime here, so
-    /// the derived throughputs read as lifetime rates either way.
+    /// The daemon's uptime at snapshot time, so the derived throughputs
+    /// read as lifetime rates.
     pub wall_ns: u64,
     /// Jobs waiting in the daemon's submission queue when this snapshot
-    /// was taken (a gauge, not a counter; always 0 on the batch path).
+    /// was taken (a gauge, not a counter).
     pub queue_depth: u64,
     /// Time admitted jobs spent queued before a worker picked them up —
-    /// the stage upstream of `validate`/`compile`/`bind`/`exec` that
-    /// only the daemon has. Large `queue_ns` with small worker stages
-    /// means the pool, not the engine, is the bottleneck.
+    /// the stage between admission and `compile`/`bind`/`exec`. Large
+    /// `queue_ns` with small worker stages means the pool, not the
+    /// engine, is the bottleneck.
     pub queue_ns: u64,
     /// Daemon jobs admitted per priority class, indexed by
     /// [`crate::Priority::index`] (interactive/batch/background).
@@ -72,8 +67,8 @@ pub struct ServeMetrics {
     /// replay engine optimizes, so shots/second — not jobs/second — is
     /// the number to watch when tuning trajectory serving.
     pub shots_executed: u64,
-    /// Per-job queue-wait latency histogram (daemon only; the batch
-    /// path has no queue). Same samples `queue_ns` sums.
+    /// Per-job queue-wait latency histogram. Same samples `queue_ns`
+    /// sums.
     pub queue_hist: Histogram,
     /// Per-job validation latency histogram.
     pub validate_hist: Histogram,
@@ -87,7 +82,7 @@ pub struct ServeMetrics {
     /// above cannot.
     pub exec_hist: Histogram,
     /// Per-priority-class worker latency (bind + execute) histograms,
-    /// indexed by [`crate::Priority::index`]; daemon only.
+    /// indexed by [`crate::Priority::index`].
     pub priority_hist: [Histogram; 3],
     /// Per-job-kind execution latency histograms, indexed by
     /// [`crate::JobSpec::kind_index`].
@@ -95,7 +90,7 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// End-to-end throughput over the service's lifetime, jobs/second.
+    /// End-to-end throughput over the daemon's lifetime, jobs/second.
     pub fn throughput_jobs_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
             0.0
@@ -122,11 +117,11 @@ impl ServeMetrics {
         }
     }
 
-    /// Trajectory shot throughput over the service's lifetime,
+    /// Trajectory shot throughput over the daemon's lifetime,
     /// shots/second.
     ///
     /// `wall_ns == 0` is guarded explicitly and yields `0.0`: a
-    /// fresh service (or a daemon snapshot taken before the uptime
+    /// fresh metrics value (or a snapshot taken before the uptime
     /// clock has advanced a nanosecond) has no rate yet, and the guard
     /// keeps `shots_executed > 0` with zero wall from producing an
     /// infinite rate.
@@ -191,21 +186,17 @@ impl ServeMetrics {
         }
     }
 
-    /// Records one completed job's worker-stage samples into the stage,
-    /// priority, and kind histograms (and a compile sample when the job
-    /// paid a cache miss). `queue_ns` is `None` on the batch path,
-    /// which has no queue stage.
+    /// Records one completed job's queue-wait and worker-stage samples
+    /// into the stage, priority, and kind histograms.
     pub fn record_job_stages(
         &mut self,
-        queue_ns: Option<u64>,
+        queue_ns: u64,
         bind_ns: u64,
         exec_ns: u64,
         priority: Priority,
         kind_index: usize,
     ) {
-        if let Some(q) = queue_ns {
-            self.queue_hist.record(q);
-        }
+        self.queue_hist.record(queue_ns);
         self.bind_hist.record(bind_ns);
         self.exec_hist.record(exec_ns);
         self.priority_hist[priority.index()].record(bind_ns + exec_ns);
@@ -226,12 +217,7 @@ impl ServeMetrics {
             "Jobs answered with a typed error.",
             self.jobs_failed,
         );
-        p.counter("hgp_batches", "run_batch calls served.", self.batches);
-        p.counter(
-            "hgp_shape_groups",
-            "Shape groups dispatched.",
-            self.shape_groups,
-        );
+        p.counter("hgp_batches", "Submission groups admitted.", self.batches);
         p.counter(
             "hgp_cache_hits",
             "Compiled-program cache hits.",
@@ -247,11 +233,7 @@ impl ServeMetrics {
             "Trajectory shots finished by successful jobs.",
             self.shots_executed,
         );
-        p.counter(
-            "hgp_wall_ns",
-            "Batch wall time (batch path) or uptime (daemon), ns.",
-            self.wall_ns,
-        );
+        p.counter("hgp_wall_ns", "Daemon uptime, ns.", self.wall_ns);
         p.gauge(
             "hgp_queue_depth",
             "Jobs waiting in the submission queue.",
@@ -385,7 +367,6 @@ mod tests {
             jobs_completed: 100,
             jobs_failed: 0,
             batches: 2,
-            shape_groups: 3,
             cache_hits: 2,
             cache_misses: 1,
             validate_ns: 1_000_000,
@@ -460,9 +441,10 @@ mod tests {
         let mut m = ServeMetrics::default();
         m.validate_hist.record(500);
         m.compile_hist.record(80_000);
-        m.record_job_stages(Some(1_000), 2_000, 30_000, Priority::Interactive, 4);
-        m.record_job_stages(None, 1_000, 10_000, Priority::Batch, 2);
-        assert_eq!(m.queue_hist.count(), 1);
+        m.record_job_stages(1_000, 2_000, 30_000, Priority::Interactive, 4);
+        m.record_job_stages(900, 1_000, 10_000, Priority::Batch, 2);
+        assert_eq!(m.queue_hist.count(), 2);
+        assert_eq!(m.queue_hist.sum(), 1_900);
         assert_eq!(m.bind_hist.count(), 2);
         assert_eq!(m.exec_hist.count(), 2);
         assert_eq!(m.priority_hist[0].count(), 1);
@@ -481,7 +463,7 @@ mod tests {
             admitted: [1, 2, 0],
             ..ServeMetrics::default()
         };
-        m.record_job_stages(Some(900), 2_000, 30_000, Priority::Batch, 4);
+        m.record_job_stages(900, 2_000, 30_000, Priority::Batch, 4);
         let text = m.render_promtext(None);
         assert!(text.contains("# TYPE hgp_jobs_completed counter"));
         assert!(text.contains("hgp_admitted{priority=\"batch\"} 2"));

@@ -1,7 +1,7 @@
 //! Integration suite for the long-lived daemon and its TCP front end:
 //!
 //! - the headline determinism contract — daemon results are
-//!   bit-identical to the sequential `Service::run_batch` reference for
+//!   bit-identical to the sequential `run_sequential` reference for
 //!   every worker count × group split × priority mix (proptest-pinned),
 //! - admission control and backpressure produce typed rejections that
 //!   never consume id/seed stream positions,
@@ -10,7 +10,7 @@
 //! - strict-priority scheduling orders completions when one worker
 //!   drains a mixed queue,
 //! - a batch optimizer trains through the daemon exactly as it does
-//!   through the synchronous service,
+//!   over the sequential reference,
 //! - the loopback-socket wire protocol carries submissions, streamed
 //!   results, metrics, and rejections bit-exactly.
 
@@ -26,8 +26,8 @@ use hgp_device::Backend;
 use hgp_graph::instances;
 use hgp_optim::Cobyla;
 use hgp_serve::{
-    Daemon, DaemonConfig, JobId, JobRequest, JobResult, JobSpec, Priority, Rejected, ServeConfig,
-    Service, WireClient, WireServer,
+    run_sequential, Daemon, DaemonConfig, JobId, JobOutput, JobRequest, JobResult, JobSpec,
+    Priority, Rejected, ServeConfig, WireClient, WireServer,
 };
 
 const LAYOUT6: [usize; 6] = [0, 1, 2, 3, 4, 5];
@@ -38,10 +38,10 @@ fn daemon_config(workers: usize, base_seed: u64) -> DaemonConfig {
         .with_base_seed(base_seed)
 }
 
-fn service_config(base_seed: u64) -> ServeConfig {
-    ServeConfig::new(LAYOUT6.to_vec())
-        .with_workers(1)
-        .with_base_seed(base_seed)
+/// The sequential reference over `requests` as one stream from id 0.
+fn sequential(backend: &Backend, base_seed: u64, requests: Vec<JobRequest>) -> Vec<JobResult> {
+    let config = ServeConfig::new(LAYOUT6.to_vec()).with_base_seed(base_seed);
+    run_sequential(backend, &config, requests)
 }
 
 /// A pool of requests covering every execution path the daemon serves:
@@ -118,10 +118,10 @@ proptest! {
 
     /// The headline contract: any worker count, any group split, any
     /// priority assignment, any request arrangement — the daemon's
-    /// results are bit-identical to one sequential `run_batch` over the
+    /// results are bit-identical to one `run_sequential` pass over the
     /// same requests in admission order.
     #[test]
-    fn daemon_is_bit_identical_to_sequential_run_batch(
+    fn daemon_is_bit_identical_to_run_sequential(
         workers in 1usize..5,
         base_seed in 0u64..1_000_000,
         schedule_seed in 0u64..u64::MAX,
@@ -138,10 +138,8 @@ proptest! {
         let splits: Vec<usize> = (0..3).map(|_| schedule.gen_range(1usize..4)).collect();
         let priorities: Vec<usize> = (0..4).map(|_| schedule.gen_range(0usize..3)).collect();
 
-        // Sequential reference: one single-worker batch in admission
-        // order.
-        let mut service = Service::new(&backend, service_config(base_seed));
-        let reference = service.run_batch(requests.clone());
+        // Sequential reference: one pass in admission order.
+        let reference = sequential(&backend, base_seed, requests.clone());
 
         // Daemon run: the same requests split into consecutive groups,
         // each submitted under its own priority class.
@@ -183,8 +181,7 @@ fn tracing_and_profiling_leave_results_bit_identical() {
     let graph = instances::task1_three_regular_6();
     let requests = mixed_requests(&graph);
 
-    let mut service = Service::new(&backend, service_config(7));
-    let reference = service.run_batch(requests.clone());
+    let reference = sequential(&backend, 7, requests.clone());
 
     let daemon = Daemon::start(
         backend,
@@ -287,8 +284,7 @@ fn rejections_consume_no_stream_positions() {
         .expect("fits all bounds")
         .collect_ordered();
     assert_eq!(results[0].id, JobId(0));
-    let mut service = Service::new(&backend, service_config(11));
-    let reference = service.run_batch(vec![request(0.7)]);
+    let reference = sequential(&backend, 11, vec![request(0.7)]);
     assert_eq!(fingerprint(&results), fingerprint(&reference));
 
     let metrics = daemon.shutdown();
@@ -361,8 +357,7 @@ fn dropped_result_stream_cannot_wedge_the_pool() {
     };
     let daemon = Daemon::start(backend, daemon_config(2, 3));
     // Submit and walk away: the workers' result sends hit a dead
-    // receiver and must be discarded, not panicked on (`run_batch`'s
-    // scoped collector can `expect` its sends; the daemon cannot).
+    // receiver and must be discarded, not panicked on.
     let abandoned = daemon
         .submit_group(
             (0..6).map(|i| request(0.1 * (i + 1) as f64)).collect(),
@@ -445,24 +440,40 @@ fn strict_priority_orders_completions_on_one_worker() {
 fn batch_optimizer_trains_through_the_daemon() {
     // The daemon as the evaluation engine of an hgp_optim batch
     // optimization — and because expectation jobs are deterministic,
-    // the whole optimizer trajectory matches the synchronous service
+    // the whole optimizer trajectory matches the sequential reference
     // exactly.
     let backend = Backend::ideal(6);
     let graph = instances::task1_three_regular_6();
     let circuit = qaoa_circuit(&graph, 1);
     let observable = cost_hamiltonian(&graph);
 
-    let mut service = Service::new(&backend, ServeConfig::new(LAYOUT6.to_vec()).with_workers(4));
     let mut reference_objective = |xs: &[Vec<f64>]| -> Vec<f64> {
-        service
-            .expectation_batch(&circuit, &observable, xs)
-            .into_iter()
-            .map(|v| -v)
+        let requests = xs
+            .iter()
+            .map(|x| {
+                JobRequest::new(
+                    circuit.clone(),
+                    x.clone(),
+                    JobSpec::Expectation {
+                        observable: observable.clone(),
+                    },
+                )
+            })
+            .collect();
+        sequential(&backend, 42, requests)
+            .iter()
+            .map(|r| match r.unwrap_output() {
+                JobOutput::Expectation { value } => -value,
+                other => unreachable!("expectation job produced {other:?}"),
+            })
             .collect()
     };
     let reference = Cobyla::new(40).minimize_batch(&mut reference_objective, &[0.1, 0.1]);
 
-    let daemon = Daemon::start(backend, DaemonConfig::new(LAYOUT6.to_vec()).with_workers(4));
+    let daemon = Daemon::start(
+        backend.clone(),
+        DaemonConfig::new(LAYOUT6.to_vec()).with_workers(4),
+    );
     let mut objective = |xs: &[Vec<f64>]| -> Vec<f64> {
         daemon
             .expectation_batch(&circuit, &observable, xs, Priority::Interactive)
@@ -475,8 +486,10 @@ fn batch_optimizer_trains_through_the_daemon() {
 
     assert_eq!(result.fun.to_bits(), reference.fun.to_bits());
     assert_eq!(result.x, reference.x);
-    // Every probe rode one compiled program through the daemon cache.
-    assert_eq!(metrics.cache_misses, 1);
+    // Every probe rode one shape through the daemon cache. Workers
+    // compile on a miss outside the cache lock, so the first probe
+    // batch may compile it once per worker, never more.
+    assert!((1..=4).contains(&metrics.cache_misses));
     assert!(metrics.admitted[0] > 20);
 }
 
@@ -488,8 +501,7 @@ fn wire_round_trip_streams_bit_identical_results() {
     let base_seed = 17;
 
     // Sequential reference for the whole submission order.
-    let mut service = Service::new(&backend, service_config(base_seed));
-    let reference = service.run_batch(requests.clone());
+    let reference = sequential(&backend, base_seed, requests.clone());
 
     let daemon = Arc::new(Daemon::start(backend, daemon_config(3, base_seed)));
     let mut server = WireServer::start(Arc::clone(&daemon), "127.0.0.1:0").expect("bind loopback");

@@ -315,7 +315,6 @@ fn random_metrics(rng: &mut StdRng) -> ServeMetrics {
         jobs_completed: rng.gen(),
         jobs_failed: rng.gen(),
         batches: rng.gen(),
-        shape_groups: rng.gen(),
         cache_hits: rng.gen(),
         cache_misses: rng.gen(),
         validate_ns: rng.gen(),

@@ -1,11 +1,12 @@
-//! Integration tests of the serving layer's core contracts:
+//! Integration tests of the serving layer's core contracts, driven
+//! through the daemon:
 //!
 //! - serving through the worker pool is **bit-identical** to sequential
 //!   hand-driven `Executor` runs (the acceptance bar for every later
 //!   scaling PR),
 //! - results are invariant under the worker count and batch split,
 //! - the compiled-program cache actually dedupes shape work,
-//! - the service plugs into `hgp_optim`-style batch optimization.
+//! - the daemon plugs into `hgp_optim`-style batch optimization.
 
 use hgp_circuit::Circuit;
 use hgp_core::compile::CircuitCompiler;
@@ -13,9 +14,30 @@ use hgp_core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hgp_device::Backend;
 use hgp_graph::instances;
 use hgp_optim::Cobyla;
-use hgp_serve::{JobOutput, JobRequest, JobSpec, ServeConfig, Service};
+use hgp_serve::{Daemon, DaemonConfig, JobOutput, JobRequest, JobResult, JobSpec, Priority};
 use hgp_sim::seed::stream_seed;
 use hgp_sim::Counts;
+
+/// A daemon on `backend` over `layout` with `workers` workers. Tests
+/// that pin exact cache misses use one worker: concurrent workers may
+/// compile one shape redundantly by design.
+fn daemon(backend: &Backend, layout: Vec<usize>, workers: usize, base_seed: u64) -> Daemon {
+    Daemon::start(
+        backend.clone(),
+        DaemonConfig::new(layout)
+            .with_workers(workers)
+            .with_base_seed(base_seed),
+    )
+}
+
+/// Serves one job (a group of one).
+fn run_one(daemon: &Daemon, request: JobRequest) -> JobResult {
+    daemon
+        .run_batch(vec![request])
+        .expect("admitted")
+        .pop()
+        .expect("one job in, one result out")
+}
 
 fn qaoa_points(n: usize) -> Vec<Vec<f64>> {
     (0..n)
@@ -24,10 +46,10 @@ fn qaoa_points(n: usize) -> Vec<Vec<f64>> {
 }
 
 /// The sequential reference: compile + bind + replay each job by hand
-/// with the same seeds the service derives. Exact jobs serve off the
+/// with the same seeds the daemon derives. Exact jobs serve off the
 /// precompiled superoperator tape, so the reference walks that same
 /// path: walk-compile the tape per point (pinned bit-identical to the
-/// template bind the service uses by the `hgp_core` template tests),
+/// template bind the daemon uses by the `hgp_core` template tests),
 /// replay it, and sample the resulting state.
 fn sequential_counts(
     backend: &Backend,
@@ -71,17 +93,12 @@ fn served_counts_are_bit_identical_to_sequential_executor_runs() {
         base_seed,
     );
 
-    let mut service = Service::new(
-        &backend,
-        ServeConfig::new(layout)
-            .with_workers(4)
-            .with_base_seed(base_seed),
-    );
+    let daemon = daemon(&backend, layout, 4, base_seed);
     let requests = points
         .iter()
         .map(|x| JobRequest::new(circuit.clone(), x.clone(), JobSpec::Counts { shots }))
         .collect();
-    let results = service.run_batch(requests);
+    let results = daemon.run_batch(requests).expect("admitted");
 
     assert_eq!(results.len(), reference.len());
     for (result, expected) in results.iter().zip(&reference) {
@@ -132,12 +149,7 @@ fn served_trajectory_jobs_are_bit_identical_to_sequential_executor_runs() {
         })
         .collect();
 
-    let mut service = Service::new(
-        &backend,
-        ServeConfig::new(layout)
-            .with_workers(4)
-            .with_base_seed(base_seed),
-    );
+    let daemon = daemon(&backend, layout, 4, base_seed);
     let mut requests = Vec::new();
     for x in &points {
         requests.push(JobRequest::new(
@@ -154,7 +166,7 @@ fn served_trajectory_jobs_are_bit_identical_to_sequential_executor_runs() {
             },
         ));
     }
-    let results = service.run_batch(requests);
+    let results = daemon.run_batch(requests).expect("admitted");
     assert_eq!(results.len(), 2 * points.len());
     for (i, (expected_counts, (expected_value, expected_err))) in reference.iter().enumerate() {
         match results[2 * i].unwrap_output() {
@@ -186,24 +198,26 @@ fn trajectory_expectation_converges_to_the_density_matrix_job() {
     let circuit = qaoa_circuit(&graph, 1);
     let observable = cost_hamiltonian(&graph);
     let params = vec![0.35, 0.25];
-    let mut service = Service::new(&backend, ServeConfig::new(vec![0, 1, 2, 3, 4, 5]));
-    let results = service.run_batch(vec![
-        JobRequest::new(
-            circuit.clone(),
-            params.clone(),
-            JobSpec::Expectation {
-                observable: observable.clone(),
-            },
-        ),
-        JobRequest::new(
-            circuit,
-            params,
-            JobSpec::TrajectoryExpectation {
-                observable,
-                trajectories: 2048,
-            },
-        ),
-    ]);
+    let daemon = daemon(&backend, vec![0, 1, 2, 3, 4, 5], 2, 42);
+    let results = daemon
+        .run_batch(vec![
+            JobRequest::new(
+                circuit.clone(),
+                params.clone(),
+                JobSpec::Expectation {
+                    observable: observable.clone(),
+                },
+            ),
+            JobRequest::new(
+                circuit,
+                params,
+                JobSpec::TrajectoryExpectation {
+                    observable,
+                    trajectories: 2048,
+                },
+            ),
+        ])
+        .expect("admitted");
     let exact = match results[0].unwrap_output() {
         JobOutput::Expectation { value } => *value,
         other => panic!("expected expectation, got {other:?}"),
@@ -237,14 +251,20 @@ fn results_are_invariant_under_worker_count_and_batch_split() {
     };
 
     // One worker, one batch.
-    let mut solo = Service::new(&backend, ServeConfig::new(layout.clone()).with_workers(1));
-    let solo_results = solo.run_batch(mk_requests(&points));
+    let solo = daemon(&backend, layout.clone(), 1, 42);
+    let solo_results = solo.run_batch(mk_requests(&points)).expect("admitted");
 
     // Many workers, batch split in two: ids keep counting across
     // batches, so outputs must not move.
-    let mut pooled = Service::new(&backend, ServeConfig::new(layout).with_workers(5));
-    let mut pooled_results = pooled.run_batch(mk_requests(&points[..3]));
-    pooled_results.extend(pooled.run_batch(mk_requests(&points[3..])));
+    let pooled = daemon(&backend, layout, 5, 42);
+    let mut pooled_results = pooled
+        .run_batch(mk_requests(&points[..3]))
+        .expect("admitted");
+    pooled_results.extend(
+        pooled
+            .run_batch(mk_requests(&points[3..]))
+            .expect("admitted"),
+    );
 
     for (a, b) in solo_results.iter().zip(&pooled_results) {
         assert_eq!(a.id, b.id);
@@ -258,41 +278,45 @@ fn cache_dedupes_shape_work_across_and_within_batches() {
     let backend = Backend::ibmq_guadalupe();
     let graph = instances::task1_three_regular_6();
     let circuit = qaoa_circuit(&graph, 1);
-    let mut service = Service::new(
-        &backend,
-        ServeConfig::new(vec![0, 1, 2, 3, 4, 5]).with_workers(3),
-    );
+    let daemon = daemon(&backend, vec![0, 1, 2, 3, 4, 5], 1, 42);
 
-    // Batch 1: 5 jobs, 1 shape -> exactly one compilation.
+    // Batch 1: 5 jobs, 1 shape -> exactly one compilation, paid by the
+    // first job; its batchmates hit.
     let requests: Vec<JobRequest> = qaoa_points(5)
         .into_iter()
         .map(|x| JobRequest::new(circuit.clone(), x, JobSpec::StateVector))
         .collect();
-    let first = service.run_batch(requests);
-    assert_eq!(service.metrics().cache_misses, 1);
-    assert_eq!(service.cache().len(), 1);
-    assert!(first.iter().all(|r| !r.cache_hit), "first batch compiled");
+    let first = daemon.run_batch(requests).expect("admitted");
+    assert_eq!(daemon.metrics().cache_misses, 1);
+    assert!(!first[0].cache_hit, "first job compiled");
+    assert!(first[1..].iter().all(|r| r.cache_hit), "batchmates hit");
 
     // Batch 2: same shape -> zero new compilations, all hits.
     let requests: Vec<JobRequest> = qaoa_points(4)
         .into_iter()
         .map(|x| JobRequest::new(circuit.clone(), x, JobSpec::StateVector))
         .collect();
-    let second = service.run_batch(requests);
-    assert_eq!(service.metrics().cache_misses, 1, "no recompilation");
+    let second = daemon.run_batch(requests).expect("admitted");
+    assert_eq!(daemon.metrics().cache_misses, 1, "no recompilation");
     assert!(second.iter().all(|r| r.cache_hit));
 
-    // A second shape (p=2) compiles once more; both coexist.
+    // A second shape (p=2) compiles once more; both coexist, so the
+    // first shape still hits.
     let deeper = qaoa_circuit(&graph, 2);
-    service.run(JobRequest::new(
-        deeper,
-        vec![0.1, 0.2, 0.3, 0.4],
-        JobSpec::StateVector,
-    ));
-    assert_eq!(service.metrics().cache_misses, 2);
-    assert_eq!(service.cache().len(), 2);
-    assert_eq!(service.metrics().jobs_completed, 10);
-    assert!(service.metrics().throughput_jobs_per_sec() > 0.0);
+    run_one(
+        &daemon,
+        JobRequest::new(deeper, vec![0.1, 0.2, 0.3, 0.4], JobSpec::StateVector),
+    );
+    assert_eq!(daemon.metrics().cache_misses, 2);
+    let again = run_one(
+        &daemon,
+        JobRequest::new(circuit, vec![0.3, 0.2], JobSpec::StateVector),
+    );
+    assert!(again.cache_hit, "both shapes stay cached");
+    let metrics = daemon.metrics();
+    assert_eq!(metrics.cache_misses, 2);
+    assert_eq!(metrics.jobs_completed, 11);
+    assert!(metrics.throughput_jobs_per_sec() > 0.0);
 }
 
 #[test]
@@ -305,25 +329,24 @@ fn exact_jobs_record_template_bind_time_in_the_metrics_split() {
     let graph = instances::task1_three_regular_6();
     let circuit = qaoa_circuit(&graph, 1);
     let observable = cost_hamiltonian(&graph);
-    let mut service = Service::new(
-        &backend,
-        ServeConfig::new(vec![0, 1, 2, 3, 4, 5]).with_workers(2),
-    );
-    let results = service.run_batch(vec![
-        JobRequest::new(circuit.clone(), vec![0.35, 0.25], JobSpec::DensityMatrix),
-        JobRequest::new(
-            circuit.clone(),
-            vec![0.15, 0.40],
-            JobSpec::Counts { shots: 256 },
-        ),
-        JobRequest::new(
-            circuit,
-            vec![0.25, 0.10],
-            JobSpec::Expectation { observable },
-        ),
-    ]);
+    let daemon = daemon(&backend, vec![0, 1, 2, 3, 4, 5], 2, 42);
+    let results = daemon
+        .run_batch(vec![
+            JobRequest::new(circuit.clone(), vec![0.35, 0.25], JobSpec::DensityMatrix),
+            JobRequest::new(
+                circuit.clone(),
+                vec![0.15, 0.40],
+                JobSpec::Counts { shots: 256 },
+            ),
+            JobRequest::new(
+                circuit,
+                vec![0.25, 0.10],
+                JobSpec::Expectation { observable },
+            ),
+        ])
+        .expect("admitted");
     assert!(results.iter().all(|r| r.error().is_none()));
-    let metrics = service.metrics();
+    let metrics = daemon.metrics();
     assert_eq!(metrics.jobs_completed, 3);
     assert!(
         metrics.bind_ns > 0,
@@ -340,29 +363,28 @@ fn mixed_specs_share_one_compiled_shape() {
     let circuit = qaoa_circuit(&graph, 1);
     let observable = cost_hamiltonian(&graph);
     let params = vec![0.35, 0.25];
-    let mut service = Service::new(
-        &backend,
-        ServeConfig::new(vec![0, 1, 2, 3, 4, 5]).with_workers(2),
-    );
-    let results = service.run_batch(vec![
-        JobRequest::new(circuit.clone(), params.clone(), JobSpec::StateVector),
-        JobRequest::new(circuit.clone(), params.clone(), JobSpec::DensityMatrix),
-        JobRequest::new(
-            circuit.clone(),
-            params.clone(),
-            JobSpec::Counts { shots: 2048 },
-        ),
-        JobRequest::new(
-            circuit.clone(),
-            params.clone(),
-            JobSpec::Expectation {
-                observable: observable.clone(),
-            },
-        ),
-    ]);
+    let daemon = daemon(&backend, vec![0, 1, 2, 3, 4, 5], 1, 42);
+    let results = daemon
+        .run_batch(vec![
+            JobRequest::new(circuit.clone(), params.clone(), JobSpec::StateVector),
+            JobRequest::new(circuit.clone(), params.clone(), JobSpec::DensityMatrix),
+            JobRequest::new(
+                circuit.clone(),
+                params.clone(),
+                JobSpec::Counts { shots: 2048 },
+            ),
+            JobRequest::new(
+                circuit.clone(),
+                params.clone(),
+                JobSpec::Expectation {
+                    observable: observable.clone(),
+                },
+            ),
+        ])
+        .expect("admitted");
     // One shape despite four different specs.
-    assert_eq!(service.metrics().cache_misses, 1);
-    assert_eq!(service.metrics().shape_groups, 1);
+    assert_eq!(daemon.metrics().cache_misses, 1);
+    assert_eq!(daemon.metrics().cache_hits, 3);
 
     let (ideal, noisy, counts, expectation) = match &results[..] {
         [r1, r2, r3, r4] => (
@@ -413,17 +435,33 @@ fn disconnected_layout_prefix_fails_the_circuit_job_not_the_batch() {
     // Guadalupe does not couple (0, 15): a 2-qubit circuit lands on the
     // disconnected layout prefix [0, 15] and must fail with a typed
     // compile-stage error, while a 3-qubit batchmate (whose prefix
-    // [0, 15, 1] is still disconnected) also fails typed — and a
-    // well-laid-out service keeps working afterwards.
+    // [0, 15, 1] is still disconnected) also fails typed — and the
+    // daemon keeps serving afterwards.
     let backend = Backend::ibmq_guadalupe();
-    let mut service = Service::new(&backend, ServeConfig::new(vec![0, 15, 1]).with_workers(2));
+    let daemon = daemon(&backend, vec![0, 15, 1], 2, 42);
     let mut bell = Circuit::new(2);
     bell.h(0).cx(0, 1);
-    let results = service.run_batch(vec![JobRequest::new(bell, vec![], JobSpec::StateVector)]);
-    let error = results[0].error().expect("disconnected prefix fails");
-    assert_eq!(error.stage, hgp_serve::JobStage::Compile);
-    assert!(error.message.contains("disconnected"), "{error}");
-    assert_eq!(service.metrics().jobs_failed, 1);
+    let mut ghz = Circuit::new(3);
+    ghz.h(0).cx(0, 1).cx(1, 2);
+    let results = daemon
+        .run_batch(vec![
+            JobRequest::new(bell, vec![], JobSpec::StateVector),
+            JobRequest::new(ghz, vec![], JobSpec::StateVector),
+        ])
+        .expect("admitted");
+    for result in &results {
+        let error = result.error().expect("disconnected prefix fails");
+        assert_eq!(error.stage, hgp_serve::JobStage::Compile);
+        assert!(error.message.contains("disconnected"), "{error}");
+    }
+    assert_eq!(daemon.metrics().jobs_failed, 2);
+    let mut single = Circuit::new(1);
+    single.h(0);
+    let after = run_one(
+        &daemon,
+        JobRequest::new(single, vec![], JobSpec::StateVector),
+    );
+    assert!(after.output.is_ok(), "the pool survives compile failures");
 }
 
 #[test]
@@ -431,34 +469,30 @@ fn explicit_seeds_override_derivation() {
     let backend = Backend::ibmq_guadalupe();
     let graph = instances::task1_three_regular_6();
     let circuit = qaoa_circuit(&graph, 1);
-    let mut service = Service::new(&backend, ServeConfig::new(vec![0, 1, 2, 3, 4, 5]));
+    let daemon = daemon(&backend, vec![0, 1, 2, 3, 4, 5], 2, 42);
     let spec = JobSpec::Counts { shots: 512 };
-    let a =
-        service.run(JobRequest::new(circuit.clone(), vec![0.3, 0.2], spec.clone()).with_seed(7));
-    let b =
-        service.run(JobRequest::new(circuit.clone(), vec![0.3, 0.2], spec.clone()).with_seed(7));
-    let c = service.run(JobRequest::new(circuit.clone(), vec![0.3, 0.2], spec));
+    let request = JobRequest::new(circuit, vec![0.3, 0.2], spec);
+    let a = run_one(&daemon, request.clone().with_seed(7));
+    let b = run_one(&daemon, request.clone().with_seed(7));
+    let c = run_one(&daemon, request);
     assert_eq!(a.seed, 7);
     assert_eq!(a.output, b.output, "same pinned seed, same stream");
     assert_ne!(a.output, c.output, "derived seed differs");
 }
 
 #[test]
-fn service_backs_a_batch_optimizer() {
+fn daemon_backs_a_batch_optimizer() {
     // The serve layer as the evaluation engine of an hgp_optim batch
     // optimization: COBYLA minimizes the negative expected cut through
-    // Service::expectation_batch.
+    // Daemon::expectation_batch.
     let backend = Backend::ideal(6);
     let graph = instances::task1_three_regular_6();
     let circuit = qaoa_circuit(&graph, 1);
     let observable = cost_hamiltonian(&graph);
-    let mut service = Service::new(
-        &backend,
-        ServeConfig::new(vec![0, 1, 2, 3, 4, 5]).with_workers(4),
-    );
+    let daemon = daemon(&backend, vec![0, 1, 2, 3, 4, 5], 1, 42);
     let mut objective = |xs: &[Vec<f64>]| -> Vec<f64> {
-        service
-            .expectation_batch(&circuit, &observable, xs)
+        daemon
+            .expectation_batch(&circuit, &observable, xs, Priority::Batch)
             .into_iter()
             .map(|v| -v)
             .collect()
@@ -470,6 +504,6 @@ fn service_backs_a_batch_optimizer() {
     let ar = -result.fun / c_max;
     assert!(ar > 0.6, "optimized AR = {ar}");
     // Every evaluation rode the same compiled program.
-    assert_eq!(service.metrics().cache_misses, 1);
-    assert!(service.metrics().jobs_completed > 20);
+    assert_eq!(daemon.metrics().cache_misses, 1);
+    assert!(daemon.metrics().jobs_completed > 20);
 }

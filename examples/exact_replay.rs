@@ -41,7 +41,7 @@ use hybrid_gate_pulse::core::compile::CircuitCompiler;
 use hybrid_gate_pulse::core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hybrid_gate_pulse::device::Backend;
 use hybrid_gate_pulse::graph::instances;
-use hybrid_gate_pulse::serve::{JobOutput, JobRequest, JobSpec, ServeConfig, Service};
+use hybrid_gate_pulse::serve::{Daemon, DaemonConfig, JobOutput, JobRequest, JobSpec};
 use hybrid_gate_pulse::sim::SimBackend;
 
 /// Template-bind vs walk-compile vs reference-walk parity on the served
@@ -88,10 +88,15 @@ fn main() {
     let observable = cost_hamiltonian(&graph);
     let layout = vec![0, 1, 2, 3, 4, 5];
 
-    let mut service = Service::new(&backend, ServeConfig::new(layout.clone()).with_workers(4));
+    // One worker pins the compile count exactly: concurrent workers may
+    // each compile a shape on their first miss.
+    let daemon = Daemon::start(
+        backend.clone(),
+        DaemonConfig::new(layout.clone()).with_workers(1),
+    );
     println!(
-        "service: {} workers | shape: 6q noisy QAOA p=1 | exact density-matrix jobs",
-        service.config().workers
+        "daemon: {} worker | shape: 6q noisy QAOA p=1 | exact density-matrix jobs",
+        daemon.config().service.workers
     );
 
     // A (gamma, beta) sweep: 36 exact expectation jobs, ONE shape.
@@ -110,11 +115,12 @@ fn main() {
             )
         })
         .collect();
-    let results = service.run_batch(jobs);
+    let results = daemon.run_batch(jobs).expect("admitted");
 
     // One compile (and one recorded exact template) served the sweep.
-    assert_eq!(service.metrics().cache_misses, 1, "one shape, one compile");
-    assert_eq!(service.metrics().jobs_failed, 0);
+    let m = daemon.metrics();
+    assert_eq!(m.cache_misses, 1, "one shape, one compile");
+    assert_eq!(m.jobs_failed, 0);
     let best = results
         .iter()
         .map(|r| match r.unwrap_output() {
@@ -125,7 +131,6 @@ fn main() {
     println!("sweep: {} jobs, best <H_P> = {best:.4}", results.len());
 
     // Exact jobs split their time into template bind + tape replay.
-    let m = service.metrics();
     assert!(m.bind_ns > 0, "exact jobs time the template bind");
     assert!(m.exec_ns > m.bind_ns, "replay dominates binding");
     println!("stages: {m}");

@@ -14,8 +14,8 @@
 //! - **Determinism**: every accepted job consumes an id/seed stream
 //!   position at admission, so the daemon's results — any worker count,
 //!   any priority interleaving, delivered over TCP through the JSON
-//!   codec — are bit-identical to a sequential `Service::run_batch`
-//!   over the same requests.
+//!   codec — are bit-identical to the sequential reference
+//!   (`run_sequential`) over the same requests.
 //! - **Backpressure**: a too-large job and an over-wide group are
 //!   refused with typed `Rejected` envelopes, consuming nothing.
 //! - **Graceful shutdown**: the daemon drains queued jobs before its
@@ -32,8 +32,8 @@ use hybrid_gate_pulse::core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hybrid_gate_pulse::device::Backend;
 use hybrid_gate_pulse::graph::instances;
 use hybrid_gate_pulse::serve::{
-    Daemon, DaemonConfig, JobId, JobRequest, JobResult, JobSpec, Priority, Rejected, ServeConfig,
-    Service, WireClient, WireServer,
+    run_sequential, Daemon, DaemonConfig, JobId, JobRequest, JobResult, JobSpec, Priority,
+    Rejected, ServeConfig, WireClient, WireServer,
 };
 
 const LAYOUT6: [usize; 6] = [0, 1, 2, 3, 4, 5];
@@ -230,25 +230,23 @@ fn main() {
     let verbose = !smoke;
     let backend = Backend::ibmq_guadalupe();
 
-    // 1. The burst over the wire, then the same requests through one
-    // sequential in-process batch: bit-identical, through TCP and the
-    // JSON codec included.
+    // 1. The burst over the wire, then the same requests through the
+    // sequential reference: bit-identical, through TCP and the JSON
+    // codec included.
     let wire_results = run_over_wire(&backend, verbose);
     let graph = instances::task1_three_regular_6();
     let sequential: Vec<JobRequest> = burst(&graph)
         .into_iter()
         .flat_map(|(group, _)| group)
         .collect();
-    let mut service = Service::new(
+    let reference = run_sequential(
         &backend,
-        ServeConfig::new(LAYOUT6.to_vec())
-            .with_workers(1)
-            .with_base_seed(BASE_SEED),
+        &ServeConfig::new(LAYOUT6.to_vec()).with_base_seed(BASE_SEED),
+        sequential,
     );
-    let reference = service.run_batch(sequential);
     assert_eq!(fingerprint(&wire_results), fingerprint(&reference));
     if verbose {
-        println!("replay check: wire results bit-identical to sequential run_batch");
+        println!("replay check: wire results bit-identical to run_sequential");
         let best = wire_results
             .iter()
             .filter_map(|r| match r.output.as_ref().ok()? {

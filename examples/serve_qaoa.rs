@@ -1,7 +1,7 @@
 //! The serving layer end to end: a QAOA parameter sweep as a job batch.
 //!
 //! One parametrized circuit shape, many parameter points — the
-//! shape-repetitive workload `hgp_serve` exists for. The service
+//! shape-repetitive workload `hgp_serve` exists for. The daemon
 //! compiles the shape once (structural-hash cache), fans the bindings
 //! out over its worker pool with position-derived seeds, and the
 //! example cross-checks a served job bit-for-bit against a hand-driven
@@ -16,7 +16,7 @@ use hybrid_gate_pulse::core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hybrid_gate_pulse::device::Backend;
 use hybrid_gate_pulse::graph::instances;
 use hybrid_gate_pulse::serve::json::JsonCodec;
-use hybrid_gate_pulse::serve::{JobOutput, JobRequest, JobSpec, ServeConfig, Service};
+use hybrid_gate_pulse::serve::{Daemon, DaemonConfig, JobOutput, JobRequest, JobSpec};
 use hybrid_gate_pulse::sim::seed::stream_seed;
 
 fn main() {
@@ -28,12 +28,11 @@ fn main() {
     let layout = vec![1, 2, 3, 4, 5, 7];
     let shots = 1024;
 
-    let mut service = Service::new(&backend, ServeConfig::new(layout.clone()));
+    let daemon = Daemon::start(backend.clone(), DaemonConfig::new(layout.clone()));
+    let config = daemon.config().service.clone();
     println!(
-        "service: {} workers, cache capacity {}, base seed {}",
-        service.config().workers,
-        service.config().cache_capacity,
-        service.config().base_seed
+        "daemon: {} workers, cache capacity {}, base seed {}",
+        config.workers, config.cache_capacity, config.base_seed
     );
 
     // A 6x6 (gamma, beta) grid: 36 sampled-counts jobs plus 36
@@ -59,18 +58,22 @@ fn main() {
             )
         })
         .collect();
-    let mut results = service.run_batch(counts_jobs);
-    let expectations = service.run_batch(expectation_jobs);
+    let mut results = daemon.run_batch(counts_jobs).expect("admitted");
+    let expectations = daemon.run_batch(expectation_jobs).expect("admitted");
     let hits = expectations.iter().filter(|r| r.cache_hit).count();
     results.extend(expectations);
 
-    // Cache accounting: 72 jobs, one shape, one compilation.
-    let metrics = service.metrics();
+    // Cache accounting: 72 jobs, one shape. Workers compile on a miss
+    // outside the cache lock, so the first pops of batch 1 may each
+    // compile it — never more than once per worker.
+    let metrics = daemon.metrics();
     println!("metrics: {metrics}");
-    assert_eq!(metrics.cache_misses, 1, "one shape, one compilation");
-    assert_eq!(service.cache().len(), 1);
+    assert!(metrics.cache_misses as usize <= config.workers, "one shape");
     assert_eq!(hits, grid.len(), "batch 2 must be all cache hits");
-    println!("cache: batch 1 compiled the shape once; all {hits} batch-2 jobs hit the cache");
+    println!(
+        "cache: batch 1 compiled the shape ({} miss(es)); all {hits} batch-2 jobs hit the cache",
+        metrics.cache_misses
+    );
 
     // Best grid point by noisy expected cut.
     let c_max: f64 = (0..1 << 6)
@@ -98,7 +101,7 @@ fn main() {
         .expect("fits region");
     let exec = compiled.executor(&backend);
     let program = compiled.bind(&grid[0]);
-    let seed = stream_seed(service.config().base_seed, results[0].id.0);
+    let seed = stream_seed(config.base_seed, results[0].id.0);
     let by_hand = compiled.decode_counts(&exec.sample(&program, shots, seed));
     match results[0].unwrap_output() {
         JobOutput::Counts(counts) => {
