@@ -82,7 +82,10 @@ fn bench_naive_density_24x(c: &mut Criterion) {
                 .expect("connected region");
                 let exec = model.compiled().executor(&backend);
                 let program = model.build(params);
-                let counts = model.interpret_counts(&exec.sample(&program, SHOTS, i as u64));
+                // The reference walk, named explicitly: `Executor::sample`
+                // replays the compiled exact tape instead.
+                let rho = exec.run(&program);
+                let counts = model.interpret_counts(&exec.sample_state(&rho, SHOTS, i as u64));
                 acc += counts.total();
             }
             acc

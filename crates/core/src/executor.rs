@@ -13,8 +13,12 @@
 //! compiled shape. The executor walks one ASAP schedule and feeds it to
 //! either consumer:
 //!
-//! - **exact** ([`Executor::run_on`]): density-matrix evolution,
-//!   `O(4^n)` per instruction — the engine of record for training,
+//! - **exact**: density-matrix evolution, `O(4^n)` per instruction.
+//!   [`Executor::run`] / [`Executor::run_on`] interpret the walk
+//!   directly and are the reference; [`Executor::sample`] (and so
+//!   training) and the serving tier record the walk once and replay it
+//!   as a compiled superoperator tape ([`Executor::exact_replay_program`]
+//!   / [`Executor::run_exact_replay`]),
 //! - **sampled** ([`Executor::trajectory_program`] /
 //!   [`Executor::sample_trajectories`] /
 //!   [`Executor::expectation_trajectories`]): the same schedule recorded
@@ -148,6 +152,13 @@ impl<'a> Executor<'a> {
 
     /// Runs a program, returning the noisy final state.
     ///
+    /// This is the interpreted reference walk: every instruction is
+    /// applied to the density matrix as the schedule walker emits it.
+    /// Production paths ([`Executor::sample`], training, serving) evolve
+    /// the compiled exact tape instead ([`Executor::exact_replay_program`]
+    /// replayed by [`Executor::run_exact_replay`]); the parity suites pin
+    /// that tape against this walk.
+    ///
     /// # Panics
     ///
     /// Panics if the program width disagrees with the layout or a gate
@@ -158,7 +169,7 @@ impl<'a> Executor<'a> {
 
     /// [`Executor::run`] generalized over the execution engine.
     ///
-    /// The engine of record for noisy training is [`DensityMatrix`];
+    /// The reference engine for noisy execution is [`DensityMatrix`];
     /// engines without channel support (statevector) host the same
     /// schedule on ideal hardware, where every noise channel
     /// degenerates. For noisy statevector-scale execution use the
@@ -423,12 +434,22 @@ impl<'a> Executor<'a> {
     /// (readout confusion applied exactly to the distribution, then
     /// sampled with the seeded RNG).
     ///
+    /// This is the production exact path: the schedule is recorded and
+    /// compiled into an exact superoperator tape, which is replayed
+    /// from `|0...0><0...0|`. Its probabilities agree with the
+    /// reference walk [`Executor::run`] to ≤ 1e-12 (see
+    /// `hgp_sim::replay::exact`).
+    ///
     /// Callers issuing *streams* of sampling calls (training probes,
     /// serve jobs) should derive `seed` from the call's position via
     /// [`hgp_sim::seed::stream_seed`], so concurrent schedules stay
     /// bit-identical to sequential ones.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Executor::run`].
     pub fn sample(&self, program: &Program, shots: usize, seed: u64) -> Counts {
-        let rho = self.run(program);
+        let rho = self.run_exact_replay(&self.exact_replay_program(program));
         self.sample_state(&rho, shots, seed)
     }
 
@@ -882,6 +903,59 @@ mod tests {
             leak > 0.2 * expected && leak < 5.0 * expected + 0.02,
             "leak {leak} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn sample_replays_the_exact_tape_in_agreement_with_the_walk() {
+        // `sample` evolves the compiled exact tape; the interpreted walk
+        // `run` is its reference. On the paper's 6q cell programs (gate
+        // and hybrid, guadalupe) under plain, dynamical-decoupling and
+        // amplified-noise executors, the tape's probabilities stay within
+        // 1e-12 of the walk's and the sampled counts are equal.
+        use crate::models::{GateModel, GateModelOptions, HybridModel, VqaModel};
+        let backend = Backend::ibmq_guadalupe();
+        let graph = hgp_graph::instances::task1_three_regular_6();
+        let region: Vec<usize> = (0..6).collect();
+        let options = GateModelOptions::optimized();
+        let gate = GateModel::new(&backend, &graph, 1, region.clone(), options).unwrap();
+        let hybrid = HybridModel::with_options(&backend, &graph, 1, region, options).unwrap();
+        let models: [&dyn VqaModel; 2] = [&gate, &hybrid];
+        for model in models {
+            let layout = model.layout().to_vec();
+            let plain = Executor::new(&backend, layout.clone());
+            let scaled = Arc::new(plain.noise_model().scaled(2.5));
+            let executors = [
+                ("plain", plain.clone()),
+                ("dd", plain.clone().with_dynamical_decoupling()),
+                (
+                    "scaled",
+                    Executor::with_noise_model(&backend, layout, scaled),
+                ),
+            ];
+            let mut params = model.initial_params();
+            for (i, p) in params.iter_mut().enumerate() {
+                *p += 0.03 * (i as f64 + 1.0);
+            }
+            let program = model.build(&params);
+            for (tag, exec) in &executors {
+                let by_walk = exec.run(&program);
+                let by_tape = exec.run_exact_replay(&exec.exact_replay_program(&program));
+                for (a, b) in by_walk
+                    .probabilities()
+                    .iter()
+                    .zip(by_tape.probabilities().iter())
+                {
+                    assert!((a - b).abs() <= 1e-12, "{tag}: |{a} - {b}| > 1e-12");
+                }
+                for seed in [0, 7, 42, 1042] {
+                    assert_eq!(
+                        exec.sample(&program, 1024, seed),
+                        exec.sample_state(&by_walk, 1024, seed),
+                        "{tag}: seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

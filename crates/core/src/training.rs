@@ -3,11 +3,15 @@
 //! The paper's protocol: COBYLA, 50 iterations maximum, 1024 shots per
 //! cost evaluation, optional CVaR aggregation (`alpha = 0.3`) and M3
 //! mitigation. Each evaluation runs the full noisy pipeline — build
-//! program, execute on the density matrix, sample with readout confusion,
+//! program, evolve the density matrix, sample with readout confusion,
 //! aggregate — so the optimizer sees exactly what hardware training sees.
 //!
-//! Execution is routed through the [`hgp_sim::SimBackend`] engine (via
-//! [`Executor`]), and independent objective probes — the multi-start
+//! Every probe evolves the compiled exact tape through
+//! [`Executor::sample`]: the program's noisy schedule is recorded once,
+//! compiled into a superoperator tape (fused diagonal runs, resolved
+//! channels) and replayed — the same engine the serving tier runs.
+//! The interpreted walk [`Executor::run`] is only the reference the tape
+//! is pinned against. Independent objective probes — the multi-start
 //! warm-up, COBYLA's simplex initializations/rebuilds, and
 //! parameter-shift gradients — are issued as batches and evaluated in
 //! parallel over rayon workers. Every evaluation derives its sampling
@@ -248,11 +252,13 @@ pub fn train(model: &dyn VqaModel, graph: &Graph, config: &TrainConfig) -> Train
         config.max_evals,
     );
     // Final high-shot evaluation at the best parameters.
-    let program = model.build(&result.x);
-    let rho = exec.run(&program);
     // The final report is stream 0 — distinct from every training probe,
     // which start at stream 1.
-    let final_counts = exec.sample_state(&rho, config.final_shots, stream_seed(config.seed, 0));
+    let final_counts = exec.sample(
+        &model.build(&result.x),
+        config.final_shots,
+        stream_seed(config.seed, 0),
+    );
     let logical = model.interpret_counts(&final_counts);
     let approximation_ratio = evaluator.cost(&logical) / c_max;
     let expectation_ar = CostEvaluator::new(graph).cost(&logical) / c_max;

@@ -7,8 +7,8 @@
 //! - [`M3Mitigator`]: matrix-free measurement mitigation (Nation et al.,
 //!   PRX Quantum 2021). Instead of inverting the full `2^n x 2^n`
 //!   assignment matrix, the solver works in the subspace spanned by the
-//!   *observed* bitstrings, with matrix elements generated on the fly
-//!   from per-qubit confusion parameters,
+//!   *observed* bitstrings, with matrix elements generated from
+//!   per-qubit confusion parameters once per shot record,
 //! - [`cvar()`]: Conditional Value-at-Risk cost aggregation (Barkoutsos et
 //!   al., Quantum 2020) — the cost averages only the best `alpha`
 //!   fraction of shots, sharpening the optimizer's signal. The paper sets

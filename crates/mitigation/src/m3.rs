@@ -4,10 +4,13 @@
 //! shot record only ever observes a handful of distinct bitstrings. M3
 //! restricts `A` to the observed subspace, normalizes its columns (so
 //! probability leaking *out* of the subspace does not bias the solution),
-//! and solves `A_sub x = p_noisy`. Entries of `A_sub` factor over qubits,
-//! so each is generated on demand from the per-qubit confusion
-//! parameters — no matrix is ever materialized beyond the
-//! `observed x observed` system.
+//! and solves `A_sub x = p_noisy` (Nation et al., "Scalable mitigation of
+//! measurement errors on quantum computers", arXiv:2108.12518). Entries
+//! of `A_sub` factor over qubits, so each is generated from the per-qubit
+//! confusion parameters — the full `A` is never formed. [`M3Mitigator::apply`]
+//! builds the `observed x observed` system once into a flat row-major
+//! buffer and runs its Jacobi sweeps (and, if they stall, the direct
+//! elimination fallback) over that buffer.
 
 use std::collections::BTreeMap;
 
@@ -94,8 +97,8 @@ impl M3Mitigator {
         self.qubits.len()
     }
 
-    /// Element `P(observe row | true col)` of the assignment matrix,
-    /// generated on the fly (factorizes over qubits).
+    /// Element `P(observe row | true col)` of the assignment matrix
+    /// (factorizes over qubits).
     fn assignment(&self, row: usize, col: usize) -> f64 {
         let mut p = 1.0;
         for (q, r) in self.qubits.iter().enumerate() {
@@ -122,7 +125,6 @@ impl M3Mitigator {
     ///
     /// Panics if the counts' width disagrees with the calibration or the
     /// record is empty.
-    #[allow(clippy::needless_range_loop)] // dense index iteration over the assignment matrix
     pub fn apply(&self, counts: &Counts) -> QuasiDistribution {
         assert_eq!(counts.n_qubits(), self.qubits.len(), "width mismatch");
         let observed = counts.observed();
@@ -133,18 +135,133 @@ impl M3Mitigator {
             .iter()
             .map(|&b| counts.count(b) as f64 / total)
             .collect();
-        // Column normalizers: probability of staying inside the subspace.
-        let col_norm: Vec<f64> = observed
+        // A_sub, row-major: first the raw assignment probabilities, then
+        // each column divided by its normalizer — the probability of
+        // staying inside the subspace.
+        let mut a: Vec<f64> = observed
             .iter()
-            .map(|&col| observed.iter().map(|&row| self.assignment(row, col)).sum())
+            .flat_map(|&row| observed.iter().map(move |&col| self.assignment(row, col)))
             .collect();
-        let a =
-            |row: usize, col: usize| self.assignment(observed[row], observed[col]) / col_norm[col];
+        let col_norm: Vec<f64> = (0..m)
+            .map(|col| (0..m).map(|row| a[row * m + col]).sum())
+            .collect();
+        for row in a.chunks_exact_mut(m) {
+            for (entry, norm) in row.iter_mut().zip(&col_norm) {
+                *entry /= norm;
+            }
+        }
         // Jacobi iteration with diagonal preconditioning; A_sub is
         // strongly diagonally dominant for realistic readout errors.
         let mut x = p_noisy.clone();
         let mut solved = false;
         for _ in 0..self.max_iters {
+            let mut max_resid = 0.0f64;
+            let mut next = Vec::with_capacity(m);
+            for (i, row) in a.chunks_exact(m).enumerate() {
+                let mut ax = 0.0;
+                for (a_ij, x_j) in row.iter().zip(&x) {
+                    ax += a_ij * x_j;
+                }
+                let resid = p_noisy[i] - ax;
+                max_resid = max_resid.max(resid.abs());
+                next.push(x[i] + resid / row[i]);
+            }
+            x = next;
+            if max_resid < self.tol {
+                solved = true;
+                break;
+            }
+        }
+        if !solved {
+            // Direct solve fallback (observed subspaces are small).
+            x = direct_solve(a, m, &p_noisy);
+        }
+        QuasiDistribution {
+            n_qubits: self.qubits.len(),
+            probs: observed.into_iter().zip(x).collect(),
+        }
+    }
+}
+
+/// Solves `a x = p` for the row-major `m x m` matrix `a` by Gaussian
+/// elimination with partial pivoting.
+///
+/// # Panics
+///
+/// Panics if `a` is numerically singular.
+fn direct_solve(mut a: Vec<f64>, m: usize, p: &[f64]) -> Vec<f64> {
+    let mut b = p.to_vec();
+    for col in 0..m {
+        let pivot = (col..m)
+            .max_by(|&i, &j| {
+                a[i * m + col]
+                    .abs()
+                    .partial_cmp(&a[j * m + col].abs())
+                    .expect("finite")
+            })
+            .expect("nonempty");
+        if pivot != col {
+            let (upper, lower) = a.split_at_mut(pivot * m);
+            upper[col * m..(col + 1) * m].swap_with_slice(&mut lower[..m]);
+            b.swap(col, pivot);
+        }
+        let d = a[col * m + col];
+        assert!(d.abs() > 1e-14, "assignment matrix is singular");
+        let (upper, lower) = a.split_at_mut((col + 1) * m);
+        let pivot_row = &upper[col * m..];
+        for (offset, row) in lower.chunks_exact_mut(m).enumerate() {
+            let factor = row[col] / d;
+            for (entry, pivot_entry) in row[col..].iter_mut().zip(&pivot_row[col..]) {
+                *entry -= factor * pivot_entry;
+            }
+            b[col + 1 + offset] -= factor * b[col];
+        }
+    }
+    let mut x = vec![0.0; m];
+    for row in (0..m).rev() {
+        let mut acc = b[row];
+        for (a_rk, x_k) in a[row * m + row + 1..(row + 1) * m]
+            .iter()
+            .zip(&x[row + 1..])
+        {
+            acc -= a_rk * x_k;
+        }
+        x[row] = acc / a[row * m + row];
+    }
+    x
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn symmetric(n: usize, e: f64) -> M3Mitigator {
+        M3Mitigator::new(vec![QubitReadout::symmetric(e); n])
+    }
+
+    /// The reference solve: every `A_sub` entry regenerated from the
+    /// per-qubit factors on each use, inside every Jacobi sweep and the
+    /// fallback elimination. `apply` must match it bit for bit.
+    #[allow(clippy::needless_range_loop)] // dense index iteration, as in the paper's formulation
+    fn reference_apply(m3: &M3Mitigator, counts: &Counts) -> QuasiDistribution {
+        let observed = counts.observed();
+        let m = observed.len();
+        let total = counts.total() as f64;
+        let p_noisy: Vec<f64> = observed
+            .iter()
+            .map(|&b| counts.count(b) as f64 / total)
+            .collect();
+        let col_norm: Vec<f64> = observed
+            .iter()
+            .map(|&col| observed.iter().map(|&row| m3.assignment(row, col)).sum())
+            .collect();
+        let a =
+            |row: usize, col: usize| m3.assignment(observed[row], observed[col]) / col_norm[col];
+        let mut x = p_noisy.clone();
+        let mut solved = false;
+        for _ in 0..m3.max_iters {
             let mut max_resid = 0.0f64;
             let mut next = vec![0.0; m];
             for i in 0..m {
@@ -157,74 +274,107 @@ impl M3Mitigator {
                 next[i] = x[i] + resid / a(i, i);
             }
             x = next;
-            if max_resid < self.tol {
+            if max_resid < m3.tol {
                 solved = true;
                 break;
             }
         }
         if !solved {
-            // Direct solve fallback (observed subspaces are small).
-            x = self.direct_solve(&observed, &p_noisy, &col_norm);
+            let mut a: Vec<Vec<f64>> = (0..m).map(|i| (0..m).map(|j| a(i, j)).collect()).collect();
+            let mut b = p_noisy.clone();
+            for col in 0..m {
+                let pivot = (col..m)
+                    .max_by(|&i, &j| {
+                        a[i][col]
+                            .abs()
+                            .partial_cmp(&a[j][col].abs())
+                            .expect("finite")
+                    })
+                    .expect("nonempty");
+                a.swap(col, pivot);
+                b.swap(col, pivot);
+                let d = a[col][col];
+                for row in (col + 1)..m {
+                    let factor = a[row][col] / d;
+                    for k in col..m {
+                        a[row][k] -= factor * a[col][k];
+                    }
+                    b[row] -= factor * b[col];
+                }
+            }
+            x = vec![0.0; m];
+            for row in (0..m).rev() {
+                let mut acc = b[row];
+                for k in (row + 1)..m {
+                    acc -= a[row][k] * x[k];
+                }
+                x[row] = acc / a[row][row];
+            }
         }
         QuasiDistribution {
-            n_qubits: self.qubits.len(),
+            n_qubits: m3.qubits.len(),
             probs: observed.into_iter().zip(x).collect(),
         }
     }
 
-    #[allow(clippy::needless_range_loop)] // Gaussian elimination indexes two rows at once
-    fn direct_solve(&self, observed: &[usize], p: &[f64], col_norm: &[f64]) -> Vec<f64> {
-        let m = observed.len();
-        let mut a: Vec<Vec<f64>> = (0..m)
-            .map(|i| {
-                (0..m)
-                    .map(|j| self.assignment(observed[i], observed[j]) / col_norm[j])
-                    .collect()
+    fn assert_bit_identical(got: &QuasiDistribution, want: &QuasiDistribution) {
+        assert_eq!(got.n_qubits, want.n_qubits);
+        let got: Vec<(usize, u64)> = got.iter().map(|(b, p)| (b, p.to_bits())).collect();
+        let want: Vec<(usize, u64)> = want.iter().map(|(b, p)| (b, p.to_bits())).collect();
+        assert_eq!(got, want);
+    }
+
+    /// Random per-qubit calibrations (asymmetric, up to 15% error) and a
+    /// random count record over `n` qubits.
+    fn random_case(rng: &mut StdRng, n: usize, distinct: usize) -> (M3Mitigator, Counts) {
+        let qubits = (0..n)
+            .map(|_| QubitReadout {
+                p01: 0.15 * rng.gen::<f64>(),
+                p10: 0.15 * rng.gen::<f64>(),
             })
             .collect();
-        let mut b = p.to_vec();
-        // Gaussian elimination with partial pivoting.
-        for col in 0..m {
-            let pivot = (col..m)
-                .max_by(|&i, &j| {
-                    a[i][col]
-                        .abs()
-                        .partial_cmp(&a[j][col].abs())
-                        .expect("finite")
-                })
-                .expect("nonempty");
-            a.swap(col, pivot);
-            b.swap(col, pivot);
-            let d = a[col][col];
-            assert!(d.abs() > 1e-14, "assignment matrix is singular");
-            for row in (col + 1)..m {
-                let factor = a[row][col] / d;
-                for k in col..m {
-                    a[row][k] -= factor * a[col][k];
-                }
-                b[row] -= factor * b[col];
-            }
+        let mut counts = Counts::new(n);
+        for _ in 0..distinct {
+            counts.record(rng.gen_range(0..1usize << n), rng.gen_range(1..200u64));
         }
-        let mut x = vec![0.0; m];
-        for row in (0..m).rev() {
-            let mut acc = b[row];
-            for k in (row + 1)..m {
-                acc -= a[row][k] * x[k];
-            }
-            x[row] = acc / a[row][row];
-        }
-        x
+        (M3Mitigator::new(qubits), counts)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    #[test]
+    fn apply_is_bit_identical_to_the_reference_on_random_records() {
+        let mut rng = StdRng::seed_from_u64(2108);
+        for case in 0..40 {
+            let n = 1 + case % 7;
+            let (m3, counts) = random_case(&mut rng, n, 1 + case * 3);
+            assert_bit_identical(&m3.apply(&counts), &reference_apply(&m3, &counts));
+        }
+    }
 
-    fn symmetric(n: usize, e: f64) -> M3Mitigator {
-        M3Mitigator::new(vec![QubitReadout::symmetric(e); n])
+    #[test]
+    fn apply_is_bit_identical_to_the_reference_on_one_bitstring() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in 1..=6 {
+            let (m3, _) = random_case(&mut rng, n, 0);
+            let mut counts = Counts::new(n);
+            counts.record((1usize << n) - 1, 1024);
+            let q = m3.apply(&counts);
+            assert_bit_identical(&q, &reference_apply(&m3, &counts));
+            assert_eq!(q.iter().count(), 1);
+        }
+    }
+
+    #[test]
+    fn direct_solve_fallback_is_bit_identical_to_the_reference() {
+        // No Jacobi sweeps: every record goes through elimination.
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..20 {
+            let n = 2 + case % 5;
+            let (m3, counts) = random_case(&mut rng, n, 2 + case * 2);
+            let m3 = M3Mitigator { max_iters: 0, ..m3 };
+            let q = m3.apply(&counts);
+            assert_bit_identical(&q, &reference_apply(&m3, &counts));
+            assert!((q.total() - 1.0).abs() < 1e-9, "total {}", q.total());
+        }
     }
 
     #[test]
