@@ -12,6 +12,10 @@
 //!   allocation, per-op matrix derivation, the generic branch-weight
 //!   block machinery, and the per-shot re-evaluation of the diagonal
 //!   observable),
+//! - **batched vs scalar at the served width**: the 16-qubit, 8-shot
+//!   trajectory job the serving benchmark's `serve_traj_wide` workload
+//!   runs (guadalupe `0..16`), where the shot-block policy decides
+//!   whether the batched path fills its lanes,
 //! - **template bind vs the full schedule walk**: the per-dispatch cost
 //!   of producing an executable replay tape from a parameter binding —
 //!   `CompiledCircuit::bind_replay` (clone the compile-time tape,
@@ -24,6 +28,7 @@ use hgp_core::compile::CircuitCompiler;
 use hgp_core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hgp_device::Backend;
 use hgp_graph::generators;
+use hgp_math::pauli::PauliSum;
 use hgp_sim::{ReplayEngine, ReplayProgram, TrajectoryEngine};
 
 /// A 12-qubit path in `ibmq_guadalupe`'s heavy-hex coupling map (the
@@ -58,8 +63,8 @@ fn bench_replay_per_shot(c: &mut Criterion) {
 /// bit-identical to the scalar replay loop (pinned by
 /// `crates/sim/tests/replay_batch_parity.rs`), amortizing tape decode,
 /// matrix loads, and channel-table reads across the resident shots of
-/// each cache-sized block. Must be **>= 2x** faster per shot than the
-/// scalar `replay_expectation_12q_256shots` entry. Also emits the
+/// each block. Compare per shot with the scalar
+/// `replay_expectation_12q_256shots` entry. Also emits the
 /// machine metadata line (`meta:replay`) the checked-in baseline's
 /// `host`/`workload` fields are filled from.
 fn bench_replay_batched_per_shot(c: &mut Criterion) {
@@ -78,6 +83,45 @@ fn bench_replay_batched_per_shot(c: &mut Criterion) {
     // shared hosts, and the derived speedup divides by this median.
     let mut slow = Criterion::default().sample_size(9);
     slow.bench_function("replay_batched_expectation_12q_256shots", |b| {
+        b.iter(|| engine.expectation_batched(black_box(&replay), &obs))
+    });
+    let _ = c;
+}
+
+const SHOTS_16Q: usize = 8;
+
+/// The served wide shape: noisy 16q QAOA (`random_regular(16, 3, 1)`)
+/// compiled onto guadalupe qubits `0..16`, template-bound.
+fn wide_replay() -> (ReplayProgram, PauliSum) {
+    let backend = Backend::ibmq_guadalupe();
+    let graph = generators::random_regular(16, 3, 1);
+    let compiled = CircuitCompiler::new(&backend, (0..16).collect())
+        .compile(&qaoa_circuit(&graph, 1))
+        .expect("16q shape compiles");
+    let exec = compiled.executor(&backend);
+    let obs = compiled.wire_observable(&cost_hamiltonian(&graph));
+    (compiled.bind_replay(&exec, &PARAMS), obs)
+}
+
+/// 8 trajectories of the 16q job on the scalar replay loop.
+fn bench_replay_16q(c: &mut Criterion) {
+    let (replay, obs) = wide_replay();
+    let mut slow = Criterion::default().sample_size(5);
+    slow.bench_function("replay_expectation_16q_8shots", |b| {
+        b.iter(|| ReplayEngine::new(SHOTS_16Q, 11).expectation(black_box(&replay), &obs))
+    });
+    let _ = c;
+}
+
+/// The same 8 trajectories through the batched path, in the blocks the
+/// default policy picks (one 8-shot block). Emits
+/// its own `meta:replay` line with that block size.
+fn bench_replay_batched_16q(c: &mut Criterion) {
+    let (replay, obs) = wide_replay();
+    let engine = ReplayEngine::new(SHOTS_16Q, 11);
+    hgp_bench::emit_bench_meta("meta:replay_16q", engine.block_size_for(&replay));
+    let mut slow = Criterion::default().sample_size(5);
+    slow.bench_function("replay_batched_expectation_16q_8shots", |b| {
         b.iter(|| engine.expectation_batched(black_box(&replay), &obs))
     });
     let _ = c;
@@ -124,6 +168,8 @@ criterion_group!(
     replay,
     bench_replay_per_shot,
     bench_replay_batched_per_shot,
+    bench_replay_16q,
+    bench_replay_batched_16q,
     bench_trajectory_per_shot,
     bench_bind_paths
 );

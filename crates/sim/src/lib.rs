@@ -28,7 +28,7 @@
 //! [`ReplayEngine`] replays with zero per-shot allocation or dispatch —
 //! pinned **bit-identical** to the trajectory engine, which stays as the
 //! reference implementation. Ensembles run through the batched-shot mode
-//! by default ([`ReplayBatch`]: cache-sized SoA shot blocks swept
+//! by default ([`ReplayBatch`]: lane-filling SoA shot blocks swept
 //! op-major, bit-identical to the scalar loop for every block size).
 //! The exact density path has the analogous layer ([`replay::exact`]):
 //! recorded programs compile into an [`ExactReplayProgram`]

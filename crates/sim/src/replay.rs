@@ -55,15 +55,19 @@
 //!
 //! The scalar per-shot loop above still decodes the whole tape once per
 //! trajectory. The [`batch`] submodule inverts that loop nest: a
-//! [`ReplayBatch`] holds a cache-sized block of shots in one
-//! structure-of-arrays arena and replays the tape *op-major* — each tape
-//! entry sweeps every resident shot before the next is decoded. The
+//! [`ReplayBatch`] holds a block of shots in one structure-of-arrays
+//! arena and replays the tape *op-major* — each tape entry sweeps every
+//! resident shot before the next is decoded, so each amplitude row's
+//! fixed cost (slicing, index surgery, shape branches) is paid once for
+//! `S` lanes of arithmetic. Blocks are therefore sized to fill the
+//! lanes, not to fit a cache: up to 64 shots within 32 MiB of arena
+//! ([`batch::default_block_size`]). The
 //! [`ReplayEngine::expectations_batched`] /
 //! [`ReplayEngine::sample_counts_batched`] entry points partition the
-//! ensemble into such blocks (deterministic boundaries, per-block
-//! arenas) and are bit-identical to their scalar counterparts for every
-//! block size, split, worker count, and seed — the scalar engine stays
-//! as the pinned reference. See the [`batch`] module docs for the layout
+//! ensemble into such blocks ([`ReplayEngine::shot_blocks`]:
+//! deterministic boundaries, per-worker arenas) and are bit-identical
+//! to their scalar counterparts for every block size, split, worker
+//! count, and seed — the scalar engine stays as the pinned reference. See the [`batch`] module docs for the layout
 //! and divergence-masking design.
 //!
 //! # Example
@@ -88,6 +92,7 @@
 //! assert_eq!(fast.to_bits(), reference.to_bits());
 //! ```
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -717,8 +722,8 @@ impl ReplayScratch {
 pub struct ReplayEngine {
     n_trajectories: usize,
     base_seed: u64,
-    /// Shot-block override for the batched path; `None` sizes blocks by
-    /// state width ([`batch::default_block_size`]).
+    /// Shot-block override for the batched path; `None` uses the
+    /// default policy of [`ReplayEngine::block_size_for`].
     block_size: Option<usize>,
 }
 
@@ -740,8 +745,8 @@ impl ReplayEngine {
 
     /// Overrides the batched path's shots-per-block. Every block size
     /// produces bit-identical results (blocks are pure partitions of the
-    /// per-trajectory seed stream); the default sizes one block's arena
-    /// for cache residency.
+    /// per-trajectory seed stream); the default policy is
+    /// [`ReplayEngine::block_size_for`]'s.
     ///
     /// # Panics
     ///
@@ -753,11 +758,31 @@ impl ReplayEngine {
     }
 
     /// The shot-block size the batched entry points will use for
-    /// `program`.
+    /// `program`: the [`ReplayEngine::with_block_size`] override if set,
+    /// otherwise [`batch::default_block_size`] (up to 64 shots within
+    /// 32 MiB of arena), never more than the ensemble.
     pub fn block_size_for(&self, program: &ReplayProgram) -> usize {
         self.block_size
             .unwrap_or_else(|| batch::default_block_size(program.n_qubits()))
             .min(self.n_trajectories)
+    }
+
+    /// The batched path's partition of the ensemble: contiguous
+    /// trajectory ranges at fixed multiples of
+    /// [`ReplayEngine::block_size_for`], the last one possibly ragged.
+    /// Boundaries are a pure function of `(n_trajectories, block size)`,
+    /// independent of worker count.
+    pub fn shot_blocks(&self, program: &ReplayProgram) -> impl Iterator<Item = Range<usize>> {
+        let n = self.n_trajectories;
+        let block = self.block_size_for(program);
+        (0..n).step_by(block).map(move |lo| lo..(lo + block).min(n))
+    }
+
+    /// The per-shot seeds of one block from
+    /// [`ReplayEngine::shot_blocks`], in the order
+    /// [`ReplayBatch::run`] takes them.
+    pub fn block_seeds(&self, block: Range<usize>) -> Vec<u64> {
+        block.map(|i| self.trajectory_seed(i)).collect()
     }
 
     /// Ensemble size.
@@ -902,38 +927,34 @@ impl ReplayEngine {
         counts
     }
 
-    /// Maps every shot block through `f`, returning per-shot results in
-    /// trajectory order. The ensemble splits at fixed multiples of the
-    /// block size — boundaries are a pure function of `(n_trajectories,
-    /// block size)`, independent of worker count — and the blocks fan
-    /// out over the shared rayon pool, one [`ReplayBatch`] arena each.
-    /// Per-shot purity (each shot's result depends only on `(program,
-    /// base_seed, index)`) makes every such partition bit-identical to
-    /// the sequential scalar loop.
+    /// Maps every shot block of [`ReplayEngine::shot_blocks`] through
+    /// `f`, returning per-shot results in trajectory order. The blocks
+    /// fan out over the shared rayon pool, one [`ReplayBatch`] arena
+    /// each. Per-shot purity (each shot's result depends only on
+    /// `(program, base_seed, index)`) makes every such partition
+    /// bit-identical to the sequential scalar loop.
     fn map_shot_blocks<T, F>(&self, program: &ReplayProgram, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(&mut ReplayBatch, usize) -> Vec<T> + Sync,
+        F: Fn(&mut ReplayBatch, Range<usize>) -> Vec<T> + Sync,
     {
-        let n = self.n_trajectories;
-        let block = self.block_size_for(program);
         // One arena per worker, reused across that worker's blocks —
         // `ReplayBatch::run` re-seeds and re-zeroes everything a block
         // reads, so reuse only skips the allocation and its page
         // faults. A ragged final block (different shot count, so a
         // different SoA stride) rebuilds once.
-        let blocks: Vec<Vec<T>> = (0..n.div_ceil(block))
+        let blocks: Vec<Vec<T>> = self
+            .shot_blocks(program)
+            .collect::<Vec<_>>()
             .into_par_iter()
             .map_init(
                 || None,
-                |cache: &mut Option<ReplayBatch>, w| {
-                    let lo = w * block;
-                    let hi = (lo + block).min(n);
+                |cache: &mut Option<ReplayBatch>, block: Range<usize>| {
                     let shots = match cache {
-                        Some(b) if b.n_shots() == hi - lo => b,
-                        _ => cache.insert(ReplayBatch::for_program(program, hi - lo)),
+                        Some(b) if b.n_shots() == block.len() => b,
+                        _ => cache.insert(ReplayBatch::for_program(program, block.len())),
                     };
-                    f(shots, lo)
+                    f(shots, block)
                 },
             )
             .collect();
@@ -967,11 +988,8 @@ impl ReplayEngine {
                 .map(|b| observable.eval_diagonal(b))
                 .collect()
         });
-        self.map_shot_blocks(program, |shots, lo| {
-            let seeds: Vec<u64> = (0..shots.n_shots())
-                .map(|s| self.trajectory_seed(lo + s))
-                .collect();
-            shots.run_profiled(program, &seeds, sink);
+        self.map_shot_blocks(program, |shots, block| {
+            shots.run_profiled(program, &self.block_seeds(block), sink);
             match &table {
                 Some(diag) => shots.diagonal_expectations(diag),
                 None => (0..shots.n_shots())
@@ -1046,11 +1064,8 @@ impl ReplayEngine {
         F: Fn(usize, &mut StdRng) -> usize + Sync,
         P: ProfileSink,
     {
-        let outcomes: Vec<usize> = self.map_shot_blocks(program, |shots, lo| {
-            let seeds: Vec<u64> = (0..shots.n_shots())
-                .map(|s| self.trajectory_seed(lo + s))
-                .collect();
-            shots.run_profiled(program, &seeds, sink);
+        let outcomes: Vec<usize> = self.map_shot_blocks(program, |shots, block| {
+            shots.run_profiled(program, &self.block_seeds(block), sink);
             let bits = shots.draw_outcomes();
             bits.into_iter()
                 .enumerate()
@@ -1280,6 +1295,85 @@ mod tests {
             .expectation_with_error_batched(&replay, &obs);
         assert_eq!(a.0.to_bits(), b.0.to_bits());
         assert_eq!(a.1.to_bits(), b.1.to_bits());
+    }
+
+    /// Arena bytes of one `shots`-wide block at `n_qubits`.
+    fn arena_bytes(n_qubits: usize, shots: usize) -> usize {
+        shots * (std::mem::size_of::<Complex64>() << n_qubits)
+    }
+
+    /// An empty compiled tape at `n_qubits` — the block policy reads
+    /// only the width.
+    fn tape(n_qubits: usize) -> ReplayProgram {
+        ReplayProgram::compile(&TrajectoryProgram::new(n_qubits))
+    }
+
+    #[test]
+    fn block_policy_runs_the_wide_served_shape_as_one_block() {
+        // The served wide shape: 8 trajectories at 16q run as one 8-shot
+        // block, not four 2-shot ones.
+        let engine = ReplayEngine::new(8, 0);
+        assert_eq!(engine.block_size_for(&tape(16)), 8);
+        assert_eq!(
+            engine.shot_blocks(&tape(16)).collect::<Vec<_>>(),
+            vec![0..8]
+        );
+        // Large ensembles stop at the arena cap.
+        assert_eq!(ReplayEngine::new(1024, 0).block_size_for(&tape(16)), 32);
+    }
+
+    #[test]
+    fn block_policy_bounds_the_arena_at_wide_widths() {
+        for n_qubits in [16usize, 18, 20] {
+            let shots = ReplayEngine::new(1 << 12, 0).block_size_for(&tape(n_qubits));
+            assert!(shots >= 1);
+            assert!(arena_bytes(n_qubits, shots) <= 32 << 20, "{n_qubits}q");
+        }
+    }
+
+    #[test]
+    fn block_policy_caps_narrow_widths_at_64() {
+        for n_qubits in 1usize..=12 {
+            assert_eq!(batch::default_block_size(n_qubits), 64, "{n_qubits}q");
+            let engine = ReplayEngine::new(1 << 12, 0);
+            assert_eq!(engine.block_size_for(&tape(n_qubits)), 64);
+        }
+    }
+
+    #[test]
+    fn block_size_override_wins_over_the_policy() {
+        let engine = ReplayEngine::new(97, 0);
+        assert_eq!(engine.with_block_size(3).block_size_for(&tape(16)), 3);
+        assert_eq!(engine.with_block_size(80).block_size_for(&tape(4)), 80);
+        // Never more than the ensemble.
+        assert_eq!(engine.with_block_size(200).block_size_for(&tape(4)), 97);
+    }
+
+    #[test]
+    fn shot_blocks_partition_the_ensemble_at_block_multiples() {
+        let engine = ReplayEngine::new(97, 5).with_block_size(32);
+        let blocks: Vec<_> = engine.shot_blocks(&tape(4)).collect();
+        assert_eq!(blocks, [0..32, 32..64, 64..96, 96..97]);
+        assert_eq!(engine.block_seeds(96..97), [engine.trajectory_seed(96)]);
+    }
+
+    #[test]
+    fn default_block_policy_matches_single_shot_blocks_bitwise() {
+        let program = mixed_program();
+        let replay = ReplayProgram::compile(&program);
+        let obs = zz(3, 0, 2);
+        let engine = ReplayEngine::new(131, 17);
+        let single = engine.with_block_size(1);
+        let a = engine.expectations_batched(&replay, &obs);
+        let b = single.expectations_batched(&replay, &obs);
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert_eq!(
+            engine.sample_counts_batched(&replay),
+            single.sample_counts_batched(&replay)
+        );
     }
 
     #[test]

@@ -42,9 +42,22 @@
 //! dispatch is bit-safe: wider vectors evaluate the *same* scalar
 //! expression per lane, and rustc never contracts separate multiplies
 //! and adds into FMAs, so both paths produce identical bits.
-//! `BENCH_replay.json`'s `replay_batched_expectation_12q_256shots`
-//! entry records the measured advantage over the scalar engine on the
-//! same tape.
+//! `BENCH_replay.json`'s `replay_batched_expectation_*` entries record
+//! the measured advantage over the scalar engine on the same tape at
+//! 12 and 16 qubits.
+//!
+//! # Block size: fill the lanes
+//!
+//! Every kernel pays a fixed cost per amplitude row — slicing the row
+//! out of each plane, the pair or quad index surgery, the branch on the
+//! op's shape — before its `S`-wide lane loop does any arithmetic. The
+//! block size therefore decides how much work each row's overhead is
+//! spread over, and that, not cache residency, is what the batched path
+//! gains or loses by: a 16-qubit block sized to stay in L2 holds 2 shots
+//! and runs slower than the scalar loop, while an 8-shot block of the
+//! same width streams 8 MiB per sweep and runs more than twice as fast as
+//! the 2-shot one. [`default_block_size`] therefore caps a block at 64
+//! shots and 32 MiB of arena rather than at a cache size.
 //!
 //! # Divergence at channels
 //!
@@ -488,6 +501,47 @@ mod kern {
         }
     }
 
+    /// A diagonal 1q operator `diag(d[0], d[1])` over every resident
+    /// shot, fused with the squared-norm scan that follows it: rows
+    /// ascending, each row multiplied by `d[0]` (target bit clear) or
+    /// `d[1]` (bit set), and each updated amplitude added into
+    /// `norms[s]` while still in registers. Per amplitude this is
+    /// [`dense1q_all`]'s diagonal branch; per shot the norm sums the
+    /// stored results in [`norm_acc_all`]'s ascending-row order. State
+    /// and norms are therefore bit-identical to the two separate passes,
+    /// minus one full read of the arena.
+    #[inline(always)]
+    pub fn diag1q_norm_all(
+        re: &mut [f64],
+        im: &mut [f64],
+        norms: &mut [f64],
+        s_n: usize,
+        target: usize,
+        d: [Complex64; 2],
+    ) {
+        assert!(norms.len() == s_n);
+        let bit = 1usize << target;
+        for (b, (row_re, row_im)) in re
+            .chunks_exact_mut(s_n)
+            .zip(im.chunks_exact_mut(s_n))
+            .enumerate()
+        {
+            let m = d[usize::from(b & bit != 0)];
+            for ((vr, vi), acc) in row_re
+                .iter_mut()
+                .zip(row_im.iter_mut())
+                .zip(norms.iter_mut())
+            {
+                let (r, i) = (*vr, *vi);
+                let nr = m.re * r - m.im * i;
+                let ni = m.re * i + m.im * r;
+                *vr = nr;
+                *vi = ni;
+                *acc += nr * nr + ni * ni;
+            }
+        }
+    }
+
     /// `a *= inv[s]` over the whole arena — the renormalization scale
     /// pass with each shot's own precomputed reciprocal.
     #[inline(always)]
@@ -636,6 +690,25 @@ macro_rules! lane_module {
             ///
             /// The running CPU must provide this module's target
             /// features — the *only* precondition. The body is the safe
+            /// [`kern::diag1q_norm_all`] recompiled under wider codegen:
+            /// bounds checks remain, no alignment obligations arise,
+            /// so unavailable instructions are the sole UB hazard.
+            #[target_feature(enable = $features)]
+            pub unsafe fn diag1q_norm_all(
+                re: &mut [f64],
+                im: &mut [f64],
+                norms: &mut [f64],
+                s_n: usize,
+                target: usize,
+                d: [Complex64; 2],
+            ) {
+                kern::diag1q_norm_all(re, im, norms, s_n, target, d);
+            }
+
+            /// # Safety
+            ///
+            /// The running CPU must provide this module's target
+            /// features — the *only* precondition. The body is the safe
             /// [`kern::scale_all`] recompiled under wider codegen:
             /// bounds checks remain, no alignment obligations arise,
             /// so unavailable instructions are the sole UB hazard.
@@ -757,16 +830,17 @@ fn lane_isa() -> Lanes {
     Lanes::Baseline
 }
 
-/// Arena bytes one shot block targets. One amplitude-major sweep streams
-/// the whole arena, so the block should sit in cache while keeping the
-/// `S`-wide inner loops long enough to fill the vector lanes; the sweet
-/// spot measured on the 12-qubit serving workload is tens of shots.
-const BLOCK_ARENA_BYTES: usize = 1 << 21;
+/// Arena bytes one shot block may occupy: a memory ceiling of 32 MiB
+/// per rayon worker, not a cache target. Blocks are sized for lane fill
+/// (see "Block size: fill the lanes" in the module docs), and an arena
+/// larger than L2 costs less than rows too short to amortize their
+/// fixed per-row cost.
+const BLOCK_ARENA_BYTES: usize = 1 << 25;
 
 /// The default shots-per-block of the batched path for an `n_qubits`
 /// program: as many shots as fit [`BLOCK_ARENA_BYTES`], clamped to
-/// `1..=64` (tiny states gain nothing past 64 lanes; wide states fall
-/// back to one shot per block, i.e. the scalar access pattern).
+/// `1..=64` (past 64 lanes the per-row overhead is already amortized;
+/// states over 32 MiB run one shot per block).
 pub fn default_block_size(n_qubits: usize) -> usize {
     let per_shot = std::mem::size_of::<Complex64>() << n_qubits;
     (BLOCK_ARENA_BYTES / per_shot).clamp(1, 64)
@@ -1197,7 +1271,9 @@ impl ReplayBatch {
     /// strided passes over the block, then each shot draws and picks in
     /// the scalar order, and the picked branches apply in shot groups
     /// (K0 identity-skips masked out entirely) with grouped
-    /// renormalization.
+    /// renormalization. When every shot picked the same diagonal branch
+    /// of a 1q channel, the apply and the norm scan fuse into one pass
+    /// ([`kern::diag1q_norm_all`]).
     fn apply_general(&mut self, gen: &GeneralChannel) {
         let s_n = self.n_shots;
         let n_k = gen.kraus.len();
@@ -1247,6 +1323,24 @@ impl ReplayBatch {
             self.picks[s] = pick;
         }
         let mut group = std::mem::take(&mut self.group);
+        if let Some(d) = uniform_diag_pick(gen, &self.picks) {
+            // Every shot picked the same diagonal 1q branch (thermal
+            // relaxation's K0, the common pick): apply it and scan the
+            // norms in one pass, then defer the scale exactly as
+            // `renormalize_group` would for the all-shot group.
+            let lanes = self.lanes;
+            self.norms.fill(0.0);
+            let Self { re, im, norms, .. } = self;
+            kernel!(
+                lanes,
+                diag1q_norm_all(re, im, norms, s_n, gen.targets[0], d)
+            );
+            group.clear();
+            group.extend(0..s_n);
+            self.defer_scale(&group);
+            self.group = group;
+            return;
+        }
         for k in 0..n_k {
             if k == 0 && gen.k0_identity {
                 continue;
@@ -1318,6 +1412,12 @@ impl ReplayBatch {
                 }
             }
         }
+        self.defer_scale(group);
+    }
+
+    /// Records the listed shots' reciprocal norms (`norms` already
+    /// accumulated) as the deferred scale pass.
+    fn defer_scale(&mut self, group: &[usize]) {
         if !self.pending {
             self.inv.fill(1.0);
             self.pending = true;
@@ -1399,6 +1499,21 @@ fn rows2_mut(plane: &mut [f64], s_n: usize, i: usize, j: usize) -> (&mut [f64], 
     debug_assert!(i < j);
     let (head, tail) = plane.split_at_mut(j * s_n);
     (&mut head[i * s_n..i * s_n + s_n], &mut tail[..s_n])
+}
+
+/// The diagonal `[K[0][0], K[1][1]]` of the branch every resident shot
+/// of a 1q general channel picked, when that branch is applied (not a
+/// skipped identity `K0`) and diagonal by [`kern::dense1q_all`]'s own
+/// exact-zero test. `None` sends the channel down the grouped path.
+fn uniform_diag_pick(gen: &GeneralChannel, picks: &[usize]) -> Option<[Complex64; 2]> {
+    let pick = picks[0];
+    if gen.targets.len() != 1 || (pick == 0 && gen.k0_identity) || picks.iter().any(|&p| p != pick)
+    {
+        return None;
+    }
+    let k = &gen.kraus[pick];
+    let zero = |c: Complex64| c.re == 0.0 && c.im == 0.0;
+    (zero(k[(0, 1)]) && zero(k[(1, 0)])).then(|| [k[(0, 0)], k[(1, 1)]])
 }
 
 /// The 4x4 operator as a register-friendly array (same element values

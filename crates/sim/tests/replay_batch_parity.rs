@@ -13,6 +13,13 @@
 //! [`TrajectoryEngine`] by `replay_parity.rs`, so these tests
 //! transitively anchor the batched path to the original per-shot
 //! simulator.
+//!
+//! The strong-noise programs split nearly every block across branch
+//! groups. The weak-noise programs cover the opposite regime, where
+//! every resident shot of a block picks the diagonal `K_0` of a thermal
+//! relaxation and the batched engine fuses that branch's apply with its
+//! norm scan; they are checked against both the scalar engine and the
+//! reference [`TrajectoryEngine`] directly.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use hgp_circuit::{Gate, Param};
 use hgp_math::pauli::{sigma_x, sigma_y, sigma_z, Pauli, PauliString, PauliSum};
 use hgp_math::{c64, Matrix};
-use hgp_sim::{ChannelOp, ReplayEngine, ReplayProgram, TrajectoryProgram};
+use hgp_sim::{ChannelOp, ReplayEngine, ReplayProgram, TrajectoryEngine, TrajectoryProgram};
 
 fn depolarizing_op(p: f64) -> ChannelOp {
     let kraus = vec![
@@ -113,6 +120,94 @@ fn divergent_program(n: usize, n_ops: usize, shape_seed: u64) -> TrajectoryProgr
         }
     }
     program
+}
+
+/// A random program drawn from `shape_seed` in the weak-noise regime:
+/// thermal relaxation with `K_0` weight above 0.998 after most gates,
+/// often two or three channels back to back (each one's deferred scale
+/// consumed by the next one's weight scan), a few strong channels that
+/// split blocks into branch groups, and a final general channel, so the
+/// tape ends with a scale still deferred.
+fn weak_noise_program(n: usize, n_ops: usize, shape_seed: u64) -> TrajectoryProgram {
+    let mut rng = StdRng::seed_from_u64(shape_seed);
+    let mut program = TrajectoryProgram::new(n);
+    let weak = |rng: &mut StdRng| {
+        thermal_like_op(rng.gen_range(1e-4f64..1e-3), rng.gen_range(1e-4f64..1e-3))
+    };
+    for _ in 0..n_ops {
+        let q = rng.gen_range(0usize..n);
+        let angle = rng.gen_range(-3.0f64..3.0);
+        match rng.gen_range(0u64..8) {
+            0 => {
+                program.push_gate(Gate::H, &[q]);
+            }
+            1 if n > 1 => {
+                program.push_gate(Gate::CX, &[q, (q + 1) % n]);
+            }
+            2 => {
+                program.push_unitary(Gate::Rx(Param::bound(angle)).matrix().unwrap(), &[q]);
+            }
+            3 => {
+                // A strong channel: resident shots split across branches.
+                if rng.gen::<bool>() {
+                    program.push_channel(thermal_like_op(0.4, 0.2), &[q]);
+                } else {
+                    program.push_channel(amplitude_damping_op(0.5), &[q]);
+                }
+            }
+            _ => {
+                program.push_gate(Gate::Rz(Param::bound(angle)), &[q]);
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let t = rng.gen_range(0usize..n);
+                    program.push_channel(weak(&mut rng), &[t]);
+                }
+            }
+        }
+    }
+    program.push_channel(weak(&mut rng), &[rng.gen_range(0usize..n)]);
+    program
+}
+
+/// Asserts the batched engine at `block` reproduces the scalar engine
+/// and the reference engine bit for bit: per-trajectory expectations,
+/// sampled counts, and counts with an RNG-consuming corruption hook.
+fn assert_weak_noise_parity(
+    program: &TrajectoryProgram,
+    trajectories: usize,
+    seed: u64,
+    block: usize,
+) {
+    let replay = ReplayProgram::compile(program);
+    let obs = diag_observable(program.n_qubits());
+    let scalar = ReplayEngine::new(trajectories, seed);
+    let batched = scalar.with_block_size(block);
+    let reference = TrajectoryEngine::new(trajectories, seed).expectations(program, &obs);
+    let a = scalar.expectations(&replay, &obs);
+    let b = batched.expectations_batched(&replay, &obs);
+    assert_eq!(reference.len(), b.len());
+    for ((r, x), y) in reference.iter().zip(a.iter()).zip(b.iter()) {
+        assert_eq!(r.to_bits(), y.to_bits(), "block size {block}");
+        assert_eq!(x.to_bits(), y.to_bits(), "block size {block}");
+    }
+    let counts = batched.sample_counts_batched(&replay);
+    assert_eq!(scalar.sample_counts(&replay), counts, "block size {block}");
+    assert_eq!(
+        TrajectoryEngine::new(trajectories, seed).sample_counts(program),
+        counts,
+        "block size {block}"
+    );
+    let corrupt = |bits: usize, rng: &mut StdRng| {
+        if rng.gen::<f64>() < 0.2 {
+            bits ^ 1
+        } else {
+            bits
+        }
+    };
+    assert_eq!(
+        scalar.sample_counts_with(&replay, corrupt),
+        batched.sample_counts_with_batched(&replay, corrupt),
+        "block size {block}"
+    );
 }
 
 fn diag_observable(n: usize) -> PauliSum {
@@ -207,6 +302,38 @@ proptest! {
         for (x, y) in a.iter().zip(b.iter()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Weak-noise programs, where most channels fuse the `K_0` apply
+    /// with its norm scan and a few split into branch groups: the
+    /// batched engine must match the scalar and reference engines for
+    /// every block size up to 33.
+    #[test]
+    fn weak_noise_batched_runs_match_scalar_and_reference(
+        n in 1usize..6,
+        n_ops in 1usize..14,
+        shape_seed in 0u64..1_000_000,
+        ensemble_seed in 0u64..1_000_000,
+        trajectories in 1usize..48,
+        block in 1usize..34,
+    ) {
+        let program = weak_noise_program(n, n_ops, shape_seed);
+        assert_weak_noise_parity(&program, trajectories, ensemble_seed, block);
+    }
+}
+
+/// One fixed weak-noise program at every block size from 1 to 33 on a
+/// 33-shot ensemble: blocks that fuse every channel, blocks that split
+/// at the strong ones, and ragged final blocks.
+#[test]
+fn every_block_split_of_a_weak_noise_ensemble_matches() {
+    let program = weak_noise_program(5, 16, 0xBEEF);
+    for block in 1..=33 {
+        assert_weak_noise_parity(&program, 33, 5, block);
     }
 }
 

@@ -13,12 +13,15 @@
 //!    and the Prometheus text rendering must carry the same numbers.
 //!
 //! 2. **Profile accounting.** A 12-qubit noisy QAOA replay tape is
-//!    driven shot by shot in one thread with an [`OpProfile`] attached,
-//!    wall-timing the whole loop. The per-op-kind nanosecond totals must
-//!    sum to within 10% of the measured wall time — the profile
-//!    *accounts for* the execution rather than sampling it. (Sequential
-//!    on purpose: the parallel engines sum per-op time across workers,
-//!    which legitimately exceeds wall clock.)
+//!    driven through the production batched engine — one
+//!    [`ReplayBatch::run_profiled`] per block of the engine's own
+//!    partition ([`ReplayEngine::shot_blocks`]) — in one thread with an
+//!    [`OpProfile`] attached, wall-timing the whole loop. The
+//!    per-op-kind nanosecond totals must sum to within 10% of the
+//!    measured wall time — the profile *accounts for* the execution
+//!    rather than sampling it. (Sequential on purpose: the parallel
+//!    engines sum per-op time across workers, which legitimately exceeds
+//!    wall clock.)
 //!
 //! ```text
 //! cargo run --release --example observability            # narrated tour
@@ -35,10 +38,7 @@ use hybrid_gate_pulse::graph::{generators, instances};
 use hybrid_gate_pulse::serve::{
     Daemon, DaemonConfig, JobRequest, JobSpec, Priority, SpanKind, WireClient, WireServer,
 };
-use hybrid_gate_pulse::sim::seed::{mix64, stream_seed};
-use hybrid_gate_pulse::sim::{OpProfile, ReplayOpKind, ReplayScratch};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use hybrid_gate_pulse::sim::{OpProfile, ReplayBatch, ReplayEngine, ReplayOpKind};
 
 const LAYOUT6: [usize; 6] = [0, 1, 2, 3, 4, 5];
 const BASE_SEED: u64 = 42;
@@ -196,7 +196,7 @@ fn wire_tour(backend: &Backend, verbose: bool) {
 }
 
 /// The profile-accounting gate: per-op-kind time on a sequential
-/// 12-qubit noisy replay loop sums to the loop's wall time within 10%.
+/// 12-qubit batched replay loop sums to the loop's wall time within 10%.
 fn profile_accounting(backend: &Backend, verbose: bool) {
     let graph = generators::random_regular(12, 3, 7);
     let circuit = qaoa_circuit(&graph, 1);
@@ -207,15 +207,24 @@ fn profile_accounting(backend: &Backend, verbose: bool) {
     let exec = compiled.executor(backend);
     let replay = compiled.bind_replay(&exec, &[0.35, 0.22]);
 
-    let shots: u64 = 96;
+    let shots = 96;
+    let engine = ReplayEngine::new(shots, 0xC0FFEE);
+    let block = engine.block_size_for(&replay);
+    // The engine's own partition and seeding, run one block after
+    // another: this loop IS the batched engine's work with the worker
+    // fan-out taken out. Arenas are built before the clock starts, as
+    // the engine's per-worker arenas are reused.
+    let mut blocks: Vec<(Vec<u64>, ReplayBatch)> = engine
+        .shot_blocks(&replay)
+        .map(|b| {
+            let batch = ReplayBatch::for_program(&replay, b.len());
+            (engine.block_seeds(b), batch)
+        })
+        .collect();
     let profile = OpProfile::new();
-    let mut scratch = ReplayScratch::for_program(&replay);
     let start = Instant::now();
-    for i in 0..shots {
-        // The engines' exact seeding idiom: stream position i under the
-        // mixed base — this loop IS ReplayEngine's sequential path.
-        let mut rng = StdRng::seed_from_u64(stream_seed(mix64(0xC0FFEE), i));
-        replay.run_into_profiled(&mut scratch, &mut rng, &profile);
+    for (seeds, batch) in &mut blocks {
+        batch.run_profiled(&replay, seeds, &profile);
     }
     let wall_ns = start.elapsed().as_nanos() as u64;
     let snap = profile.snapshot();
@@ -230,7 +239,9 @@ fn profile_accounting(backend: &Backend, verbose: bool) {
     );
     if verbose {
         println!(
-            "accounting: {shots} shots x {} ops on 12 qubits; profiled {} ns / wall {} ns = {:.1}%",
+            "accounting: {shots} shots in {}-shot blocks x {} ops on 12 qubits; \
+             profiled {} ns / wall {} ns = {:.1}%",
+            block,
             replay.n_ops(),
             snap.total_ns(),
             wall_ns,
@@ -260,7 +271,7 @@ fn main() {
         "{}",
         if smoke {
             "smoke: wire telemetry complete (histograms, traces, profile); \
-             sequential profile accounts for wall time within 10%"
+             sequential batched profile accounts for wall time within 10%"
         } else {
             "observability tour complete"
         }
