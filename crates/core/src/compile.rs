@@ -1292,15 +1292,15 @@ mod tests {
             let recorded = exec.trajectory_program(&program);
             let fast = hgp_sim::ReplayEngine::new(48, 9);
             let reference = hgp_sim::TrajectoryEngine::new(48, 9);
-            let a = fast.expectations(&by_template, &obs);
-            let b = fast.expectations(&by_walk, &obs);
+            let a = fast.expectations(&by_template, &obs, &hgp_sim::NoProfile);
+            let b = fast.expectations(&by_walk, &obs, &hgp_sim::NoProfile);
             let c = reference.expectations(&recorded, &obs);
             for ((x, y), z) in a.iter().zip(b.iter()).zip(c.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "template vs walk, {params:?}");
                 assert_eq!(x.to_bits(), z.to_bits(), "template vs engine, {params:?}");
             }
             assert_eq!(
-                fast.sample_counts(&by_template),
+                fast.sample_counts_with(&by_template, |bits, _| bits, &hgp_sim::NoProfile),
                 reference.sample_counts(&recorded),
                 "{params:?}"
             );
@@ -1327,8 +1327,8 @@ mod tests {
             let by_bind = compiled.bind_replay(&deviant, &params);
             let by_walk = deviant.replay_program(&compiled.bind(&params));
             let fast = hgp_sim::ReplayEngine::new(24, 7);
-            let a = fast.expectations(&by_bind, &obs);
-            let b = fast.expectations(&by_walk, &obs);
+            let a = fast.expectations(&by_bind, &obs, &hgp_sim::NoProfile);
+            let b = fast.expectations(&by_walk, &obs, &hgp_sim::NoProfile);
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "deviant executor fallback");
             }
@@ -1354,8 +1354,8 @@ mod tests {
             let by_template = compiled.bind_replay(&exec, &params);
             let by_walk = exec.replay_program(&compiled.bind(&params));
             let fast = hgp_sim::ReplayEngine::new(32, 5);
-            let a = fast.expectations(&by_template, &obs);
-            let b = fast.expectations(&by_walk, &obs);
+            let a = fast.expectations(&by_template, &obs, &hgp_sim::NoProfile);
+            let b = fast.expectations(&by_walk, &obs, &hgp_sim::NoProfile);
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{tag}");
             }

@@ -27,10 +27,10 @@
 //!   noisy QAOA at widths the density matrix cannot reach. The
 //!   trajectory entry points execute on the op-fused
 //!   [`hgp_sim::ReplayEngine`] ([`Executor::replay_program`] compiles
-//!   the recording into a flat tape) in its batched-shot mode —
-//!   cache-sized [`hgp_sim::ReplayBatch`] SoA blocks swept op-major —
-//!   pinned bit-identical to both the scalar replay loop and the
-//!   reference [`hgp_sim::TrajectoryEngine`]; serving callers skip the
+//!   the recording into a flat tape) in lane-filling
+//!   [`hgp_sim::ReplayBatch`] SoA shot blocks swept op-major — pinned
+//!   bit-identical to the reference [`hgp_sim::TrajectoryEngine`] for
+//!   every block size; serving callers skip the
 //!   per-dispatch recording entirely via the compiled artifacts'
 //!   schedule templates ([`Executor::sample_replay`] /
 //!   [`Executor::expectation_replay`]).
@@ -487,9 +487,8 @@ impl<'a> Executor<'a> {
     /// [`Executor::sample_trajectories`] over an already-compiled replay
     /// tape — the serving path, where the tape comes from a schedule
     /// template and the per-job record/compile step disappears. Runs the
-    /// batched SoA shot-block path (bit-identical to the scalar replay
-    /// loop for every block size; the scalar engine stays as the pinned
-    /// reference).
+    /// SoA shot-block replay, bit-identical to the reference
+    /// [`hgp_sim::TrajectoryEngine`] for every block size.
     ///
     /// # Panics
     ///
@@ -500,7 +499,7 @@ impl<'a> Executor<'a> {
 
     /// [`Executor::sample_replay`] with an opt-in
     /// [`hgp_sim::ProfileSink`] attributing per-op-kind wall time
-    /// inside the batched replay; counts are bit-identical for any
+    /// inside the replay; counts are bit-identical for any
     /// sink.
     ///
     /// # Panics
@@ -513,7 +512,7 @@ impl<'a> Executor<'a> {
         seed: u64,
         sink: &P,
     ) -> Counts {
-        ReplayEngine::new(shots, seed).sample_counts_with_batched_profiled(
+        ReplayEngine::new(shots, seed).sample_counts_with(
             replay,
             |bits, rng| self.readout.corrupt_bits(bits, rng),
             sink,
@@ -546,8 +545,8 @@ impl<'a> Executor<'a> {
     }
 
     /// [`Executor::expectation_trajectories`] over an already-compiled
-    /// replay tape (see [`Executor::sample_replay`]); batched shot-block
-    /// execution, bit-identical to the scalar replay loop.
+    /// replay tape (see [`Executor::sample_replay`]); shot-block
+    /// execution, bit-identical to the reference trajectory engine.
     ///
     /// # Panics
     ///
@@ -577,8 +576,7 @@ impl<'a> Executor<'a> {
         seed: u64,
         sink: &P,
     ) -> (f64, f64) {
-        ReplayEngine::new(n_trajectories, seed)
-            .expectation_with_error_batched_profiled(replay, observable, sink)
+        ReplayEngine::new(n_trajectories, seed).expectation_with_error(replay, observable, sink)
     }
 }
 

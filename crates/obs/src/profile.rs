@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// These mirror the replay tape structure shared by the trajectory and
 /// exact engines: fused diagonal runs, dense 1q/2q unitary
 /// applications, the two channel shapes (mixed-unitary pick vs general
-/// Kraus), and renormalization (the scalar engine's post-Kraus
-/// renormalize; the batched engine's deferred scale resolution). The
+/// Kraus), and renormalization (the trajectory engine's deferred
+/// post-Kraus scale resolution at the end of a block's tape). The
 /// exact engine maps its single-Kraus channels to
 /// [`ReplayOpKind::MixedChannel`] and its resolved superoperator /
 /// blockwise channels to [`ReplayOpKind::GeneralChannel`].

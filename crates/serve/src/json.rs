@@ -187,6 +187,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -243,10 +244,23 @@ impl fmt::Display for Value {
     }
 }
 
+/// The deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[`s
+/// overflows the parsing thread's stack and aborts the process; deeper
+/// input is an `Err` instead. The deepest envelope the codec emits
+/// nests 10 levels (a `submit_group` whose circuit carries a
+/// parametrized gate, measured over 40,000 random envelopes;
+/// `crates/serve/tests/serde_roundtrip.rs` pins the bound), so 128
+/// leaves a 12x margin for legitimate documents while keeping the
+/// recursion well inside a thread's default stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser over bytes.
 struct Parser<'s> {
     bytes: &'s [u8],
     pos: usize,
+    /// Arrays and objects currently open (at most [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -288,11 +302,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open
+    /// more than [`MAX_DEPTH`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -1466,6 +1495,26 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        // Unbounded, a line of 200k `[`s overflows the parsing thread's
+        // stack; bounded, it is an ordinary parse error.
+        let err = Value::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        assert!(Value::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest("[", "]", MAX_DEPTH + 1)).is_err());
+        let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        assert!(Value::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Depth is nesting, not a count of containers: siblings reuse it.
+        let wide = format!("[{}]", vec![nest("[", "]", MAX_DEPTH - 1); 3].join(","));
+        assert!(Value::parse(&wide).is_ok());
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub struct ServeMetrics {
     pub rejected_large: [u64; 3],
     /// Stochastic trajectory shots finished by successful jobs (the
     /// four trajectory job kinds report their shot or trajectory count;
-    /// other kinds contribute zero). This is the work unit the batched
+    /// other kinds contribute zero). This is the work unit the trajectory
     /// replay engine optimizes, so shots/second — not jobs/second — is
     /// the number to watch when tuning trajectory serving.
     pub shots_executed: u64,

@@ -12,7 +12,7 @@ use hgp_core::compile::HybridShape;
 use hgp_core::models::GateModelOptions;
 use hgp_graph::Graph;
 use hgp_math::pauli::{Pauli, PauliString, PauliSum};
-use hgp_serve::json::JsonCodec;
+use hgp_serve::json::{JsonCodec, Value, MAX_DEPTH};
 use hgp_serve::{
     Histogram, JobError, JobId, JobOutput, JobRequest, JobResult, JobSpec, JobStage, JobTrace,
     OpProfileSnapshot, Priority, Rejected, ServeMetrics, Span, SpanKind, WireRequest, WireResponse,
@@ -542,5 +542,38 @@ proptest! {
         hist.record(value);
         prop_assert_eq!(hist.counts()[index], 1);
         prop_assert_eq!(hist.quantile(1.0), Histogram::bucket_bound(index));
+    }
+}
+
+/// The deepest array/object nesting the codec emits: a `submit_group`
+/// envelope whose circuit carries a parametrized gate (envelope,
+/// requests, request, circuit, instructions, instruction, gate, params,
+/// param, affine coefficients). `json::MAX_DEPTH`'s docs quote it.
+const ENVELOPE_DEPTH: usize = 10;
+
+/// Nesting depth of a parsed document (a scalar is depth 0).
+fn depth(value: &Value) -> usize {
+    match value {
+        Value::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Value::Obj(members) => 1 + members.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every wire envelope nests at most `ENVELOPE_DEPTH` levels, far
+    /// below the depth bound the parser enforces on untrusted lines.
+    #[test]
+    fn envelopes_nest_well_under_the_parser_depth_bound(seed in 0u64..u64::MAX) {
+        prop_assert!(ENVELOPE_DEPTH * 8 <= MAX_DEPTH);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for text in [
+            random_wire_request(&mut rng).to_json_string(),
+            random_wire_response(&mut rng).to_json_string(),
+        ] {
+            prop_assert!(depth(&Value::parse(&text).unwrap()) <= ENVELOPE_DEPTH);
+        }
     }
 }

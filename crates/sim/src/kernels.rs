@@ -232,58 +232,6 @@ pub fn apply_diag_fused(amps: &mut [Complex64], ops: &[DiagOp]) {
     }
 }
 
-/// Applies a *run* of diagonal gates in one blocked sweep, **bit-exact**
-/// to applying them one at a time.
-///
-/// [`apply_diag_fused`] collapses ops acting above the cache block into
-/// a single broadcast factor — one multiply where the sequential path
-/// does several, so its round-off differs from gate-at-a-time
-/// application (within `1e-12`, which its property tests pin). The
-/// replay engine cannot afford even that: its contract is that a
-/// compiled tape reproduces [`crate::TrajectoryEngine`]'s per-gate
-/// dispatch *bit for bit*. This kernel therefore keeps one multiply per
-/// op per amplitude — each amplitude sees exactly the factor sequence
-/// the sequential [`apply_diag_1q`]/[`apply_diag_2q`] calls would apply
-/// — and wins by streaming the amplitudes through cache once per run
-/// (L1-sized blocks with every op's tight loop over the resident block)
-/// instead of once per gate.
-pub fn apply_diag_run_exact(amps: &mut [Complex64], ops: &[DiagOp]) {
-    if ops.is_empty() {
-        return;
-    }
-    let scan = |base: usize, chunk: &mut [Complex64]| {
-        let mut start = 0;
-        while start < chunk.len() {
-            let end = (start + FUSE_BLOCK).min(chunk.len());
-            let blk = &mut chunk[start..end];
-            let b0 = base + start;
-            for op in ops {
-                match *op {
-                    DiagOp::One { target, d } => {
-                        for (off, a) in blk.iter_mut().enumerate() {
-                            *a *= d[((b0 + off) >> target) & 1];
-                        }
-                    }
-                    DiagOp::Two { t_hi, t_lo, d } => {
-                        for (off, a) in blk.iter_mut().enumerate() {
-                            let i = b0 + off;
-                            *a *= d[(((i >> t_hi) & 1) << 1) | ((i >> t_lo) & 1)];
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-    };
-    if fan_out(amps.len()) {
-        amps.par_chunks_mut(PAR_CHUNK)
-            .enumerate()
-            .for_each(|(c, chunk)| scan(c * PAR_CHUNK, chunk));
-    } else {
-        scan(0, amps);
-    }
-}
-
 /// Applies a dense 2x2 operator on `target` with stride-based pair
 /// enumeration (no per-index branch).
 pub fn apply_dense_1q(amps: &mut [Complex64], target: usize, op: &Matrix) {
@@ -528,43 +476,6 @@ mod tests {
             }
         }
         assert_close(&fused, &sequential);
-    }
-
-    #[test]
-    fn exact_run_is_bit_identical_to_sequential_application() {
-        // The replay contract: the blocked run must reproduce
-        // gate-at-a-time application to the last bit, including targets
-        // above the fuse block (13 qubits > FUSE_BLOCK's 12 bits).
-        let rz = diagonal_1q(&Gate::Rz(Param::bound(0.31))).unwrap();
-        let rzz = diagonal_2q(&Gate::Rzz(Param::bound(-1.7))).unwrap();
-        let cz = diagonal_2q(&Gate::CZ).unwrap();
-        let ops = vec![
-            DiagOp::One { target: 12, d: rz },
-            DiagOp::Two {
-                t_hi: 3,
-                t_lo: 9,
-                d: rzz,
-            },
-            DiagOp::One { target: 0, d: rz },
-            DiagOp::Two {
-                t_hi: 12,
-                t_lo: 2,
-                d: cz,
-            },
-        ];
-        let mut run = random_state(13, 29);
-        let mut sequential = run.clone();
-        apply_diag_run_exact(&mut run, &ops);
-        for op in &ops {
-            match *op {
-                DiagOp::One { target, d } => apply_diag_1q(&mut sequential, target, d),
-                DiagOp::Two { t_hi, t_lo, d } => apply_diag_2q(&mut sequential, t_hi, t_lo, d),
-            }
-        }
-        for (a, b) in run.iter().zip(sequential.iter()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
     }
 
     #[test]

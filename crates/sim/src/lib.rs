@@ -25,11 +25,11 @@
 //! Its production hot path is [`replay`]: recorded trajectory programs
 //! compile once into a flat [`ReplayProgram`] tape (fused diagonal runs,
 //! resolved matrices, precompiled channel sampling tables) that
-//! [`ReplayEngine`] replays with zero per-shot allocation or dispatch —
-//! pinned **bit-identical** to the trajectory engine, which stays as the
-//! reference implementation. Ensembles run through the batched-shot mode
-//! by default ([`ReplayBatch`]: lane-filling SoA shot blocks swept
-//! op-major, bit-identical to the scalar loop for every block size).
+//! [`ReplayEngine`] replays with zero per-shot allocation or dispatch, in
+//! lane-filling blocks of shots ([`ReplayBatch`]: structure-of-arrays
+//! arenas swept op-major) — pinned **bit-identical** to the trajectory
+//! engine, which stays as the reference implementation, for every block
+//! size.
 //! The exact density path has the analogous layer ([`replay::exact`]):
 //! recorded programs compile into an [`ExactReplayProgram`]
 //! superoperator tape — fused diagonal-run sweeps, resolved dense
@@ -72,7 +72,7 @@ pub use density::DensityMatrix;
 pub use hgp_obs::profile::{NoProfile, OpProfile, OpProfileSnapshot, ProfileSink, ReplayOpKind};
 pub use replay::{
     ExactReplayEngine, ExactReplayProgram, ExactScratch, ReplayBatch, ReplayEngine, ReplayProgram,
-    ReplayScratch, ReplaySlot,
+    ReplaySlot,
 };
 pub use statevector::StateVector;
 pub use trajectory::{ChannelOp, TrajectoryEngine, TrajectoryOp, TrajectoryProgram};

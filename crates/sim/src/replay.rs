@@ -12,33 +12,52 @@
 //! [`ReplayProgram`] compiles the recording once into a flat op tape:
 //!
 //! - maximal runs of consecutive diagonal gates are fused into single
-//!   blocked sweeps over the amplitudes
-//!   ([`kernels::apply_diag_run_exact`] — bit-exact to gate-at-a-time
+//!   blocked sweeps over the amplitudes (bit-exact to gate-at-a-time
 //!   application, unlike the broadcast-folding `apply_diag_fused`),
 //! - dense gates and fixed unitaries carry their resolved matrices, so
 //!   the hot loop never calls `Gate::matrix()`,
 //! - channels are precompiled into sampling tables: cumulative branch
 //!   probabilities for mixed-unitary channels (with the identity-branch
-//!   skip), strided single-qubit weight kernels and precomputed block
-//!   offsets for general channels (with the `K_0`-identity skip),
+//!   skip), sparsity-classified single-qubit weight rows and
+//!   precomputed block offsets for general channels (with the
+//!   `K_0`-identity skip),
 //!
-//! and [`ReplayEngine`] replays the tape over per-worker
-//! [`ReplayScratch`] arenas — the per-shot loop performs **zero
+//! and [`ReplayEngine`] replays the tape over blocks of shots held in
+//! per-worker [`ReplayBatch`] arenas — the per-shot work performs **zero
 //! allocation and zero matrix dispatch** (the one exception: operators
 //! wider than two qubits fall back to the generic embed path, which no
 //! recorded schedule in this workspace produces).
+//!
+//! # Shot blocks
+//!
+//! The engine runs the tape *op-major*: a [`ReplayBatch`] holds a block
+//! of shots in one structure-of-arrays arena, and each tape entry sweeps
+//! every resident shot before the next is decoded, so each amplitude
+//! row's fixed cost (slicing, index surgery, shape branches) is paid
+//! once for `S` lanes of arithmetic. Blocks are therefore sized to fill
+//! the lanes, not to fit a cache: up to 64 shots within 32 MiB of arena
+//! ([`batch::default_block_size`]). [`ReplayEngine::shot_blocks`] is the
+//! partition — deterministic boundaries, independent of the worker
+//! count — and the blocks fan out over the shared rayon pool. The
+//! engine has one entry point per output shape: per-shot values
+//! ([`ReplayEngine::expectations`]), mean and standard error
+//! ([`ReplayEngine::expectation_with_error`]), and counts
+//! ([`ReplayEngine::sample_counts_with`]). Each takes a
+//! [`ProfileSink`]; [`crate::NoProfile`] compiles to the bare loop. See the
+//! [`batch`] module docs for the layout and divergence-masking design.
 //!
 //! # The bit-parity contract
 //!
 //! The replay engine is an *optimization*, not a new semantics:
 //! [`crate::TrajectoryEngine`] remains the reference implementation, and
-//! for every program, observable, seed, and scheduling the replay path
-//! produces **bit-identical** results — same
+//! for every program, observable, seed, block size, and worker count
+//! the replay path produces **bit-identical** results — same
 //! [`crate::seed::stream_seed`]/SplitMix64 seed stream, same RNG draw
 //! sequence, same branch choices, same floating-point operations in the
-//! same order. Property tests in `crates/sim/tests/replay_parity.rs` pin
-//! this across random programs; the serve-layer suites pin it end to
-//! end.
+//! same order for each shot. Property tests in
+//! `crates/sim/tests/replay_parity.rs` pin this across random programs,
+//! ensemble sizes, and block splits; the serve-layer suites pin it end
+//! to end.
 //!
 //! # Exact-path mode
 //!
@@ -51,31 +70,12 @@
 //! pinned against the `apply_exact` walk, which stays the reference.
 //! See the [`exact`] module docs for the parity contract.
 //!
-//! # Batched-shot mode
-//!
-//! The scalar per-shot loop above still decodes the whole tape once per
-//! trajectory. The [`batch`] submodule inverts that loop nest: a
-//! [`ReplayBatch`] holds a block of shots in one structure-of-arrays
-//! arena and replays the tape *op-major* — each tape entry sweeps every
-//! resident shot before the next is decoded, so each amplitude row's
-//! fixed cost (slicing, index surgery, shape branches) is paid once for
-//! `S` lanes of arithmetic. Blocks are therefore sized to fill the
-//! lanes, not to fit a cache: up to 64 shots within 32 MiB of arena
-//! ([`batch::default_block_size`]). The
-//! [`ReplayEngine::expectations_batched`] /
-//! [`ReplayEngine::sample_counts_batched`] entry points partition the
-//! ensemble into such blocks ([`ReplayEngine::shot_blocks`]:
-//! deterministic boundaries, per-worker arenas) and are bit-identical
-//! to their scalar counterparts for every block size, split, worker
-//! count, and seed — the scalar engine stays as the pinned reference. See the [`batch`] module docs for the layout
-//! and divergence-masking design.
-//!
 //! # Example
 //!
 //! ```
 //! use hgp_circuit::Gate;
 //! use hgp_math::pauli::{Pauli, PauliString, PauliSum};
-//! use hgp_sim::{ReplayEngine, ReplayProgram, TrajectoryEngine, TrajectoryProgram};
+//! use hgp_sim::{NoProfile, ReplayEngine, ReplayProgram, TrajectoryEngine, TrajectoryProgram};
 //!
 //! let mut program = TrajectoryProgram::new(2);
 //! program.push_gate(Gate::H, &[0]);
@@ -87,7 +87,7 @@
 //!     vec![(0, Pauli::Z), (1, Pauli::Z)],
 //!     1.0,
 //! )]);
-//! let fast = ReplayEngine::new(64, 7).expectation(&replay, &zz);
+//! let (fast, _) = ReplayEngine::new(64, 7).expectation_with_error(&replay, &zz, &NoProfile);
 //! let reference = TrajectoryEngine::new(64, 7).expectation(&program, &zz);
 //! assert_eq!(fast.to_bits(), reference.to_bits());
 //! ```
@@ -96,18 +96,16 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use hgp_math::pauli::PauliSum;
 use hgp_math::{Complex64, Matrix};
-use hgp_obs::profile::{timed, NoProfile, ProfileSink, ReplayOpKind};
+use hgp_obs::profile::ProfileSink;
 
 use crate::counts::Counts;
-use crate::kernels::{self, DiagOp};
+use crate::kernels::DiagOp;
 use crate::seed::{mix64, stream_seed};
-use crate::statevector::StateVector;
-use crate::trajectory::{draw_outcome, ChannelOp, TrajectoryOp, TrajectoryProgram};
+use crate::trajectory::{ChannelOp, TrajectoryOp, TrajectoryProgram};
 
 pub mod batch;
 pub mod exact;
@@ -316,177 +314,6 @@ impl CompiledChannel {
             CompiledChannel::General(g) => g.kraus.len(),
         }
     }
-
-    /// Draws and applies one branch — the replay mirror of
-    /// [`ChannelOp::apply_sampled`], consuming exactly one RNG draw.
-    /// The branch draw and Kraus application are charged to the channel
-    /// kind, the post-Kraus renormalize to [`ReplayOpKind::Renorm`];
-    /// `sink` only observes ([`NoProfile`] compiles it away).
-    fn apply_with<R: Rng + ?Sized, P: ProfileSink>(
-        &self,
-        psi: &mut StateVector,
-        weights: &mut Vec<f64>,
-        rng: &mut R,
-        sink: &P,
-    ) {
-        match self {
-            CompiledChannel::Mixed(mix) => timed(sink, ReplayOpKind::MixedChannel, || {
-                let r: f64 = rng.gen();
-                let mut pick = mix.cum.len() - 1;
-                for (k, &c) in mix.cum.iter().enumerate() {
-                    if r < c {
-                        pick = k;
-                        break;
-                    }
-                }
-                if let BranchApply::Apply(u) = &mix.branches[pick] {
-                    psi.apply_operator(u, &mix.targets);
-                }
-            }),
-            CompiledChannel::General(gen) => {
-                let applied = timed(sink, ReplayOpKind::GeneralChannel, || {
-                    weights.clear();
-                    match &gen.scan {
-                        WeightScan::One { target, rows } => {
-                            branch_weights_1q(psi.amplitudes(), *target, rows, weights);
-                        }
-                        WeightScan::Generic { all_mask, offs } => {
-                            for k in &gen.kraus {
-                                weights.push(branch_weight_generic(
-                                    psi.amplitudes(),
-                                    k,
-                                    *all_mask,
-                                    offs,
-                                ));
-                            }
-                        }
-                    }
-                    let total: f64 = weights.iter().sum();
-                    assert!(total > 1e-12, "channel annihilated the state");
-                    let r: f64 = rng.gen::<f64>() * total;
-                    let mut acc = 0.0;
-                    let mut pick = weights.len() - 1;
-                    for (k, &w) in weights.iter().enumerate() {
-                        acc += w;
-                        if r < acc {
-                            pick = k;
-                            break;
-                        }
-                    }
-                    if pick == 0 && gen.k0_identity {
-                        return false;
-                    }
-                    psi.apply_operator(&gen.kraus[pick], &gen.targets);
-                    true
-                });
-                if applied {
-                    timed(sink, ReplayOpKind::Renorm, || psi.renormalize());
-                }
-            }
-        }
-    }
-}
-
-/// `||K_k psi||^2` for every operator of a single-qubit channel,
-/// appended to `out` in operator order.
-///
-/// Bit-identical to per-operator [`StateVector::branch_weight`] calls:
-/// each operator's total accumulates over the same pairs in the same
-/// (ascending-base) order, every dense row runs the same `mul_add`
-/// chain, and sparse rows differ from that chain only in the signs of
-/// zero components (erased by `norm_sqr`) or skip exact `+0.0`
-/// contributions, which leave a running total's bits untouched.
-fn branch_weights_1q(
-    amps: &[Complex64],
-    target: usize,
-    rows: &[(Row1q, Row1q)],
-    out: &mut Vec<f64>,
-) {
-    for &r in rows {
-        out.push(branch_weight_1q(amps, target, r));
-    }
-}
-
-/// One operator's weight sweep, specialized per sparsity pattern so the
-/// hot patterns (diagonal, single-entry — the standard damping and
-/// relaxation sets) run branch-free tight loops over only the half of
-/// the state they read. Pairs are enumerated block-contiguously —
-/// bit-clear and bit-set halves of each `2*bit` block — which visits
-/// the same bases in the same ascending order as the reference scan.
-fn branch_weight_1q(amps: &[Complex64], target: usize, rows: (Row1q, Row1q)) -> f64 {
-    let bit = 1usize << target;
-    let mut total = 0.0;
-    match rows {
-        // The zero operator: every contribution is +0.0, as is their sum.
-        (Row1q::Zero, Row1q::Zero) => {}
-        // Diagonal operator (thermal K0, damping K0).
-        (Row1q::Lo(m0), Row1q::Hi(m1)) => {
-            for block in amps.chunks_exact(2 * bit) {
-                let (lo, hi) = block.split_at(bit);
-                for (&a0, &a1) in lo.iter().zip(hi.iter()) {
-                    total += (m0 * a0).norm_sqr();
-                    total += (m1 * a1).norm_sqr();
-                }
-            }
-        }
-        // Only the |0><1| entry (damping K1): reads the bit-set half.
-        (Row1q::Hi(m), Row1q::Zero) | (Row1q::Zero, Row1q::Hi(m)) => {
-            for block in amps.chunks_exact(2 * bit) {
-                for &a1 in &block[bit..] {
-                    total += (m * a1).norm_sqr();
-                }
-            }
-        }
-        // Only a |.><0| entry: reads the bit-clear half.
-        (Row1q::Lo(m), Row1q::Zero) | (Row1q::Zero, Row1q::Lo(m)) => {
-            for block in amps.chunks_exact(2 * bit) {
-                for &a0 in &block[..bit] {
-                    total += (m * a0).norm_sqr();
-                }
-            }
-        }
-        // Anything else: the reference two-row `mul_add` chains (sparse
-        // rows still skip their zero terms, which norm_sqr erases).
-        (r0, r1) => {
-            let row = |r: Row1q, a0: Complex64, a1: Complex64| match r {
-                Row1q::Zero => 0.0,
-                Row1q::Lo(m) => (m * a0).norm_sqr(),
-                Row1q::Hi(m) => (m * a1).norm_sqr(),
-                // hgp-analysis: allow(d4) -- this fused chain IS the pinned
-                // reference arithmetic the parity tests fix.
-                Row1q::Both(l, h) => h.mul_add(a1, l.mul_add(a0, Complex64::ZERO)).norm_sqr(),
-            };
-            for block in amps.chunks_exact(2 * bit) {
-                let (lo, hi) = block.split_at(bit);
-                for (&a0, &a1) in lo.iter().zip(hi.iter()) {
-                    total += row(r0, a0, a1);
-                    total += row(r1, a0, a1);
-                }
-            }
-        }
-    }
-    total
-}
-
-/// `||K psi||^2` with precomputed block offsets — the multi-qubit
-/// fallback, arithmetic-identical to [`StateVector::branch_weight`].
-fn branch_weight_generic(amps: &[Complex64], op: &Matrix, all_mask: usize, offs: &[usize]) -> f64 {
-    let mut total = 0.0;
-    for base in 0..amps.len() {
-        if base & all_mask != 0 {
-            continue;
-        }
-        for r in 0..offs.len() {
-            let mut acc = Complex64::ZERO;
-            for (c, &off) in offs.iter().enumerate() {
-                // hgp-analysis: allow(d4) -- this fused chain IS the pinned
-                // reference arithmetic the parity tests fix.
-                acc = op[(r, c)].mul_add(amps[base + off], acc);
-            }
-            total += acc.norm_sqr();
-        }
-    }
-    total
 }
 
 /// Where a trajectory op landed in the compiled tape — the handle
@@ -644,86 +471,20 @@ impl ReplayProgram {
             other => panic!("slot {other:?} is not a dense op"),
         }
     }
-
-    /// Runs one trajectory into the scratch state (resetting it to
-    /// `|0...0>` first). The hot loop: no allocation, no dispatch.
-    pub fn run_into<R: Rng + ?Sized>(&self, scratch: &mut ReplayScratch, rng: &mut R) {
-        self.run_into_profiled(scratch, rng, &NoProfile);
-    }
-
-    /// [`ReplayProgram::run_into`] with an opt-in [`ProfileSink`]
-    /// attributing each op's wall time to its [`ReplayOpKind`]. With
-    /// [`NoProfile`] this monomorphizes to the unprofiled loop exactly
-    /// (no clock reads); with any sink the arithmetic and RNG stream
-    /// are untouched, so results stay bit-identical.
-    pub fn run_into_profiled<R: Rng + ?Sized, P: ProfileSink>(
-        &self,
-        scratch: &mut ReplayScratch,
-        rng: &mut R,
-        sink: &P,
-    ) {
-        assert_eq!(scratch.psi.n_qubits(), self.n_qubits, "scratch width");
-        scratch.psi.reset_zero();
-        for op in &self.ops {
-            match op {
-                ReplayOp::DiagRun { start, len } => timed(sink, ReplayOpKind::DiagRun, || {
-                    kernels::apply_diag_run_exact(
-                        scratch.psi.amps_mut(),
-                        &self.diag[*start..*start + *len],
-                    )
-                }),
-                ReplayOp::Apply { targets, matrix } => {
-                    let kind = if targets.len() == 1 {
-                        ReplayOpKind::Dense1q
-                    } else {
-                        ReplayOpKind::Dense2q
-                    };
-                    timed(sink, kind, || scratch.psi.apply_operator(matrix, targets))
-                }
-                ReplayOp::Channel(c) => {
-                    self.channels[*c].apply_with(&mut scratch.psi, &mut scratch.weights, rng, sink)
-                }
-            }
-        }
-    }
-}
-
-/// Per-worker reusable buffers: the statevector a trajectory evolves in
-/// and the branch-weight scratch of general channels. Allocated once per
-/// worker, reused across every shot.
-#[derive(Debug)]
-pub struct ReplayScratch {
-    psi: StateVector,
-    weights: Vec<f64>,
-}
-
-impl ReplayScratch {
-    /// Scratch sized for `program`.
-    pub fn for_program(program: &ReplayProgram) -> Self {
-        Self {
-            psi: StateVector::zero_state(program.n_qubits()),
-            weights: Vec::with_capacity(program.max_branches),
-        }
-    }
-
-    /// The state left by the last [`ReplayProgram::run_into`].
-    pub fn state(&self) -> &StateVector {
-        &self.psi
-    }
 }
 
 /// Runs trajectory ensembles over a compiled replay tape — the drop-in,
 /// bit-identical fast path for [`crate::TrajectoryEngine`]. Same seed
-/// stream (`stream_seed(mix64(base), i)`), same reductions; per-worker
-/// scratch arenas instead of per-shot allocation, and the diagonal of a
-/// diagonal observable is tabulated once per ensemble instead of
-/// re-evaluated per shot.
+/// stream (`stream_seed(mix64(base), i)`), same reductions; shots run in
+/// blocks of per-worker [`ReplayBatch`] arenas instead of per-shot
+/// allocations, and the diagonal of a diagonal observable is tabulated
+/// once per ensemble instead of re-evaluated per shot.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayEngine {
     n_trajectories: usize,
     base_seed: u64,
-    /// Shot-block override for the batched path; `None` uses the
-    /// default policy of [`ReplayEngine::block_size_for`].
+    /// Shot-block override; `None` uses the default policy of
+    /// [`ReplayEngine::block_size_for`].
     block_size: Option<usize>,
 }
 
@@ -743,8 +504,8 @@ impl ReplayEngine {
         }
     }
 
-    /// Overrides the batched path's shots-per-block. Every block size
-    /// produces bit-identical results (blocks are pure partitions of the
+    /// Overrides the shots-per-block. Every block size produces
+    /// bit-identical results (blocks are pure partitions of the
     /// per-trajectory seed stream); the default policy is
     /// [`ReplayEngine::block_size_for`]'s.
     ///
@@ -757,21 +518,20 @@ impl ReplayEngine {
         self
     }
 
-    /// The shot-block size the batched entry points will use for
-    /// `program`: the [`ReplayEngine::with_block_size`] override if set,
-    /// otherwise [`batch::default_block_size`] (up to 64 shots within
-    /// 32 MiB of arena), never more than the ensemble.
+    /// The shot-block size the engine will use for `program`: the
+    /// [`ReplayEngine::with_block_size`] override if set, otherwise
+    /// [`batch::default_block_size`] (up to 64 shots within 32 MiB of
+    /// arena), never more than the ensemble.
     pub fn block_size_for(&self, program: &ReplayProgram) -> usize {
         self.block_size
             .unwrap_or_else(|| batch::default_block_size(program.n_qubits()))
             .min(self.n_trajectories)
     }
 
-    /// The batched path's partition of the ensemble: contiguous
-    /// trajectory ranges at fixed multiples of
-    /// [`ReplayEngine::block_size_for`], the last one possibly ragged.
-    /// Boundaries are a pure function of `(n_trajectories, block size)`,
-    /// independent of worker count.
+    /// The engine's partition of the ensemble: contiguous trajectory
+    /// ranges at fixed multiples of [`ReplayEngine::block_size_for`],
+    /// the last one possibly ragged. Boundaries are a pure function of
+    /// `(n_trajectories, block size)`, independent of worker count.
     pub fn shot_blocks(&self, program: &ReplayProgram) -> impl Iterator<Item = Range<usize>> {
         let n = self.n_trajectories;
         let block = self.block_size_for(program);
@@ -802,137 +562,14 @@ impl ReplayEngine {
         stream_seed(mix64(self.base_seed), index as u64)
     }
 
-    /// Maps every trajectory index through `f`, returning results in
-    /// trajectory order. The ensemble splits into contiguous blocks —
-    /// one [`ReplayScratch`] each, allocated once per block — that fan
-    /// out over the shared rayon pool (the same pool every other
-    /// parallel path in the workspace uses, so nested serving workers
-    /// do not oversubscribe the host). Results are a pure function of
-    /// `(program, base_seed, index)`, so any partition is bit-identical
-    /// to the sequential loop.
-    fn map_trajectories<T, F>(&self, program: &ReplayProgram, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut ReplayScratch, usize) -> T + Sync,
-    {
-        let n = self.n_trajectories;
-        let workers = rayon::current_num_threads().min(n).max(1);
-        if workers <= 1 {
-            let mut scratch = ReplayScratch::for_program(program);
-            return (0..n).map(|i| f(&mut scratch, i)).collect();
-        }
-        let block = n.div_ceil(workers);
-        let blocks: Vec<Vec<T>> = (0..n.div_ceil(block))
-            .into_par_iter()
-            .map(|w| {
-                let lo = w * block;
-                let hi = ((w + 1) * block).min(n);
-                let mut scratch = ReplayScratch::for_program(program);
-                (lo..hi).map(|i| f(&mut scratch, i)).collect()
-            })
-            .collect();
-        blocks.into_iter().flatten().collect()
-    }
-
-    /// Per-trajectory expectation values, in trajectory order —
-    /// bit-identical to [`crate::TrajectoryEngine::expectations`] on the
-    /// source program.
-    pub fn expectations(&self, program: &ReplayProgram, observable: &PauliSum) -> Vec<f64> {
-        assert_eq!(
-            observable.n_qubits(),
-            program.n_qubits(),
-            "observable width must match the program"
-        );
-        // A diagonal observable's per-basis values are shot-invariant:
-        // tabulate once per ensemble. Each table entry is the very value
-        // `eval_diagonal` would return inside the shot loop, and the
-        // per-shot sum runs in the same basis order — bit-identical,
-        // O(2^n * terms) once instead of per shot.
-        let table: Option<Vec<f64>> = observable.is_diagonal().then(|| {
-            (0..1usize << program.n_qubits())
-                .map(|b| observable.eval_diagonal(b))
-                .collect()
-        });
-        self.map_trajectories(program, |scratch, i| {
-            // hgp-analysis: allow(d2) -- `trajectory_seed` is
-            // `stream_seed(mix64(base), i)`: pure in (base, i).
-            let mut rng = StdRng::seed_from_u64(self.trajectory_seed(i));
-            program.run_into(scratch, &mut rng);
-            match &table {
-                // Same basis order and per-term arithmetic as the
-                // reference's `amps[b].norm_sqr() * eval_diagonal(b)`
-                // sum; the zip elides the per-index bounds checks.
-                Some(diag) => scratch
-                    .psi
-                    .amplitudes()
-                    .iter()
-                    .zip(diag.iter())
-                    .map(|(a, &d)| a.norm_sqr() * d)
-                    .sum(),
-                None => scratch.psi.expectation(observable),
-            }
-        })
-    }
-
-    /// Ensemble-mean expectation, bit-identical to
-    /// [`crate::TrajectoryEngine::expectation`].
-    pub fn expectation(&self, program: &ReplayProgram, observable: &PauliSum) -> f64 {
-        let values = self.expectations(program, observable);
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-
-    /// Ensemble mean plus its standard error, bit-identical to
-    /// [`crate::TrajectoryEngine::expectation_with_error`].
-    pub fn expectation_with_error(
-        &self,
-        program: &ReplayProgram,
-        observable: &PauliSum,
-    ) -> (f64, f64) {
-        let values = self.expectations(program, observable);
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        if values.len() < 2 {
-            return (mean, 0.0);
-        }
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-        (mean, (var / n).sqrt())
-    }
-
-    /// One computational-basis shot per trajectory, bit-identical to
-    /// [`crate::TrajectoryEngine::sample_counts`].
-    pub fn sample_counts(&self, program: &ReplayProgram) -> Counts {
-        self.sample_counts_with(program, |bits, _| bits)
-    }
-
-    /// [`ReplayEngine::sample_counts`] with a post-measurement hook
-    /// `corrupt(bits, rng) -> bits` (shot-level readout confusion),
-    /// bit-identical to
-    /// [`crate::TrajectoryEngine::sample_counts_with`].
-    pub fn sample_counts_with<F>(&self, program: &ReplayProgram, corrupt: F) -> Counts
-    where
-        F: Fn(usize, &mut StdRng) -> usize + Sync,
-    {
-        let outcomes: Vec<usize> = self.map_trajectories(program, |scratch, i| {
-            // hgp-analysis: allow(d2) -- `trajectory_seed` is
-            // `stream_seed(mix64(base), i)`: pure in (base, i).
-            let mut rng = StdRng::seed_from_u64(self.trajectory_seed(i));
-            program.run_into(scratch, &mut rng);
-            let bits = draw_outcome(&scratch.psi, &mut rng);
-            corrupt(bits, &mut rng)
-        });
-        let mut counts = Counts::new(program.n_qubits());
-        for bits in outcomes {
-            counts.record(bits, 1);
-        }
-        counts
-    }
-
     /// Maps every shot block of [`ReplayEngine::shot_blocks`] through
     /// `f`, returning per-shot results in trajectory order. The blocks
-    /// fan out over the shared rayon pool, one [`ReplayBatch`] arena
-    /// each. Per-shot purity (each shot's result depends only on
-    /// `(program, base_seed, index)`) makes every such partition
-    /// bit-identical to the sequential scalar loop.
+    /// fan out over the shared rayon pool (the same pool every other
+    /// parallel path in the workspace uses, so nested serving workers
+    /// do not oversubscribe the host), one [`ReplayBatch`] arena each.
+    /// Each shot's result depends only on `(program, base_seed, index)`,
+    /// so every partition is bit-identical to running the shots one at
+    /// a time.
     fn map_shot_blocks<T, F>(&self, program: &ReplayProgram, f: F) -> Vec<T>
     where
         T: Send,
@@ -961,18 +598,14 @@ impl ReplayEngine {
         blocks.into_iter().flatten().collect()
     }
 
-    /// Per-trajectory expectation values through the batched SoA path —
-    /// bit-identical to [`ReplayEngine::expectations`] (and therefore to
-    /// the reference [`crate::TrajectoryEngine`]) for every block size.
-    pub fn expectations_batched(&self, program: &ReplayProgram, observable: &PauliSum) -> Vec<f64> {
-        self.expectations_batched_profiled(program, observable, &NoProfile)
-    }
-
-    /// [`ReplayEngine::expectations_batched`] with an opt-in
-    /// [`ProfileSink`]. The sink is shared across the worker pool
-    /// (relaxed atomic accumulation), so per-op-kind totals cover the
-    /// whole ensemble; results stay bit-identical for any sink.
-    pub fn expectations_batched_profiled<P: ProfileSink>(
+    /// Per-trajectory expectation values, in trajectory order —
+    /// bit-identical to [`crate::TrajectoryEngine::expectations`] on the
+    /// source program for every block size. `sink` attributes per-op-kind
+    /// wall time; it is shared across the worker pool (relaxed atomic
+    /// accumulation), so its totals cover the whole ensemble, and it
+    /// never changes a result bit. Pass [`crate::NoProfile`] for the bare
+    /// loop.
+    pub fn expectations<P: ProfileSink>(
         &self,
         program: &ReplayProgram,
         observable: &PauliSum,
@@ -983,13 +616,18 @@ impl ReplayEngine {
             program.n_qubits(),
             "observable width must match the program"
         );
+        // A diagonal observable's per-basis values are shot-invariant:
+        // tabulate once per ensemble. Each table entry is the very value
+        // `eval_diagonal` would return inside the shot loop, and the
+        // per-shot sum runs in the same basis order — bit-identical,
+        // O(2^n * terms) once instead of per shot.
         let table: Option<Vec<f64>> = observable.is_diagonal().then(|| {
             (0..1usize << program.n_qubits())
                 .map(|b| observable.eval_diagonal(b))
                 .collect()
         });
         self.map_shot_blocks(program, |shots, block| {
-            shots.run_profiled(program, &self.block_seeds(block), sink);
+            shots.run(program, &self.block_seeds(block), sink);
             match &table {
                 Some(diag) => shots.diagonal_expectations(diag),
                 None => (0..shots.n_shots())
@@ -999,33 +637,16 @@ impl ReplayEngine {
         })
     }
 
-    /// Ensemble-mean expectation through the batched path, bit-identical
-    /// to [`ReplayEngine::expectation`].
-    pub fn expectation_batched(&self, program: &ReplayProgram, observable: &PauliSum) -> f64 {
-        let values = self.expectations_batched(program, observable);
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-
-    /// Ensemble mean plus its standard error through the batched path,
-    /// bit-identical to [`ReplayEngine::expectation_with_error`].
-    pub fn expectation_with_error_batched(
-        &self,
-        program: &ReplayProgram,
-        observable: &PauliSum,
-    ) -> (f64, f64) {
-        self.expectation_with_error_batched_profiled(program, observable, &NoProfile)
-    }
-
-    /// [`ReplayEngine::expectation_with_error_batched`] with an opt-in
-    /// [`ProfileSink`] (see
-    /// [`ReplayEngine::expectations_batched_profiled`]).
-    pub fn expectation_with_error_batched_profiled<P: ProfileSink>(
+    /// Ensemble mean plus its standard error, bit-identical to
+    /// [`crate::TrajectoryEngine::expectation_with_error`]; `sink` as in
+    /// [`ReplayEngine::expectations`].
+    pub fn expectation_with_error<P: ProfileSink>(
         &self,
         program: &ReplayProgram,
         observable: &PauliSum,
         sink: &P,
     ) -> (f64, f64) {
-        let values = self.expectations_batched_profiled(program, observable, sink);
+        let values = self.expectations(program, observable, sink);
         let n = values.len() as f64;
         let mean = values.iter().sum::<f64>() / n;
         if values.len() < 2 {
@@ -1035,37 +656,19 @@ impl ReplayEngine {
         (mean, (var / n).sqrt())
     }
 
-    /// One computational-basis shot per trajectory through the batched
-    /// path, bit-identical to [`ReplayEngine::sample_counts`].
-    pub fn sample_counts_batched(&self, program: &ReplayProgram) -> Counts {
-        self.sample_counts_with_batched(program, |bits, _| bits)
-    }
-
-    /// [`ReplayEngine::sample_counts_with`]'s batched counterpart: the
-    /// corruption hook sees each shot's RNG exactly where the scalar
-    /// engine leaves it (after the outcome draw).
-    pub fn sample_counts_with_batched<F>(&self, program: &ReplayProgram, corrupt: F) -> Counts
-    where
-        F: Fn(usize, &mut StdRng) -> usize + Sync,
-    {
-        self.sample_counts_with_batched_profiled(program, corrupt, &NoProfile)
-    }
-
-    /// [`ReplayEngine::sample_counts_with_batched`] with an opt-in
-    /// [`ProfileSink`] (see
-    /// [`ReplayEngine::expectations_batched_profiled`]).
-    pub fn sample_counts_with_batched_profiled<F, P>(
-        &self,
-        program: &ReplayProgram,
-        corrupt: F,
-        sink: &P,
-    ) -> Counts
+    /// One computational-basis shot per trajectory with a
+    /// post-measurement hook `corrupt(bits, rng) -> bits` (shot-level
+    /// readout confusion; pass `|bits, _| bits` for none), bit-identical
+    /// to [`crate::TrajectoryEngine::sample_counts_with`]: the hook sees
+    /// each shot's RNG right after its outcome draw. `sink` as in
+    /// [`ReplayEngine::expectations`].
+    pub fn sample_counts_with<F, P>(&self, program: &ReplayProgram, corrupt: F, sink: &P) -> Counts
     where
         F: Fn(usize, &mut StdRng) -> usize + Sync,
         P: ProfileSink,
     {
         let outcomes: Vec<usize> = self.map_shot_blocks(program, |shots, block| {
-            shots.run_profiled(program, &self.block_seeds(block), sink);
+            shots.run(program, &self.block_seeds(block), sink);
             let bits = shots.draw_outcomes();
             bits.into_iter()
                 .enumerate()
@@ -1087,6 +690,8 @@ mod tests {
     use hgp_circuit::{Gate, Param};
     use hgp_math::c64;
     use hgp_math::pauli::{sigma_x, sigma_y, sigma_z, Pauli, PauliString, PauliSum};
+    use hgp_obs::profile::NoProfile;
+    use rand::Rng;
 
     fn depolarizing_op(p: f64) -> ChannelOp {
         let kraus = vec![
@@ -1162,7 +767,7 @@ mod tests {
         let obs = zz(3, 0, 2);
         for seed in [0u64, 7, 12345] {
             let reference = TrajectoryEngine::new(96, seed).expectations(&program, &obs);
-            let fast = ReplayEngine::new(96, seed).expectations(&replay, &obs);
+            let fast = ReplayEngine::new(96, seed).expectations(&replay, &obs, &NoProfile);
             assert_eq!(reference.len(), fast.len());
             for (a, b) in reference.iter().zip(fast.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -1179,7 +784,7 @@ mod tests {
             PauliString::new(3, vec![(2, Pauli::Y)], -0.2),
         ]);
         let reference = TrajectoryEngine::new(48, 5).expectation_with_error(&program, &obs);
-        let fast = ReplayEngine::new(48, 5).expectation_with_error(&replay, &obs);
+        let fast = ReplayEngine::new(48, 5).expectation_with_error(&replay, &obs, &NoProfile);
         assert_eq!(reference.0.to_bits(), fast.0.to_bits());
         assert_eq!(reference.1.to_bits(), fast.1.to_bits());
     }
@@ -1196,11 +801,11 @@ mod tests {
             }
         };
         let reference = TrajectoryEngine::new(256, 11).sample_counts_with(&program, corrupt);
-        let fast = ReplayEngine::new(256, 11).sample_counts_with(&replay, corrupt);
+        let fast = ReplayEngine::new(256, 11).sample_counts_with(&replay, corrupt, &NoProfile);
         assert_eq!(reference, fast);
         assert_eq!(
             TrajectoryEngine::new(128, 3).sample_counts(&program),
-            ReplayEngine::new(128, 3).sample_counts(&replay)
+            ReplayEngine::new(128, 3).sample_counts_with(&replay, |bits, _| bits, &NoProfile)
         );
     }
 
@@ -1232,39 +837,39 @@ mod tests {
         replay.substitute_unitary(slots[2], &Gate::Rx(Param::bound(0.9)).matrix().unwrap());
         let fresh = ReplayProgram::compile(&build(-1.1, 0.9));
         let obs = zz(2, 0, 1);
-        let a = ReplayEngine::new(64, 4).expectations(&replay, &obs);
-        let b = ReplayEngine::new(64, 4).expectations(&fresh, &obs);
+        let a = ReplayEngine::new(64, 4).expectations(&replay, &obs, &NoProfile);
+        let b = ReplayEngine::new(64, 4).expectations(&fresh, &obs, &NoProfile);
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
     #[test]
-    fn batched_replay_is_bit_identical_across_block_sizes() {
+    fn replay_is_bit_identical_across_block_sizes() {
         let program = mixed_program();
         let replay = ReplayProgram::compile(&program);
         let obs = zz(3, 0, 2);
+        let reference = TrajectoryEngine::new(97, 13).expectations(&program, &obs);
         let engine = ReplayEngine::new(97, 13);
-        let scalar = engine.expectations(&replay, &obs);
         // Sizes that divide the ensemble, sizes that don't, a single-shot
         // block, one block for everything, and the width-derived default.
         for block in [1usize, 2, 3, 16, 64, 97, 200] {
-            let batched = engine
+            let got = engine
                 .with_block_size(block)
-                .expectations_batched(&replay, &obs);
-            assert_eq!(scalar.len(), batched.len());
-            for (a, b) in scalar.iter().zip(batched.iter()) {
+                .expectations(&replay, &obs, &NoProfile);
+            assert_eq!(reference.len(), got.len());
+            for (a, b) in reference.iter().zip(got.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "block size {block}");
             }
         }
-        let batched = engine.expectations_batched(&replay, &obs);
-        for (a, b) in scalar.iter().zip(batched.iter()) {
+        let got = engine.expectations(&replay, &obs, &NoProfile);
+        for (a, b) in reference.iter().zip(got.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
     #[test]
-    fn batched_counts_and_errors_match_scalar_bitwise() {
+    fn counts_and_errors_match_the_reference_at_any_block_size() {
         let program = mixed_program();
         let replay = ReplayProgram::compile(&program);
         let corrupt = |bits: usize, rng: &mut StdRng| {
@@ -1274,25 +879,21 @@ mod tests {
                 bits
             }
         };
-        let scalar = ReplayEngine::new(193, 21).sample_counts_with(&replay, corrupt);
+        let reference = TrajectoryEngine::new(193, 21).sample_counts_with(&program, corrupt);
         for block in [1usize, 5, 32, 193] {
-            let batched = ReplayEngine::new(193, 21)
+            let got = ReplayEngine::new(193, 21)
                 .with_block_size(block)
-                .sample_counts_with_batched(&replay, corrupt);
-            assert_eq!(scalar, batched, "block size {block}");
+                .sample_counts_with(&replay, corrupt, &NoProfile);
+            assert_eq!(reference, got, "block size {block}");
         }
-        assert_eq!(
-            ReplayEngine::new(64, 3).sample_counts(&replay),
-            ReplayEngine::new(64, 3).sample_counts_batched(&replay)
-        );
         let obs = PauliSum::from_terms(vec![
             PauliString::new(3, vec![(0, Pauli::X), (2, Pauli::Z)], 0.5),
             PauliString::new(3, vec![(1, Pauli::Y)], 1.5),
         ]);
-        let a = ReplayEngine::new(33, 2).expectation_with_error(&replay, &obs);
+        let a = TrajectoryEngine::new(33, 2).expectation_with_error(&program, &obs);
         let b = ReplayEngine::new(33, 2)
             .with_block_size(4)
-            .expectation_with_error_batched(&replay, &obs);
+            .expectation_with_error(&replay, &obs, &NoProfile);
         assert_eq!(a.0.to_bits(), b.0.to_bits());
         assert_eq!(a.1.to_bits(), b.1.to_bits());
     }
@@ -1364,15 +965,16 @@ mod tests {
         let obs = zz(3, 0, 2);
         let engine = ReplayEngine::new(131, 17);
         let single = engine.with_block_size(1);
-        let a = engine.expectations_batched(&replay, &obs);
-        let b = single.expectations_batched(&replay, &obs);
+        let a = engine.expectations(&replay, &obs, &NoProfile);
+        let b = single.expectations(&replay, &obs, &NoProfile);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+        let keep = |bits, _: &mut StdRng| bits;
         assert_eq!(
-            engine.sample_counts_batched(&replay),
-            single.sample_counts_batched(&replay)
+            engine.sample_counts_with(&replay, keep, &NoProfile),
+            single.sample_counts_with(&replay, keep, &NoProfile)
         );
     }
 

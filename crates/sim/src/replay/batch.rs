@@ -1,17 +1,18 @@
 //! Batched-shot replay: lockstep SoA trajectory ensembles over the op
 //! tape.
 //!
-//! The scalar [`super::ReplayEngine`] loop runs one trajectory at a
-//! time: every shot of an ensemble decodes the same tape, reloads the
-//! same resolved matrices, and re-reads the same channel sampling
-//! tables. [`ReplayBatch`] inverts the loop nest — **op-major instead of
-//! shot-major**: `S` statevectors live in one structure-of-arrays arena
-//! and each tape entry sweeps all `S` resident shots before the next
-//! entry is decoded. Tape decode, matrix loads, diagonal factor
-//! lookups, and channel-table reads are paid once per op per *block*
-//! instead of once per op per *shot*, and the innermost loops run over
-//! `S` contiguous lanes with loop-invariant coefficients — the shape the
-//! auto-vectorizer wants.
+//! Run one trajectory at a time and every shot of an ensemble decodes
+//! the same tape, reloads the same resolved matrices, and re-reads the
+//! same channel sampling tables. [`ReplayBatch`] inverts the loop nest —
+//! **op-major instead of shot-major**: `S` statevectors live in one
+//! structure-of-arrays arena and each tape entry sweeps all `S` resident
+//! shots before the next entry is decoded. Tape decode, matrix loads,
+//! diagonal factor lookups, and channel-table reads are paid once per op
+//! per *block* instead of once per op per *shot*, and the innermost
+//! loops run over `S` contiguous lanes with loop-invariant coefficients
+//! — the shape the auto-vectorizer wants. [`super::ReplayEngine`] is the
+//! one driver: it partitions an ensemble into blocks and runs each on a
+//! per-worker batch.
 //!
 //! # Layout: amplitude-major split re/im planes
 //!
@@ -20,14 +21,14 @@
 //! across shots, with the two components in separate planes. Two
 //! alternatives lose:
 //!
-//! - **shot-major** (`S` contiguous full statevectors) degenerates to
-//!   the scalar loop with shared decode — every kernel still walks one
-//!   shot's amplitudes with per-amplitude index arithmetic, and nothing
-//!   vectorizes across shots;
+//! - **shot-major** (`S` contiguous full statevectors) degenerates to a
+//!   one-shot-at-a-time loop with shared decode — every kernel still
+//!   walks one shot's amplitudes with per-amplitude index arithmetic,
+//!   and nothing vectorizes across shots;
 //! - **interleaved `Complex64` lanes** (amplitude-major, but `(re, im)`
 //!   pairs) keep the right loop shape yet defeat the vectorizer: complex
 //!   multiply over interleaved pairs needs cross-lane shuffles, and the
-//!   measured batched path ran at parity with the scalar engine.
+//!   measured batched path ran no faster than one shot at a time.
 //!
 //! Split planes turn every kernel's inner loop into straight-line `f64`
 //! lane arithmetic (each shot's real and imaginary parts computed from
@@ -43,8 +44,8 @@
 //! expression per lane, and rustc never contracts separate multiplies
 //! and adds into FMAs, so both paths produce identical bits.
 //! `BENCH_replay.json`'s `replay_batched_expectation_*` entries record
-//! the measured advantage over the scalar engine on the same tape at
-//! 12 and 16 qubits.
+//! the measured advantage over the reference [`crate::TrajectoryEngine`]
+//! on the same schedule at 12 and 16 qubits.
 //!
 //! # Block size: fill the lanes
 //!
@@ -53,24 +54,23 @@
 //! op's shape — before its `S`-wide lane loop does any arithmetic. The
 //! block size therefore decides how much work each row's overhead is
 //! spread over, and that, not cache residency, is what the batched path
-//! gains or loses by: a 16-qubit block sized to stay in L2 holds 2 shots
-//! and runs slower than the scalar loop, while an 8-shot block of the
-//! same width streams 8 MiB per sweep and runs more than twice as fast as
-//! the 2-shot one. [`default_block_size`] therefore caps a block at 64
-//! shots and 32 MiB of arena rather than at a cache size.
+//! gains or loses by: at 16 qubits an 8-shot block streams 8 MiB per
+//! sweep and runs more than twice as fast per shot as a 2-shot block
+//! sized to stay in L2. [`default_block_size`] therefore caps a block at
+//! 64 shots and 32 MiB of arena rather than at a cache size.
 //!
 //! # Divergence at channels
 //!
 //! Channels are the one place shots disagree about what happens next.
 //! Each resident shot keeps its own [`StdRng`] (seeded from the
-//! *identical* per-trajectory stream the scalar engine uses) and draws
-//! exactly where the scalar engine draws — one `f64` per channel per
-//! shot. The branch *picks* therefore match the scalar run bit for bit;
-//! application is then regrouped: shots that picked the same branch are
-//! swept together, shots that picked an identity(-skip) branch are
-//! masked out entirely, and general channels accumulate all per-shot
-//! branch weights in strided passes over the block before any shot
-//! draws.
+//! *identical* per-trajectory stream [`crate::TrajectoryEngine`] uses)
+//! and draws exactly where the reference draws — one `f64` per channel
+//! per shot. The branch *picks* therefore match the reference run bit
+//! for bit; application is then regrouped: shots that picked the same
+//! branch are swept together, shots that picked an identity(-skip)
+//! branch are masked out entirely, and general channels accumulate all
+//! per-shot branch weights in strided passes over the block before any
+//! shot draws.
 //!
 //! # Why this is bit-identical, not just equivalent
 //!
@@ -79,26 +79,26 @@
 //! from shot-major to op-major therefore cannot change any shot's
 //! result **as long as each shot's own floating-point operation
 //! sequence is preserved** — which every kernel here does by mirroring
-//! its scalar counterpart's arithmetic expression for expression: the
-//! same per-amplitude multiply sequence for diagonal runs
-//! ([`DiagOp::factor`] order), the same `m00 * a + m01 * b` dense pair
-//! update, the same `mul_add` accumulation chains for 2q quads and
-//! generic weight scans (including their exact `x - y + z` association),
-//! the same ascending-base accumulation order for weights, norms, and
-//! diagonal observables, and the same renormalization
-//! (`norm_sqr().sqrt()`, one reciprocal, one scale pass). Splitting a
-//! `Complex64` into plane-resident components changes where the two
-//! `f64`s live, not one bit of what is computed from them. Property
-//! tests in `crates/sim/tests/replay_batch_parity.rs` pin the whole
-//! surface against the scalar engine across block sizes, splits, and
-//! seeds.
+//! the [`StateVector`] kernels the reference engine runs, expression for
+//! expression: the same per-amplitude multiply sequence for diagonal
+//! runs (factors in gate order, as gate-at-a-time application applies
+//! them), the same `m00 * a + m01 * b` dense pair update, the same
+//! `mul_add` accumulation chains for 2q quads and generic weight scans
+//! (including their exact `x - y + z` association), the same
+//! ascending-base accumulation order for weights, norms, and diagonal
+//! observables, and the same renormalization (`norm_sqr().sqrt()`, one
+//! reciprocal, one scale pass). Splitting a `Complex64` into
+//! plane-resident components changes where the two `f64`s live, not one
+//! bit of what is computed from them. Property tests in
+//! `crates/sim/tests/replay_parity.rs` pin the whole surface against
+//! [`crate::TrajectoryEngine`] across block sizes, splits, and seeds.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hgp_math::pauli::PauliSum;
 use hgp_math::{Complex64, Matrix};
-use hgp_obs::profile::{timed, NoProfile, ProfileSink, ReplayOpKind};
+use hgp_obs::profile::{timed, ProfileSink, ReplayOpKind};
 
 use crate::statevector::StateVector;
 
@@ -110,8 +110,8 @@ use super::{
 /// shot of the arena. Bodies are `#[inline(always)]` so the
 /// [`kern_avx2`] wrappers re-compile the identical expressions under
 /// the wider ISA; every inner loop is the batched transliteration of
-/// the scalar kernel's per-amplitude `Complex64` expression (see the
-/// module docs for the exact correspondences being preserved).
+/// the [`StateVector`] kernel's per-amplitude `Complex64` expression
+/// (see the module docs for the exact correspondences being preserved).
 mod kern {
     use hgp_math::Complex64;
 
@@ -121,13 +121,13 @@ mod kern {
 
     /// A fused diagonal run: per amplitude row, the factor sequence is
     /// gathered once, then each factor multiplies every shot's lane in
-    /// sequence — per shot, the exact multiply order of
-    /// `apply_diag_run_exact` (factors in op order), with the
+    /// sequence — per shot, the exact multiply order of gate-at-a-time
+    /// `apply_diag_1q`/`apply_diag_2q` (factors in op order), with the
     /// per-amplitude factor lookups amortized `S`-fold.
     ///
     /// `inv`, when present, is a deferred renormalization: each row is
     /// scaled by the per-shot reciprocal while L1-hot, before the
-    /// factor sweeps — the same `a * inv` the scalar engine stored in
+    /// factor sweeps — the same `a * inv` the reference stores in
     /// its own scale pass.
     #[inline(always)]
     pub fn diag_run(
@@ -164,7 +164,7 @@ mod kern {
         }
     }
 
-    /// Dense 1q over every resident shot: the scalar kernel's pair
+    /// Dense 1q over every resident shot: `apply_dense_1q`'s pair
     /// enumeration with the bit surgery hoisted out of the `S`-wide
     /// inner loop. Per shot, the exact `m00 * a + m01 * b` update of
     /// `apply_dense_1q`, written out over the planes. `m` is
@@ -173,8 +173,8 @@ mod kern {
     /// `inv`, when present, is a deferred renormalization: the pair
     /// inputs are scaled by the per-shot reciprocal as they are loaded
     /// (the op overwrites every amplitude, so the scaled value is
-    /// consumed, never stored) — the same `a * inv` the scalar engine
-    /// stored in its own scale pass.
+    /// consumed, never stored) — the same `a * inv` the reference
+    /// stores in its own scale pass.
     ///
     /// Diagonal and anti-diagonal matrices (the shape of most Kraus
     /// branches — thermal-relaxation `K0` is diagonal, Pauli jump
@@ -188,8 +188,8 @@ mod kern {
     /// == +0.0`), expectation and weight accumulators start at `+0.0`
     /// (and `+0.0 + ±0.0 == +0.0`), branch-pick comparisons treat `±0.0`
     /// as equal, and no path divides by or takes the sign of an
-    /// amplitude. The scalar engine's own `branch_weights_1q` pattern
-    /// rows rest on the same erasure argument.
+    /// amplitude. The sparsity-classified weight rows ([`Row1q`]) rest
+    /// on the same erasure argument.
     #[inline(always)]
     pub fn dense1q_all(
         re: &mut [f64],
@@ -287,8 +287,8 @@ mod kern {
         }
     }
 
-    /// Dense 2q over every resident shot: the scalar kernel's quad
-    /// enumeration (`apply_dense_2q`) with the index surgery hoisted.
+    /// Dense 2q over every resident shot: the quad enumeration of
+    /// `apply_dense_2q` with the index surgery hoisted.
     /// The four rows are gathered into contiguous scratch, then each
     /// output row runs the identical four-term `mul_add` accumulation
     /// chain per shot (exact `(m.re * v.re - m.im * v.im) + acc`
@@ -296,8 +296,8 @@ mod kern {
     /// `inv`, when present, is a deferred renormalization: the quad
     /// rows are scaled by the per-shot reciprocal during the gather
     /// (the op overwrites every amplitude, so the scaled value is
-    /// consumed, never stored) — the same `a * inv` the scalar engine
-    /// stored in its own scale pass.
+    /// consumed, never stored) — the same `a * inv` the reference
+    /// stores in its own scale pass.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     pub fn dense2q_all(
@@ -375,10 +375,11 @@ mod kern {
     }
 
     /// Single-qubit branch weights for all shots and all Kraus
-    /// operators in one pass: the sparsity-specialized sweeps of
-    /// `branch_weight_1q` run amplitude-major, each shot accumulating
-    /// over the same pairs in the same ascending-base order (per pair:
-    /// bit-clear term, then bit-set term).
+    /// operators in one pass: one sparsity-specialized sweep per
+    /// [`Row1q`] pattern, run amplitude-major, each shot accumulating
+    /// over the same pairs in the same ascending-base order as
+    /// `StateVector::branch_weight` (per pair: bit-clear term, then
+    /// bit-set term).
     ///
     /// The branch loop runs *inside* the pair loop, so the lo/hi rows
     /// stay L1-resident across all Kraus operators instead of the state
@@ -390,7 +391,7 @@ mod kern {
     /// rows are scaled in place (the scan does not overwrite the state,
     /// so the scaled amplitudes must be stored for later ops) while
     /// L1-hot, before the weight terms read them — the same `a * inv`
-    /// the scalar engine stored in its own scale pass.
+    /// the reference stores in its own scale pass.
     #[inline(always)]
     pub fn weights_1q_scan(
         weights: &mut [f64],
@@ -452,9 +453,9 @@ mod kern {
                             }
                         }
                         (r0, r1) => {
-                            // The reference per-row closure of
-                            // `branch_weight_1q`, over plane lanes
-                            // (`Both` keeps the literal `+ 0.0` of
+                            // The reference two-row `mul_add`
+                            // chains, over plane lanes (`Both` keeps
+                            // the literal `+ 0.0` of
                             // `mul_add(a0, ZERO)`).
                             let row = |r: Row1q, a0r: f64, a0i: f64, a1r: f64, a1i: f64| match r {
                                 Row1q::Zero => 0.0,
@@ -555,8 +556,8 @@ mod kern {
     }
 
     /// `out[s] += |a_b|^2 * diag[b]` over the whole arena, rows
-    /// ascending — the diagonal observable reduction of the scalar
-    /// engine, all shots at once.
+    /// ascending — the reference's diagonal observable reduction, all
+    /// shots at once.
     #[inline(always)]
     pub fn diag_expect_all(out: &mut [f64], re: &[f64], im: &[f64], s_n: usize, diag: &[f64]) {
         for ((row_re, row_im), &d) in re
@@ -850,10 +851,9 @@ pub fn default_block_size(n_qubits: usize) -> usize {
 /// in lockstep over one [`ReplayProgram`] tape. See the module docs for
 /// the layout and the bit-parity argument.
 ///
-/// A batch is the per-worker arena of the batched engine entry points
-/// ([`super::ReplayEngine::expectations_batched`] /
-/// [`super::ReplayEngine::sample_counts_batched`]): allocated once per
-/// shot block, reused across the whole tape, no per-shot allocation.
+/// A batch is the per-worker arena of the [`super::ReplayEngine`] entry
+/// points: allocated once per shot block, reused across the whole
+/// tape, no per-shot allocation.
 #[derive(Debug)]
 pub struct ReplayBatch {
     n_qubits: usize,
@@ -863,7 +863,7 @@ pub struct ReplayBatch {
     re: Vec<f64>,
     /// Imaginary plane, same indexing.
     im: Vec<f64>,
-    /// One RNG per resident shot, consumed in exactly the scalar
+    /// One RNG per resident shot, consumed in exactly the reference
     /// engine's draw order for that shot.
     rngs: Vec<StdRng>,
     /// General-channel weight accumulators, `weights[k * n_shots + s]` =
@@ -894,7 +894,7 @@ pub struct ReplayBatch {
     /// Per-shot fallback state: operators wider than two qubits (which
     /// no recorded schedule in this workspace produces) and
     /// non-diagonal observables extract one shot here and reuse the
-    /// scalar [`StateVector`] machinery.
+    /// [`StateVector`] machinery.
     psi: StateVector,
 }
 
@@ -939,37 +939,31 @@ impl ReplayBatch {
     }
 
     /// The RNG of resident shot `s`, positioned wherever the tape left
-    /// it — the scalar engine's post-run stream position for that shot.
+    /// it — the reference engine's post-run stream position for that
+    /// shot.
     pub fn rng_mut(&mut self, s: usize) -> &mut StdRng {
         &mut self.rngs[s]
     }
 
     /// Replays `program` over all resident shots in lockstep, shot `s`
-    /// seeded from `seeds[s]` — bit-identical per shot to
-    /// [`ReplayProgram::run_into`] with `StdRng::seed_from_u64(seeds[s])`.
+    /// seeded from `seeds[s]` — bit-identical per shot to one
+    /// [`crate::TrajectoryEngine`] trajectory of the recorded program
+    /// under `StdRng::seed_from_u64(seeds[s])`.
+    ///
+    /// `sink` attributes each tape op's wall time to its
+    /// [`ReplayOpKind`] (dense ops by arity, channels by shape, the
+    /// end-of-tape deferred scale pass to [`ReplayOpKind::Renorm`]; a
+    /// scale pass a channel resolves mid-tape is charged to that
+    /// channel). With [`crate::NoProfile`] this monomorphizes to the
+    /// unprofiled loop exactly; with any sink the kernels, fusion
+    /// decisions, and RNG streams are untouched, so every shot stays
+    /// bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if the program width or seed count disagrees with the
     /// batch.
-    pub fn run(&mut self, program: &ReplayProgram, seeds: &[u64]) {
-        self.run_profiled(program, seeds, &NoProfile);
-    }
-
-    /// [`ReplayBatch::run`] with an opt-in [`ProfileSink`] attributing
-    /// each tape op's wall time to its [`ReplayOpKind`] (dense ops by
-    /// arity, channels by shape, the end-of-tape deferred scale pass to
-    /// [`ReplayOpKind::Renorm`]; a scale pass a channel resolves
-    /// mid-tape is charged to that channel). With [`NoProfile`] this
-    /// monomorphizes to the unprofiled loop exactly; with any sink the
-    /// kernels, fusion decisions, and RNG streams are untouched, so
-    /// every shot stays bit-identical.
-    pub fn run_profiled<P: ProfileSink>(
-        &mut self,
-        program: &ReplayProgram,
-        seeds: &[u64],
-        sink: &P,
-    ) {
+    pub fn run<P: ProfileSink>(&mut self, program: &ReplayProgram, seeds: &[u64], sink: &P) {
         assert_eq!(program.n_qubits(), self.n_qubits, "batch width");
         assert_eq!(seeds.len(), self.n_shots, "one seed per resident shot");
         self.rngs.clear();
@@ -1214,7 +1208,7 @@ impl ReplayBatch {
     }
 
     /// Operators wider than two qubits: extract each listed shot into
-    /// the scratch [`StateVector`] and reuse the scalar embed path —
+    /// the scratch [`StateVector`] and reuse its embed path —
     /// trivially the same arithmetic, and cold by construction.
     fn embed_fallback(&mut self, m: &Matrix, targets: &[usize], group: &[usize]) {
         let s_n = self.n_shots;
@@ -1234,8 +1228,8 @@ impl ReplayBatch {
     }
 
     /// A mixed-unitary channel: per-shot pick from the cumulative table
-    /// (same comparison sequence as the scalar
-    /// [`CompiledChannel::apply`]), then one grouped sweep per picked
+    /// (same comparison sequence as
+    /// [`crate::ChannelOp::apply_sampled`]'s walk), then one grouped sweep per picked
     /// non-identity branch — identity picks never touch the arena.
     fn apply_mixed(&mut self, mix: &MixedChannel) {
         // Branch applies touch only their group's shots, so a deferred
@@ -1269,7 +1263,7 @@ impl ReplayBatch {
 
     /// A general channel: every shot's branch weights accumulate in
     /// strided passes over the block, then each shot draws and picks in
-    /// the scalar order, and the picked branches apply in shot groups
+    /// the reference order, and the picked branches apply in shot groups
     /// (K0 identity-skips masked out entirely) with grouped
     /// renormalization. When every shot picked the same diagonal branch
     /// of a 1q channel, the apply and the norm scan fuse into one pass
@@ -1302,7 +1296,7 @@ impl ReplayBatch {
                 self.weights_generic(&gen.kraus, *all_mask, offs);
             }
         }
-        // Totals sum in operator order (the scalar `weights.iter().sum()`),
+        // Totals sum in operator order (the reference's weight sum),
         // one draw per shot, cumulative pick in the same order.
         for s in 0..s_n {
             let mut total = 0.0;
@@ -1356,7 +1350,7 @@ impl ReplayBatch {
     }
 
     /// Multi-qubit branch weights for all shots, mirroring
-    /// [`super::branch_weight_generic`]'s MSB-first block scan per shot.
+    /// [`StateVector::branch_weight`]'s MSB-first block scan per shot.
     fn weights_generic(&mut self, kraus: &[Matrix], all_mask: usize, offs: &[usize]) {
         let s_n = self.n_shots;
         let (re, im) = (&self.re, &self.im);
@@ -1431,7 +1425,7 @@ impl ReplayBatch {
 
     /// Per-shot expectation values of a diagonal observable from its
     /// tabulated per-basis values: each shot sums
-    /// `amps[b].norm_sqr() * diag[b]` over ascending `b`, the scalar
+    /// `amps[b].norm_sqr() * diag[b]` over ascending `b`, the reference
     /// engine's exact reduction.
     pub fn diagonal_expectations(&self, diag: &[f64]) -> Vec<f64> {
         let s_n = self.n_shots;
@@ -1445,8 +1439,8 @@ impl ReplayBatch {
 
     /// Expectation value of one resident shot against an arbitrary
     /// observable: the shot is extracted into the scratch state and
-    /// evaluated by [`StateVector::expectation`] — the scalar engine's
-    /// own non-diagonal path.
+    /// evaluated by [`StateVector::expectation`] — the reference
+    /// engine's own non-diagonal path.
     pub fn shot_expectation(&mut self, s: usize, observable: &PauliSum) -> f64 {
         let s_n = self.n_shots;
         let Self { re, im, psi, .. } = self;
@@ -1517,7 +1511,7 @@ fn uniform_diag_pick(gen: &GeneralChannel, picks: &[usize]) -> Option<[Complex64
 }
 
 /// The 4x4 operator as a register-friendly array (same element values
-/// the scalar kernel indexes per quad).
+/// `apply_dense_2q` indexes per quad).
 fn quad_matrix(m: &Matrix) -> [[Complex64; 4]; 4] {
     let mut mm = [[Complex64::ZERO; 4]; 4];
     for (r, row) in mm.iter_mut().enumerate() {

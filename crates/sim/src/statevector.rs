@@ -87,21 +87,11 @@ impl StateVector {
         &self.amps
     }
 
-    /// Raw amplitude access for the replay engine, which drives the
-    /// kernels directly over a reused scratch state.
+    /// Raw amplitude access for the replay engine, which extracts one
+    /// shot of a block into a reused scratch state.
     #[inline]
     pub(crate) fn amps_mut(&mut self) -> &mut [Complex64] {
         &mut self.amps
-    }
-
-    /// Resets the state to `|0...0>` in place (the replay engine's
-    /// per-trajectory reset — same values as [`StateVector::zero_state`],
-    /// no allocation).
-    pub(crate) fn reset_zero(&mut self) {
-        for a in &mut self.amps {
-            *a = Complex64::ZERO;
-        }
-        self.amps[0] = Complex64::ONE;
     }
 
     /// Applies a bound circuit's gates in order, fusing maximal runs of

@@ -14,7 +14,7 @@
 //!
 //! 2. **Profile accounting.** A 12-qubit noisy QAOA replay tape is
 //!    driven through the production batched engine — one
-//!    [`ReplayBatch::run_profiled`] per block of the engine's own
+//!    [`ReplayBatch::run`] per block of the engine's own
 //!    partition ([`ReplayEngine::shot_blocks`]) — in one thread with an
 //!    [`OpProfile`] attached, wall-timing the whole loop. The
 //!    per-op-kind nanosecond totals must sum to within 10% of the
@@ -224,7 +224,7 @@ fn profile_accounting(backend: &Backend, verbose: bool) {
     let profile = OpProfile::new();
     let start = Instant::now();
     for (seeds, batch) in &mut blocks {
-        batch.run_profiled(&replay, seeds, &profile);
+        batch.run(&replay, seeds, &profile);
     }
     let wall_ns = start.elapsed().as_nanos() as u64;
     let snap = profile.snapshot();

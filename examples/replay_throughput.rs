@@ -28,9 +28,10 @@
 //! ```
 //!
 //! With `--smoke`, the example instead runs a quick bit-parity gate:
-//! the batched SoA shot-block path against the scalar replay loop on
-//! the same hybrid shape, across block splits that cover single-shot
-//! blocks, non-dividing sizes, and blocks larger than the ensemble —
+//! the template-bound replay tape against the reference
+//! `TrajectoryEngine` on the recorded schedule of the same hybrid
+//! binding, across block splits that cover single-shot blocks,
+//! non-dividing sizes, and blocks larger than the ensemble —
 //! expectations and sampled counts must match bit for bit. CI runs this
 //! after compiling the benches, so the acceptance contract is exercised
 //! on every push even though timing assertions are not.
@@ -42,11 +43,11 @@ use hybrid_gate_pulse::device::Backend;
 use hybrid_gate_pulse::graph::instances;
 use hybrid_gate_pulse::serve::{Daemon, DaemonConfig, JobOutput, JobRequest, JobSpec};
 use hybrid_gate_pulse::sim::seed::stream_seed;
-use hybrid_gate_pulse::sim::{ReplayEngine, TrajectoryEngine};
+use hybrid_gate_pulse::sim::{NoProfile, ReplayEngine, TrajectoryEngine};
 
-/// Batched-vs-scalar bit parity on the served hybrid shape: every listed
-/// block split must reproduce the scalar expectations and counts
-/// exactly.
+/// Replay-vs-reference bit parity on the served hybrid shape: every
+/// listed block split must reproduce the reference engine's
+/// expectations and counts on the recorded schedule exactly.
 fn smoke() {
     let backend = Backend::ibmq_toronto();
     let graph = instances::task1_three_regular_6();
@@ -60,16 +61,18 @@ fn smoke() {
     let mut x = vec![0.35, 0.55];
     x.extend(std::iter::repeat_n(0.0, 12));
     let replay = model.compiled().bind_replay(&exec, &x);
+    let recorded = exec.trajectory_program(&model.build(&x));
 
     // An odd, non-power-of-two ensemble, so most splits leave a ragged
     // final block.
     let shots = 37;
+    let reference = TrajectoryEngine::new(shots, 0xC0FFEE);
+    let expectations = reference.expectations(&recorded, &wire_obs);
+    let counts = reference.sample_counts(&recorded);
     let engine = ReplayEngine::new(shots, 0xC0FFEE);
-    let expectations = engine.expectations(&replay, &wire_obs);
-    let counts = engine.sample_counts(&replay);
     for block in [1usize, 3, 7, 16, 37, 64] {
-        let batched = engine.with_block_size(block);
-        let got = batched.expectations_batched(&replay, &wire_obs);
+        let split = engine.with_block_size(block);
+        let got = split.expectations(&replay, &wire_obs, &NoProfile);
         assert_eq!(expectations.len(), got.len());
         for (s, (a, b)) in expectations.iter().zip(got.iter()).enumerate() {
             assert_eq!(
@@ -80,11 +83,11 @@ fn smoke() {
         }
         assert_eq!(
             counts,
-            batched.sample_counts_batched(&replay),
+            split.sample_counts_with(&replay, |bits, _| bits, &NoProfile),
             "counts diverged at block size {block}"
         );
     }
-    println!("smoke: batched replay bit-identical to scalar across block splits");
+    println!("smoke: replay bit-identical to the reference TrajectoryEngine across block splits");
 }
 
 fn main() {
