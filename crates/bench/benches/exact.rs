@@ -17,15 +17,22 @@
 //! - **template bind vs the full schedule walk** — producing an
 //!   executable exact tape from a parameter binding:
 //!   `CompiledCircuit::bind_exact` vs bind + ASAP walk + tape compile
-//!   (`Executor::exact_replay_program`).
+//!   (`Executor::exact_replay_program`),
+//! - **the Table II cell's replay** (`exact_replay_cell_6q`) — the tape
+//!   every training evaluation of the guadalupe CVaR cell replays, timed
+//!   alone and followed by its per-op-kind profile, the split the
+//!   arity-specialized channel and conjugation sweeps are judged by.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use hgp_bench::region_for;
 use hgp_core::compile::CircuitCompiler;
+use hgp_core::executor::Executor;
+use hgp_core::models::{GateModel, GateModelOptions, VqaModel};
 use hgp_core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hgp_device::Backend;
-use hgp_graph::generators;
-use hgp_sim::SimBackend;
+use hgp_graph::{generators, instances};
+use hgp_sim::{OpProfile, ReplayOpKind, SimBackend};
 
 /// A 10-qubit path in `ibmq_guadalupe`'s heavy-hex coupling map (the
 /// prefix of the 12q region the replay benches use).
@@ -94,8 +101,61 @@ fn bench_exact_bind_paths(c: &mut Criterion) {
     });
 }
 
+/// Replays profiled after the timing, for the per-op-kind split.
+const PROFILE_REPLAYS: u64 = 200;
+
+/// The Table II CVaR cell's exact tape (`ibmq_guadalupe`, gate model
+/// with gate-level optimizations, bound at the first COBYLA candidate —
+/// the model's initial parameters) replayed as every training
+/// evaluation replays it, then profiled per op kind. The profile line
+/// goes to stdout and to the JSONL sink beside the timing.
+fn bench_exact_replay_cell(c: &mut Criterion) {
+    let backend = Backend::ibmq_guadalupe();
+    let graph = instances::task1_three_regular_6();
+    let model = GateModel::new(
+        &backend,
+        &graph,
+        1,
+        region_for(&backend, 6),
+        GateModelOptions::optimized(),
+    )
+    .expect("region");
+    let exec = Executor::new(&backend, model.layout().to_vec());
+    let tape = exec.exact_replay_program(&model.build(&model.initial_params()));
+    c.bench_function("exact_replay_cell_6q", |b| {
+        b.iter(|| exec.run_exact_replay(black_box(&tape)))
+    });
+    let profile = OpProfile::new();
+    for _ in 0..PROFILE_REPLAYS {
+        exec.run_exact_replay_profiled(&tape, &profile);
+    }
+    let snap = profile.snapshot();
+    let total = snap.total_ns().max(1) as f64;
+    let kinds: Vec<String> = ReplayOpKind::ALL
+        .into_iter()
+        .filter(|k| snap.calls[k.index()] > 0)
+        .map(|k| {
+            let (calls, ns) = (snap.calls[k.index()], snap.ns[k.index()]);
+            format!(
+                "\"{}\":{{\"calls_per_replay\":{},\"ns_per_call\":{:.0},\"pct\":{:.1}}}",
+                k.name(),
+                calls / PROFILE_REPLAYS,
+                ns as f64 / calls as f64,
+                100.0 * ns as f64 / total,
+            )
+        })
+        .collect();
+    hgp_bench::emit_bench_line(&format!(
+        "{{\"id\":\"profile:exact_replay_cell_6q\",\"replays\":{PROFILE_REPLAYS},\"ops\":{},\"channels\":{},{}}}",
+        tape.n_ops(),
+        tape.n_channels(),
+        kinds.join(","),
+    ));
+}
+
 criterion_group!(
     exact,
+    bench_exact_replay_cell,
     bench_exact_replay_dispatch,
     bench_exact_walk_dispatch,
     bench_exact_bind_paths

@@ -39,11 +39,27 @@ pub fn paper_train_config() -> TrainConfig {
 /// in `BENCH_*.json` baselines carry observed values instead of prose,
 /// and baselines from different hosts stay comparable.
 pub fn emit_bench_meta(id: &str, shot_block_size: usize) {
-    use std::io::Write as _;
     let os = std::env::consts::OS;
     let arch = std::env::consts::ARCH;
     let threads = rayon::current_num_threads();
     println!("{id}: os={os} arch={arch} rayon_threads={threads} shot_block_size={shot_block_size}");
+    append_bench_jsonl(&format!(
+        "{{\"id\":\"{}\",\"os\":\"{os}\",\"arch\":\"{arch}\",\"rayon_threads\":{threads},\"shot_block_size\":{shot_block_size}}}",
+        id.replace('"', "'"),
+    ));
+}
+
+/// Prints one machine-emitted JSON object (a bench's side result, such
+/// as a per-op-kind profile) and appends it to the same JSONL sink.
+pub fn emit_bench_line(json: &str) {
+    println!("{json}");
+    append_bench_jsonl(json);
+}
+
+/// Appends one line to the criterion JSONL sink (`CRITERION_OUTPUT`,
+/// default `target/criterion-results.jsonl`), best effort.
+fn append_bench_jsonl(line: &str) {
+    use std::io::Write as _;
     let path = std::env::var("CRITERION_OUTPUT")
         .unwrap_or_else(|_| "target/criterion-results.jsonl".to_string());
     if let Some(parent) = std::path::Path::new(&path).parent() {
@@ -54,11 +70,7 @@ pub fn emit_bench_meta(id: &str, shot_block_size: usize) {
         .append(true)
         .open(&path)
     {
-        let _ = writeln!(
-            file,
-            "{{\"id\":\"{}\",\"os\":\"{os}\",\"arch\":\"{arch}\",\"rayon_threads\":{threads},\"shot_block_size\":{shot_block_size}}}",
-            id.replace('"', "'"),
-        );
+        let _ = writeln!(file, "{line}");
     }
 }
 

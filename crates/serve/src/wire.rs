@@ -24,6 +24,10 @@
 //! - A malformed line gets an `error` envelope; the connection stays up.
 //!   Lines above [`MAX_LINE_BYTES`] close the connection (hostile-input
 //!   bound).
+//! - A connection arriving while [`MAX_CONNECTIONS`] are open gets one
+//!   `error` envelope and is closed before the daemon sees it, so it
+//!   consumes no job id or seed. Line buffers are therefore bounded per
+//!   server at `MAX_CONNECTIONS × MAX_LINE_BYTES` (256 MiB).
 //!
 //! # Framing
 //!
@@ -54,6 +58,11 @@ use crate::metrics::ServeMetrics;
 /// Hard per-line bound (8 MiB): a connection that streams an unframed
 /// or hostile payload is closed instead of buffering without limit.
 pub const MAX_LINE_BYTES: usize = 8 << 20;
+
+/// Hard bound on concurrently open connections (32): past it, a new
+/// connection is answered with one `error` envelope and closed, so the
+/// server's line buffers stay within `MAX_CONNECTIONS × MAX_LINE_BYTES`.
+pub const MAX_CONNECTIONS: usize = 32;
 
 /// A client-to-server envelope.
 #[derive(Debug, Clone, PartialEq)]
@@ -384,6 +393,12 @@ impl WireServer {
                     // Dropping a finished thread's handle releases it.
                     handlers.retain(|h| !h.is_finished());
                     let Ok(stream) = stream else { continue };
+                    // Only this loop inserts, so the count cannot grow
+                    // between this check and the insert below.
+                    if lock(&conns).len() >= MAX_CONNECTIONS {
+                        refuse_connection(stream);
+                        continue;
+                    }
                     let Ok(registered) = stream.try_clone() else {
                         continue;
                     };
@@ -452,6 +467,19 @@ impl Drop for WireServer {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Answers a connection past [`MAX_CONNECTIONS`] with one typed `error`
+/// envelope and closes it without reading from it. The line fits any
+/// socket send buffer, so the write cannot stall the accept loop.
+fn refuse_connection(mut stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let message = format!("server is at its limit of {MAX_CONNECTIONS} open connections");
+    let _ = write_frame(
+        &mut stream,
+        WireResponse::Error { message }.to_json_string(),
+    );
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Serves one connection: parse a request line, answer it (for a

@@ -1,7 +1,8 @@
 //! The wire front end's per-connection resources: once a connection
 //! closes, the server holds no descriptor (and no thread handle) for it,
 //! so a long-lived server survives any number of short-lived clients;
-//! and no single hostile line can take the server down.
+//! no single hostile line can take the server down; and the number of
+//! open connections is capped.
 
 #![cfg(target_os = "linux")]
 
@@ -10,9 +11,15 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hgp_core::qaoa::qaoa_circuit;
 use hgp_device::Backend;
+use hgp_graph::instances;
 use hgp_serve::json::JsonCodec;
-use hgp_serve::{Daemon, DaemonConfig, WireClient, WireRequest, WireResponse, WireServer};
+use hgp_serve::wire::MAX_CONNECTIONS;
+use hgp_serve::{
+    Daemon, DaemonConfig, JobId, JobRequest, JobSpec, Priority, WireClient, WireRequest,
+    WireResponse, WireServer,
+};
 
 const CYCLES: usize = 200;
 /// Descriptors allowed beyond the starting count: a connection or two
@@ -93,6 +100,80 @@ fn deeply_nested_line_is_refused_and_the_connection_survives() {
         WireResponse::Pong
     );
 
+    server.shutdown();
+    daemon.shutdown();
+}
+
+/// With `MAX_CONNECTIONS` open, one more connection gets a single typed
+/// error line and a close, and consumes no job id; once a connection
+/// closes, a new one is served.
+#[test]
+fn connections_past_the_cap_are_refused_until_one_closes() {
+    let daemon = Arc::new(Daemon::start(
+        Backend::ibmq_guadalupe(),
+        DaemonConfig::new(vec![0, 1, 2, 3, 4, 5]).with_workers(1),
+    ));
+    let mut server = WireServer::start(Arc::clone(&daemon), "127.0.0.1:0").expect("bind loopback");
+    let addr = server.local_addr();
+    // A pong proves the connection is registered: the accept loop
+    // registers it before its handler can answer.
+    let mut open: Vec<WireClient> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut client = WireClient::connect(addr).expect("connect");
+            client.ping().expect("pong");
+            client
+        })
+        .collect();
+    let job = JobRequest::new(
+        qaoa_circuit(&instances::task1_three_regular_6(), 1),
+        vec![0.35, 0.25],
+        JobSpec::StateVector,
+    );
+    let submit = |client: &mut WireClient| {
+        client
+            .submit(job.clone(), Priority::Batch)
+            .expect("transport")
+            .expect("admitted")
+    };
+    assert_eq!(submit(&mut open[0]), vec![JobId(0)]);
+
+    let refused = TcpStream::connect(addr).expect("connect");
+    refused
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(refused);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("refusal line");
+    match WireResponse::from_json_str(&line).expect("typed refusal") {
+        WireResponse::Error { message } => assert!(message.contains("limit"), "{message}"),
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).expect("EOF"),
+        0,
+        "refused connection left open"
+    );
+
+    // The refusal consumed no id: the next admission continues the stream.
+    assert_eq!(submit(&mut open[1]), vec![JobId(1)]);
+
+    drop(open.pop());
+    // The handler sees the close asynchronously: retry until a slot frees.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut replacement = loop {
+        let mut client = WireClient::connect(addr).expect("connect");
+        if client.ping().is_ok() {
+            break client;
+        }
+        assert!(Instant::now() < deadline, "no slot freed after a close");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(submit(&mut replacement), vec![JobId(2)]);
+    assert_eq!(open[0].collect_results(1).expect("result")[0].id, JobId(0));
+
+    drop(open);
+    drop(replacement);
     server.shutdown();
     daemon.shutdown();
 }

@@ -17,22 +17,50 @@
 //!   the matrix regardless of run length, with per-gate factor tables so
 //!   the per-entry multiply sequence is unchanged,
 //! - dense gates and fixed unitaries carry their resolved matrices plus
-//!   precomputed block offsets ([`DenseOp`]), applied left/right in one
-//!   fused pass — no `Gate::matrix()` calls, no index re-derivation,
+//!   precomputed block offsets ([`DenseOp`]), applied as a left pass then
+//!   a right pass per aligned row chunk — no `Gate::matrix()` calls, no
+//!   index re-derivation,
 //! - channels are resolved at compile time ([`ExactChannel`]):
 //!   single-Kraus channels apply in place like a unitary (no clone, no
 //!   accumulator), one- and two-qubit multi-Kraus channels collapse
-//!   into a sparse resolved superoperator (`4×4` / `16×16`, exact
-//!   zeros dropped — structured channels like Pauli mixes and dampings
-//!   are mostly zeros) swept over (row, col) block pairs in one
-//!   strided pass, and wider multi-Kraus channels keep their Kraus
-//!   matrices but work blockwise — `sum_k K B K†` per index block — in
-//!   one pass over `rho` with no `dim²` clones,
+//!   into a resolved superoperator (`4×4` / `16×16`) whose rows are
+//!   hoisted into per-output term lists with exact zeros dropped
+//!   (structured channels like Pauli mixes and dampings are mostly
+//!   zeros), and wider multi-Kraus channels keep their Kraus matrices
+//!   but work blockwise — `sum_k K B K†` per index block — in one pass
+//!   over `rho` with no `dim²` clones,
 //!
 //! and [`ExactReplayEngine`] replays the tape over a reusable
 //! [`ExactScratch`] arena, fanning row chunks out across rayon workers
 //! once the matrix is large enough ([`kernels::PAR_QUBIT_THRESHOLD`]
 //! total entries).
+//!
+//! # Arity-specialized sweeps
+//!
+//! Every kernel enumerates its blocks directly instead of testing each
+//! row and column index against the target mask:
+//!
+//! - one-target sweeps (dense conjugations and resolved channels) walk
+//!   row pairs `(i, i | bit)` as two disjoint row slices and column
+//!   pairs `(j, j | bit)` block by block, with no branch per entry;
+//! - two-target channel sweeps gather each 4×4 block at its fixed
+//!   offsets and evaluate its sixteen term lists; two-target dense
+//!   conjugations run on fixed-size copies of the matrix and offsets.
+//!   Wider operators enumerate bases the same way over a gather buffer.
+//!
+//! Each output entry keeps the `mul_add` chain the sparse
+//! row-by-row (CSR) interpreter these sweeps replaced evaluated: the
+//! same coefficients, in ascending input-index order, started from
+//! `ZERO`. The evolved state is therefore **bit-identical** to that
+//! interpreter's — not merely close. The unit tests pin it directly: a
+//! property test checks every sweep against a transliteration of the
+//! CSR chain (and every dense conjugation against the density walk)
+//! `to_bits` for every entry, on random damping, depolarizing,
+//! dephasing and dense Kraus sets with targets on bit 0 and the top bit
+//! at up to six qubits; a 10-qubit test checks every op shape swept
+//! over aligned row chunks, as the fan-out path runs them, against one
+//! whole-matrix sweep. The Table II goldens (`tests/table2_goldens.rs`)
+//! pin the training outcome on top.
 //!
 //! # The parity contract
 //!
@@ -51,7 +79,8 @@
 //!   redundant clone/accumulate),
 //! - **≤ 1e-12 elementwise** for resolved multi-Kraus channels, where
 //!   summing over Kraus terms per entry (instead of per full-matrix
-//!   sweep) reassociates the additions,
+//!   sweep) reassociates the additions, and dropping an exact-zero term
+//!   can at most flip the sign of a zero,
 //!
 //! and parallel execution is deterministic: chunk boundaries are aligned
 //! to every operator's block structure, so per-entry arithmetic is
@@ -59,9 +88,16 @@
 //! are property-tested alongside the elementwise pins in
 //! `crates/sim/tests/exact_replay_parity.rs`.
 //!
-//! Remaining headroom, deliberately not taken here: Hermitian-half
-//! storage (sweep only `j >= i` and mirror) and fusing adjacent channels
-//! that share an eigenbasis into one resolved superoperator.
+//! # Remaining headroom
+//!
+//! Two known savings are deliberately not taken, because each
+//! reassociates arithmetic and would move every training golden:
+//! Hermitian-half storage (sweep only `j >= i` and mirror — the mirrored
+//! entry's chain would no longer be its own) and fusing adjacent
+//! channels into one resolved superoperator (products of coefficients
+//! replace two rounded sweeps). Dense conjugations keep their two
+//! passes (all left updates of a chunk, then all right updates), the
+//! structure the parity argument above rests on.
 //!
 //! # Example
 //!
@@ -111,6 +147,64 @@ fn fan_out(entries: usize) -> bool {
 #[inline]
 fn chunk_height(align_rows: usize) -> usize {
     align_rows.max(PAR_CHUNK_ROWS)
+}
+
+/// Runs `sweep(rows, row0)` over the whole row-major matrix, or over
+/// row chunks on the rayon pool once [`fan_out`] says so. Each chunk
+/// starts on a multiple of `align_rows` (a power of two), so every
+/// operator block stays chunk-local, a local row index carries the same
+/// target bits as the absolute one, and each entry's arithmetic is
+/// independent of the worker count.
+fn sweep_rows(
+    data: &mut [Complex64],
+    dim: usize,
+    align_rows: usize,
+    sweep: impl Fn(&mut [Complex64], usize) + Sync,
+) {
+    let height = chunk_height(align_rows);
+    if fan_out(data.len()) && dim > height {
+        data.par_chunks_mut(height * dim)
+            .enumerate()
+            .for_each(|(c, chunk)| sweep(chunk, c * height));
+    } else {
+        sweep(data, 0);
+    }
+}
+
+/// Block bases below `end` for the target bits in `mask`: the indices
+/// with every mask bit clear, ascending. Each next base sets the mask
+/// bits, carries past them and clears them again, so no index is
+/// visited only to be skipped.
+#[inline]
+fn block_bases(mask: usize, end: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(0usize), move |&b| Some(((b | mask) + 1) & !mask))
+        .take_while(move |&b| b < end)
+}
+
+/// Calls `f` on every `(lo, hi)` entry pair of `data` whose flat
+/// indices differ by exactly `stride` within a `2 * stride` block — for
+/// `stride = bit` the column pairs `(j, j | bit)`, for
+/// `stride = bit * dim` the row pairs `(i, i | bit)`. `data` must be a
+/// whole number of blocks.
+#[inline(always)]
+fn for_pairs(
+    data: &mut [Complex64],
+    stride: usize,
+    mut f: impl FnMut(&mut Complex64, &mut Complex64),
+) {
+    if stride == 1 {
+        // Adjacent pairs: one flat walk instead of a block per pair.
+        for [lo, hi] in data.as_chunks_mut::<2>().0 {
+            f(lo, hi);
+        }
+        return;
+    }
+    for block in data.chunks_exact_mut(2 * stride) {
+        let (lo, hi) = block.split_at_mut(stride);
+        for (lo, hi) in lo.iter_mut().zip(hi) {
+            f(lo, hi);
+        }
+    }
 }
 
 /// A dense operator with its embedding resolved at compile time:
@@ -166,111 +260,119 @@ impl DenseOp {
     /// row chunks (left then right per chunk) only reorders independent
     /// writes — for any chunking and any worker count.
     fn conjugate(&self, data: &mut [Complex64], dim: usize) {
-        let height = chunk_height(self.align_rows);
-        if fan_out(data.len()) && dim > height {
-            data.par_chunks_mut(height * dim)
-                .enumerate()
-                .for_each(|(c, chunk)| self.conjugate_rows(chunk, c * height, dim));
-        } else {
-            self.conjugate_rows(data, 0, dim);
-        }
+        sweep_rows(data, dim, self.align_rows, |chunk, row0| {
+            self.conjugate_rows(chunk, row0, dim)
+        });
     }
 
+    /// Conjugates the rows `row0..` held in `chunk`, enumerating blocks
+    /// from the chunk's own (block-aligned) start.
     fn conjugate_rows(&self, chunk: &mut [Complex64], row0: usize, dim: usize) {
-        if self.offs.len() == 2 {
-            return self.conjugate_rows_1q(chunk, row0, dim);
-        }
-        let m = self.matrix.as_ref();
-        let rows = chunk.len() / dim;
-        let mut vin = vec![Complex64::ZERO; self.offs.len()];
-        // Left pass: rho -> M rho, per block row set, column by column.
-        for local in 0..rows {
-            let base = row0 + local;
-            if base & self.all_mask != 0 {
-                continue;
+        debug_assert_eq!(row0 % self.align_rows, 0, "chunk is not block-aligned");
+        let m = self.matrix.as_slice();
+        match self.offs.len() {
+            2 => self.conjugate_rows_1q(chunk, dim),
+            // Fixed-size copies let the two-qubit sweep unroll.
+            4 => {
+                let m: [Complex64; 16] = m.try_into().expect("4x4 operator");
+                let offs: [usize; 4] = self.offs[..].try_into().expect("4 offsets");
+                let vin = &mut [Complex64::ZERO; 4];
+                conjugate_blocks(&m, self.all_mask, &offs, vin, chunk, dim)
             }
-            for col in 0..dim {
-                for (r, &off) in self.offs.iter().enumerate() {
-                    vin[r] = chunk[(base + off - row0) * dim + col];
-                }
-                for (r, &off) in self.offs.iter().enumerate() {
-                    let mut acc = Complex64::ZERO;
-                    for (c, &v) in vin.iter().enumerate() {
-                        // hgp-analysis: allow(d4) -- this fused chain IS the
-                        // pinned reference arithmetic the parity tests fix.
-                        acc = m[(r, c)].mul_add(v, acc);
-                    }
-                    chunk[(base + off - row0) * dim + col] = acc;
-                }
-            }
-        }
-        // Right pass: rho -> rho M†, row-local.
-        for row in chunk.chunks_exact_mut(dim) {
-            for base in 0..dim {
-                if base & self.all_mask != 0 {
-                    continue;
-                }
-                for (c, &off) in self.offs.iter().enumerate() {
-                    vin[c] = row[base + off];
-                }
-                // (rho M†)[row, c'] = sum_c rho[row, c] conj(M[c', c])
-                for (cp, &off) in self.offs.iter().enumerate() {
-                    let mut acc = Complex64::ZERO;
-                    for (c, &v) in vin.iter().enumerate() {
-                        // hgp-analysis: allow(d4) -- this fused chain IS the
-                        // pinned reference arithmetic the parity tests fix.
-                        acc = m[(cp, c)].conj().mul_add(v, acc);
-                    }
-                    row[base + off] = acc;
-                }
-            }
+            n => conjugate_blocks(
+                m,
+                self.all_mask,
+                &self.offs,
+                &mut vec![Complex64::ZERO; n],
+                chunk,
+                dim,
+            ),
         }
     }
 
-    /// One-qubit specialization of [`Self::conjugate_rows`]: matrix
-    /// entries (and their conjugates for the right pass) hoist out of
-    /// the sweeps and the gather buffer disappears. Each entry's
-    /// accumulation chain is exactly the generic
-    /// `m[r][1].mul_add(v1, m[r][0].mul_add(v0, 0))` — bit parity
-    /// holds.
-    fn conjugate_rows_1q(&self, chunk: &mut [Complex64], row0: usize, dim: usize) {
+    /// One-qubit specialization of [`conjugate_blocks`]:
+    /// matrix entries (and their conjugates for the right pass) hoist
+    /// out of the sweeps, and both passes walk `(lo, hi)` entry pairs
+    /// directly — rows `(i, i | bit)` for the left pass, columns
+    /// `(j, j | bit)` for the right. Each entry's accumulation chain is
+    /// exactly the generic `m[r][1].mul_add(v1, m[r][0].mul_add(v0, 0))`
+    /// — bit parity holds.
+    fn conjugate_rows_1q(&self, chunk: &mut [Complex64], dim: usize) {
         let m = self.matrix.as_ref();
         let bit = self.offs[1];
         let (m00, m01) = (m[(0, 0)], m[(0, 1)]);
         let (m10, m11) = (m[(1, 0)], m[(1, 1)]);
-        let rows = chunk.len() / dim;
         // Left pass: rho -> M rho.
-        for local in 0..rows {
-            if (row0 + local) & bit != 0 {
-                continue;
-            }
-            let lo = local * dim;
-            let hi = lo + bit * dim;
-            for col in 0..dim {
-                let v0 = chunk[lo + col];
-                let v1 = chunk[hi + col];
-                // hgp-analysis: allow(d4) -- this fused chain IS the pinned
-                // reference arithmetic the parity tests fix.
-                chunk[lo + col] = m01.mul_add(v1, m00.mul_add(v0, Complex64::ZERO));
-                // hgp-analysis: allow(d4) -- same pinned reference chain.
-                chunk[hi + col] = m11.mul_add(v1, m10.mul_add(v0, Complex64::ZERO));
-            }
-        }
-        // Right pass: rho -> rho M†, row-local.
+        for_pairs(chunk, bit * dim, |lo, hi| {
+            let (v0, v1) = (*lo, *hi);
+            // hgp-analysis: allow(d4) -- this fused chain IS the pinned
+            // reference arithmetic the parity tests fix.
+            *lo = m01.mul_add(v1, m00.mul_add(v0, Complex64::ZERO));
+            // hgp-analysis: allow(d4) -- same pinned reference chain.
+            *hi = m11.mul_add(v1, m10.mul_add(v0, Complex64::ZERO));
+        });
+        // Right pass: rho -> rho M†. `dim` is a multiple of `2 * bit`,
+        // so column pairs never straddle a row.
         let (c00, c01) = (m00.conj(), m01.conj());
         let (c10, c11) = (m10.conj(), m11.conj());
-        for row in chunk.chunks_exact_mut(dim) {
-            for base in 0..dim {
-                if base & bit != 0 {
-                    continue;
+        for_pairs(chunk, bit, |lo, hi| {
+            let (v0, v1) = (*lo, *hi);
+            // hgp-analysis: allow(d4) -- this fused chain IS the pinned
+            // reference arithmetic the parity tests fix.
+            *lo = c01.mul_add(v1, c00.mul_add(v0, Complex64::ZERO));
+            // hgp-analysis: allow(d4) -- same pinned reference chain.
+            *hi = c11.mul_add(v1, c10.mul_add(v0, Complex64::ZERO));
+        });
+    }
+}
+
+/// The dense block conjugation `rho -> M rho M†` for any arity, over
+/// a row-major `2^k`-square `m`, the block offsets `offs`, and a
+/// `2^k`-entry gather buffer `vin`. Each output is the chain
+/// `m[r][c].mul_add(v_c, ..)` over ascending `c` from `ZERO`.
+#[inline(always)]
+fn conjugate_blocks(
+    m: &[Complex64],
+    mask: usize,
+    offs: &[usize],
+    vin: &mut [Complex64],
+    chunk: &mut [Complex64],
+    dim: usize,
+) {
+    let n = offs.len();
+    let rows = chunk.len() / dim;
+    // Left pass: rho -> M rho, per block row set, column by column.
+    for base in block_bases(mask, rows) {
+        for col in 0..dim {
+            for (v, &off) in vin.iter_mut().zip(offs) {
+                *v = chunk[(base + off) * dim + col];
+            }
+            for (r, &off) in offs.iter().enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (&mrc, &v) in m[r * n..(r + 1) * n].iter().zip(vin.iter()) {
+                    // hgp-analysis: allow(d4) -- this fused chain IS the
+                    // pinned reference arithmetic the parity tests fix.
+                    acc = mrc.mul_add(v, acc);
                 }
-                let v0 = row[base];
-                let v1 = row[base + bit];
-                // hgp-analysis: allow(d4) -- this fused chain IS the pinned
-                // reference arithmetic the parity tests fix.
-                row[base] = c01.mul_add(v1, c00.mul_add(v0, Complex64::ZERO));
-                // hgp-analysis: allow(d4) -- same pinned reference chain.
-                row[base + bit] = c11.mul_add(v1, c10.mul_add(v0, Complex64::ZERO));
+                chunk[(base + off) * dim + col] = acc;
+            }
+        }
+    }
+    // Right pass: rho -> rho M†, row-local.
+    for row in chunk.chunks_exact_mut(dim) {
+        for base in block_bases(mask, dim) {
+            for (v, &off) in vin.iter_mut().zip(offs) {
+                *v = row[base + off];
+            }
+            // (rho M†)[row, c'] = sum_c rho[row, c] conj(M[c', c])
+            for (cp, &off) in offs.iter().enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (&mcc, &v) in m[cp * n..(cp + 1) * n].iter().zip(vin.iter()) {
+                    // hgp-analysis: allow(d4) -- this fused chain IS the
+                    // pinned reference arithmetic the parity tests fix.
+                    acc = mcc.conj().mul_add(v, acc);
+                }
+                row[base + off] = acc;
             }
         }
     }
@@ -282,124 +384,199 @@ impl DenseOp {
 /// 64×64 per block and the blockwise Kraus form wins again.
 const SUPEROP_MAX_TARGETS: usize = 2;
 
+/// One output entry of a resolved superoperator, hoisted out of its row
+/// at compile time: the row's nonzero terms in ascending input-index
+/// order. [`Chain::eval`] folds them with `mul_add` starting from
+/// `ZERO` — the chain a sparse row-by-row sweep evaluates.
+#[derive(Debug, Clone, Copy)]
+struct Chain<const N: usize> {
+    len: usize,
+    /// Input entry `r * block + c` of each term.
+    idx: [u8; N],
+    coef: [Complex64; N],
+}
+
+impl<const N: usize> Chain<N> {
+    /// The chain of one dense superoperator row (`N` entries). Exact
+    /// zeros are dropped: structured channels are mostly zeros —
+    /// damping/dephasing Kraus sets are diagonal or single-entry, and
+    /// Pauli-mix channels cancel pairwise to IEEE-exact `0.0`
+    /// (equal-magnitude subtraction is exact).
+    fn from_row(row: &[Complex64]) -> Self {
+        let mut chain = Chain {
+            len: 0,
+            idx: [0; N],
+            coef: [Complex64::ZERO; N],
+        };
+        for (i, &z) in row.iter().enumerate() {
+            if z.re != 0.0 || z.im != 0.0 {
+                chain.idx[chain.len] = i as u8;
+                chain.coef[chain.len] = z;
+                chain.len += 1;
+            }
+        }
+        chain
+    }
+
+    /// Evaluates the chain over one gathered block `v`. The one- and
+    /// two-term chains — every coherence of a damping, dephasing or
+    /// Pauli channel — are unrolled; longer ones fold in order.
+    #[inline(always)]
+    fn eval(&self, v: &[Complex64; N]) -> Complex64 {
+        // hgp-analysis: allow(d4) -- this fused chain IS the pinned
+        // reference arithmetic the parity tests fix.
+        let term = |t: usize, acc| self.coef[t].mul_add(v[self.idx[t] as usize], acc);
+        match self.len {
+            0 => Complex64::ZERO,
+            1 => term(0, Complex64::ZERO),
+            2 => term(1, term(0, Complex64::ZERO)),
+            len => (0..len).fold(Complex64::ZERO, |acc, t| term(t, acc)),
+        }
+    }
+}
+
 /// A small (≤ [`SUPEROP_MAX_TARGETS`]-qubit) multi-Kraus channel
 /// resolved into its superoperator
-/// `s[(a,b)][(r,c)] = sum_k K_k[a,r] conj(K_k[b,c])`, swept over
-/// (row-block, col-block) index pairs in one strided pass — no
-/// per-Kraus `rho` clone, and no per-Kraus arithmetic at all.
-///
-/// The superoperator is stored sparse (CSR over output entries):
-/// structured channels are mostly exact zeros — damping/dephasing Kraus
-/// sets are diagonal or single-entry, and Pauli-mix channels cancel
-/// pairwise to IEEE-exact `0.0` (equal-magnitude subtraction is exact)
-/// — so the sweep touches only surviving terms. Dropping a `0.0` term
-/// can at most flip the sign of a zero, well inside the multi-Kraus
-/// `1e-12` parity regime.
+/// `s[(a,b)][(r,c)] = sum_k K_k[a,r] conj(K_k[b,c])`, one [`Chain`] per
+/// output entry `a * block + b`, swept over (row-block, col-block)
+/// index pairs in one pass — no per-Kraus `rho` clone, and no
+/// per-Kraus arithmetic at all. Each arity has its own straight-line
+/// sweep.
 #[derive(Debug, Clone)]
-struct SuperOp {
-    /// OR of the target bit masks.
-    all_mask: usize,
-    /// Block row/col offsets (`2^k` of them, MSB-first convention).
-    offs: Vec<usize>,
-    /// Row-chunk alignment keeping every block chunk-local.
-    align_rows: usize,
-    /// CSR row starts into `idx`/`coef`: one row per output entry
-    /// `a * block + b` of the `block² × block²` superoperator.
-    starts: Vec<u32>,
-    /// Input entry `r * block + c` of each surviving term.
-    idx: Vec<u32>,
-    coef: Vec<Complex64>,
+enum SuperOp {
+    /// One target `bit`: 2×2 blocks `(i | a·bit, j | b·bit)`.
+    OneQubit {
+        bit: usize,
+        chains: Box<[Chain<4>; 4]>,
+    },
+    /// Two targets: 4×4 blocks at the offsets `offs` (MSB-first).
+    TwoQubit {
+        all_mask: usize,
+        offs: [usize; 4],
+        align_rows: usize,
+        chains: Box<[Chain<16>; 16]>,
+    },
 }
 
 impl SuperOp {
     fn compile(kraus: &[Matrix], targets: &[usize]) -> Self {
         let geom = DenseOp::new(Arc::new(kraus[0].clone()), targets);
-        let block = geom.offs.len();
-        let entries = block * block;
-        let mut dense = vec![Complex64::ZERO; entries * entries];
-        for k in kraus {
-            for a in 0..block {
-                for b in 0..block {
-                    for r in 0..block {
-                        for c in 0..block {
-                            dense[(a * block + b) * entries + r * block + c] +=
-                                k[(a, r)] * k[(b, c)].conj();
-                        }
-                    }
-                }
-            }
+        let dense = resolve_superop(kraus, geom.offs.len());
+        match geom.offs.len() {
+            2 => SuperOp::OneQubit {
+                bit: geom.offs[1],
+                chains: Box::new(std::array::from_fn(|o| {
+                    Chain::from_row(&dense[o * 4..(o + 1) * 4])
+                })),
+            },
+            4 => SuperOp::TwoQubit {
+                all_mask: geom.all_mask,
+                offs: [geom.offs[0], geom.offs[1], geom.offs[2], geom.offs[3]],
+                align_rows: geom.align_rows,
+                chains: Box::new(std::array::from_fn(|o| {
+                    Chain::from_row(&dense[o * 16..(o + 1) * 16])
+                })),
+            },
+            block => unreachable!("SuperOp is capped at 2 targets, got block {block}"),
         }
-        let mut starts = Vec::with_capacity(entries + 1);
-        let mut idx = Vec::new();
-        let mut coef = Vec::new();
-        starts.push(0u32);
-        for row in dense.chunks_exact(entries) {
-            for (i, &z) in row.iter().enumerate() {
-                if z.re != 0.0 || z.im != 0.0 {
-                    idx.push(i as u32);
-                    coef.push(z);
-                }
-            }
-            starts.push(idx.len() as u32);
-        }
-        Self {
-            all_mask: geom.all_mask,
-            offs: geom.offs,
-            align_rows: geom.align_rows,
-            starts,
-            idx,
-            coef,
+    }
+
+    fn align_rows(&self) -> usize {
+        match self {
+            SuperOp::OneQubit { bit, .. } => 2 * bit,
+            SuperOp::TwoQubit { align_rows, .. } => *align_rows,
         }
     }
 
     fn apply(&self, data: &mut [Complex64], dim: usize) {
-        let height = chunk_height(self.align_rows);
-        if fan_out(data.len()) && dim > height {
-            data.par_chunks_mut(height * dim)
-                .enumerate()
-                .for_each(|(c, chunk)| self.apply_rows(chunk, c * height, dim));
-        } else {
-            self.apply_rows(data, 0, dim);
-        }
+        sweep_rows(data, dim, self.align_rows(), |chunk, row0| {
+            self.apply_rows(chunk, row0, dim)
+        });
     }
 
+    /// Sweeps the rows `row0..` held in `chunk`, enumerating blocks from
+    /// the chunk's own (block-aligned) start.
     fn apply_rows(&self, chunk: &mut [Complex64], row0: usize, dim: usize) {
-        let block = self.offs.len();
-        let entries = block * block;
-        debug_assert!(entries <= 16, "SuperOp is capped at 2 targets");
-        let rows = chunk.len() / dim;
-        // Stack blocks sized for the 2-target cap.
-        let mut v = [Complex64::ZERO; 16];
-        let mut out = [Complex64::ZERO; 16];
-        for local in 0..rows {
-            let bi = row0 + local;
-            if bi & self.all_mask != 0 {
-                continue;
+        debug_assert_eq!(row0 % self.align_rows(), 0, "chunk is not block-aligned");
+        match self {
+            SuperOp::OneQubit { bit, chains } => sweep_1q(chains, *bit, chunk, dim),
+            SuperOp::TwoQubit {
+                all_mask,
+                offs,
+                chains,
+                ..
+            } => sweep_2q(chains, *all_mask, offs, chunk, dim),
+        }
+    }
+}
+
+/// The dense `block² × block²` superoperator of a Kraus set, row-major
+/// over output entries `a * block + b`, input entries `r * block + c`.
+fn resolve_superop(kraus: &[Matrix], block: usize) -> Vec<Complex64> {
+    let entries = block * block;
+    let mut dense = vec![Complex64::ZERO; entries * entries];
+    for k in kraus {
+        for a in 0..block {
+            for b in 0..block {
+                for r in 0..block {
+                    for c in 0..block {
+                        dense[(a * block + b) * entries + r * block + c] +=
+                            k[(a, r)] * k[(b, c)].conj();
+                    }
+                }
             }
-            for bj in 0..dim {
-                if bj & self.all_mask != 0 {
-                    continue;
+        }
+    }
+    dense
+}
+
+/// The one-target channel sweep: row pairs `(i, i | bit)` as two
+/// disjoint row slices, column pairs `(j, j | bit)` by block within
+/// them; block entry `r * 2 + c` sits at row offset `r`, column offset
+/// `c`.
+fn sweep_1q(chains: &[Chain<4>; 4], bit: usize, chunk: &mut [Complex64], dim: usize) {
+    let [s00, s01, s10, s11] = chains;
+    for rows in chunk.chunks_exact_mut(2 * bit * dim) {
+        let (top, bottom) = rows.split_at_mut(bit * dim);
+        let blocks = top
+            .chunks_exact_mut(2 * bit)
+            .zip(bottom.chunks_exact_mut(2 * bit));
+        for (t, b) in blocks {
+            let (t0, t1) = t.split_at_mut(bit);
+            let (b0, b1) = b.split_at_mut(bit);
+            for ((x00, x01), (x10, x11)) in t0.iter_mut().zip(t1).zip(b0.iter_mut().zip(b1)) {
+                let v = [*x00, *x01, *x10, *x11];
+                *x00 = s00.eval(&v);
+                *x01 = s01.eval(&v);
+                *x10 = s10.eval(&v);
+                *x11 = s11.eval(&v);
+            }
+        }
+    }
+}
+
+/// The two-target channel sweep over every (row base, column base) pair
+/// of 4×4 blocks.
+fn sweep_2q(
+    chains: &[Chain<16>; 16],
+    mask: usize,
+    offs: &[usize; 4],
+    chunk: &mut [Complex64],
+    dim: usize,
+) {
+    let rows = chunk.len() / dim;
+    for bi in block_bases(mask, rows) {
+        let at = offs.map(|ro| (bi + ro) * dim);
+        for bj in block_bases(mask, dim) {
+            let mut v = [Complex64::ZERO; 16];
+            for (r, &row) in at.iter().enumerate() {
+                for (c, &co) in offs.iter().enumerate() {
+                    v[r * 4 + c] = chunk[row + bj + co];
                 }
-                for (r, &ro) in self.offs.iter().enumerate() {
-                    let row = (bi + ro - row0) * dim + bj;
-                    for (c, &co) in self.offs.iter().enumerate() {
-                        v[r * block + c] = chunk[row + co];
-                    }
-                }
-                for (o, slot) in out.iter_mut().enumerate().take(entries) {
-                    let mut acc = Complex64::ZERO;
-                    for t in self.starts[o] as usize..self.starts[o + 1] as usize {
-                        // hgp-analysis: allow(d4) -- this fused chain IS the
-                        // pinned reference arithmetic the parity tests fix.
-                        acc = self.coef[t].mul_add(v[self.idx[t] as usize], acc);
-                    }
-                    *slot = acc;
-                }
-                for (r, &ro) in self.offs.iter().enumerate() {
-                    let row = (bi + ro - row0) * dim + bj;
-                    for (c, &co) in self.offs.iter().enumerate() {
-                        chunk[row + co] = out[r * block + c];
-                    }
+            }
+            for (r, &row) in at.iter().enumerate() {
+                for (c, &co) in offs.iter().enumerate() {
+                    chunk[row + bj + co] = chains[r * 4 + c].eval(&v);
                 }
             }
         }
@@ -420,33 +597,24 @@ struct KrausBlocks {
 
 impl KrausBlocks {
     fn apply(&self, data: &mut [Complex64], dim: usize) {
-        let height = chunk_height(self.align_rows);
-        if fan_out(data.len()) && dim > height {
-            data.par_chunks_mut(height * dim)
-                .enumerate()
-                .for_each(|(c, chunk)| self.apply_rows(chunk, c * height, dim));
-        } else {
-            self.apply_rows(data, 0, dim);
-        }
+        sweep_rows(data, dim, self.align_rows, |chunk, row0| {
+            self.apply_rows(chunk, row0, dim)
+        });
     }
 
+    /// Sweeps the rows `row0..` held in `chunk`, enumerating blocks from
+    /// the chunk's own (block-aligned) start.
     fn apply_rows(&self, chunk: &mut [Complex64], row0: usize, dim: usize) {
+        debug_assert_eq!(row0 % self.align_rows, 0, "chunk is not block-aligned");
         let block = self.offs.len();
         let rows = chunk.len() / dim;
         let mut b = vec![Complex64::ZERO; block * block];
         let mut kb = vec![Complex64::ZERO; block * block];
         let mut acc = vec![Complex64::ZERO; block * block];
-        for local in 0..rows {
-            let bi = row0 + local;
-            if bi & self.all_mask != 0 {
-                continue;
-            }
-            for bj in 0..dim {
-                if bj & self.all_mask != 0 {
-                    continue;
-                }
+        for bi in block_bases(self.all_mask, rows) {
+            for bj in block_bases(self.all_mask, dim) {
                 for (r, &ro) in self.offs.iter().enumerate() {
-                    let row = (bi + ro - row0) * dim + bj;
+                    let row = (bi + ro) * dim + bj;
                     for (c, &co) in self.offs.iter().enumerate() {
                         b[r * block + c] = chunk[row + co];
                     }
@@ -481,7 +649,7 @@ impl KrausBlocks {
                     }
                 }
                 for (r, &ro) in self.offs.iter().enumerate() {
-                    let row = (bi + ro - row0) * dim + bj;
+                    let row = (bi + ro) * dim + bj;
                     for (c, &co) in self.offs.iter().enumerate() {
                         chunk[row + co] = acc[r * block + c];
                     }
@@ -772,13 +940,9 @@ fn apply_diag_run(
         }
     }
     let tables: &[Complex64] = factors;
-    if fan_out(data.len()) && dim > PAR_CHUNK_ROWS {
-        data.par_chunks_mut(PAR_CHUNK_ROWS * dim)
-            .enumerate()
-            .for_each(|(c, chunk)| diag_sweep(tables, chunk, c * PAR_CHUNK_ROWS, dim));
-    } else {
-        diag_sweep(tables, data, 0, dim);
-    }
+    sweep_rows(data, dim, 1, |chunk, row0| {
+        diag_sweep(tables, chunk, row0, dim)
+    });
 }
 
 fn diag_sweep(tables: &[Complex64], chunk: &mut [Complex64], row0: usize, dim: usize) {
@@ -872,6 +1036,9 @@ mod tests {
     use hgp_circuit::{Gate, Param};
     use hgp_math::c64;
     use hgp_math::pauli::{sigma_x, sigma_y, sigma_z};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn depolarizing_op(p: f64) -> ChannelOp {
         let kraus = vec![
@@ -1044,5 +1211,291 @@ mod tests {
         rebound.push_gate(Gate::Rz(Param::bound(1.5)), &[0]);
         rebound.push_unitary(Gate::Rx(Param::bound(-0.8)).matrix().unwrap(), &[1]);
         assert_eq!(ExactReplayEngine::evolve(&tape), reference(&rebound));
+    }
+
+    /// The CSR superoperator sweep the arity-specialized kernels
+    /// replaced, transliterated as the reference they must match bit
+    /// for bit: the resolved superoperator stored row by row with exact
+    /// zeros dropped, every (row base, column base) block found by
+    /// testing each index against the target mask, and each output the
+    /// `mul_add` chain over its row's terms in ascending input order,
+    /// from `ZERO`.
+    fn csr_sweep(
+        kraus: &[Matrix],
+        targets: &[usize],
+        chunk: &mut [Complex64],
+        row0: usize,
+        dim: usize,
+    ) {
+        let geom = DenseOp::new(Arc::new(kraus[0].clone()), targets);
+        let (all_mask, offs) = (geom.all_mask, geom.offs);
+        let block = offs.len();
+        let entries = block * block;
+        let dense = resolve_superop(kraus, block);
+        let mut starts = vec![0usize];
+        let mut idx = Vec::new();
+        let mut coef = Vec::new();
+        for row in dense.chunks_exact(entries) {
+            for (i, &z) in row.iter().enumerate() {
+                if z.re != 0.0 || z.im != 0.0 {
+                    idx.push(i);
+                    coef.push(z);
+                }
+            }
+            starts.push(idx.len());
+        }
+        let rows = chunk.len() / dim;
+        let mut v = [Complex64::ZERO; 16];
+        let mut out = [Complex64::ZERO; 16];
+        for local in 0..rows {
+            let bi = row0 + local;
+            if bi & all_mask != 0 {
+                continue;
+            }
+            for bj in 0..dim {
+                if bj & all_mask != 0 {
+                    continue;
+                }
+                for (r, &ro) in offs.iter().enumerate() {
+                    let row = (bi + ro - row0) * dim + bj;
+                    for (c, &co) in offs.iter().enumerate() {
+                        v[r * block + c] = chunk[row + co];
+                    }
+                }
+                for (o, slot) in out.iter_mut().enumerate().take(entries) {
+                    let mut acc = Complex64::ZERO;
+                    for t in starts[o]..starts[o + 1] {
+                        acc = coef[t].mul_add(v[idx[t]], acc);
+                    }
+                    *slot = acc;
+                }
+                for (r, &ro) in offs.iter().enumerate() {
+                    let row = (bi + ro - row0) * dim + bj;
+                    for (c, &co) in offs.iter().enumerate() {
+                        chunk[row + co] = out[r * block + c];
+                    }
+                }
+            }
+        }
+    }
+
+    fn random_matrix(dim: usize, rng: &mut StdRng) -> Matrix {
+        let data = (0..dim * dim)
+            .map(|_| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        Matrix::from_vec(dim, dim, data)
+    }
+
+    /// Kronecker products of every pair drawn from two Kraus sets.
+    fn kron_all(a: &[Matrix], b: &[Matrix]) -> Vec<Matrix> {
+        a.iter()
+            .flat_map(|x| b.iter().map(move |y| x.kron(y)))
+            .collect()
+    }
+
+    /// A one-qubit Kraus set of `family`: 0 thermal relaxation
+    /// (amplitude damping then phase damping), 1 depolarizing,
+    /// 2 dephasing, 3 dense random (not trace preserving; the kernels
+    /// do not care).
+    fn kraus_1q(family: usize, rng: &mut StdRng) -> Vec<Matrix> {
+        let p: f64 = rng.gen_range(0.01..0.5);
+        let scaled = |m: Matrix, w: f64| m.scale(c64(w.sqrt(), 0.0));
+        match family {
+            0 => {
+                let lambda: f64 = rng.gen_range(0.01..0.5);
+                let real = |e: [f64; 4]| Matrix::from_vec(2, 2, e.map(|x| c64(x, 0.0)).to_vec());
+                let ad = [
+                    real([1.0, 0.0, 0.0, (1.0 - p).sqrt()]),
+                    real([0.0, p.sqrt(), 0.0, 0.0]),
+                ];
+                let pd = [
+                    real([1.0, 0.0, 0.0, (1.0 - lambda).sqrt()]),
+                    real([0.0, 0.0, 0.0, lambda.sqrt()]),
+                ];
+                pd.iter()
+                    .flat_map(|b| ad.iter().map(move |a| b.matmul(a)))
+                    .collect()
+            }
+            1 => vec![
+                scaled(Matrix::identity(2), 1.0 - 0.75 * p),
+                scaled(sigma_x(), p / 4.0),
+                scaled(sigma_y(), p / 4.0),
+                scaled(sigma_z(), p / 4.0),
+            ],
+            2 => vec![scaled(Matrix::identity(2), 1.0 - p), scaled(sigma_z(), p)],
+            _ => (0..rng.gen_range(2..4))
+                .map(|_| random_matrix(2, rng))
+                .collect(),
+        }
+    }
+
+    /// A two-qubit Kraus set of `family`: 0 a product of two thermal
+    /// relaxations, 1 two-qubit depolarizing (all sixteen Pauli
+    /// products), 2 correlated ZZ dephasing, 3 dense random.
+    fn kraus_2q(family: usize, rng: &mut StdRng) -> Vec<Matrix> {
+        match family {
+            0 => kron_all(&kraus_1q(0, rng), &kraus_1q(0, rng)),
+            1 => {
+                let p: f64 = rng.gen_range(0.01..0.5);
+                let paulis = [Matrix::identity(2), sigma_x(), sigma_y(), sigma_z()];
+                kron_all(&paulis, &paulis)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, m)| {
+                        let w = if i == 0 {
+                            1.0 - 15.0 * p / 16.0
+                        } else {
+                            p / 16.0
+                        };
+                        m.scale(c64(w.sqrt(), 0.0))
+                    })
+                    .collect()
+            }
+            2 => two_qubit_dephasing(rng.gen_range(0.01..0.5))
+                .kraus()
+                .to_vec(),
+            _ => (0..rng.gen_range(2..4))
+                .map(|_| random_matrix(4, rng))
+                .collect(),
+        }
+    }
+
+    /// Random row-major matrix entries. A quarter are signed complex
+    /// zeros and a quarter have a signed-zero imaginary part, so whole
+    /// zero blocks occur and the sign of a zero sum — which the `ZERO`
+    /// start of every chain decides — is pinned too.
+    fn random_rho(dim: usize, rng: &mut StdRng) -> Vec<Complex64> {
+        let zero = |rng: &mut StdRng| if rng.gen_range(0..2) == 0 { 0.0 } else { -0.0 };
+        (0..dim * dim)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => c64(zero(rng), zero(rng)),
+                1 => c64(rng.gen_range(-1.0..1.0), zero(rng)),
+                _ => c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+            })
+            .collect()
+    }
+
+    /// `arity` distinct targets in `0..n`; `mode` 0 forces bit 0 and
+    /// mode 1 the top bit into the set, at a random position.
+    fn random_targets(n: usize, arity: usize, mode: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut targets: Vec<usize> = Vec::with_capacity(arity);
+        match mode {
+            0 => targets.push(0),
+            1 => targets.push(n - 1),
+            _ => {}
+        }
+        while targets.len() < arity {
+            let q = rng.gen_range(0..n);
+            if !targets.contains(&q) {
+                targets.push(q);
+            }
+        }
+        if rng.gen_range(0..2) == 1 {
+            targets.reverse();
+        }
+        targets
+    }
+
+    fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
+        data.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn specialized_sweeps_match_the_csr_chain_bit_for_bit(
+            n in 1usize..7,
+            arity in 1usize..3,
+            family in 0usize..4,
+            mode in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let arity = arity.min(n);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kraus = if arity == 1 {
+                kraus_1q(family, &mut rng)
+            } else {
+                kraus_2q(family, &mut rng)
+            };
+            let targets = random_targets(n, arity, mode, &mut rng);
+            let dim = 1usize << n;
+            let rho = random_rho(dim, &mut rng);
+
+            let mut kernel = rho.clone();
+            SuperOp::compile(&kraus, &targets).apply(&mut kernel, dim);
+            let mut reference = rho.clone();
+            csr_sweep(&kraus, &targets, &mut reference, 0, dim);
+            prop_assert!(
+                bits(&kernel) == bits(&reference),
+                "channel sweep moved a bit (targets {targets:?})"
+            );
+
+            // The dense conjugation against the density walk's
+            // left-then-right multiply, same targets.
+            let m = random_matrix(1 << arity, &mut rng);
+            let mut walk = DensityMatrix::zero_state(n);
+            walk.data_mut().copy_from_slice(&rho);
+            walk.apply_unitary(&m, &targets);
+            let mut kernel = rho;
+            DenseOp::new(Arc::new(m), &targets).conjugate(&mut kernel, dim);
+            prop_assert!(
+                bits(&kernel) == bits(walk.data_mut()),
+                "dense conjugation moved a bit (targets {targets:?})"
+            );
+        }
+    }
+
+    /// Every op shape swept over block-aligned row chunks — the fan-out
+    /// path's partition, `row0 > 0` included — equals one whole-matrix
+    /// sweep bit for bit at 10 qubits.
+    #[test]
+    fn aligned_row_chunks_match_the_whole_matrix_sweep_at_10q() {
+        let n = 10;
+        let dim = 1usize << n;
+        let mut rng = StdRng::seed_from_u64(10);
+        let rho = random_rho(dim, &mut rng);
+        let chunked = |align_rows: usize, sweep: &dyn Fn(&mut [Complex64], usize)| {
+            let mut whole = rho.clone();
+            sweep(&mut whole, 0);
+            let height = chunk_height(align_rows);
+            let mut parts = rho.clone();
+            for (c, chunk) in parts.chunks_mut(height * dim).enumerate() {
+                sweep(chunk, c * height);
+            }
+            assert!(height < dim, "align {align_rows} leaves a single chunk");
+            assert!(
+                bits(&whole) == bits(&parts),
+                "align {align_rows}: chunked sweep moved a bit"
+            );
+        };
+        for targets in [&[0][..], &[5], &[8], &[0, 5], &[6, 2], &[8, 0], &[1, 4, 0]] {
+            let k = targets.len();
+            let dense = DenseOp::new(Arc::new(random_matrix(1 << k, &mut rng)), targets);
+            chunked(dense.align_rows, &|c, row0| {
+                dense.conjugate_rows(c, row0, dim)
+            });
+            let kraus: Vec<Matrix> = (0..3).map(|_| random_matrix(1 << k, &mut rng)).collect();
+            match ExactChannel::compile(&ChannelOp::general(kraus), targets) {
+                ExactChannel::Super(s) => {
+                    chunked(s.align_rows(), &|c, row0| s.apply_rows(c, row0, dim))
+                }
+                ExactChannel::Blocks(b) => {
+                    chunked(b.align_rows, &|c, row0| b.apply_rows(c, row0, dim))
+                }
+                ExactChannel::Unitary(_) => unreachable!("three Kraus operators"),
+            }
+        }
+        let run = [
+            DiagOp::from_gate(&Gate::Rz(Param::bound(0.4)), &[3]).unwrap(),
+            DiagOp::from_gate(&Gate::Rzz(Param::bound(-1.1)), &[0, 9]).unwrap(),
+        ];
+        let tables: Vec<Complex64> = run
+            .iter()
+            .flat_map(|op| (0..dim).map(|i| op.factor(i)))
+            .collect();
+        chunked(1, &|c, row0| diag_sweep(&tables, c, row0, dim));
     }
 }

@@ -1,8 +1,9 @@
 //! Golden snapshot of the paper's science: the Table II "CVaR AR" cell
 //! on `ibmq_guadalupe` (gate-level optimizations + M3 + CVaR 0.3), gate
-//! and hybrid models trained at the three averaging seeds.
+//! and hybrid models trained at the three averaging seeds, and the
+//! "Raw AR" cell on `ibmq_toronto` at seed 42.
 //!
-//! The approximation ratios must stay bit-equal to the values the
+//! The CVaR approximation ratios must stay bit-equal to the values the
 //! benchmark pins (`perfbench/src/train.rs`, `GOLDEN`). A refactor that
 //! moves one of them changes the science and must say so.
 
@@ -45,6 +46,42 @@ fn table2_cvar_cell_ratios_are_bit_equal_to_the_goldens() {
         if ar.to_bits() != golden.to_bits() {
             let model = if is_hybrid { "hybrid" } else { "gate" };
             moved.push(format!("{model} seed {seed}: AR {ar:?}, golden {golden:?}"));
+        }
+    }
+    assert!(moved.is_empty(), "{}", moved.join("; "));
+}
+
+/// `(hybrid, AR)` of the Table II "Raw AR" cell on `ibmq_toronto`
+/// (no gate optimization, no M3, no CVaR) at seed 42, on the region the
+/// table driver routes into (`hgp_bench::region_for`). Captured before
+/// the exact tape's channel sweeps were specialized by arity, from the
+/// CSR superoperator interpreter they replaced; the raw routed schedule
+/// carries more two-qubit channels than the optimized guadalupe cell.
+const TORONTO_RAW_GOLDEN: [(bool, f64); 2] =
+    [(false, 0.5232611762152778), (true, 0.5965169270833334)];
+
+#[test]
+fn table2_raw_toronto_ratios_are_bit_equal_to_the_goldens() {
+    let backend = Backend::ibmq_toronto();
+    let graph = instances::task1_three_regular_6();
+    let region = vec![1, 2, 3, 4, 5, 7];
+    let options = GateModelOptions::raw();
+    let gate = GateModel::new(&backend, &graph, 1, region.clone(), options).expect("region");
+    let hybrid = HybridModel::with_options(&backend, &graph, 1, region, options).expect("region");
+    let config = TrainConfig {
+        seed: 42,
+        ..TrainConfig::default()
+    };
+    let mut moved = Vec::new();
+    for (is_hybrid, golden) in TORONTO_RAW_GOLDEN {
+        let ar = if is_hybrid {
+            train(&hybrid, &graph, &config).approximation_ratio
+        } else {
+            train(&gate, &graph, &config).approximation_ratio
+        };
+        if ar.to_bits() != golden.to_bits() {
+            let model = if is_hybrid { "hybrid" } else { "gate" };
+            moved.push(format!("{model}: AR {ar:?}, golden {golden:?}"));
         }
     }
     assert!(moved.is_empty(), "{}", moved.join("; "));
