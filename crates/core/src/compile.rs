@@ -10,8 +10,7 @@
 //!
 //! - [`CircuitCompiler::compile`] runs the circuit shape work once,
 //!   producing a [`CompiledCircuit`], which binds a parameter vector
-//!   into an executable [`Program`] in `O(gates)` and knows how to
-//!   decode measured wire statistics back to logical qubits;
+//!   into an executable [`Program`] in `O(gates)`;
 //! - [`CircuitCompiler::compile_hybrid`] does the same for hybrid
 //!   gate-pulse QAOA shapes ([`HybridShape`]: graph, depth, mixer
 //!   duration, pass options), producing a [`CompiledProgram`] — the
@@ -19,33 +18,47 @@
 //!   routes every Hamiltonian layer with chained layouts, resolves the
 //!   per-wire mixer pulse calibration (Rabi rate, amplitude
 //!   miscalibration, frame offset, envelope area), and builds the
-//!   layout's noise model; [`CompiledProgram::bind`] then substitutes
-//!   QAOA angles and per-qubit pulse trims per dispatch, integrating
-//!   each mixer drive pulse from the cached calibration —
-//!   bit-identical to [`crate::models::HybridModel::build`], which
+//!   layout's noise model; binding then substitutes QAOA angles and
+//!   per-qubit pulse trims per dispatch, integrating each mixer drive
+//!   pulse from the cached calibration — bit-identical to
+//!   [`HybridModel`](crate::models::HybridModel)'s
+//!   [`VqaModel::build`](crate::models::VqaModel::build), which
 //!   delegates here.
+//!
+//! Below the gate/pulse split both families share everything, so both
+//! are one type, [`Compiled`], over a family body: [`CircuitBody`] (the
+//! routed circuit) or [`HybridBody`] (routed Hamiltonian layers plus the
+//! mixer calibration). The shared half — cache key, region, the
+//! logical↔wire map, the layout's `Arc<NoiseModel>`, the backend, and
+//! the two lazily recorded schedule templates — lives once, with every
+//! method that reads only it (`executor`, `exit_wire`, `decode_counts`,
+//! `decode_probabilities`, `wire_observable`) and the one template-bind
+//! skeleton behind `bind_replay` and `bind_exact`. The family body
+//! contributes what differs ([`ProgramFamily`]): its parameter count,
+//! how it binds, which of its ops are parametric, and how a mixer pulse
+//! slot is evaluated.
 //!
 //! Compiled artifacts are keyed by [`Circuit::structural_key`] /
 //! [`HybridShape::structural_key`] (hybrid keys fold in a leading
 //! domain tag, keeping them apart from the untagged circuit encoding),
 //! which is what `hgp_serve`'s compiled-program cache indexes on.
-//! Both artifacts carry their layout's `Arc<NoiseModel>`, so noisy
-//! dispatches — exact density walks or `O(2^n)`-per-shot stochastic
-//! trajectories — never rebuild channel parameters.
+//! Carrying the layout's noise model means noisy dispatches — exact
+//! density walks or `O(2^n)`-per-shot stochastic trajectories — never
+//! rebuild channel parameters.
 //!
-//! Both artifacts also carry a
-//! [`TrajectoryTemplate`](crate::template::TrajectoryTemplate): the
-//! noisy ASAP schedule recorded **once per shape** (lazily, on the
-//! first trajectory bind, so non-trajectory workloads never pay it)
-//! into an op-fused [`hgp_sim::ReplayProgram`] tape with parametric
-//! slots. [`CompiledCircuit::bind_replay`] /
-//! [`CompiledProgram::bind_replay`] substitute a binding's parametric
-//! entries (bound-angle diagonals, pulse-backed parametric 1q gates,
-//! mixer pulse blocks) into the cached tape — no per-dispatch schedule
-//! walk, no channel rebuild — bit-identical to recording the bound
-//! program from scratch, which is also the fallback taken for
-//! executors whose physics deviate from the recording (dynamical
-//! decoupling, ZNE-scaled noise models).
+//! Each artifact also carries a [`Template`]
+//! per path: the noisy ASAP schedule recorded **once per shape**
+//! (lazily, on the first bind of that path, so workloads that never use
+//! a path never pay for it) into an op-fused tape with parametric slots
+//! — an [`hgp_sim::ReplayProgram`] for trajectories, an
+//! [`hgp_sim::ExactReplayProgram`] superoperator tape for the exact
+//! path. [`Compiled::bind_replay`] / [`Compiled::bind_exact`] substitute
+//! a binding's parametric entries (bound-angle diagonals, pulse-backed
+//! parametric 1q gates, mixer pulse blocks) into the cached tape — no
+//! per-dispatch schedule walk, no channel rebuild — bit-identical to
+//! recording the bound program from scratch, which is also the fallback
+//! taken for executors whose physics deviate from the recording
+//! (dynamical decoupling, ZNE-scaled noise models).
 //!
 //! Everything reachable from request-derived data returns typed errors
 //! rather than panicking: a malformed shape (empty graph, invalid mixer
@@ -85,10 +98,9 @@ use hgp_noise::NoiseModel;
 use hgp_pulse::propagator::drive_propagator;
 use hgp_pulse::Waveform;
 use hgp_sim::Counts;
+use hgp_sim::{ExactReplayProgram, ReplayProgram};
 use hgp_transpile::sabre::choose_initial_layout;
 use hgp_transpile::Layout;
-
-use hgp_sim::{ExactReplayProgram, ReplayProgram};
 
 use crate::executor::Executor;
 use crate::models::{
@@ -98,7 +110,8 @@ use crate::models::{
 use crate::program::{BlockKind, Program};
 use crate::qaoa::append_hamiltonian_layer;
 use crate::template::{
-    parametric_gate_specs, ExactTemplate, ParamScope, SlotValue, TemplateSlot, TrajectoryTemplate,
+    parametric_gate_specs, ExactTemplate, ParamScope, SlotValue, Tape, Template, TemplateSlot,
+    TrajectoryTemplate,
 };
 
 /// Compiles logical circuits into a fixed physical region, once per
@@ -166,43 +179,48 @@ impl<'a> CircuitCompiler<'a> {
     /// subgraph (routing inside it would deadlock): a request-derived
     /// circuit must fail its job, not the serving thread.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, String> {
-        let n = circuit.n_qubits();
-        if n > self.region.len() {
-            return Err(format!(
-                "circuit has {n} qubits but the region only {}",
-                self.region.len()
-            ));
-        }
-        let key = circuit.structural_key();
-        let region: Vec<usize> = self.region[..n].to_vec();
         // Entry placement + the shared shape pipeline (cancellation,
         // routing, cancellation) — the exact sequence `GateModel` runs,
         // so compiled shapes stay in lockstep with model-built circuits.
+        let (region, entry) = self.place(circuit, self.options.sabre_iterations, "circuit")?;
+        let (wire_circuit, final_layout, n_swaps) =
+            route_in_region(circuit, self.backend, &region, &entry, &self.options)?;
+        Ok(Compiled::new(
+            circuit.structural_key(),
+            self.backend,
+            region,
+            final_layout,
+            CircuitBody {
+                circuit: wire_circuit,
+                n_swaps,
+            },
+        ))
+    }
+
+    /// The first `n` region qubits for an `n`-qubit `probe`, and the
+    /// entry layout SABRE places the probe with inside them (trivial
+    /// when placement is off). `what` names the program in errors.
+    fn place(
+        &self,
+        probe: &Circuit,
+        sabre_iterations: usize,
+        what: &str,
+    ) -> Result<(Vec<usize>, Layout), String> {
+        let n = probe.n_qubits();
+        if n > self.region.len() {
+            return Err(format!(
+                "{what} has {n} qubits but the region only {}",
+                self.region.len()
+            ));
+        }
+        let region = self.region[..n].to_vec();
         let sub = try_region_coupling(self.backend, &region)?;
-        let entry = if self.options.sabre_iterations > 0 {
-            choose_initial_layout(circuit, &sub, self.options.sabre_iterations)
+        let entry = if sabre_iterations > 0 {
+            choose_initial_layout(probe, &sub, sabre_iterations)
         } else {
             Layout::trivial(n, n)
         };
-        let (wire_circuit, final_layout, n_swaps) =
-            route_in_region(circuit, self.backend, &region, &entry, &self.options)?;
-        // The compiled shape carries its noise model: channel parameters
-        // (T1/T2, gate errors, durations, readout) are resolved once per
-        // shape and cached with the program, so noisy dispatches — exact
-        // or trajectory — never rebuild them.
-        let noise = Arc::new(NoiseModel::from_backend(self.backend, &region));
-        Ok(CompiledCircuit {
-            key,
-            region,
-            circuit: wire_circuit,
-            final_layout,
-            n_swaps,
-            n_logical: n,
-            noise,
-            backend: self.backend.clone(),
-            template: OnceLock::new(),
-            exact_template: OnceLock::new(),
-        })
+        Ok((region, entry))
     }
 
     /// Runs the hybrid shape work — per-layer Hamiltonian routing,
@@ -224,27 +242,16 @@ impl<'a> CircuitCompiler<'a> {
     pub fn compile_hybrid(&self, shape: &HybridShape) -> Result<CompiledProgram, String> {
         shape.validate()?;
         let n = shape.graph().n_nodes();
-        if n > self.region.len() {
-            return Err(format!(
-                "hybrid program has {n} qubits but the region only {}",
-                self.region.len()
-            ));
-        }
-        let region: Vec<usize> = self.region[..n].to_vec();
         let options = shape.options();
-        let sub = try_region_coupling(self.backend, &region)?;
         // Entry placement from a Hamiltonian-layer probe, then per-layer
         // routing with chained layouts — the exact sequence
         // `HybridModel` has always run, so compiled shapes stay in
         // lockstep with model-built programs (bit-for-bit).
-        let mut current = if options.sabre_iterations > 0 {
-            let mut probe = Circuit::new(n);
-            let gamma = probe.add_param();
-            append_hamiltonian_layer(&mut probe, shape.graph(), gamma);
-            choose_initial_layout(&probe, &sub, options.sabre_iterations)
-        } else {
-            Layout::trivial(n, n)
-        };
+        let mut probe = Circuit::new(n);
+        let gamma = probe.add_param();
+        append_hamiltonian_layer(&mut probe, shape.graph(), gamma);
+        let (region, mut current) =
+            self.place(&probe, options.sabre_iterations, "hybrid program")?;
         let mut layers = Vec::with_capacity(shape.p());
         for layer in 0..shape.p() {
             let mut qc = Circuit::new(n);
@@ -279,64 +286,137 @@ impl<'a> CircuitCompiler<'a> {
             })
             .collect();
         let mixer_waveform = Waveform::gaussian(shape.mixer_duration_dt());
-        let noise = Arc::new(NoiseModel::from_backend(self.backend, &region));
-        Ok(CompiledProgram {
-            key: shape.structural_key(),
-            shape: shape.clone(),
+        Ok(Compiled::new(
+            shape.structural_key(),
+            self.backend,
             region,
-            layers,
-            final_layout: current,
-            mixer_area: mixer_waveform.area(),
-            mixer_waveform,
-            wire_drive,
-            n_logical: n,
-            noise,
-            backend: self.backend.clone(),
-            template: OnceLock::new(),
-            exact_template: OnceLock::new(),
-        })
+            current,
+            HybridBody {
+                shape: shape.clone(),
+                layers,
+                mixer_area: mixer_waveform.area(),
+                mixer_waveform,
+                wire_drive,
+            },
+        ))
     }
 }
 
-/// A circuit shape after transpilation: routed onto region wires, still
-/// parametrized, ready for per-dispatch binding.
+/// A program shape after compilation, of either family: routed onto
+/// region wires, still parametrized, ready for per-dispatch binding.
 ///
-/// Wire `i` of the compiled circuit lives on physical qubit
-/// `region()[i]`; an [`Executor`] built over that layout executes bound
-/// programs, and [`CompiledCircuit::decode_counts`] /
-/// [`CompiledCircuit::decode_probabilities`] undo the routing
-/// permutation so results read in logical qubit order.
+/// Wire `i` lives on physical qubit `region()[i]`; an [`Executor`] built
+/// over that layout ([`Compiled::executor`]) executes bound programs,
+/// and [`Compiled::decode_counts`] / [`Compiled::decode_probabilities`]
+/// undo the routing permutation so results read in logical qubit order.
+/// `F` is the family body — [`CircuitBody`] for a [`CompiledCircuit`],
+/// [`HybridBody`] for a [`CompiledProgram`]; every method here is
+/// inherent, so callers never import a trait.
 #[derive(Debug, Clone)]
-pub struct CompiledCircuit {
+pub struct Compiled<F> {
     key: u64,
     region: Vec<usize>,
-    circuit: Circuit,
     final_layout: Layout,
-    n_swaps: usize,
     n_logical: usize,
-    /// The wire layout's noise parameters, built once at compile time
-    /// and shared with every executor of this shape.
+    /// The wire layout's noise parameters (T1/T2, gate errors,
+    /// durations, readout), built once at compile time and shared with
+    /// every executor of this shape.
     noise: Arc<NoiseModel>,
-    /// The backend this shape was compiled against — the identity
-    /// [`CompiledCircuit::bind_replay`] checks before trusting the
-    /// recorded template's fixed-gate pulse physics.
+    /// The backend this shape was compiled against — the identity the
+    /// template binds check before trusting the recorded fixed-gate
+    /// pulse physics.
     backend: Backend,
     /// The shape-constant trajectory schedule (channel structure, idle
-    /// windows, fixed-gate pulse unitaries) with parametric slots —
-    /// recorded lazily on the first trajectory bind, so shapes serving
-    /// only exact/sampled jobs never pay the recording, then substituted
-    /// per dispatch by [`CompiledCircuit::bind_replay`].
-    template: OnceLock<TrajectoryTemplate>,
-    /// The exact-path twin: the same shape-constant schedule compiled
-    /// into a superoperator tape, recorded lazily on the first exact
-    /// bind and substituted by [`CompiledCircuit::bind_exact`].
+    /// windows, fixed-gate pulse unitaries) with parametric slots,
+    /// recorded on the first trajectory bind, so shapes serving only
+    /// exact jobs never pay the recording.
+    replay_template: OnceLock<TrajectoryTemplate>,
+    /// The same schedule as a superoperator tape, recorded on the first
+    /// exact bind.
     exact_template: OnceLock<ExactTemplate>,
+    family: F,
 }
 
-impl CompiledCircuit {
-    /// The source circuit's [`Circuit::structural_key`] — the cache key.
+/// A circuit shape after transpilation (see [`Compiled`]).
+pub type CompiledCircuit = Compiled<CircuitBody>;
+
+/// A hybrid gate-pulse shape after compilation: Hamiltonian layers
+/// routed onto region wires (still parametrized over `gamma`), mixer
+/// pulse calibration resolved per wire, noise model built (see
+/// [`Compiled`]).
+///
+/// [`Compiled::bind`] substitutes a full parameter vector
+/// (`[gamma, theta, phase_0, f_0, ...]` per layer, the
+/// [`HybridModel`](crate::models::HybridModel) layout) into an
+/// executable hybrid [`Program`]: gate layers bind `gamma` in
+/// `O(gates)`; each mixer pulse block integrates its drive propagator
+/// from the cached calibration. The result is bit-identical to the
+/// model's [`VqaModel::build`](crate::models::VqaModel::build) — the
+/// model delegates to this artifact — so served hybrid jobs replay
+/// model-driven runs exactly.
+pub type CompiledProgram = Compiled<HybridBody>;
+
+/// What a compiled program family contributes to [`Compiled`]: its
+/// parameter count, how it binds, which of its program ops a schedule
+/// template must substitute per dispatch, and how each such slot is
+/// evaluated.
+///
+/// Implemented by [`CircuitBody`] and [`HybridBody`]; its methods name
+/// crate-private template types, so no other crate can implement it.
+/// Callers name it only as a bound, to run one code path over both
+/// families (every method they call is inherent on [`Compiled`]).
+pub trait ProgramFamily {
+    /// Number of parameters a dispatch must bind.
+    fn n_params(&self) -> usize;
+
+    /// Binds a parameter vector into an executable program over region
+    /// wires.
+    fn bind(&self, params: &[f64]) -> Program;
+
+    /// The parametric program ops, as `(op index, slot)` in op order,
+    /// with gate durations read from the shape's noise model.
+    fn template_specs(&self, noise: &NoiseModel) -> Vec<(usize, TemplateSlot)>;
+
+    /// Evaluates one slot at a binding (gate slots by default).
+    fn eval_slot(&self, slot: &TemplateSlot, exec: &Executor, params: &[f64]) -> SlotValue {
+        slot.eval(exec, params)
+    }
+}
+
+impl<F> Compiled<F> {
+    fn new(
+        key: u64,
+        backend: &Backend,
+        region: Vec<usize>,
+        final_layout: Layout,
+        family: F,
+    ) -> Self {
+        Self {
+            key,
+            n_logical: region.len(),
+            noise: Arc::new(NoiseModel::from_backend(backend, &region)),
+            region,
+            final_layout,
+            backend: backend.clone(),
+            replay_template: OnceLock::new(),
+            exact_template: OnceLock::new(),
+            family,
+        }
+    }
+
+    /// The source shape's structural key ([`Circuit::structural_key`]
+    /// or [`HybridShape::structural_key`]) — the cache key.
     pub fn key(&self) -> u64 {
         self.key
+    }
+
+    /// Gives the artifact a new key after a shape change, dropping both
+    /// recorded templates: they belong to the old shape, and the next
+    /// bind of each path re-records.
+    fn rekey(&mut self, key: u64) {
+        self.key = key;
+        self.replay_template = OnceLock::new();
+        self.exact_template = OnceLock::new();
     }
 
     /// Number of logical qubits (equals the wire count).
@@ -344,122 +424,9 @@ impl CompiledCircuit {
         self.n_logical
     }
 
-    /// Number of free parameters a dispatch must bind.
-    pub fn n_params(&self) -> usize {
-        self.circuit.n_params()
-    }
-
     /// Physical qubit of each wire.
     pub fn region(&self) -> &[usize] {
         &self.region
-    }
-
-    /// The routed wire circuit (possibly parametrized).
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    /// SWAPs inserted by routing.
-    pub fn n_swaps(&self) -> usize {
-        self.n_swaps
-    }
-
-    /// Binds a parameter vector into an executable program over region
-    /// wires — the per-dispatch step, `O(gates)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != self.n_params()`.
-    pub fn bind(&self, params: &[f64]) -> Program {
-        let bound = self.circuit.bind(params);
-        Program::from_circuit(&bound).expect("bound circuit converts")
-    }
-
-    /// The shape-constant trajectory schedule template, if a trajectory
-    /// bind has recorded it yet (recording is lazy).
-    pub fn replay_template(&self) -> Option<&TrajectoryTemplate> {
-        self.template.get()
-    }
-
-    /// Whether `exec` matches the recorded template's physics: templates
-    /// are recorded against this artifact's own backend and noise model
-    /// with no dynamical decoupling, so an executor that deviates (a
-    /// different or recalibrated backend, a scaled ZNE model, DD
-    /// enabled) must take the full walk instead.
-    fn template_compatible(&self, exec: &Executor) -> bool {
-        !exec.uses_dynamical_decoupling()
-            && Arc::ptr_eq(exec.noise_model(), &self.noise)
-            && *exec.backend() == self.backend
-    }
-
-    /// Binds a parameter vector straight into an executable replay tape
-    /// — the trajectory-path analogue of [`CompiledCircuit::bind`] that
-    /// skips the per-dispatch schedule walk entirely: the template's
-    /// recorded tape (walked lazily, once per shape) is cloned (channel
-    /// tables shared) and only the parametric entries (bound-angle
-    /// diagonals, pulse-backed parametric 1q gates) are recomputed.
-    ///
-    /// Bit-identical to `exec.replay_program(&self.bind(params))` —
-    /// which is also the path taken when `exec` does not match the
-    /// template's physics (dynamical decoupling enabled, or a noise
-    /// model other than this shape's cached one, e.g. a ZNE-scaled
-    /// copy). `exec` must be an executor over this circuit's wire layout
-    /// (see [`CompiledCircuit::executor`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != self.n_params()`.
-    pub fn bind_replay(&self, exec: &Executor, params: &[f64]) -> ReplayProgram {
-        assert_eq!(params.len(), self.n_params(), "parameter count");
-        if !self.template_compatible(exec) {
-            return exec.replay_program(&self.bind(params));
-        }
-        let template = self.template.get_or_init(|| {
-            let (reference, specs) = self.template_parts();
-            TrajectoryTemplate::record(exec, &reference, specs)
-        });
-        template.bind_with(|spec| spec.eval(exec, params))
-    }
-
-    /// The recording inputs both template flavors share: the shape
-    /// bound at the reference point, and its parametric-op specs.
-    fn template_parts(&self) -> (Program, Vec<(usize, TemplateSlot)>) {
-        let reference =
-            Program::from_circuit(&self.circuit.bind(&vec![0.0; self.circuit.n_params()]))
-                .expect("bound circuit converts");
-        let (specs, _ops) = parametric_gate_specs(&self.noise, &self.circuit, ParamScope::Full, 0);
-        (reference, specs)
-    }
-
-    /// The shape-constant exact schedule template, if an exact bind has
-    /// recorded it yet (recording is lazy).
-    pub fn exact_template(&self) -> Option<&ExactTemplate> {
-        self.exact_template.get()
-    }
-
-    /// Binds a parameter vector straight into an exact-path
-    /// superoperator tape — the density-matrix analogue of
-    /// [`CompiledCircuit::bind_replay`]: no per-dispatch schedule walk,
-    /// no channel re-resolution, only the parametric entries recomputed.
-    ///
-    /// Parity against `exec.exact_replay_program(&self.bind(params))` —
-    /// which is also the fallback when `exec` deviates from the
-    /// template's physics — follows the exact-tape contract:
-    /// bit-identical tape, hence bit-identical replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != self.n_params()`.
-    pub fn bind_exact(&self, exec: &Executor, params: &[f64]) -> ExactReplayProgram {
-        assert_eq!(params.len(), self.n_params(), "parameter count");
-        if !self.template_compatible(exec) {
-            return exec.exact_replay_program(&self.bind(params));
-        }
-        let template = self.exact_template.get_or_init(|| {
-            let (reference, specs) = self.template_parts();
-            ExactTemplate::record(exec, &reference, specs)
-        });
-        template.bind_with(|spec| spec.eval(exec, params))
     }
 
     /// The compiled shape's cached noise model (wire layout order).
@@ -467,23 +434,26 @@ impl CompiledCircuit {
         &self.noise
     }
 
-    /// An executor over this compiled circuit's wire layout, reusing the
-    /// noise model cached at compile time. `backend` must be the one the
-    /// circuit was compiled against.
+    /// An executor over this shape's wire layout, reusing the noise
+    /// model cached at compile time. `backend` must be the one the shape
+    /// was compiled against.
     pub fn executor<'b>(&self, backend: &'b Backend) -> Executor<'b> {
         Executor::with_noise_model(backend, self.region.clone(), Arc::clone(&self.noise))
     }
 
-    /// The wire hosting logical qubit `l` at circuit exit (after
+    /// The wire hosting logical qubit `l` at measurement (after
     /// routing's final permutation).
     pub fn exit_wire(&self, l: usize) -> usize {
         self.final_layout.physical(l)
     }
 
+    fn exit_wires(&self) -> Vec<usize> {
+        (0..self.n_logical).map(|l| self.exit_wire(l)).collect()
+    }
+
     /// Maps measured wire counts back to logical-qubit counts.
     pub fn decode_counts(&self, counts: &Counts) -> Counts {
-        let map: Vec<usize> = (0..self.n_logical).map(|l| self.exit_wire(l)).collect();
-        counts.remapped(&map, self.n_logical)
+        counts.remapped(&self.exit_wires(), self.n_logical)
     }
 
     /// Maps a wire-basis probability vector back to logical order.
@@ -493,7 +463,7 @@ impl CompiledCircuit {
     /// Panics if `wire_probs.len() != 2^n_qubits`.
     pub fn decode_probabilities(&self, wire_probs: &[f64]) -> Vec<f64> {
         assert_eq!(wire_probs.len(), 1 << self.n_logical, "probability length");
-        let map: Vec<usize> = (0..self.n_logical).map(|l| self.exit_wire(l)).collect();
+        let map = self.exit_wires();
         let mut out = vec![0.0; 1 << self.n_logical];
         for (s, &p) in wire_probs.iter().enumerate() {
             let mut decoded = 0usize;
@@ -512,12 +482,12 @@ impl CompiledCircuit {
     ///
     /// # Panics
     ///
-    /// Panics if the observable width disagrees with the circuit.
+    /// Panics if the observable width disagrees with the program.
     pub fn wire_observable(&self, observable: &PauliSum) -> PauliSum {
         assert_eq!(
             observable.n_qubits(),
             self.n_logical,
-            "observable width must match the circuit"
+            "observable width must match the program"
         );
         let terms = observable
             .terms()
@@ -532,6 +502,150 @@ impl CompiledCircuit {
             })
             .collect();
         PauliSum::from_terms(terms)
+    }
+
+    /// The shape-constant trajectory schedule template, if a trajectory
+    /// bind has recorded it yet (recording is lazy).
+    pub fn replay_template(&self) -> Option<&TrajectoryTemplate> {
+        self.replay_template.get()
+    }
+
+    /// The shape-constant exact schedule template, if an exact bind has
+    /// recorded it yet (recording is lazy).
+    pub fn exact_template(&self) -> Option<&ExactTemplate> {
+        self.exact_template.get()
+    }
+
+    /// Whether `exec` matches the recorded templates' physics: they are
+    /// recorded against this artifact's own backend and noise model with
+    /// no dynamical decoupling, so an executor that deviates (a
+    /// different or recalibrated backend, a scaled ZNE model, DD
+    /// enabled) must take the full walk instead.
+    fn template_compatible(&self, exec: &Executor) -> bool {
+        !exec.uses_dynamical_decoupling()
+            && Arc::ptr_eq(exec.noise_model(), &self.noise)
+            && *exec.backend() == self.backend
+    }
+}
+
+impl<F: ProgramFamily> Compiled<F> {
+    /// Number of parameters a dispatch must bind.
+    pub fn n_params(&self) -> usize {
+        self.family.n_params()
+    }
+
+    /// Binds a parameter vector into an executable program over region
+    /// wires — the per-dispatch step. A circuit binds its gates in
+    /// `O(gates)`; a hybrid program binds each layer's `gamma` and
+    /// integrates each qubit's mixer pulse from the commanded shared
+    /// angle `theta` (clamped to the hardware amplitude bound) with its
+    /// per-qubit phase and frequency trims, through the *true* pulse
+    /// physics: calibration error and frame offset act on the pulse
+    /// exactly as on gate-level pulses, but here the trims can cancel
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != self.n_params()`.
+    pub fn bind(&self, params: &[f64]) -> Program {
+        self.family.bind(params)
+    }
+
+    /// Binds a parameter vector straight into an executable replay tape
+    /// — the trajectory-path analogue of [`Compiled::bind`] that skips
+    /// the per-dispatch schedule walk: the recorded tape (walked once
+    /// per shape) is cloned (channel tables shared) and only the
+    /// parametric entries are recomputed — bound-angle diagonals,
+    /// pulse-backed parametric 1q gates, and mixer pulse blocks, which
+    /// re-integrate their drive propagators from the cached calibration.
+    ///
+    /// Bit-identical to `exec.replay_program(&self.bind(params))` —
+    /// which is also the path taken when `exec` does not match the
+    /// template's physics (dynamical decoupling enabled, or a noise
+    /// model other than this shape's cached one, e.g. a ZNE-scaled
+    /// copy). `exec` must be an executor over this shape's wire layout
+    /// (see [`Compiled::executor`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != self.n_params()`.
+    pub fn bind_replay(&self, exec: &Executor, params: &[f64]) -> ReplayProgram {
+        self.bind_template(&self.replay_template, exec, params, |p| {
+            exec.replay_program(p)
+        })
+    }
+
+    /// Binds a parameter vector straight into an exact-path
+    /// superoperator tape — the density-matrix analogue of
+    /// [`Compiled::bind_replay`]: no per-dispatch schedule walk, no
+    /// channel re-resolution, only the parametric entries recomputed.
+    ///
+    /// Parity against `exec.exact_replay_program(&self.bind(params))` —
+    /// which is also the fallback when `exec` deviates from the
+    /// template's physics — follows the exact-tape contract:
+    /// bit-identical tape, hence bit-identical replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != self.n_params()`.
+    pub fn bind_exact(&self, exec: &Executor, params: &[f64]) -> ExactReplayProgram {
+        self.bind_template(&self.exact_template, exec, params, |p| {
+            exec.exact_replay_program(p)
+        })
+    }
+
+    /// The template-bind skeleton both paths share: the compatibility
+    /// check with its full-walk fallback (`walk`), the lazy record at a
+    /// reference binding, and the per-dispatch slot substitution.
+    fn bind_template<T: Tape>(
+        &self,
+        template: &OnceLock<Template<T>>,
+        exec: &Executor,
+        params: &[f64],
+        walk: impl FnOnce(&Program) -> T,
+    ) -> T {
+        assert_eq!(params.len(), self.n_params(), "parameter count");
+        if !self.template_compatible(exec) {
+            return walk(&self.bind(params));
+        }
+        let template = template.get_or_init(|| {
+            let reference = self.bind(&vec![0.0; self.n_params()]);
+            Template::record(exec, &reference, self.family.template_specs(&self.noise))
+        });
+        template.bind_with(|slot| self.family.eval_slot(slot, exec, params))
+    }
+}
+
+impl CompiledCircuit {
+    /// The routed wire circuit (possibly parametrized).
+    pub fn circuit(&self) -> &Circuit {
+        &self.family.circuit
+    }
+
+    /// SWAPs inserted by routing.
+    pub fn n_swaps(&self) -> usize {
+        self.family.n_swaps
+    }
+}
+
+/// The circuit family's body: the routed wire circuit.
+#[derive(Debug, Clone)]
+pub struct CircuitBody {
+    circuit: Circuit,
+    n_swaps: usize,
+}
+
+impl ProgramFamily for CircuitBody {
+    fn n_params(&self) -> usize {
+        self.circuit.n_params()
+    }
+
+    fn bind(&self, params: &[f64]) -> Program {
+        Program::from_circuit(&self.circuit.bind(params)).expect("bound circuit converts")
+    }
+
+    fn template_specs(&self, noise: &NoiseModel) -> Vec<(usize, TemplateSlot)> {
+        parametric_gate_specs(noise, &self.circuit, ParamScope::Full, 0).0
     }
 }
 
@@ -727,95 +841,34 @@ struct DriveCalibration {
     freq_offset: f64,
 }
 
-/// A hybrid gate-pulse shape after compilation: Hamiltonian layers
-/// routed onto region wires (still parametrized over `gamma`), mixer
-/// pulse calibration resolved per wire, noise model built — ready for
-/// per-dispatch binding.
-///
-/// [`CompiledProgram::bind`] substitutes a full parameter vector
-/// (`[gamma, theta, phase_0, f_0, ...]` per layer, the
-/// [`crate::models::HybridModel`] layout) into an executable hybrid
-/// [`Program`]: gate layers bind `gamma` in `O(gates)`; each mixer
-/// pulse block integrates its drive propagator from the cached
-/// calibration. The result is bit-identical to
-/// [`crate::models::HybridModel::build`] — the model delegates to this
-/// artifact — so served hybrid jobs replay model-driven runs exactly.
-#[derive(Debug, Clone)]
-pub struct CompiledProgram {
-    key: u64,
-    shape: HybridShape,
-    region: Vec<usize>,
-    layers: Vec<CompiledPulseLayer>,
-    final_layout: Layout,
-    mixer_area: f64,
-    mixer_waveform: Waveform,
-    wire_drive: Vec<DriveCalibration>,
-    n_logical: usize,
-    /// The wire layout's noise parameters, built once at compile time
-    /// and shared with every executor of this shape.
-    noise: Arc<NoiseModel>,
-    /// The backend this shape was compiled against — the identity
-    /// [`CompiledProgram::bind_replay`] checks before trusting the
-    /// recorded template's fixed-gate pulse physics.
-    backend: Backend,
-    /// The shape-constant trajectory schedule with parametric slots
-    /// (bound-`gamma` diagonals, mixer pulse blocks) — recorded lazily
-    /// on the first trajectory bind (the schedule is duration-dependent,
-    /// so [`CompiledProgram::with_mixer_duration`] resets it and the
-    /// next bind re-records).
-    template: OnceLock<TrajectoryTemplate>,
-    /// The exact-path twin: the same duration-dependent schedule as a
-    /// superoperator tape, recorded lazily on the first exact bind and
-    /// reset alongside the trajectory template.
-    exact_template: OnceLock<ExactTemplate>,
-}
-
 impl CompiledProgram {
-    /// The source shape's [`HybridShape::structural_key`] — the cache
-    /// key.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
     /// The shape this program was compiled from.
     pub fn shape(&self) -> &HybridShape {
-        &self.shape
-    }
-
-    /// Number of logical qubits (equals the wire count).
-    pub fn n_qubits(&self) -> usize {
-        self.n_logical
-    }
-
-    /// Number of parameters a dispatch must bind.
-    pub fn n_params(&self) -> usize {
-        self.shape.n_params()
-    }
-
-    /// Physical qubit of each wire.
-    pub fn region(&self) -> &[usize] {
-        &self.region
+        &self.family.shape
     }
 
     /// Mixer pulse duration, `dt`.
     pub fn mixer_duration_dt(&self) -> u32 {
-        self.shape.mixer_duration_dt()
+        self.family.shape.mixer_duration_dt()
     }
 
     /// The mixer pulse envelope at the compiled duration.
     pub fn mixer_waveform(&self) -> Waveform {
-        self.mixer_waveform
+        self.family.mixer_waveform
     }
 
     /// The drive amplitude that reproduces `RX(theta)` at the compiled
     /// mixer duration on region wire `wire` (initialization helper).
     pub fn amp_for_angle(&self, wire: usize, theta: f64) -> f64 {
-        theta / (self.wire_drive[wire].strength * self.mixer_area)
+        self.family.amp_for_angle(wire, theta)
     }
 
     /// Rebuilds this artifact at a different mixer duration (Step I's
     /// binary search). Routing is duration-independent and reused; only
     /// the mixer waveform, its cached area, and the cache key change.
+    /// The recorded schedules are duration-dependent (pulse-block spans,
+    /// idle windows, channel exposures), so re-keying drops both
+    /// templates and the next bind re-records at the new duration.
     ///
     /// # Panics
     ///
@@ -825,175 +878,36 @@ impl CompiledProgram {
             duration_dt > 0 && duration_dt.is_multiple_of(32),
             "mixer duration must be a positive multiple of 32 dt"
         );
-        self.shape = self.shape.clone().with_mixer_duration(duration_dt);
-        self.mixer_waveform = Waveform::gaussian(duration_dt);
-        self.mixer_area = self.mixer_waveform.area();
-        self.key = self.shape.structural_key();
-        // The recorded schedule is duration-dependent (pulse-block
-        // spans, idle windows, channel exposures): reset both template
-        // flavors so the next bind re-records at the new duration.
-        self.template = OnceLock::new();
-        self.exact_template = OnceLock::new();
+        let body = &mut self.family;
+        body.shape = body.shape.clone().with_mixer_duration(duration_dt);
+        body.mixer_waveform = Waveform::gaussian(duration_dt);
+        body.mixer_area = body.mixer_waveform.area();
+        let key = body.shape.structural_key();
+        self.rekey(key);
         self
     }
+}
 
-    /// The recording inputs both template flavors share: the shape
-    /// bound at a reference point, plus the parametric slots — each
-    /// layer circuit's free `gamma` gates and every mixer pulse block.
-    fn template_parts(&self) -> (Program, Vec<(usize, TemplateSlot)>) {
-        let reference = self.bind(&vec![0.0; self.n_params()]);
-        let per_layer = self.shape.params_per_layer();
-        let mut specs = Vec::new();
-        let mut op_base = 0usize;
-        for (layer_idx, layer) in self.layers.iter().enumerate() {
-            let (layer_specs, n_ops) = parametric_gate_specs(
-                &self.noise,
-                &layer.circuit,
-                ParamScope::Single(layer_idx * per_layer),
-                op_base,
-            );
-            specs.extend(layer_specs);
-            op_base += n_ops;
-            for logical in 0..self.n_logical {
-                specs.push((
-                    op_base,
-                    TemplateSlot::Mixer {
-                        layer: layer_idx,
-                        logical,
-                    },
-                ));
-                op_base += 1;
-            }
-        }
-        (reference, specs)
-    }
+/// The hybrid family's body: the routed Hamiltonian layers and the
+/// per-wire mixer pulse calibration.
+#[derive(Debug, Clone)]
+pub struct HybridBody {
+    shape: HybridShape,
+    layers: Vec<CompiledPulseLayer>,
+    mixer_area: f64,
+    mixer_waveform: Waveform,
+    wire_drive: Vec<DriveCalibration>,
+}
 
-    /// Records the shape-constant schedule at a reference binding and
-    /// resolves the parametric slots.
-    fn build_template(&self, exec: &Executor) -> TrajectoryTemplate {
-        let (reference, specs) = self.template_parts();
-        TrajectoryTemplate::record(exec, &reference, specs)
-    }
-
-    /// The shape-constant trajectory schedule template, if a trajectory
-    /// bind has recorded it yet (recording is lazy).
-    pub fn replay_template(&self) -> Option<&TrajectoryTemplate> {
-        self.template.get()
-    }
-
-    /// Whether `exec` matches the recorded template's physics (no
-    /// dynamical decoupling, this shape's own cached noise model and
-    /// compile-time backend).
-    fn template_compatible(&self, exec: &Executor) -> bool {
-        !exec.uses_dynamical_decoupling()
-            && Arc::ptr_eq(exec.noise_model(), &self.noise)
-            && *exec.backend() == self.backend
-    }
-
-    /// Binds a parameter vector straight into an executable replay tape
-    /// — the trajectory-path analogue of [`CompiledProgram::bind`]. The
-    /// per-dispatch work is exactly the parametric entries: bound-`gamma`
-    /// diagonals re-derive their phases and mixer pulse blocks
-    /// re-integrate their drive propagators from the cached calibration;
-    /// the ASAP walk, idle analysis, channel tables, and fixed-gate pulse
-    /// physics are reused from the recording (walked lazily, once per
-    /// shape and mixer duration).
-    ///
-    /// Bit-identical to `exec.replay_program(&self.bind(params))` —
-    /// which is also the path taken when `exec` does not match the
-    /// template's physics (dynamical decoupling enabled, or a noise
-    /// model other than this shape's cached one, e.g. a ZNE-scaled
-    /// copy). `exec` must be an executor over this program's wire layout
-    /// (see [`CompiledProgram::executor`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != self.n_params()`.
-    pub fn bind_replay(&self, exec: &Executor, params: &[f64]) -> ReplayProgram {
-        assert_eq!(params.len(), self.n_params(), "parameter count");
-        if !self.template_compatible(exec) {
-            return exec.replay_program(&self.bind(params));
-        }
-        let template = self.template.get_or_init(|| self.build_template(exec));
-        template.bind_with(|spec| match spec {
-            TemplateSlot::Mixer { layer, logical } => {
-                SlotValue::Unitary(self.mixer_unitary(*layer, *logical, params).1)
-            }
-            gate_slot => gate_slot.eval(exec, params),
-        })
-    }
-
-    /// The shape-constant exact schedule template, if an exact bind has
-    /// recorded it yet (recording is lazy; duration re-keying resets it
-    /// like the trajectory template).
-    pub fn exact_template(&self) -> Option<&ExactTemplate> {
-        self.exact_template.get()
-    }
-
-    /// Binds a parameter vector straight into an exact-path
-    /// superoperator tape — the density-matrix analogue of
-    /// [`CompiledProgram::bind_replay`], substituting bound-`gamma`
-    /// diagonals and re-integrated mixer pulse propagators into the
-    /// recorded tape without re-walking the schedule or re-resolving
-    /// any channel. Falls back to
-    /// `exec.exact_replay_program(&self.bind(params))` when `exec`
-    /// deviates from the template's physics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != self.n_params()`.
-    pub fn bind_exact(&self, exec: &Executor, params: &[f64]) -> ExactReplayProgram {
-        assert_eq!(params.len(), self.n_params(), "parameter count");
-        if !self.template_compatible(exec) {
-            return exec.exact_replay_program(&self.bind(params));
-        }
-        let template = self.exact_template.get_or_init(|| {
-            let (reference, specs) = self.template_parts();
-            ExactTemplate::record(exec, &reference, specs)
-        });
-        template.bind_with(|spec| match spec {
-            TemplateSlot::Mixer { layer, logical } => {
-                SlotValue::Unitary(self.mixer_unitary(*layer, *logical, params).1)
-            }
-            gate_slot => gate_slot.eval(exec, params),
-        })
-    }
-
-    /// Binds a parameter vector (`[gamma, theta, phase_0, f_0, ...]` per
-    /// layer) into an executable hybrid program over region wires — the
-    /// per-dispatch step.
-    ///
-    /// Gate layers execute with `gamma` bound; each qubit's mixer pulse
-    /// is integrated from the commanded shared angle `theta` (clamped to
-    /// the hardware amplitude bound) with its per-qubit phase and
-    /// frequency trims, through the *true* pulse physics: calibration
-    /// error and frame offset act on the pulse exactly as on gate-level
-    /// pulses, but here the trims can cancel them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != self.n_params()`.
-    pub fn bind(&self, params: &[f64]) -> Program {
-        assert_eq!(params.len(), self.n_params(), "parameter count");
-        let mut program = Program::new(self.region.len());
-        let per_layer = self.shape.params_per_layer();
-        let duration = self.shape.mixer_duration_dt();
-        for (layer_idx, layer) in self.layers.iter().enumerate() {
-            let gamma = params[layer_idx * per_layer];
-            let bound = layer.circuit.bind(&[gamma]);
-            program.append(&Program::from_circuit(&bound).expect("bound layer"));
-            for l in 0..self.n_logical {
-                let (wire, unitary) = self.mixer_unitary(layer_idx, l, params);
-                program.push_pulse_block(&[wire], unitary, duration, BlockKind::Drive);
-            }
-        }
-        program
+impl HybridBody {
+    fn amp_for_angle(&self, wire: usize, theta: f64) -> f64 {
+        theta / (self.wire_drive[wire].strength * self.mixer_area)
     }
 
     /// Integrates one mixer pulse block from the cached calibration: the
     /// region wire it plays on and its drive-propagator unitary. Shared
-    /// by [`CompiledProgram::bind`] and the schedule template's slot
-    /// substitution, so the two paths are bit-identical by construction.
+    /// by [`ProgramFamily::bind`] and the template's mixer slots, so the
+    /// two paths are bit-identical by construction.
     fn mixer_unitary(&self, layer_idx: usize, l: usize, params: &[f64]) -> (usize, Matrix) {
         let per_layer = self.shape.params_per_layer();
         let duration = self.shape.mixer_duration_dt();
@@ -1019,56 +933,66 @@ impl CompiledProgram {
         );
         (wire, unitary)
     }
+}
 
-    /// The compiled shape's cached noise model (wire layout order).
-    pub fn noise_model(&self) -> &Arc<NoiseModel> {
-        &self.noise
+impl ProgramFamily for HybridBody {
+    fn n_params(&self) -> usize {
+        self.shape.n_params()
     }
 
-    /// An executor over this compiled program's wire layout, reusing the
-    /// noise model cached at compile time. `backend` must be the one the
-    /// shape was compiled against.
-    pub fn executor<'b>(&self, backend: &'b Backend) -> Executor<'b> {
-        Executor::with_noise_model(backend, self.region.clone(), Arc::clone(&self.noise))
+    fn bind(&self, params: &[f64]) -> Program {
+        assert_eq!(params.len(), self.n_params(), "parameter count");
+        let mut program = Program::new(self.shape.n_qubits());
+        let per_layer = self.shape.params_per_layer();
+        let duration = self.shape.mixer_duration_dt();
+        for (layer_idx, layer) in self.layers.iter().enumerate() {
+            let gamma = params[layer_idx * per_layer];
+            let bound = layer.circuit.bind(&[gamma]);
+            program.append(&Program::from_circuit(&bound).expect("bound layer"));
+            for l in 0..self.shape.n_qubits() {
+                let (wire, unitary) = self.mixer_unitary(layer_idx, l, params);
+                program.push_pulse_block(&[wire], unitary, duration, BlockKind::Drive);
+            }
+        }
+        program
     }
 
-    /// The wire hosting logical qubit `l` when measurement happens
-    /// (after routing's final permutation).
-    pub fn exit_wire(&self, l: usize) -> usize {
-        self.final_layout.physical(l)
+    /// Each layer circuit's free `gamma` gates, then the layer's mixer
+    /// pulse blocks, one per qubit.
+    fn template_specs(&self, noise: &NoiseModel) -> Vec<(usize, TemplateSlot)> {
+        let per_layer = self.shape.params_per_layer();
+        let mut specs = Vec::new();
+        let mut op_base = 0usize;
+        for (layer_idx, layer) in self.layers.iter().enumerate() {
+            let (layer_specs, n_ops) = parametric_gate_specs(
+                noise,
+                &layer.circuit,
+                ParamScope::Single(layer_idx * per_layer),
+                op_base,
+            );
+            specs.extend(layer_specs);
+            op_base += n_ops;
+            for logical in 0..self.shape.n_qubits() {
+                specs.push((
+                    op_base,
+                    TemplateSlot::Mixer {
+                        layer: layer_idx,
+                        logical,
+                    },
+                ));
+                op_base += 1;
+            }
+        }
+        specs
     }
 
-    /// Maps measured wire counts back to logical-qubit counts.
-    pub fn decode_counts(&self, counts: &Counts) -> Counts {
-        let map: Vec<usize> = (0..self.n_logical).map(|l| self.exit_wire(l)).collect();
-        counts.remapped(&map, self.n_logical)
-    }
-
-    /// Rewrites an observable over logical qubits into wire indices, so
-    /// it can be evaluated directly on the executed state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observable width disagrees with the program.
-    pub fn wire_observable(&self, observable: &PauliSum) -> PauliSum {
-        assert_eq!(
-            observable.n_qubits(),
-            self.n_logical,
-            "observable width must match the program"
-        );
-        let terms = observable
-            .terms()
-            .iter()
-            .map(|t| {
-                let factors = t
-                    .factors()
-                    .iter()
-                    .map(|&(q, p)| (self.exit_wire(q), p))
-                    .collect();
-                PauliString::new(self.n_logical, factors, t.coeff())
-            })
-            .collect();
-        PauliSum::from_terms(terms)
+    fn eval_slot(&self, slot: &TemplateSlot, exec: &Executor, params: &[f64]) -> SlotValue {
+        match slot {
+            TemplateSlot::Mixer { layer, logical } => {
+                SlotValue::Unitary(self.mixer_unitary(*layer, *logical, params).1)
+            }
+            gate_slot => gate_slot.eval(exec, params),
+        }
     }
 }
 
@@ -1281,6 +1205,7 @@ mod tests {
         assert!(compiled.replay_template().is_none());
         let exec = compiled.executor(&backend);
         let obs = compiled.wire_observable(&cost_hamiltonian(&graph));
+        let mut recorded_at = None;
         for params in [
             [0.35, 0.25, -0.8, 1.1],
             [0.0, 0.0, 0.0, 0.0],
@@ -1304,6 +1229,10 @@ mod tests {
                 reference.sample_counts(&recorded),
                 "{params:?}"
             );
+            // Recorded once: every later bind reuses the same template.
+            let template = compiled.replay_template().expect("recorded");
+            let first = *recorded_at.get_or_insert(template);
+            assert!(std::ptr::eq(first, template), "re-recorded, {params:?}");
         }
         assert!(compiled.replay_template().expect("recorded").n_slots() > 0);
 
@@ -1365,6 +1294,10 @@ mod tests {
         // gamma gates and n mixer blocks.
         let template = compiled.replay_template().expect("recorded on first bind");
         assert!(template.n_slots() >= 2 * compiled.n_qubits());
+        // A second bind reuses that recording rather than re-recording.
+        check(&compiled, "second bind");
+        let again = compiled.replay_template().expect("still recorded");
+        assert!(std::ptr::eq(template, again), "re-recorded on a later bind");
         // Re-keying the duration resets the (duration-dependent)
         // template; the next bind re-records at the new duration,
         // bit-identically to the full walk.
@@ -1407,6 +1340,7 @@ mod tests {
         // Recording is lazy: compile alone pays nothing.
         assert!(compiled.exact_template().is_none());
         let exec = compiled.executor(&backend);
+        let mut recorded_at = None;
         for params in [
             [0.35, 0.25, -0.8, 1.1],
             [0.0, 0.0, 0.0, 0.0],
@@ -1421,6 +1355,10 @@ mod tests {
                 &exec.run(&compiled.bind(&params)),
                 "vs reference",
             );
+            // Recorded once: every later bind reuses the same template.
+            let template = compiled.exact_template().expect("recorded");
+            let first = *recorded_at.get_or_insert(template);
+            assert!(std::ptr::eq(first, template), "re-recorded, {params:?}");
         }
         assert!(compiled.exact_template().expect("recorded").n_slots() > 0);
         // The trajectory template is untouched by exact binds.
@@ -1473,6 +1411,10 @@ mod tests {
         // gamma gates and n mixer blocks.
         let template = compiled.exact_template().expect("recorded on first bind");
         assert!(template.n_slots() >= 2 * compiled.n_qubits());
+        // A second bind reuses that recording rather than re-recording.
+        check(&compiled, "second bind");
+        let again = compiled.exact_template().expect("still recorded");
+        assert!(std::ptr::eq(template, again), "re-recorded on a later bind");
         // Re-keying the duration resets the (duration-dependent)
         // template; the next bind re-records at the new duration.
         let shorter = compiled.clone().with_mixer_duration(128);

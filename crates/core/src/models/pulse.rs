@@ -49,7 +49,7 @@ enum TemplateItem {
 ///
 /// Deltas are bounded to trim ranges (`|d_amp| <= 0.075`,
 /// `|d_phase| <= 0.075` rad) for the same reason the hybrid model bounds
-/// its trims (see [`crate::models::hybrid`]): on a smooth simulated
+/// its trims (see [`crate::models::HybridModel`]): on a smooth simulated
 /// landscape unbounded per-pulse freedom turns the ansatz into a far
 /// stronger algorithm family than anything the paper's hardware-budget
 /// training could realize.

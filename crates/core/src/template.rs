@@ -8,14 +8,16 @@
 //! every channel's Kraus matrices) per dispatch therefore repeats work
 //! whose result is known at compile time.
 //!
-//! A [`TrajectoryTemplate`] records the schedule **once per shape**
-//! (lazily, on the first trajectory bind — shapes serving only
-//! exact-path jobs never pay the recording) — walked by the same
-//! [`Executor`](crate::executor::Executor) walk that serves exact and
-//! trajectory dispatches, so it cannot drift — into a compiled
-//! [`ReplayProgram`] tape, and remembers where each parametric program
-//! op landed ([`ReplaySlot`]). Binding then substitutes only the
-//! parametric entries:
+//! A [`Template`] records the schedule **once per shape** (lazily, on
+//! the first bind of its path, so a shape serving only exact jobs never
+//! records a trajectory tape and vice versa) — walked by the same
+//! [`Executor`] walk that serves exact and trajectory dispatches, so it
+//! cannot drift — into a compiled tape, and remembers where each
+//! parametric program op landed ([`ReplaySlot`]). The template is generic
+//! over its tape: [`TrajectoryTemplate`] holds a [`ReplayProgram`],
+//! [`ExactTemplate`] an [`ExactReplayProgram`] superoperator tape, and
+//! both record, resolve slots, and bind through the one code path here.
+//! Binding substitutes only the parametric entries:
 //!
 //! - bound-angle diagonals (`RZZ(gamma)` cost layers) re-derive their
 //!   two/four phase factors,
@@ -27,104 +29,153 @@
 //! tables, the fixed-gate pulse integrations — is reused verbatim. The
 //! result is bit-identical to recording and compiling the bound program
 //! from scratch (pinned by `crates/core` tests and the serve
-//! determinism suites).
+//! determinism suites). Which parametric ops a shape has, and how a
+//! mixer slot is evaluated, is the compiled program family's business
+//! ([`ProgramFamily`](crate::compile::ProgramFamily)); this module only
+//! records and substitutes.
 
 use hgp_circuit::{Circuit, Gate, Instruction};
 use hgp_math::Matrix;
 use hgp_noise::sink::{RecordSink, ScheduleSink};
 use hgp_noise::{NoiseChannel, NoiseModel};
-use hgp_sim::kernels::{diagonal_2q, DiagOp};
+use hgp_sim::kernels::diagonal_2q;
 use hgp_sim::{ExactReplayProgram, ReplayProgram, ReplaySlot, TrajectoryProgram};
 
 use crate::executor::Executor;
 use crate::program::Program;
 
-/// Which slice of the dispatch parameter vector a parametric gate binds
-/// against.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ParamScope {
-    /// The full vector (circuit shapes: gate param ids index it
-    /// directly).
-    Full,
-    /// The single parameter at this flat index (hybrid layer circuits
-    /// have exactly one free parameter, the layer's `gamma`, with local
-    /// id 0).
-    Single(usize),
-}
+pub(crate) use vocabulary::{ParamScope, SlotValue, Tape, TemplateSlot};
 
-impl ParamScope {
-    fn bind(self, gate: &Gate, params: &[f64]) -> Gate {
-        match self {
-            ParamScope::Full => gate.bind(params),
-            ParamScope::Single(i) => gate.bind(&[params[i]]),
-        }
+/// The crate-private template vocabulary. Its items are `pub` inside a
+/// private module, so the public [`Template`] and
+/// [`ProgramFamily`](crate::compile::ProgramFamily) can name them in
+/// bounds and signatures without exporting them.
+mod vocabulary {
+    use hgp_circuit::Gate;
+    use hgp_math::Matrix;
+    use hgp_sim::kernels::DiagOp;
+    use hgp_sim::{ExactReplayProgram, ReplayProgram, ReplaySlot, TrajectoryProgram};
+
+    use crate::executor::Executor;
+
+    /// Which slice of the dispatch parameter vector a parametric gate binds
+    /// against.
+    #[derive(Debug, Clone, Copy)]
+    pub enum ParamScope {
+        /// The full vector (circuit shapes: gate param ids index it
+        /// directly).
+        Full,
+        /// The single parameter at this flat index (hybrid layer circuits
+        /// have exactly one free parameter, the layer's `gamma`, with local
+        /// id 0).
+        Single(usize),
     }
-}
 
-/// How to recompute one parametric tape entry at bind time.
-#[derive(Debug, Clone)]
-pub(crate) enum TemplateSlot {
-    /// A diagonal gate (`RZ`/`RZZ`-family): re-derive its phase factors.
-    Diag {
-        gate: Gate,
-        qubits: Vec<usize>,
-        scope: ParamScope,
-    },
-    /// A parametric 1q gate: re-run the executor's pulse-backed physics
-    /// at the bound angle.
-    Pulse1q {
-        gate: Gate,
-        qubit: usize,
-        duration: u32,
-        scope: ParamScope,
-    },
-    /// A parametric dense 2q gate (`RZX`-family): re-derive its matrix.
-    Dense { gate: Gate, scope: ParamScope },
-    /// A hybrid mixer pulse block: re-integrated by
-    /// [`crate::compile::CompiledProgram`] from its cached calibration.
-    Mixer { layer: usize, logical: usize },
-}
-
-/// A substituted slot value.
-pub(crate) enum SlotValue {
-    Diag(DiagOp),
-    Unitary(Matrix),
-}
-
-impl TemplateSlot {
-    /// Evaluates a *gate* slot (everything but [`TemplateSlot::Mixer`],
-    /// which needs the compiled program's pulse calibration).
-    pub(crate) fn eval(&self, exec: &Executor, params: &[f64]) -> SlotValue {
-        match self {
-            TemplateSlot::Diag {
-                gate,
-                qubits,
-                scope,
-            } => {
-                let bound = scope.bind(gate, params);
-                SlotValue::Diag(
-                    DiagOp::from_gate(&bound, qubits).expect("template slot gates are diagonal"),
-                )
-            }
-            TemplateSlot::Pulse1q {
-                gate,
-                qubit,
-                duration,
-                scope,
-            } => {
-                let bound = scope.bind(gate, params);
-                let phys = exec.layout()[*qubit];
-                SlotValue::Unitary(exec.actual_1q_unitary(&bound, phys, *duration))
-            }
-            TemplateSlot::Dense { gate, scope } => {
-                let bound = scope.bind(gate, params);
-                SlotValue::Unitary(bound.matrix().expect("template slot gates bind fully"))
-            }
-            TemplateSlot::Mixer { .. } => {
-                unreachable!("mixer slots are evaluated by the compiled program")
+    impl ParamScope {
+        fn bind(self, gate: &Gate, params: &[f64]) -> Gate {
+            match self {
+                ParamScope::Full => gate.bind(params),
+                ParamScope::Single(i) => gate.bind(&[params[i]]),
             }
         }
     }
+
+    /// How to recompute one parametric tape entry at bind time.
+    #[derive(Debug, Clone)]
+    pub enum TemplateSlot {
+        /// A diagonal gate (`RZ`/`RZZ`-family): re-derive its phase factors.
+        Diag {
+            gate: Gate,
+            qubits: Vec<usize>,
+            scope: ParamScope,
+        },
+        /// A parametric 1q gate: re-run the executor's pulse-backed physics
+        /// at the bound angle.
+        Pulse1q {
+            gate: Gate,
+            qubit: usize,
+            duration: u32,
+            scope: ParamScope,
+        },
+        /// A parametric dense 2q gate (`RZX`-family): re-derive its matrix.
+        Dense { gate: Gate, scope: ParamScope },
+        /// A hybrid mixer pulse block: re-integrated by
+        /// [`crate::compile::CompiledProgram`] from its cached calibration.
+        Mixer { layer: usize, logical: usize },
+    }
+
+    /// A substituted slot value.
+    pub enum SlotValue {
+        Diag(DiagOp),
+        Unitary(Matrix),
+    }
+
+    impl TemplateSlot {
+        /// Evaluates a *gate* slot (everything but [`TemplateSlot::Mixer`],
+        /// which needs the compiled program's pulse calibration).
+        pub fn eval(&self, exec: &Executor, params: &[f64]) -> SlotValue {
+            match self {
+                TemplateSlot::Diag {
+                    gate,
+                    qubits,
+                    scope,
+                } => {
+                    let bound = scope.bind(gate, params);
+                    SlotValue::Diag(
+                        DiagOp::from_gate(&bound, qubits)
+                            .expect("template slot gates are diagonal"),
+                    )
+                }
+                TemplateSlot::Pulse1q {
+                    gate,
+                    qubit,
+                    duration,
+                    scope,
+                } => {
+                    let bound = scope.bind(gate, params);
+                    let phys = exec.layout()[*qubit];
+                    SlotValue::Unitary(exec.actual_1q_unitary(&bound, phys, *duration))
+                }
+                TemplateSlot::Dense { gate, scope } => {
+                    let bound = scope.bind(gate, params);
+                    SlotValue::Unitary(bound.matrix().expect("template slot gates bind fully"))
+                }
+                TemplateSlot::Mixer { .. } => {
+                    unreachable!("mixer slots are evaluated by the compiled program")
+                }
+            }
+        }
+    }
+
+    /// The tape a [`Template`](super::Template) records into and binds:
+    /// the four operations [`ReplayProgram`] and [`ExactReplayProgram`]
+    /// share with identical signatures.
+    pub trait Tape: Clone {
+        fn compile_with_slots(recorded: &TrajectoryProgram) -> (Self, Vec<ReplaySlot>);
+        fn substitute_diag(&mut self, slot: ReplaySlot, d: DiagOp);
+        fn substitute_unitary(&mut self, slot: ReplaySlot, m: &Matrix);
+        fn n_ops(&self) -> usize;
+    }
+
+    macro_rules! tape {
+        ($($tape:ty),*) => {$(
+            impl Tape for $tape {
+                fn compile_with_slots(recorded: &TrajectoryProgram) -> (Self, Vec<ReplaySlot>) {
+                    <$tape>::compile_with_slots(recorded)
+                }
+                fn substitute_diag(&mut self, slot: ReplaySlot, d: DiagOp) {
+                    <$tape>::substitute_diag(self, slot, d)
+                }
+                fn substitute_unitary(&mut self, slot: ReplaySlot, m: &Matrix) {
+                    <$tape>::substitute_unitary(self, slot, m)
+                }
+                fn n_ops(&self) -> usize {
+                    <$tape>::n_ops(self)
+                }
+            }
+        )*};
+    }
+    tape!(ReplayProgram, ExactReplayProgram);
 }
 
 /// Scans a (possibly parametrized) circuit for the program ops a
@@ -256,28 +307,39 @@ fn resolve_slots(
         .collect()
 }
 
-/// The compile-time artifact: the shape-constant schedule as a replay
-/// tape, plus the substitution plan for its parametric entries. See the
+/// The compile-time artifact: the shape-constant schedule as a tape —
+/// a trajectory [`ReplayProgram`] or an exact [`ExactReplayProgram`] —
+/// plus the substitution plan for its parametric entries. Both tapes
+/// record through the same walk and bind through the same plan. See the
 /// module docs.
 #[derive(Debug, Clone)]
-pub struct TrajectoryTemplate {
-    replay: ReplayProgram,
+pub struct Template<T> {
+    tape: T,
     slots: Vec<(ReplaySlot, TemplateSlot)>,
 }
 
-impl TrajectoryTemplate {
+/// The trajectory-path template: a [`ReplayProgram`] tape, recorded
+/// lazily on the first trajectory bind.
+pub type TrajectoryTemplate = Template<ReplayProgram>;
+
+/// The exact-path template: an [`ExactReplayProgram`] superoperator
+/// tape (fused diagonal runs, resolved dense conjugations, resolved
+/// channels), recorded lazily on the first exact bind.
+pub type ExactTemplate = Template<ExactReplayProgram>;
+
+impl<T: Tape> Template<T> {
     /// Records `reference` (the shape bound at an arbitrary reference
-    /// point) through `exec`'s schedule walk and resolves each spec'd
-    /// program op to its tape slot.
+    /// point) through `exec`'s schedule walk, compiles the tape, and
+    /// resolves each spec'd program op to its tape slot.
     pub(crate) fn record(
         exec: &Executor,
         reference: &Program,
         specs: Vec<(usize, TemplateSlot)>,
     ) -> Self {
         let (recorded, positions) = record_positions(exec, reference);
-        let (replay, traj_slots) = ReplayProgram::compile_with_slots(&recorded);
-        let slots = resolve_slots(&positions, &traj_slots, specs);
-        Self { replay, slots }
+        let (tape, tape_slots) = T::compile_with_slots(&recorded);
+        let slots = resolve_slots(&positions, &tape_slots, specs);
+        Self { tape, slots }
     }
 
     /// Number of parametric slots a dispatch substitutes.
@@ -287,77 +349,20 @@ impl TrajectoryTemplate {
 
     /// Tape length of the shape-constant schedule.
     pub fn n_ops(&self) -> usize {
-        self.replay.n_ops()
+        self.tape.n_ops()
     }
 
     /// Clones the shape-constant tape (channel tables are shared, not
     /// copied) and substitutes every parametric slot through `eval` —
-    /// the whole per-dispatch cost of the trajectory path.
-    pub(crate) fn bind_with(
-        &self,
-        mut eval: impl FnMut(&TemplateSlot) -> SlotValue,
-    ) -> ReplayProgram {
-        let mut replay = self.replay.clone();
+    /// the whole per-dispatch cost of the template path.
+    pub(crate) fn bind_with(&self, mut eval: impl FnMut(&TemplateSlot) -> SlotValue) -> T {
+        let mut tape = self.tape.clone();
         for (slot, spec) in &self.slots {
             match eval(spec) {
-                SlotValue::Diag(d) => replay.substitute_diag(*slot, d),
-                SlotValue::Unitary(m) => replay.substitute_unitary(*slot, &m),
+                SlotValue::Diag(d) => tape.substitute_diag(*slot, d),
+                SlotValue::Unitary(m) => tape.substitute_unitary(*slot, &m),
             }
         }
-        replay
-    }
-}
-
-/// The exact-path analog of [`TrajectoryTemplate`]: the shape-constant
-/// schedule compiled into an [`ExactReplayProgram`] superoperator tape
-/// (fused diagonal runs, resolved dense conjugations, resolved
-/// channels), plus the same substitution plan. Recorded lazily on the
-/// first exact bind, through the same walk the trajectory template and
-/// the reference paths use.
-#[derive(Debug, Clone)]
-pub struct ExactTemplate {
-    replay: ExactReplayProgram,
-    slots: Vec<(ReplaySlot, TemplateSlot)>,
-}
-
-impl ExactTemplate {
-    /// Records `reference` through `exec`'s schedule walk and compiles
-    /// the exact tape with its substitution map.
-    pub(crate) fn record(
-        exec: &Executor,
-        reference: &Program,
-        specs: Vec<(usize, TemplateSlot)>,
-    ) -> Self {
-        let (recorded, positions) = record_positions(exec, reference);
-        let (replay, traj_slots) = ExactReplayProgram::compile_with_slots(&recorded);
-        let slots = resolve_slots(&positions, &traj_slots, specs);
-        Self { replay, slots }
-    }
-
-    /// Number of parametric slots a dispatch substitutes.
-    pub fn n_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Tape length of the shape-constant schedule.
-    pub fn n_ops(&self) -> usize {
-        self.replay.n_ops()
-    }
-
-    /// Clones the shape-constant tape (resolved channels are shared,
-    /// not copied) and substitutes every parametric slot through `eval`
-    /// — the whole per-dispatch cost of the exact path.
-    pub(crate) fn bind_with(
-        &self,
-        mut eval: impl FnMut(&TemplateSlot) -> SlotValue,
-    ) -> ExactReplayProgram {
-        let mut replay = self.replay.clone();
-        for (slot, spec) in &self.slots {
-            match eval(spec) {
-                SlotValue::Diag(d) => replay.substitute_diag(*slot, d),
-                SlotValue::Unitary(m) => replay.substitute_unitary(*slot, &m),
-            }
-        }
-        replay
+        tape
     }
 }

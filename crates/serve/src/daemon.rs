@@ -518,7 +518,6 @@ impl Daemon {
                 (validation, t0.elapsed().as_nanos() as u64)
             })
             .collect();
-        let validate_ns: u64 = validations.iter().map(|(_, ns)| ns).sum();
         let validate_samples: Vec<u64> = validations.iter().map(|(_, ns)| *ns).collect();
         let n_valid = validations.iter().filter(|(v, _)| v.is_ok()).count();
         let tracing = self.shared.config.trace_capacity > 0;
@@ -618,7 +617,6 @@ impl Daemon {
         {
             let mut metrics = lock(&self.shared.metrics);
             metrics.admitted[priority.index()] += ids.len() as u64;
-            metrics.validate_ns += validate_ns;
             for ns in validate_samples {
                 metrics.validate_hist.record(ns);
             }
@@ -850,10 +848,6 @@ fn worker_loop(shared: &Shared) {
 
         {
             let mut metrics = lock(&shared.metrics);
-            metrics.queue_ns += queue_ns;
-            metrics.compile_ns += compile_ns;
-            metrics.bind_ns += bind_ns;
-            metrics.exec_ns += exec_ns;
             if !cache_hit {
                 metrics.compile_hist.record(compile_ns);
             }

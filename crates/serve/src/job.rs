@@ -476,9 +476,11 @@ pub struct JobResult {
     /// deterministic specs and failed jobs, so any result can be
     /// replayed.
     pub seed: u64,
-    /// Whether the compiled program was already cached when this job's
-    /// batch started (false exactly for jobs of a shape compiled for
-    /// this batch, and for jobs that failed before compilation).
+    /// Whether this job found its compiled shape already cached —
+    /// decided per job, by the daemon and by `run_sequential` alike.
+    /// False for a job that compiled its shape (in the daemon, workers
+    /// that miss on one shape concurrently each compile it) and for
+    /// jobs that failed before execution (validation or compile errors).
     pub cache_hit: bool,
     /// Wall-clock execution time of this job on its worker (0 for jobs
     /// rejected at validation).

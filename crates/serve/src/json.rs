@@ -1422,13 +1422,8 @@ impl JsonCodec for ServeMetrics {
             ("batches", Value::from_u64(self.batches)),
             ("cache_hits", Value::from_u64(self.cache_hits)),
             ("cache_misses", Value::from_u64(self.cache_misses)),
-            ("validate_ns", Value::from_u64(self.validate_ns)),
-            ("compile_ns", Value::from_u64(self.compile_ns)),
-            ("bind_ns", Value::from_u64(self.bind_ns)),
-            ("exec_ns", Value::from_u64(self.exec_ns)),
             ("wall_ns", Value::from_u64(self.wall_ns)),
             ("queue_depth", Value::from_u64(self.queue_depth)),
-            ("queue_ns", Value::from_u64(self.queue_ns)),
             ("admitted", u64_arr(&self.admitted)),
             ("rejected_full", u64_arr(&self.rejected_full)),
             ("rejected_large", u64_arr(&self.rejected_large)),
@@ -1450,13 +1445,8 @@ impl JsonCodec for ServeMetrics {
             batches: value.get("batches")?.as_u64()?,
             cache_hits: value.get("cache_hits")?.as_u64()?,
             cache_misses: value.get("cache_misses")?.as_u64()?,
-            validate_ns: value.get("validate_ns")?.as_u64()?,
-            compile_ns: value.get("compile_ns")?.as_u64()?,
-            bind_ns: value.get("bind_ns")?.as_u64()?,
-            exec_ns: value.get("exec_ns")?.as_u64()?,
             wall_ns: value.get("wall_ns")?.as_u64()?,
             queue_depth: value.get("queue_depth")?.as_u64()?,
-            queue_ns: value.get("queue_ns")?.as_u64()?,
             admitted: u64_arr3(value.get("admitted")?)?,
             rejected_full: u64_arr3(value.get("rejected_full")?)?,
             rejected_large: u64_arr3(value.get("rejected_large")?)?,

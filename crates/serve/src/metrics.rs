@@ -10,13 +10,14 @@ use crate::job::{JobSpec, Priority};
 /// Cumulative counters over a daemon's lifetime.
 ///
 /// `wall_ns` is the daemon's uptime, while the per-job worker time is
-/// split into stages — `bind_ns` (parameter
-/// substitution into the cached shape) and `exec_ns` (the simulation
-/// itself) — next to the per-shape `compile_ns` and the admission-time
-/// `validate_ns`. The split is what tells a cache-hit-heavy trajectory
-/// batch (large `exec_ns`, tiny `bind_ns`, no `compile_ns`) apart from
-/// an actual cache-miss storm, which aggregate latency alone conflates.
-/// With `workers > 1` on a multi-core host, `bind_ns + exec_ns`
+/// split into stage histograms — `bind_hist` (parameter substitution
+/// into the cached shape) and `exec_hist` (the simulation itself) —
+/// next to the per-shape `compile_hist` and the admission-time
+/// `validate_hist`; each histogram's [`Histogram::sum`] is the stage's
+/// total time. The split is what tells a cache-hit-heavy trajectory
+/// batch (large exec sum, tiny bind sum, no compiles) apart from an
+/// actual cache-miss storm, which aggregate latency alone conflates.
+/// With `workers > 1` on a multi-core host, bind plus exec time
 /// exceeding `wall_ns` is the parallel speedup made visible.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
@@ -31,27 +32,12 @@ pub struct ServeMetrics {
     pub cache_hits: u64,
     /// Compiled-program cache misses (each one paid a compilation).
     pub cache_misses: u64,
-    /// Time spent validating requests at admission (per job).
-    pub validate_ns: u64,
-    /// Time spent compiling shapes (per cache miss, not per job).
-    pub compile_ns: u64,
-    /// Summed per-job parameter-binding time across workers: program
-    /// binds, and for trajectory jobs the schedule-template
-    /// substitution.
-    pub bind_ns: u64,
-    /// Summed per-job execution time across workers (binding excluded).
-    pub exec_ns: u64,
     /// The daemon's uptime at snapshot time, so the derived throughputs
     /// read as lifetime rates.
     pub wall_ns: u64,
     /// Jobs waiting in the daemon's submission queue when this snapshot
     /// was taken (a gauge, not a counter).
     pub queue_depth: u64,
-    /// Time admitted jobs spent queued before a worker picked them up —
-    /// the stage between admission and `compile`/`bind`/`exec`. Large
-    /// `queue_ns` with small worker stages means the pool, not the
-    /// engine, is the bottleneck.
-    pub queue_ns: u64,
     /// Daemon jobs admitted per priority class, indexed by
     /// [`crate::Priority::index`] (interactive/batch/background).
     pub admitted: [u64; 3],
@@ -67,19 +53,22 @@ pub struct ServeMetrics {
     /// replay engine optimizes, so shots/second — not jobs/second — is
     /// the number to watch when tuning trajectory serving.
     pub shots_executed: u64,
-    /// Per-job queue-wait latency histogram. Same samples `queue_ns`
-    /// sums.
+    /// Per-job queue-wait latency: time admitted jobs spent queued
+    /// before a worker picked them up — the stage between admission and
+    /// compile/bind/exec. A large sum with small worker stages means the
+    /// pool, not the engine, is the bottleneck.
     pub queue_hist: Histogram,
-    /// Per-job validation latency histogram.
+    /// Per-job validation latency at admission.
     pub validate_hist: Histogram,
-    /// Per-shape compile latency histogram (one sample per cache miss,
-    /// like `compile_ns`).
+    /// Per-shape compile latency (one sample per cache miss, not per
+    /// job).
     pub compile_hist: Histogram,
-    /// Per-job parameter-binding latency histogram.
+    /// Per-job parameter-binding latency: program binds, and for
+    /// template paths the schedule-template substitution.
     pub bind_hist: Histogram,
-    /// Per-job execution latency histogram. The `_hist` fields are what
-    /// tell a tail stall apart from a uniformly slow stage — the means
-    /// above cannot.
+    /// Per-job execution latency (binding excluded). The histograms are
+    /// what tell a tail stall apart from a uniformly slow stage — the
+    /// means cannot.
     pub exec_hist: Histogram,
     /// Per-priority-class worker latency (bind + execute) histograms,
     /// indexed by [`crate::Priority::index`].
@@ -104,7 +93,7 @@ impl ServeMetrics {
         if self.jobs_completed == 0 {
             0.0
         } else {
-            (self.bind_ns + self.exec_ns) as f64 / self.jobs_completed as f64
+            (self.bind_hist.sum() + self.exec_hist.sum()) as f64 / self.jobs_completed as f64
         }
     }
 
@@ -113,7 +102,7 @@ impl ServeMetrics {
         if self.jobs_completed == 0 {
             0.0
         } else {
-            self.bind_ns as f64 / self.jobs_completed as f64
+            self.bind_hist.sum() as f64 / self.jobs_completed as f64
         }
     }
 
@@ -135,7 +124,7 @@ impl ServeMetrics {
 
     /// Mean worker execution time per trajectory shot, nanoseconds.
     ///
-    /// `exec_ns` sums over every job kind, so read this on
+    /// The exec sum covers every job kind, so read this on
     /// trajectory-dominated workloads (where non-trajectory execution
     /// time is negligible) — the serving benches and the replay
     /// acceptance bar both use it that way.
@@ -143,7 +132,7 @@ impl ServeMetrics {
         if self.shots_executed == 0 {
             0.0
         } else {
-            self.exec_ns as f64 / self.shots_executed as f64
+            self.exec_hist.sum() as f64 / self.shots_executed as f64
         }
     }
 
@@ -162,7 +151,7 @@ impl ServeMetrics {
     /// picked it up, nanoseconds.
     ///
     /// This mean is per **completed** job, not per admitted job:
-    /// `queue_ns` only accumulates when a worker dequeues a job, so
+    /// `queue_hist` only records when a worker dequeues a job, so
     /// jobs still sitting in the queue contribute to neither the
     /// numerator nor the denominator. Under heavy backlog the true
     /// admitted-job wait is therefore higher than this figure —
@@ -172,7 +161,7 @@ impl ServeMetrics {
         if self.jobs_completed == 0 {
             0.0
         } else {
-            self.queue_ns as f64 / self.jobs_completed as f64
+            self.queue_hist.sum() as f64 / self.jobs_completed as f64
         }
     }
 
@@ -336,11 +325,11 @@ impl fmt::Display for ServeMetrics {
             self.cache_hits,
             self.cache_hits + self.cache_misses,
             100.0 * self.cache_hit_rate(),
-            self.queue_ns as f64 / 1e6,
-            self.validate_ns as f64 / 1e6,
-            self.compile_ns as f64 / 1e6,
-            self.bind_ns as f64 / 1e6,
-            self.exec_ns as f64 / 1e6,
+            self.queue_hist.sum() as f64 / 1e6,
+            self.validate_hist.sum() as f64 / 1e6,
+            self.compile_hist.sum() as f64 / 1e6,
+            self.bind_hist.sum() as f64 / 1e6,
+            self.exec_hist.sum() as f64 / 1e6,
             self.exec_hist.p50() as f64 / 1e3,
             self.exec_hist.p99() as f64 / 1e3,
             self.shots_executed,
@@ -363,25 +352,27 @@ mod tests {
 
     #[test]
     fn derived_rates() {
-        let m = ServeMetrics {
+        let mut m = ServeMetrics {
             jobs_completed: 100,
             jobs_failed: 0,
             batches: 2,
             cache_hits: 2,
             cache_misses: 1,
-            validate_ns: 1_000_000,
-            compile_ns: 5_000_000,
-            bind_ns: 50_000_000,
-            exec_ns: 150_000_000,
             wall_ns: 1_000_000_000,
             shots_executed: 25_000,
             queue_depth: 4,
-            queue_ns: 200_000_000,
             admitted: [10, 80, 10],
             rejected_full: [0, 3, 1],
             rejected_large: [1, 0, 0],
             ..ServeMetrics::default()
         };
+        // The means read the stage histograms' sums.
+        m.validate_hist.record(1_000_000);
+        m.compile_hist.record(5_000_000);
+        m.bind_hist.record(20_000_000);
+        m.bind_hist.record(30_000_000);
+        m.exec_hist.record(150_000_000);
+        m.queue_hist.record(200_000_000);
         assert!((m.throughput_jobs_per_sec() - 100.0).abs() < 1e-9);
         // Mean latency covers both worker stages: bind + execute.
         assert!((m.mean_job_latency_ns() - 2_000_000.0).abs() < 1e-9);
@@ -426,13 +417,14 @@ mod tests {
     fn queue_wait_mean_is_per_completed_job() {
         // Five jobs admitted, two completed: the denominator is the
         // completed count — jobs still queued don't dilute the mean.
-        let m = ServeMetrics {
+        let mut m = ServeMetrics {
             jobs_completed: 2,
             admitted: [5, 0, 0],
-            queue_ns: 4_000_000,
             queue_depth: 3,
             ..ServeMetrics::default()
         };
+        m.queue_hist.record(1_000_000);
+        m.queue_hist.record(3_000_000);
         assert!((m.mean_queue_wait_ns() - 2_000_000.0).abs() < 1e-9);
     }
 

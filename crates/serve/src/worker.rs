@@ -17,11 +17,16 @@
 //!   gate-pulse programs) through [`hgp_core::compile::CircuitCompiler`].
 //!   A shape that fails to compile fails exactly the jobs of that shape.
 //! - **Execute** (`execute_job`) — bind the job's parameters into the
-//!   cached shape and run it. The trajectory kinds bind through the
-//!   artifact's schedule template (`bind_replay`) and run on
-//!   [`hgp_sim::ReplayEngine`]; the exact kinds bind the superoperator
-//!   tape (`bind_exact`). A panic boundary turns any residual panic on
-//!   request-derived data into an execute-stage [`JobError`].
+//!   cached shape and run it. The artifact is matched once: the
+//!   circuit-only kinds (`StateVector`, `DensityMatrix`) run on the
+//!   circuit, and each exact and trajectory output kind has one arm for
+//!   both families (`execute_noisy`, generic over the
+//!   [`hgp_core::compile::Compiled`] shape), so a `Hybrid*` kind and its
+//!   circuit twin run the same code. The exact kinds bind the shape's
+//!   superoperator tape (`bind_exact`); the trajectory kinds bind its
+//!   replay tape (`bind_replay`) and run on [`hgp_sim::ReplayEngine`]. A
+//!   panic boundary turns any residual panic on request-derived data
+//!   into an execute-stage [`JobError`].
 //!
 //! Because a job's output depends only on `(compiled shape, params,
 //! seed)` and all three are fixed at admission, **any concurrent
@@ -32,7 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hgp_core::compile::CircuitCompiler;
+use hgp_core::compile::{CircuitCompiler, Compiled, ProgramFamily};
 use hgp_core::models::GateModelOptions;
 use hgp_device::Backend;
 use hgp_sim::seed::stream_seed;
@@ -324,25 +329,13 @@ pub(crate) fn execute_job<P: ProfileSink>(
     (result, bind_ns)
 }
 
-/// The spec dispatch of [`execute_job`]. Binds are timed into `bind_ns`
-/// so the metrics can split per-job worker time into bind vs execute.
+/// The spec dispatch of [`execute_job`]: matches the artifact once.
+/// Binds are timed into `bind_ns` so the metrics can split per-job
+/// worker time into bind vs execute.
 ///
-/// The four trajectory kinds ride the schedule-template path:
-/// [`hgp_core::compile::CompiledCircuit::bind_replay`] /
-/// [`hgp_core::compile::CompiledProgram::bind_replay`] substitute the
-/// job's parameters into the tape recorded at compile time — no
-/// per-dispatch schedule walk — and the replay engine runs the shots
-/// with zero per-shot allocation, bit-identical to the reference
-/// trajectory engine.
-///
-/// The five exact kinds (`DensityMatrix`/`Counts`/`Expectation` and
-/// their hybrid twins) ride the analogous exact-path template:
-/// `bind_exact` substitutes into the precompiled superoperator tape and
-/// `run_exact_replay` evolves the density matrix with resolved channels
-/// — no schedule walk, no Kraus re-embedding, no per-Kraus clones —
-/// pinned against the reference density walk (bit-identical on
-/// order-preserving ops, ≤ 1e-12 elementwise on resolved multi-Kraus
-/// channels; see `hgp_sim::replay::exact`).
+/// `StateVector` and `DensityMatrix` are circuit-only; every other kind
+/// runs in [`execute_noisy`], one arm per output kind for both program
+/// families.
 fn execute_spec<P: ProfileSink>(
     backend: &Backend,
     compiled: &CompiledArtifact,
@@ -350,8 +343,8 @@ fn execute_spec<P: ProfileSink>(
     bind_ns: &mut u64,
     sink: &P,
 ) -> Result<JobOutput, JobError> {
-    match (compiled, &job.spec) {
-        (CompiledArtifact::Circuit(compiled), spec) if !spec.is_hybrid() => match spec {
+    match compiled {
+        CompiledArtifact::Circuit(compiled) => match &job.spec {
             JobSpec::StateVector => {
                 let bound = timed_bind(bind_ns, || compiled.circuit().bind(&job.params));
                 let wire = StateVector::execute(&bound).expect("compiled circuits bind fully");
@@ -368,94 +361,78 @@ fn execute_spec<P: ProfileSink>(
                     purity: rho.purity(),
                 })
             }
-            JobSpec::Counts { shots } => {
-                let exec = compiled.executor(backend);
-                let tape = timed_bind(bind_ns, || compiled.bind_exact(&exec, &job.params));
-                let rho = exec.run_exact_replay_profiled(&tape, sink);
-                let counts = exec.sample_state(&rho, *shots, job.seed);
-                Ok(JobOutput::Counts(compiled.decode_counts(&counts)))
-            }
-            JobSpec::Expectation { observable } => {
-                let exec = compiled.executor(backend);
-                let tape = timed_bind(bind_ns, || compiled.bind_exact(&exec, &job.params));
-                let rho = exec.run_exact_replay_profiled(&tape, sink);
-                Ok(JobOutput::Expectation {
-                    value: SimBackend::expectation(&rho, &compiled.wire_observable(observable)),
-                })
-            }
-            JobSpec::TrajectoryCounts { shots } => {
-                // Template path: substitute params into the schedule
-                // recorded at compile time; trajectory i draws its
-                // randomness from stream position (job seed, i).
-                let exec = compiled.executor(backend);
-                let replay = timed_bind(bind_ns, || compiled.bind_replay(&exec, &job.params));
-                let counts = exec.sample_replay_profiled(&replay, *shots, job.seed, sink);
-                Ok(JobOutput::TrajectoryCounts(compiled.decode_counts(&counts)))
-            }
-            JobSpec::TrajectoryExpectation {
-                observable,
-                trajectories,
-            } => {
-                let exec = compiled.executor(backend);
-                let replay = timed_bind(bind_ns, || compiled.bind_replay(&exec, &job.params));
-                let (value, std_error) = exec.expectation_replay_profiled(
-                    &replay,
-                    &compiled.wire_observable(observable),
-                    *trajectories,
-                    job.seed,
-                    sink,
-                );
-                Ok(JobOutput::TrajectoryExpectation {
-                    value,
-                    std_error,
-                    trajectories: *trajectories,
-                })
-            }
-            _ => unreachable!("validated spec/program pairing"),
+            _ => execute_noisy(backend, compiled, job, bind_ns, sink),
         },
-        (CompiledArtifact::Hybrid(compiled), spec) => match spec {
-            JobSpec::HybridCounts { shots } => {
-                let exec = compiled.executor(backend);
-                let tape = timed_bind(bind_ns, || compiled.bind_exact(&exec, &job.params));
-                let rho = exec.run_exact_replay_profiled(&tape, sink);
-                let counts = exec.sample_state(&rho, *shots, job.seed);
-                Ok(JobOutput::Counts(compiled.decode_counts(&counts)))
-            }
-            JobSpec::HybridExpectation { observable } => {
-                let exec = compiled.executor(backend);
-                let tape = timed_bind(bind_ns, || compiled.bind_exact(&exec, &job.params));
-                let rho = exec.run_exact_replay_profiled(&tape, sink);
-                Ok(JobOutput::Expectation {
-                    value: SimBackend::expectation(&rho, &compiled.wire_observable(observable)),
-                })
-            }
-            JobSpec::HybridTrajectoryCounts { shots } => {
-                let exec = compiled.executor(backend);
-                let replay = timed_bind(bind_ns, || compiled.bind_replay(&exec, &job.params));
-                let counts = exec.sample_replay_profiled(&replay, *shots, job.seed, sink);
-                Ok(JobOutput::TrajectoryCounts(compiled.decode_counts(&counts)))
-            }
-            JobSpec::HybridTrajectoryExpectation {
-                observable,
-                trajectories,
-            } => {
-                let exec = compiled.executor(backend);
-                let replay = timed_bind(bind_ns, || compiled.bind_replay(&exec, &job.params));
-                let (value, std_error) = exec.expectation_replay_profiled(
-                    &replay,
-                    &compiled.wire_observable(observable),
-                    *trajectories,
-                    job.seed,
-                    sink,
-                );
-                Ok(JobOutput::TrajectoryExpectation {
-                    value,
-                    std_error,
-                    trajectories: *trajectories,
-                })
-            }
-            _ => unreachable!("validated spec/program pairing"),
-        },
-        _ => unreachable!("validated spec/program pairing"),
+        CompiledArtifact::Hybrid(compiled) => execute_noisy(backend, compiled, job, bind_ns, sink),
+    }
+}
+
+/// The exact and trajectory kinds, for either program family — a
+/// `Hybrid*` kind and its circuit twin share one arm.
+///
+/// The exact kinds bind the shape's superoperator tape
+/// ([`Compiled::bind_exact`]) and `run_exact_replay` evolves the density
+/// matrix with resolved channels — no schedule walk, no Kraus
+/// re-embedding — pinned against the reference density walk
+/// (bit-identical on order-preserving ops, ≤ 1e-12 elementwise on
+/// resolved multi-Kraus channels; see `hgp_sim::replay::exact`). The
+/// trajectory kinds bind the replay tape ([`Compiled::bind_replay`]) and
+/// the replay engine runs the shots with zero per-shot allocation,
+/// bit-identical to the reference trajectory engine; trajectory `i`
+/// draws its randomness from stream position (job seed, `i`).
+fn execute_noisy<F: ProgramFamily, P: ProfileSink>(
+    backend: &Backend,
+    compiled: &Compiled<F>,
+    job: &PreparedJob,
+    bind_ns: &mut u64,
+    sink: &P,
+) -> Result<JobOutput, JobError> {
+    let exec = compiled.executor(backend);
+    match &job.spec {
+        JobSpec::Counts { shots } | JobSpec::HybridCounts { shots } => {
+            let tape = timed_bind(bind_ns, || compiled.bind_exact(&exec, &job.params));
+            let rho = exec.run_exact_replay_profiled(&tape, sink);
+            let counts = exec.sample_state(&rho, *shots, job.seed);
+            Ok(JobOutput::Counts(compiled.decode_counts(&counts)))
+        }
+        JobSpec::Expectation { observable } | JobSpec::HybridExpectation { observable } => {
+            let tape = timed_bind(bind_ns, || compiled.bind_exact(&exec, &job.params));
+            let rho = exec.run_exact_replay_profiled(&tape, sink);
+            Ok(JobOutput::Expectation {
+                value: SimBackend::expectation(&rho, &compiled.wire_observable(observable)),
+            })
+        }
+        JobSpec::TrajectoryCounts { shots } | JobSpec::HybridTrajectoryCounts { shots } => {
+            let replay = timed_bind(bind_ns, || compiled.bind_replay(&exec, &job.params));
+            let counts = exec.sample_replay_profiled(&replay, *shots, job.seed, sink);
+            Ok(JobOutput::TrajectoryCounts(compiled.decode_counts(&counts)))
+        }
+        JobSpec::TrajectoryExpectation {
+            observable,
+            trajectories,
+        }
+        | JobSpec::HybridTrajectoryExpectation {
+            observable,
+            trajectories,
+        } => {
+            let replay = timed_bind(bind_ns, || compiled.bind_replay(&exec, &job.params));
+            let (value, std_error) = exec.expectation_replay_profiled(
+                &replay,
+                &compiled.wire_observable(observable),
+                *trajectories,
+                job.seed,
+                sink,
+            );
+            Ok(JobOutput::TrajectoryExpectation {
+                value,
+                std_error,
+                trajectories: *trajectories,
+            })
+        }
+        // `validate_request` refuses these on a hybrid program; a typed
+        // error keeps the worker total all the same.
+        JobSpec::StateVector | JobSpec::DensityMatrix => Err(JobError::validate(
+            "state-vector and density-matrix jobs need a circuit program",
+        )),
     }
 }

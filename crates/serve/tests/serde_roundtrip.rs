@@ -317,13 +317,8 @@ fn random_metrics(rng: &mut StdRng) -> ServeMetrics {
         batches: rng.gen(),
         cache_hits: rng.gen(),
         cache_misses: rng.gen(),
-        validate_ns: rng.gen(),
-        compile_ns: rng.gen(),
-        bind_ns: rng.gen(),
-        exec_ns: rng.gen(),
         wall_ns: rng.gen(),
         queue_depth: rng.gen(),
-        queue_ns: rng.gen(),
         admitted: [rng.gen(), rng.gen(), rng.gen()],
         rejected_full: [rng.gen(), rng.gen(), rng.gen()],
         rejected_large: [rng.gen(), rng.gen(), rng.gen()],

@@ -323,7 +323,7 @@ impl CompiledChannel {
 pub enum ReplaySlot {
     /// An entry of the fused diagonal arena.
     Diag(usize),
-    /// A dense [`ReplayOp::Apply`] entry.
+    /// A dense `ReplayOp::Apply` entry.
     Op(usize),
     /// A precompiled channel (not substitutable — channel structure is
     /// shape-constant).

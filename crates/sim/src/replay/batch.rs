@@ -33,8 +33,8 @@
 //! Split planes turn every kernel's inner loop into straight-line `f64`
 //! lane arithmetic (each shot's real and imaginary parts computed from
 //! the same loads), which vectorizes on baseline x86-64. The full-block
-//! kernels in [`kern`] are additionally compiled a second time with
-//! AVX2 enabled ([`kern_avx2`]) and dispatched by one runtime CPUID
+//! kernels in `kern` are additionally compiled a second time with
+//! AVX2 enabled (`kern_avx2`) and dispatched by one runtime CPUID
 //! check per batch — doubling the lane width from SSE2's two `f64`s to
 //! four where the hardware allows. Multiversioning happens at *kernel*
 //! granularity (one call per op per block), not per amplitude row:
@@ -839,7 +839,7 @@ fn lane_isa() -> Lanes {
 const BLOCK_ARENA_BYTES: usize = 1 << 25;
 
 /// The default shots-per-block of the batched path for an `n_qubits`
-/// program: as many shots as fit [`BLOCK_ARENA_BYTES`], clamped to
+/// program: as many shots as fit `BLOCK_ARENA_BYTES`, clamped to
 /// `1..=64` (past 64 lanes the per-row overhead is already amortized;
 /// states over 32 MiB run one shot per block).
 pub fn default_block_size(n_qubits: usize) -> usize {
@@ -1451,7 +1451,7 @@ impl ReplayBatch {
     }
 
     /// One computational-basis outcome per resident shot, in shot
-    /// order — per shot, [`crate::trajectory::draw_outcome`]'s exact
+    /// order — per shot, `trajectory::draw_outcome`'s exact
     /// arithmetic (norm-scaled draw, ascending cumulative walk) against
     /// that shot's own RNG.
     pub fn draw_outcomes(&mut self) -> Vec<usize> {

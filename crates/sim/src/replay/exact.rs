@@ -17,10 +17,10 @@
 //!   the matrix regardless of run length, with per-gate factor tables so
 //!   the per-entry multiply sequence is unchanged,
 //! - dense gates and fixed unitaries carry their resolved matrices plus
-//!   precomputed block offsets ([`DenseOp`]), applied as a left pass then
+//!   precomputed block offsets (`DenseOp`), applied as a left pass then
 //!   a right pass per aligned row chunk — no `Gate::matrix()` calls, no
 //!   index re-derivation,
-//! - channels are resolved at compile time ([`ExactChannel`]):
+//! - channels are resolved at compile time (`ExactChannel`):
 //!   single-Kraus channels apply in place like a unitary (no clone, no
 //!   accumulator), one- and two-qubit multi-Kraus channels collapse
 //!   into a resolved superoperator (`4×4` / `16×16`) whose rows are

@@ -1,7 +1,8 @@
 //! Golden snapshot of the paper's science: the Table II "CVaR AR" cell
 //! on `ibmq_guadalupe` (gate-level optimizations + M3 + CVaR 0.3), gate
 //! and hybrid models trained at the three averaging seeds, and the
-//! "Raw AR" cell on `ibmq_toronto` at seed 42.
+//! "Raw AR" cell on `ibmq_toronto` at seed 42, plus the "PO mixer"
+//! row's Step I duration search on `ibmq_toronto`.
 //!
 //! The CVaR approximation ratios must stay bit-equal to the values the
 //! benchmark pins (`perfbench/src/train.rs`, `GOLDEN`). A refactor that
@@ -85,4 +86,49 @@ fn table2_raw_toronto_ratios_are_bit_equal_to_the_goldens() {
         }
     }
     assert!(moved.is_empty(), "{}", moved.join("; "));
+}
+
+/// Step I's duration search for the Table II "PO mixer" row on
+/// `ibmq_toronto` (raw hybrid model, region `[1, 2, 3, 4, 5, 7]`, the
+/// paper's training setup, 32–320 dt at tolerance 0.02), as the table
+/// driver runs it: the accepted duration and every `(duration, AR)`
+/// evaluated, in order. Captured before `CompiledProgram` and
+/// `CompiledCircuit` were folded onto one compiled-shape core, which
+/// rewrote `with_mixer_duration`.
+const TORONTO_DURATION_SEARCH_GOLDEN: (u32, [(u32, f64); 5]) = (
+    64,
+    [
+        (320, 0.5965169270833334),
+        (160, 0.5885552300347222),
+        (96, 0.6001247829861112),
+        (64, 0.5829264322916666),
+        (32, 0.5323215060763888),
+    ],
+);
+
+#[test]
+fn table2_duration_search_is_bit_equal_to_the_golden() {
+    let backend = Backend::ibmq_toronto();
+    let graph = instances::task1_three_regular_6();
+    let model = HybridModel::new(&backend, &graph, 1, vec![1, 2, 3, 4, 5, 7]).expect("region");
+    let config = TrainConfig {
+        max_evals: 50,
+        shots: 1024,
+        cvar_alpha: None,
+        use_m3: false,
+        seed: 42,
+        final_shots: 8192,
+    };
+    let search = search_min_duration(&model, &graph, &config, 32, 320, 0.02);
+    let (best, evaluated) = TORONTO_DURATION_SEARCH_GOLDEN;
+    assert_eq!(search.best_duration_dt, best);
+    let bits = |pairs: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        pairs.iter().map(|&(d, ar)| (d, ar.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(&search.evaluated),
+        bits(&evaluated),
+        "evaluated {:?}",
+        search.evaluated
+    );
 }
