@@ -16,6 +16,7 @@ use hgp_mitigation::M3Mitigator;
 use hgp_noise::ReadoutModel;
 use hgp_pulse::calibration::PulseLibrary;
 use hgp_pulse::propagator::drive_propagator;
+use hgp_pulse::propagator::reference::drive_propagator_reference;
 use hgp_pulse::Waveform;
 use hgp_sim::{kernels, Counts, DensityMatrix, SimBackend, StateVector};
 use hgp_transpile::{TranspileOptions, Transpiler};
@@ -133,6 +134,10 @@ fn bench_pulse_propagator(c: &mut Criterion) {
     let w = Waveform::gaussian(320);
     c.bench_function("drive_propagator_320dt", |b| {
         b.iter(|| drive_propagator(black_box(&w), 0.1, 0.3, 0.001, 0.125))
+    });
+    // The per-step heap loop the stack fold replaced (bit-identical).
+    c.bench_function("drive_propagator_320dt_reference", |b| {
+        b.iter(|| drive_propagator_reference(black_box(&w), 0.1, 0.3, 0.001, 0.125))
     });
 }
 

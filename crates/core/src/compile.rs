@@ -90,7 +90,7 @@
 use std::sync::{Arc, OnceLock};
 
 use hgp_circuit::Circuit;
-use hgp_device::Backend;
+use hgp_device::{Backend, CouplingMap};
 use hgp_graph::Graph;
 use hgp_math::pauli::{PauliString, PauliSum};
 use hgp_math::Matrix;
@@ -99,13 +99,14 @@ use hgp_pulse::propagator::drive_propagator;
 use hgp_pulse::Waveform;
 use hgp_sim::Counts;
 use hgp_sim::{ExactReplayProgram, ReplayProgram};
-use hgp_transpile::sabre::choose_initial_layout;
+use hgp_transpile::cancellation::cancel_gates;
+use hgp_transpile::sabre::{choose_initial_layout, route};
 use hgp_transpile::Layout;
 
 use crate::executor::Executor;
 use crate::models::{
-    route_in_region, try_region_coupling, GateModelOptions, FREQ_SHIFT_HW_BOUND,
-    FREQ_TRIM_AUTHORITY_RAD, MIXER_AMP_BOUND, PHASE_TRIM_BOUND,
+    try_region_coupling, GateModelOptions, FREQ_SHIFT_HW_BOUND, FREQ_TRIM_AUTHORITY_RAD,
+    MIXER_AMP_BOUND, PHASE_TRIM_BOUND,
 };
 use crate::program::{BlockKind, Program};
 use crate::qaoa::append_hamiltonian_layer;
@@ -180,11 +181,11 @@ impl<'a> CircuitCompiler<'a> {
     /// circuit must fail its job, not the serving thread.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, String> {
         // Entry placement + the shared shape pipeline (cancellation,
-        // routing, cancellation) — the exact sequence `GateModel` runs,
-        // so compiled shapes stay in lockstep with model-built circuits.
-        let (region, entry) = self.place(circuit, self.options.sabre_iterations, "circuit")?;
+        // routing, cancellation). `GateModel` is a view over this
+        // artifact, so model-built circuits are compiled shapes.
+        let (region, sub, entry) = self.place(circuit, self.options.sabre_iterations, "circuit")?;
         let (wire_circuit, final_layout, n_swaps) =
-            route_in_region(circuit, self.backend, &region, &entry, &self.options)?;
+            route_in_region(circuit, &sub, &entry, &self.options);
         Ok(Compiled::new(
             circuit.structural_key(),
             self.backend,
@@ -197,15 +198,16 @@ impl<'a> CircuitCompiler<'a> {
         ))
     }
 
-    /// The first `n` region qubits for an `n`-qubit `probe`, and the
-    /// entry layout SABRE places the probe with inside them (trivial
-    /// when placement is off). `what` names the program in errors.
+    /// The first `n` region qubits for an `n`-qubit `probe`, their
+    /// induced coupling map, and the entry layout SABRE places the probe
+    /// with inside them (trivial when placement is off). `what` names
+    /// the program in errors.
     fn place(
         &self,
         probe: &Circuit,
         sabre_iterations: usize,
         what: &str,
-    ) -> Result<(Vec<usize>, Layout), String> {
+    ) -> Result<(Vec<usize>, CouplingMap, Layout), String> {
         let n = probe.n_qubits();
         if n > self.region.len() {
             return Err(format!(
@@ -220,7 +222,7 @@ impl<'a> CircuitCompiler<'a> {
         } else {
             Layout::trivial(n, n)
         };
-        Ok((region, entry))
+        Ok((region, sub, entry))
     }
 
     /// Runs the hybrid shape work — per-layer Hamiltonian routing,
@@ -250,7 +252,7 @@ impl<'a> CircuitCompiler<'a> {
         let mut probe = Circuit::new(n);
         let gamma = probe.add_param();
         append_hamiltonian_layer(&mut probe, shape.graph(), gamma);
-        let (region, mut current) =
+        let (region, sub, mut current) =
             self.place(&probe, options.sabre_iterations, "hybrid program")?;
         let mut layers = Vec::with_capacity(shape.p());
         for layer in 0..shape.p() {
@@ -264,8 +266,7 @@ impl<'a> CircuitCompiler<'a> {
                 }
             }
             append_hamiltonian_layer(&mut qc, shape.graph(), gamma);
-            let (circuit, out_layout, _n_swaps) =
-                route_in_region(&qc, self.backend, &region, &current, &options)?;
+            let (circuit, out_layout, _n_swaps) = route_in_region(&qc, &sub, &current, &options);
             let wires = (0..n).map(|l| out_layout.physical(l)).collect();
             layers.push(CompiledPulseLayer { circuit, wires });
             current = out_layout;
@@ -300,6 +301,31 @@ impl<'a> CircuitCompiler<'a> {
             },
         ))
     }
+}
+
+/// Routes a logical circuit inside a region (`sub`, its induced
+/// coupling map), preserving free parameters: cancellation, routing from
+/// `entry_layout`, cancellation. Returns the region-wire circuit, the
+/// exit layout, and the number of SWAPs routing inserted.
+///
+/// The one shape pipeline of both program families: circuits route
+/// whole, hybrid programs layer by layer with chained layouts.
+fn route_in_region(
+    circuit: &Circuit,
+    sub: &CouplingMap,
+    entry_layout: &Layout,
+    options: &GateModelOptions,
+) -> (Circuit, Layout, usize) {
+    let mut logical = circuit.clone();
+    if options.cancellation {
+        logical = cancel_gates(&logical);
+    }
+    let routed = route(&logical, sub, entry_layout);
+    let mut out = routed.circuit;
+    if options.cancellation {
+        out = cancel_gates(&out);
+    }
+    (out, routed.final_layout, routed.n_swaps)
 }
 
 /// A program shape after compilation, of either family: routed onto

@@ -15,10 +15,12 @@
 //!
 //! - **exact**: density-matrix evolution, `O(4^n)` per instruction.
 //!   [`Executor::run`] / [`Executor::run_on`] interpret the walk
-//!   directly and are the reference; [`Executor::sample`] (and so
-//!   training) and the serving tier record the walk once and replay it
-//!   as a compiled superoperator tape ([`Executor::exact_replay_program`]
-//!   / [`Executor::run_exact_replay`]),
+//!   directly and are the reference; [`Executor::sample`] records the
+//!   walk and replays it as a compiled superoperator tape
+//!   ([`Executor::exact_replay_program`] / [`Executor::run_exact_replay`]),
+//!   while training and the serving tier bind a compiled shape's
+//!   recorded tape per parameter point and sample it with
+//!   [`Executor::sample_tape`],
 //! - **sampled** ([`Executor::trajectory_program`] /
 //!   [`Executor::sample_trajectories`] /
 //!   [`Executor::expectation_trajectories`]): the same schedule recorded
@@ -421,10 +423,13 @@ impl<'a> Executor<'a> {
             // RZ(beta + pi) SX RZ(gamma - pi) SX RZ(delta).
             _ => {
                 let (_, beta, gamma, delta) = zyz_decompose(&ideal);
+                // Both SX pulses are the same calibrated pulse: integrate
+                // it once.
+                let sx = pulse(FRAC_PI_2, 0.0);
                 virtual_z(beta + PI)
-                    .matmul(&pulse(FRAC_PI_2, 0.0))
+                    .matmul(&sx)
                     .matmul(&virtual_z(gamma - PI))
-                    .matmul(&pulse(FRAC_PI_2, 0.0))
+                    .matmul(&sx)
                     .matmul(&virtual_z(delta))
             }
         }
@@ -434,11 +439,17 @@ impl<'a> Executor<'a> {
     /// (readout confusion applied exactly to the distribution, then
     /// sampled with the seeded RNG).
     ///
-    /// This is the production exact path: the schedule is recorded and
-    /// compiled into an exact superoperator tape, which is replayed
-    /// from `|0...0><0...0|`. Its probabilities agree with the
-    /// reference walk [`Executor::run`] to ≤ 1e-12 (see
-    /// `hgp_sim::replay::exact`).
+    /// This is the production exact path for a bare program: the
+    /// schedule is walked and compiled into an exact superoperator tape
+    /// ([`Executor::exact_replay_program`]), which
+    /// [`Executor::sample_tape`] replays from `|0...0><0...0|` and
+    /// samples. Its probabilities agree with the reference walk
+    /// [`Executor::run`] to ≤ 1e-12 (see `hgp_sim::replay::exact`).
+    /// Training and the serving tier skip the per-call walk: they bind a
+    /// compiled shape's cached exact template into the tape
+    /// ([`crate::models::VqaModel::exact_tape`],
+    /// [`crate::compile::Compiled::bind_exact`]) and call
+    /// [`Executor::sample_tape`] directly.
     ///
     /// Callers issuing *streams* of sampling calls (training probes,
     /// serve jobs) should derive `seed` from the call's position via
@@ -449,8 +460,17 @@ impl<'a> Executor<'a> {
     ///
     /// Same contract as [`Executor::run`].
     pub fn sample(&self, program: &Program, shots: usize, seed: u64) -> Counts {
-        let rho = self.run_exact_replay(&self.exact_replay_program(program));
-        self.sample_state(&rho, shots, seed)
+        self.sample_tape(&self.exact_replay_program(program), shots, seed)
+    }
+
+    /// [`Executor::sample`] over an already-built exact tape — the
+    /// training path, where the tape comes from a model's compiled exact
+    /// template ([`crate::models::VqaModel::exact_tape`]) and the
+    /// per-probe schedule walk disappears. Evolves the tape
+    /// ([`Executor::run_exact_replay`]), then samples like
+    /// [`Executor::sample_state`].
+    pub fn sample_tape(&self, tape: &ExactReplayProgram, shots: usize, seed: u64) -> Counts {
+        self.sample_state(&self.run_exact_replay(tape), shots, seed)
     }
 
     /// Samples measurement outcomes from an already-computed state.

@@ -2,12 +2,10 @@
 
 use hgp_circuit::Circuit;
 use hgp_device::Backend;
-use hgp_sim::Counts;
-use hgp_transpile::cancellation::cancel_gates;
-use hgp_transpile::sabre::{choose_initial_layout, route};
-use hgp_transpile::Layout;
+use hgp_sim::{Counts, ExactReplayProgram};
 
-use crate::models::region::region_coupling;
+use crate::compile::{CircuitCompiler, CompiledCircuit};
+use crate::executor::Executor;
 use crate::models::VqaModel;
 use crate::program::Program;
 use crate::qaoa::{initial_point, qaoa_circuit};
@@ -40,36 +38,14 @@ impl GateModelOptions {
     }
 }
 
-/// Routes a logical circuit inside a fixed region, preserving free
-/// parameters. Returns the region-wire circuit, the exit layout, and
-/// the number of SWAPs routing inserted.
-///
-/// This is the one shape pipeline (cancellation, routing, cancellation)
-/// shared by the model types and [`crate::compile::CircuitCompiler`] —
-/// keeping the two in lockstep is what makes served jobs bit-identical
-/// to model-driven runs.
-pub(crate) fn route_in_region(
-    circuit: &Circuit,
-    backend: &Backend,
-    region: &[usize],
-    entry_layout: &Layout,
-    options: &GateModelOptions,
-) -> Result<(Circuit, Layout, usize), String> {
-    let sub = region_coupling(backend, region);
-    let mut logical = circuit.clone();
-    if options.cancellation {
-        logical = cancel_gates(&logical);
-    }
-    let routed = route(&logical, &sub, entry_layout);
-    let mut out = routed.circuit;
-    if options.cancellation {
-        out = cancel_gates(&out);
-    }
-    Ok((out, routed.final_layout, routed.n_swaps))
-}
-
 /// The standard gate-level QAOA model: `RZZ` Hamiltonian layers and
 /// `RX(2 beta)` mixer layers, routed inside a fixed region.
+///
+/// A thin view over the [`CompiledCircuit`] of the level-`p` QAOA
+/// circuit, as [`HybridModel`](crate::models::HybridModel) is over its
+/// compiled program: building binds the routed circuit, training binds
+/// the artifact's recorded exact schedule, and decoding undoes routing's
+/// final permutation.
 ///
 /// ```
 /// use hgp_core::models::{GateModel, GateModelOptions, VqaModel};
@@ -86,10 +62,7 @@ pub(crate) fn route_in_region(
 #[derive(Debug, Clone)]
 pub struct GateModel<'a> {
     backend: &'a Backend,
-    region: Vec<usize>,
-    circuit: Circuit,
-    final_layout: Layout,
-    n_logical: usize,
+    compiled: CompiledCircuit,
     p: usize,
 }
 
@@ -98,13 +71,17 @@ impl<'a> GateModel<'a> {
     /// `region` (physical qubits; must induce a connected subgraph and
     /// have exactly `graph.n_nodes()` entries).
     ///
+    /// The shape work — placement, cancellation, routing — is
+    /// [`CircuitCompiler::compile`] with `options`, run once here.
+    ///
     /// # Errors
     ///
-    /// Returns an error if the region size mismatches the graph.
+    /// Returns an error if the region size mismatches the graph or the
+    /// region induces a disconnected subgraph.
     ///
     /// # Panics
     ///
-    /// Panics if the region induces a disconnected subgraph.
+    /// Panics if a region entry is out of range or repeated.
     pub fn new(
         backend: &'a Backend,
         graph: &hgp_graph::Graph,
@@ -119,28 +96,24 @@ impl<'a> GateModel<'a> {
                 region.len()
             ));
         }
-        let logical = qaoa_circuit(graph, p);
-        let sub = region_coupling(backend, &region);
-        let entry = if options.sabre_iterations > 0 {
-            choose_initial_layout(&logical, &sub, options.sabre_iterations)
-        } else {
-            Layout::trivial(n, n)
-        };
-        let (circuit, final_layout, _n_swaps) =
-            route_in_region(&logical, backend, &region, &entry, &options)?;
+        let compiled = CircuitCompiler::new(backend, region)
+            .with_options(options)
+            .compile(&qaoa_circuit(graph, p))?;
         Ok(Self {
             backend,
-            region,
-            circuit,
-            final_layout,
-            n_logical: n,
+            compiled,
             p,
         })
     }
 
     /// The routed, still-parametrized circuit (region-wire indices).
     pub fn circuit(&self) -> &Circuit {
-        &self.circuit
+        self.compiled.circuit()
+    }
+
+    /// The underlying compiled artifact.
+    pub fn compiled(&self) -> &CompiledCircuit {
+        &self.compiled
     }
 
     /// The backend.
@@ -160,11 +133,11 @@ impl VqaModel for GateModel<'_> {
     }
 
     fn n_qubits(&self) -> usize {
-        self.n_logical
+        self.compiled.n_qubits()
     }
 
     fn region_size(&self) -> usize {
-        self.region.len()
+        self.compiled.region().len()
     }
 
     fn n_params(&self) -> usize {
@@ -181,24 +154,28 @@ impl VqaModel for GateModel<'_> {
 
     fn build(&self, params: &[f64]) -> Program {
         assert_eq!(params.len(), self.n_params(), "parameter count");
-        let bound = self.circuit.bind(params);
-        Program::from_circuit(&bound).expect("bound circuit")
+        self.compiled.bind(params)
     }
 
     fn layout(&self) -> &[usize] {
-        &self.region
+        self.compiled.region()
     }
 
     fn interpret_counts(&self, counts: &Counts) -> Counts {
-        let map: Vec<usize> = (0..self.n_logical)
-            .map(|l| self.final_layout.physical(l))
-            .collect();
-        counts.remapped(&map, self.n_logical)
+        self.compiled.decode_counts(counts)
     }
 
     fn mixer_duration_dt(&self) -> u32 {
         // RX(2 beta) costs two calibrated pulses per qubit.
         2 * self.backend.pulse_1q_duration_dt()
+    }
+
+    fn executor(&self) -> Executor<'_> {
+        self.compiled.executor(self.backend)
+    }
+
+    fn exact_tape(&self, exec: &Executor, params: &[f64]) -> ExactReplayProgram {
+        self.compiled.bind_exact(exec, params)
     }
 }
 

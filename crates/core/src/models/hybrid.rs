@@ -11,9 +11,10 @@
 use hgp_device::Backend;
 use hgp_graph::Graph;
 use hgp_pulse::Waveform;
-use hgp_sim::Counts;
+use hgp_sim::{Counts, ExactReplayProgram};
 
 use crate::compile::{CircuitCompiler, CompiledProgram, HybridShape};
+use crate::executor::Executor;
 use crate::models::gate::GateModelOptions;
 use crate::models::VqaModel;
 use crate::program::Program;
@@ -277,6 +278,14 @@ impl VqaModel for HybridModel<'_> {
         // these dimensions is the gate model's own optimization, so the
         // hybrid never loses to its gate-level sub-model.
         Some(self.compiled.shape().coarse_param_ids())
+    }
+
+    fn executor(&self) -> Executor<'_> {
+        self.compiled.executor(self.backend)
+    }
+
+    fn exact_tape(&self, exec: &Executor, params: &[f64]) -> ExactReplayProgram {
+        self.compiled.bind_exact(exec, params)
     }
 }
 

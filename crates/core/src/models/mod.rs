@@ -15,7 +15,6 @@ mod hybrid;
 mod pulse;
 mod region;
 
-pub(crate) use gate::route_in_region;
 pub use gate::{GateModel, GateModelOptions};
 pub use hybrid::{
     HybridModel, FREQ_SHIFT_HW_BOUND, FREQ_TRIM_AUTHORITY_RAD, MIXER_AMP_BOUND, PHASE_TRIM_BOUND,
@@ -23,14 +22,17 @@ pub use hybrid::{
 pub use pulse::PulseModel;
 pub use region::{default_region, region_coupling, try_region_coupling};
 
+use hgp_sim::ExactReplayProgram;
+
+use crate::executor::Executor;
 use crate::program::Program;
 
 /// A trainable VQA model: parameters in, executable hybrid program out.
 ///
 /// Models are `Sync`: the training loop evaluates independent objective
 /// probes (multi-start warm-up, simplex initializations, parameter-shift
-/// gradients) in parallel, building one program per worker from the same
-/// shared model.
+/// gradients) in parallel, binding one exact tape per worker from the
+/// same shared model ([`VqaModel::exact_tape`]).
 pub trait VqaModel: Sync {
     /// The backend the model is compiled against.
     fn backend(&self) -> &hgp_device::Backend;
@@ -83,5 +85,42 @@ pub trait VqaModel: Sync {
     /// [`VqaModel::initial_params`] point.
     fn initial_param_candidates(&self) -> Vec<Vec<f64>> {
         vec![self.initial_params()]
+    }
+
+    /// The executor training samples this model's probes on, over its
+    /// [`VqaModel::layout`].
+    ///
+    /// Defaults to [`Executor::new`], which builds the layout's noise
+    /// model. Models backed by a compiled artifact return the artifact's
+    /// executor instead ([`Compiled::executor`](crate::compile::Compiled::executor)),
+    /// sharing the noise model their recorded schedule template was
+    /// recorded against — which is what lets
+    /// [`VqaModel::exact_tape`] bind that template.
+    fn executor(&self) -> Executor<'_> {
+        Executor::new(self.backend(), self.layout().to_vec())
+    }
+
+    /// The exact-path superoperator tape of the program at `params`,
+    /// ready for [`Executor::sample_tape`] — the tape every training
+    /// probe evolves.
+    ///
+    /// Defaults to walking the bound program's noisy schedule
+    /// ([`Executor::exact_replay_program`] of [`VqaModel::build`]).
+    /// [`GateModel`] and [`HybridModel`] bind their compiled artifact's
+    /// exact template instead
+    /// ([`Compiled::bind_exact`](crate::compile::Compiled::bind_exact)):
+    /// the schedule is recorded once per model and each probe
+    /// substitutes only the parametric entries — bit-identical to the
+    /// walk, which they still take for an executor whose physics differ
+    /// from the recording (dynamical decoupling, another noise model).
+    /// An override must return the tape of `self.build(params)`: a
+    /// wrapper that changes `build` and delegates this method must pass
+    /// the same changed parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != self.n_params()`.
+    fn exact_tape(&self, exec: &Executor, params: &[f64]) -> ExactReplayProgram {
+        exec.exact_replay_program(&self.build(params))
     }
 }

@@ -13,7 +13,6 @@ use hgp_pulse::calibration::PulseLibrary;
 use hgp_pulse::propagator::{cr_propagator, drive_propagator, virtual_z};
 use hgp_pulse::{Channel, PulseSpec, Waveform};
 use hgp_sim::Counts;
-use hgp_transpile::Layout;
 
 use crate::models::gate::GateModel;
 use crate::models::{GateModelOptions, VqaModel};
@@ -58,8 +57,9 @@ pub struct PulseModel<'a> {
     backend: &'a Backend,
     region: Vec<usize>,
     template: Vec<TemplateItem>,
-    final_layout: Layout,
-    n_logical: usize,
+    /// The region wire each logical qubit is measured on (the lowered
+    /// gate circuit's routing permutation).
+    exit_wires: Vec<usize>,
     n_physical_pulses: usize,
 }
 
@@ -139,8 +139,9 @@ impl<'a> PulseModel<'a> {
             backend,
             region,
             template,
-            final_layout: gate_final_layout(&gate, graph.n_nodes()),
-            n_logical: graph.n_nodes(),
+            exit_wires: (0..graph.n_nodes())
+                .map(|l| gate.compiled().exit_wire(l))
+                .collect(),
             n_physical_pulses,
         })
     }
@@ -151,32 +152,13 @@ impl<'a> PulseModel<'a> {
     }
 }
 
-/// Extracts the final layout of a gate model by probing
-/// `interpret_counts` with one-hot bitstrings.
-fn gate_final_layout(gate: &GateModel<'_>, n_logical: usize) -> Layout {
-    let region_size = gate.region_size();
-    let mut map = vec![0usize; n_logical];
-    for wire in 0..region_size {
-        let mut c = Counts::new(region_size);
-        c.record(1 << wire, 1);
-        let logical = gate.interpret_counts(&c);
-        for (bits, _) in logical.iter() {
-            if bits != 0 {
-                let l = bits.trailing_zeros() as usize;
-                map[l] = wire;
-            }
-        }
-    }
-    Layout::new(map, region_size)
-}
-
 impl VqaModel for PulseModel<'_> {
     fn backend(&self) -> &Backend {
         self.backend
     }
 
     fn n_qubits(&self) -> usize {
-        self.n_logical
+        self.exit_wires.len()
     }
 
     fn region_size(&self) -> usize {
@@ -257,10 +239,7 @@ impl VqaModel for PulseModel<'_> {
     }
 
     fn interpret_counts(&self, counts: &Counts) -> Counts {
-        let map: Vec<usize> = (0..self.n_logical)
-            .map(|l| self.final_layout.physical(l))
-            .collect();
-        counts.remapped(&map, self.n_logical)
+        counts.remapped(&self.exit_wires, self.exit_wires.len())
     }
 
     fn mixer_duration_dt(&self) -> u32 {

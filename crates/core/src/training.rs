@@ -2,16 +2,24 @@
 //!
 //! The paper's protocol: COBYLA, 50 iterations maximum, 1024 shots per
 //! cost evaluation, optional CVaR aggregation (`alpha = 0.3`) and M3
-//! mitigation. Each evaluation runs the full noisy pipeline — build
-//! program, evolve the density matrix, sample with readout confusion,
-//! aggregate — so the optimizer sees exactly what hardware training sees.
+//! mitigation. Each evaluation runs the full noisy pipeline — evolve the
+//! density matrix under the bound program's noisy schedule, sample with
+//! readout confusion, aggregate — so the optimizer sees exactly what
+//! hardware training sees.
 //!
-//! Every probe evolves the compiled exact tape through
-//! [`Executor::sample`]: the program's noisy schedule is recorded once,
-//! compiled into a superoperator tape (fused diagonal runs, resolved
-//! channels) and replayed — the same engine the serving tier runs.
-//! The interpreted walk [`Executor::run`] is only the reference the tape
-//! is pinned against. Independent objective probes — the multi-start
+//! The paper compiles the fixed part of the circuit once and tunes only
+//! parameters in the loop; training does the same. The model's noisy
+//! schedule is recorded **once per model**, not per probe, into an exact
+//! superoperator tape with parametric slots (fused diagonal runs,
+//! resolved channels): every probe binds it at its parameters
+//! ([`VqaModel::exact_tape`] on the model's own
+//! [`VqaModel::executor`]) and replays it through
+//! [`Executor::sample_tape`] — the same template and engine the serving
+//! tier runs, bit-identical to walking each probe's bound program.
+//! Models without a compiled artifact (the pulse model) walk each
+//! probe's program into its tape instead. The interpreted walk
+//! [`Executor::run`] is only the reference the tape is pinned against.
+//! Independent objective probes — the multi-start
 //! warm-up, COBYLA's simplex initializations/rebuilds, and
 //! parameter-shift gradients — are issued as batches and evaluated in
 //! parallel over rayon workers. Every evaluation derives its sampling
@@ -83,7 +91,7 @@ pub struct TrainResult {
 }
 
 /// The shared objective machinery of [`train`] and
-/// [`objective_gradient`]: the executor for the model's layout, the
+/// [`objective_gradient`]: the model's executor ([`VqaModel::executor`]), the
 /// cost evaluator with the config's CVaR/M3 options applied, and the
 /// exact optimum `C_max`.
 fn objective_setup<'a>(
@@ -92,7 +100,7 @@ fn objective_setup<'a>(
     config: &TrainConfig,
 ) -> (Executor<'a>, CostEvaluator, f64) {
     assert_eq!(model.n_qubits(), graph.n_nodes(), "model/graph width");
-    let exec = Executor::new(model.backend(), model.layout().to_vec());
+    let exec = model.executor();
     let mut evaluator = CostEvaluator::new(graph);
     if let Some(alpha) = config.cvar_alpha {
         evaluator = evaluator.with_cvar(alpha);
@@ -119,8 +127,8 @@ fn evaluate_probe(
     params: &[f64],
     eval_id: u64,
 ) -> f64 {
-    let program = model.build(params);
-    let counts = exec.sample(&program, config.shots, stream_seed(config.seed, eval_id));
+    let tape = model.exact_tape(exec, params);
+    let counts = exec.sample_tape(&tape, config.shots, stream_seed(config.seed, eval_id));
     let logical = model.interpret_counts(&counts);
     // Minimize the negative AR.
     -evaluator.cost(&logical) / c_max
@@ -254,8 +262,8 @@ pub fn train(model: &dyn VqaModel, graph: &Graph, config: &TrainConfig) -> Train
     // Final high-shot evaluation at the best parameters.
     // The final report is stream 0 — distinct from every training probe,
     // which start at stream 1.
-    let final_counts = exec.sample(
-        &model.build(&result.x),
+    let final_counts = exec.sample_tape(
+        &model.exact_tape(&exec, &result.x),
         config.final_shots,
         stream_seed(config.seed, 0),
     );
@@ -276,7 +284,7 @@ pub fn train(model: &dyn VqaModel, graph: &Graph, config: &TrainConfig) -> Train
 }
 
 /// Parameter-shift gradient of the (negative-AR) training objective at
-/// `params`, with all `2 n` shifted programs built, executed, and
+/// `params`, with all `2 n` shifted points bound, executed, and
 /// sampled in parallel.
 ///
 /// Uses the exact rule (valid for the gate models, whose parameters all

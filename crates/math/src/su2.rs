@@ -29,17 +29,50 @@ use crate::matrix::Matrix;
 /// assert!(u.is_unitary(1e-15));
 /// ```
 pub fn exp_i_pauli(ax: f64, ay: f64, az: f64) -> Matrix {
+    Matrix::from_vec(2, 2, exp_i_pauli_entries(ax, ay, az).to_vec())
+}
+
+/// [`exp_i_pauli`]'s four entries, row-major, on the stack — for loops
+/// that compose thousands of steps and must not allocate per step.
+pub fn exp_i_pauli_entries(ax: f64, ay: f64, az: f64) -> [Complex64; 4] {
     let norm = (ax * ax + ay * ay + az * az).sqrt();
     if norm < 1e-300 {
-        return Matrix::identity(2);
+        return [
+            Complex64::ONE,
+            Complex64::ZERO,
+            Complex64::ZERO,
+            Complex64::ONE,
+        ];
     }
     let (c, s) = (norm.cos(), norm.sin());
     let (nx, ny, nz) = (ax / norm, ay / norm, az / norm);
     // cos I - i sin (n . sigma)
-    Matrix::from_rows(&[
-        &[Complex64::new(c, -s * nz), Complex64::new(-s * ny, -s * nx)],
-        &[Complex64::new(s * ny, -s * nx), Complex64::new(c, s * nz)],
-    ])
+    [
+        Complex64::new(c, -s * nz),
+        Complex64::new(-s * ny, -s * nx),
+        Complex64::new(s * ny, -s * nx),
+        Complex64::new(c, s * nz),
+    ]
+}
+
+/// The product `a * b` of two row-major 2x2 matrices, with
+/// [`Matrix::matmul`]'s exact arithmetic: the same `mul_add`
+/// accumulation order and the same skip of zero coefficients of `a`, so
+/// the result is bit-identical to the heap product.
+pub fn matmul_2x2(a: &[Complex64; 4], b: &[Complex64; 4]) -> [Complex64; 4] {
+    let mut out = [Complex64::ZERO; 4];
+    for i in 0..2 {
+        for k in 0..2 {
+            let coeff = a[2 * i + k];
+            if coeff == Complex64::ZERO {
+                continue;
+            }
+            for j in 0..2 {
+                out[2 * i + j] = coeff.mul_add(b[2 * k + j], out[2 * i + j]);
+            }
+        }
+    }
+    out
 }
 
 /// Propagator of the rotating-frame drive Hamiltonian

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use hgp_math::su2::{drive_step, exp_i_pauli};
+use hgp_math::su2::{exp_i_pauli, exp_i_pauli_entries, matmul_2x2};
 use hgp_math::{Complex64, Matrix};
 
 use hgp_device::{Backend, TwoQubitParams};
@@ -115,13 +115,53 @@ pub fn drive_propagator(
     freq_shift: f64,
     drive_strength: f64,
 ) -> Matrix {
-    let mut u = Matrix::identity(2);
+    // `drive_step` at `dt = 1` with its phase trigonometry and detuning
+    // term hoisted out of the loop (the same values every step), and the
+    // running product folded on the stack: bit-identical to
+    // [`reference::drive_propagator_reference`], without two heap
+    // matrices per `dt`.
+    let (cos_phase, sin_phase) = (phase.cos(), phase.sin());
+    let az = 0.5 * freq_shift;
+    let mut u = [
+        Complex64::ONE,
+        Complex64::ZERO,
+        Complex64::ZERO,
+        Complex64::ONE,
+    ];
     for t in 0..waveform.duration() {
         let omega = amp * waveform.sample(t) * drive_strength;
-        let step = drive_step(freq_shift, omega, phase, 1.0);
-        u = step.matmul(&u);
+        let step = exp_i_pauli_entries(0.5 * omega * cos_phase, 0.5 * omega * sin_phase, az);
+        u = matmul_2x2(&step, &u);
     }
-    u
+    Matrix::from_vec(2, 2, u.to_vec())
+}
+
+/// The per-step heap loop [`drive_propagator`] replaced, kept as the
+/// reference its stack fold is pinned against bit for bit (and
+/// benchmarked against).
+pub mod reference {
+    use hgp_math::su2::drive_step;
+    use hgp_math::Matrix;
+
+    use crate::waveform::Waveform;
+
+    /// One [`drive_step`] matrix per `dt`, multiplied onto a heap
+    /// [`Matrix`] accumulator with [`Matrix::matmul`].
+    pub fn drive_propagator_reference(
+        waveform: &Waveform,
+        amp: f64,
+        phase: f64,
+        freq_shift: f64,
+        drive_strength: f64,
+    ) -> Matrix {
+        let mut u = Matrix::identity(2);
+        for t in 0..waveform.duration() {
+            let omega = amp * waveform.sample(t) * drive_strength;
+            let step = drive_step(freq_shift, omega, phase, 1.0);
+            u = step.matmul(&u);
+        }
+        u
+    }
 }
 
 /// Propagator of a cross-resonance pulse on a coupled pair, in the basis

@@ -802,14 +802,18 @@ macro_rules! kernel {
 
 /// Probes the running CPU and picks the kernel build.
 ///
-/// The default choice is AVX2 when the CPU has it: on the server cores
-/// this workload targets, 512-bit ops trigger frequency licensing and
-/// issue on a single fused port, measuring consistently *slower* than
-/// the AVX2 build despite the doubled lane width. `HGP_REPLAY_LANES`
+/// The default choice is AVX2 when the CPU has it. The measurements it
+/// rests on, from a 2-core Xeon with AVX-512, one rayon thread: at 16
+/// qubits with 8-shot blocks, AVX2 ran 63.5 ms/shot, AVX-512 74.5 and
+/// the baseline build 73.8 — 512-bit ops there pay frequency licensing
+/// and issue on a single fused port — while at 12 qubits AVX-512 was
+/// the fastest tier. So AVX2 is the default for the widest served
+/// shapes, not a tier that wins everywhere. `HGP_REPLAY_LANES`
 /// overrides the choice (`avx512` / `avx2` / `baseline`) — every tier
 /// computes bit-identical results, so the knob only trades lane width;
-/// set `avx512` on cores with dual 512-bit ports. Unsupported or
-/// unknown requests fall back to the probed default.
+/// `avx512` may pay off at narrower widths or on cores with dual
+/// 512-bit ports. Unsupported or unknown requests fall back to the
+/// probed default.
 fn lane_isa() -> Lanes {
     #[cfg(target_arch = "x86_64")]
     {

@@ -27,29 +27,30 @@ pub fn cancel_gates(circuit: &Circuit) -> Circuit {
 }
 
 fn one_pass(circuit: &Circuit) -> (Circuit, bool) {
-    let insts = circuit.instructions();
-    let mut keep: Vec<Option<Instruction>> = insts.iter().cloned().map(Some).collect();
+    let mut keep: Vec<Option<Instruction>> =
+        circuit.instructions().iter().cloned().map(Some).collect();
     let mut changed = false;
-    for i in 0..insts.len() {
+    for i in 0..keep.len() {
         let Some(Instruction::Gate {
             gate: g1,
             qubits: q1,
-        }) = keep[i].clone()
+        }) = &keep[i]
         else {
             continue;
         };
         // Find the next gate on the same qubits that g1 could interact
         // with, skipping commuting gates.
+        let mut rewrite = None;
         let mut j = i + 1;
-        while j < insts.len() {
-            let Some(inst2) = keep[j].clone() else {
+        while j < keep.len() {
+            let Some(inst2) = &keep[j] else {
                 j += 1;
                 continue;
             };
             let Instruction::Gate {
                 gate: g2,
                 qubits: q2,
-            } = &inst2
+            } = inst2
             else {
                 // Barriers and measurements block movement on their qubits.
                 if inst2.qubits().iter().any(|q| q1.contains(q)) {
@@ -64,36 +65,33 @@ fn one_pass(circuit: &Circuit) -> (Circuit, bool) {
                 continue;
             }
             // Same qubits in the same roles: try cancel / merge.
-            if q1 == *q2 {
-                if let Some(replacement) = combine(&g1, g2) {
-                    keep[i] = replacement.map(|g| Instruction::Gate {
-                        gate: g,
-                        qubits: q1.clone(),
-                    });
-                    keep[j] = None;
-                    changed = true;
+            if q1 == q2 {
+                if let Some(replacement) = combine(g1, g2) {
+                    rewrite = Some((j, replacement));
                     break;
                 }
             }
-            if commutes(&g1, &q1, g2, q2) {
+            if commutes(g1, q1, g2, q2) {
                 j += 1;
                 continue;
             }
             break;
+        }
+        if let Some((j, replacement)) = rewrite {
+            match (replacement, &mut keep[i]) {
+                (Some(merged), Some(Instruction::Gate { gate, .. })) => *gate = merged,
+                _ => keep[i] = None,
+            }
+            keep[j] = None;
+            changed = true;
         }
     }
     let mut out = Circuit::new(circuit.n_qubits());
     for _ in 0..circuit.n_params() {
         out.add_param();
     }
-    for inst in keep.into_iter().flatten() {
-        match inst {
-            Instruction::Gate { gate, qubits } => {
-                out.push(gate, &qubits);
-            }
-            other => out.instructions_mut().push(other),
-        }
-    }
+    // Every kept instruction came from a valid circuit of this width.
+    out.instructions_mut().extend(keep.into_iter().flatten());
     (out, changed)
 }
 

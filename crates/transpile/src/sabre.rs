@@ -38,6 +38,29 @@ const EXTENDED_SIZE: usize = 20;
 /// Panics if the layout widths disagree with the circuit/coupling, or if
 /// the coupling map is disconnected.
 pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout) -> RoutedCircuit {
+    let mut out = Circuit::new(coupling.n_qubits());
+    // Free parameters survive routing untouched.
+    out.add_params(circuit.n_params());
+    let (final_layout, n_swaps) = sabre_pass(circuit, coupling, initial_layout, Some(&mut out));
+    RoutedCircuit {
+        circuit: out,
+        initial_layout: initial_layout.clone(),
+        final_layout,
+        n_swaps,
+    }
+}
+
+/// One SABRE routing pass from `initial_layout`, returning the exit
+/// layout and the SWAP count. The routed gates and SWAPs are appended to
+/// `out` when given; layout selection ([`choose_initial_layout`]) only
+/// needs the exit layout and passes `None`. Emitting never feeds back
+/// into the routing decisions, so both uses walk identical passes.
+fn sabre_pass(
+    circuit: &Circuit,
+    coupling: &CouplingMap,
+    initial_layout: &Layout,
+    mut out: Option<&mut Circuit>,
+) -> (Layout, usize) {
     assert_eq!(
         initial_layout.n_logical(),
         circuit.n_qubits(),
@@ -66,11 +89,14 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
             }
         }
     }
+    // Sorted neighbour lists, looked up once per pass rather than once
+    // per SWAP candidate.
+    let neighbors: Vec<Vec<usize>> = (0..coupling.n_qubits())
+        .map(|q| coupling.neighbors(q))
+        .collect();
     let mut layout = initial_layout.clone();
-    let mut out = Circuit::new(coupling.n_qubits());
-    // Free parameters survive routing untouched.
-    out.add_params(circuit.n_params());
     let mut front: Vec<usize> = (0..insts.len()).filter(|&i| pred_count[i] == 0).collect();
+    let mut next_front: Vec<usize> = Vec::new();
     let mut emitted = vec![false; insts.len()];
     let mut n_swaps = 0usize;
     let mut decay = vec![1.0f64; coupling.n_qubits()];
@@ -78,7 +104,7 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
     while !front.is_empty() {
         // Emit every currently executable front gate.
         let mut progressed = false;
-        let mut next_front: Vec<usize> = Vec::new();
+        next_front.clear();
         for &id in &front {
             let inst = &insts[id];
             let executable = match inst {
@@ -88,7 +114,9 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
                 _ => true,
             };
             if executable {
-                emit(&mut out, inst, &layout);
+                if let Some(out) = out.as_deref_mut() {
+                    emit(out, inst, &layout);
+                }
                 emitted[id] = true;
                 progressed = true;
                 for &s in &succs[id] {
@@ -101,7 +129,7 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
                 next_front.push(id);
             }
         }
-        front = next_front;
+        std::mem::swap(&mut front, &mut next_front);
         front.sort_unstable();
         front.dedup();
         if front.is_empty() {
@@ -132,12 +160,14 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
         for &(lq1, lq2) in &blocked {
             for &lq in &[lq1, lq2] {
                 let p = layout.physical(lq);
-                for nb in coupling.neighbors(p) {
+                for &nb in &neighbors[p] {
                     let cand = if p < nb { (p, nb) } else { (nb, p) };
-                    let mut trial = layout.clone();
-                    trial.swap_physical(cand.0, cand.1);
-                    let h = heuristic(&blocked, &extended, &trial, coupling)
+                    // Score the trial layout in place: a SWAP is its own
+                    // inverse, so swapping back restores `layout` exactly.
+                    layout.swap_physical(cand.0, cand.1);
+                    let h = heuristic(&blocked, &extended, &layout, coupling)
                         * decay[cand.0].max(decay[cand.1]);
+                    layout.swap_physical(cand.0, cand.1);
                     if best.is_none_or(|(_, bh)| h < bh) {
                         best = Some((cand, h));
                     }
@@ -145,19 +175,16 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
             }
         }
         let ((p1, p2), _) = best.expect("blocked front implies swap candidates");
-        out.push(Gate::Swap, &[p1, p2]);
+        if let Some(out) = out.as_deref_mut() {
+            out.push(Gate::Swap, &[p1, p2]);
+        }
         layout.swap_physical(p1, p2);
         decay[p1] += 0.001;
         decay[p2] += 0.001;
         n_swaps += 1;
     }
     debug_assert!(emitted.iter().all(|&e| e));
-    RoutedCircuit {
-        circuit: out,
-        initial_layout: initial_layout.clone(),
-        final_layout: layout,
-        n_swaps,
-    }
+    (layout, n_swaps)
 }
 
 /// The lookahead window: 2q gates reachable soon after the front layer.
@@ -256,9 +283,8 @@ pub fn choose_initial_layout(
     let mut layout = Layout::new(region, coupling.n_qubits());
     let reversed = reverse_circuit(circuit);
     for _ in 0..iterations {
-        let fwd = route(circuit, coupling, &layout);
-        let back = route(&reversed, coupling, &fwd.final_layout);
-        layout = back.final_layout;
+        let (forward_exit, _) = sabre_pass(circuit, coupling, &layout, None);
+        layout = sabre_pass(&reversed, coupling, &forward_exit, None).0;
     }
     layout
 }
