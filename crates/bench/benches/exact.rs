@@ -18,17 +18,23 @@
 //!   executable exact tape from a parameter binding:
 //!   `CompiledCircuit::bind_exact` vs bind + ASAP walk + tape compile
 //!   (`Executor::exact_replay_program`),
-//! - **the Table II cell's replay** (`exact_replay_cell_6q`) — the tape
-//!   every training evaluation of the guadalupe CVaR cell replays, timed
-//!   alone and followed by its per-op-kind profile, the split the
-//!   arity-specialized channel and conjugation sweeps are judged by.
+//! - **the Table II cell's replays** (`exact_replay_cell_6q` for the gate
+//!   model, `exact_replay_cell_6q_hybrid` for the hybrid model) — the
+//!   tapes every training evaluation of the guadalupe CVaR cell replays,
+//!   each timed alone and followed by its per-op-kind profile, the split
+//!   the plane sweeps are judged by.
+//!
+//! `cargo bench -p hgp_bench --bench exact -- <filter>` runs only the
+//! entries whose id contains `<filter>` (`cell` skips the ~25 s/sample
+//! 10q reference walk); `HGP_REPLAY_LANES` picks the lane tier the
+//! replays dispatch to.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use hgp_bench::region_for;
 use hgp_core::compile::CircuitCompiler;
 use hgp_core::executor::Executor;
-use hgp_core::models::{GateModel, GateModelOptions, VqaModel};
+use hgp_core::models::{GateModel, GateModelOptions, HybridModel, VqaModel};
 use hgp_core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hgp_device::Backend;
 use hgp_graph::{generators, instances};
@@ -104,27 +110,30 @@ fn bench_exact_bind_paths(c: &mut Criterion) {
 /// Replays profiled after the timing, for the per-op-kind split.
 const PROFILE_REPLAYS: u64 = 200;
 
-/// The Table II CVaR cell's exact tape (`ibmq_guadalupe`, gate model
-/// with gate-level optimizations, bound at the first COBYLA candidate —
-/// the model's initial parameters) replayed as every training
-/// evaluation replays it, then profiled per op kind. The profile line
-/// goes to stdout and to the JSONL sink beside the timing.
+/// The Table II CVaR cell's exact tapes (`ibmq_guadalupe`, gate-level
+/// optimizations, bound at the first COBYLA candidate — the model's
+/// initial parameters) replayed as every training evaluation replays
+/// them, then profiled per op kind: the gate model's tape
+/// (`exact_replay_cell_6q`) and the hybrid model's
+/// (`exact_replay_cell_6q_hybrid`, pulse unitaries in place of the
+/// mixer gates). The two models split the cell's trainings evenly.
 fn bench_exact_replay_cell(c: &mut Criterion) {
     let backend = Backend::ibmq_guadalupe();
     let graph = instances::task1_three_regular_6();
-    let model = GateModel::new(
-        &backend,
-        &graph,
-        1,
-        region_for(&backend, 6),
-        GateModelOptions::optimized(),
-    )
-    .expect("region");
-    let exec = Executor::new(&backend, model.layout().to_vec());
+    let region = region_for(&backend, 6);
+    let options = GateModelOptions::optimized();
+    let gate = GateModel::new(&backend, &graph, 1, region.clone(), options).expect("region");
+    let hybrid = HybridModel::with_options(&backend, &graph, 1, region, options).expect("region");
+    bench_cell_tape(c, "exact_replay_cell_6q", &gate);
+    bench_cell_tape(c, "exact_replay_cell_6q_hybrid", &hybrid);
+}
+
+/// Times one model's cell tape and emits its `profile:<id>` line to
+/// stdout and to the JSONL sink beside the timing.
+fn bench_cell_tape(c: &mut Criterion, id: &str, model: &dyn VqaModel) {
+    let exec = Executor::new(model.backend(), model.layout().to_vec());
     let tape = exec.exact_replay_program(&model.build(&model.initial_params()));
-    c.bench_function("exact_replay_cell_6q", |b| {
-        b.iter(|| exec.run_exact_replay(black_box(&tape)))
-    });
+    c.bench_function(id, |b| b.iter(|| exec.run_exact_replay(black_box(&tape))));
     let profile = OpProfile::new();
     for _ in 0..PROFILE_REPLAYS {
         exec.run_exact_replay_profiled(&tape, &profile);
@@ -146,7 +155,7 @@ fn bench_exact_replay_cell(c: &mut Criterion) {
         })
         .collect();
     hgp_bench::emit_bench_line(&format!(
-        "{{\"id\":\"profile:exact_replay_cell_6q\",\"replays\":{PROFILE_REPLAYS},\"ops\":{},\"channels\":{},{}}}",
+        "{{\"id\":\"profile:{id}\",\"replays\":{PROFILE_REPLAYS},\"ops\":{},\"channels\":{},{}}}",
         tape.n_ops(),
         tape.n_channels(),
         kinds.join(","),

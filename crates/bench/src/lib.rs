@@ -42,9 +42,12 @@ pub fn emit_bench_meta(id: &str, shot_block_size: usize) {
     let os = std::env::consts::OS;
     let arch = std::env::consts::ARCH;
     let threads = rayon::current_num_threads();
-    println!("{id}: os={os} arch={arch} rayon_threads={threads} shot_block_size={shot_block_size}");
+    let lanes = hgp_sim::replay::lane_tier();
+    println!(
+        "{id}: os={os} arch={arch} rayon_threads={threads} lanes={lanes} shot_block_size={shot_block_size}"
+    );
     append_bench_jsonl(&format!(
-        "{{\"id\":\"{}\",\"os\":\"{os}\",\"arch\":\"{arch}\",\"rayon_threads\":{threads},\"shot_block_size\":{shot_block_size}}}",
+        "{{\"id\":\"{}\",\"os\":\"{os}\",\"arch\":\"{arch}\",\"rayon_threads\":{threads},\"lanes\":\"{lanes}\",\"shot_block_size\":{shot_block_size}}}",
         id.replace('"', "'"),
     ));
 }

@@ -466,16 +466,31 @@ impl<'a> Executor<'a> {
     /// [`Executor::sample`] over an already-built exact tape — the
     /// training path, where the tape comes from a model's compiled exact
     /// template ([`crate::models::VqaModel::exact_tape`]) and the
-    /// per-probe schedule walk disappears. Evolves the tape
-    /// ([`Executor::run_exact_replay`]), then samples like
-    /// [`Executor::sample_state`].
+    /// per-probe schedule walk disappears. Evolves the tape and reads
+    /// its measurement probabilities straight from the replay's planes
+    /// ([`ExactReplayEngine::run_probabilities`], no `4^n` state is
+    /// built), then samples like [`Executor::sample_state`] — the same
+    /// counts, bit for bit.
     pub fn sample_tape(&self, tape: &ExactReplayProgram, shots: usize, seed: u64) -> Counts {
-        self.sample_state(&self.run_exact_replay(tape), shots, seed)
+        let probs = ExactReplayEngine::for_program(tape).run_probabilities(tape, &NoProfile);
+        self.sample_probabilities(&probs, tape.n_qubits(), shots, seed)
     }
 
     /// Samples measurement outcomes from an already-computed state.
     pub fn sample_state<B: SimBackend>(&self, rho: &B, shots: usize, seed: u64) -> Counts {
-        let mut probs = self.readout.apply_to_probabilities(&rho.probabilities());
+        self.sample_probabilities(&rho.probabilities(), rho.n_qubits(), shots, seed)
+    }
+
+    /// Readout-corrupts ideal outcome probabilities, renormalizes them,
+    /// and draws `shots` outcomes with the seeded RNG.
+    fn sample_probabilities(
+        &self,
+        ideal: &[f64],
+        n_qubits: usize,
+        shots: usize,
+        seed: u64,
+    ) -> Counts {
+        let mut probs = self.readout.apply_to_probabilities(ideal);
         let sum: f64 = probs.iter().sum();
         if sum > 0.0 {
             for p in &mut probs {
@@ -485,7 +500,7 @@ impl<'a> Executor<'a> {
         // hgp-analysis: allow(d2) -- `seed` is a caller-supplied leaf seed; every
         // executor call site derives it through `hgp_sim::seed::stream_seed`.
         let mut rng = StdRng::seed_from_u64(seed);
-        Counts::sample_from_probabilities(&probs, shots, rho.n_qubits(), &mut rng)
+        Counts::sample_from_probabilities(&probs, shots, n_qubits, &mut rng)
     }
 
     /// Runs `shots` stochastic statevector trajectories of a program —

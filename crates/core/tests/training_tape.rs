@@ -4,7 +4,9 @@
 //! a fresh executor; the compiled models must record their schedule
 //! template once and keep it across trainings; and an executor whose
 //! physics differ from the recording (dynamical decoupling) must still
-//! take the walk.
+//! take the walk. Sampling a tape (`Executor::sample_tape`, which reads
+//! the probabilities off the replay's planes) must draw the same counts
+//! as sampling its joined state.
 
 use hgp_core::executor::Executor;
 use hgp_core::models::{GateModel, GateModelOptions, HybridModel, PulseModel, VqaModel};
@@ -51,6 +53,13 @@ fn assert_tapes_match_the_walk(model: &dyn VqaModel) {
             probability_bits(&exec, &bound),
             probability_bits(&walker, &walked),
             "at {x:?}"
+        );
+        // Training samples from the replay's planes without joining
+        // them into a state; the counts must not notice.
+        assert_eq!(
+            exec.sample_tape(&bound, 512, 7),
+            exec.sample_state(&exec.run_exact_replay(&bound), 512, 7),
+            "plane-sampled counts at {x:?}"
         );
     }
 }

@@ -100,17 +100,22 @@ impl DensityMatrix {
         self.data[i * self.dim + j]
     }
 
-    /// Mutable raw row-major entries — the exact replay tape's kernels
-    /// ([`crate::replay::exact`]) sweep the storage directly.
-    #[inline]
-    pub(crate) fn data_mut(&mut self) -> &mut [Complex64] {
-        &mut self.data
-    }
-
-    /// Resets to `|0...0><0...0|` without reallocating.
-    pub(crate) fn reset_zero(&mut self) {
-        self.data.fill(Complex64::ZERO);
-        self.data[0] = Complex64::ONE;
+    /// Assembles a state from split row-major planes, entry `(i, j)` at
+    /// `re[i * dim + j]` / `im[i * dim + j]` — the exact replay tape's
+    /// layout ([`crate::replay::exact`]), joined once per replay.
+    pub(crate) fn from_planes(n_qubits: usize, re: &[f64], im: &[f64]) -> Self {
+        let dim = 1usize << n_qubits;
+        assert!(re.len() == dim * dim && im.len() == dim * dim, "plane size");
+        let data = re
+            .iter()
+            .zip(im)
+            .map(|(&r, &i)| Complex64::new(r, i))
+            .collect();
+        Self {
+            n_qubits,
+            dim,
+            data,
+        }
     }
 
     /// Converts to a dense [`Matrix`] (for tests and small-system checks).

@@ -109,9 +109,11 @@ use crate::trajectory::{ChannelOp, TrajectoryOp, TrajectoryProgram};
 
 pub mod batch;
 pub mod exact;
+pub(crate) mod lanes;
 
 pub use batch::ReplayBatch;
 pub use exact::{ExactReplayEngine, ExactReplayProgram, ExactScratch};
+pub use lanes::lane_tier;
 
 /// One instruction of a compiled replay tape.
 #[derive(Debug, Clone)]

@@ -33,16 +33,17 @@
 //! Split planes turn every kernel's inner loop into straight-line `f64`
 //! lane arithmetic (each shot's real and imaginary parts computed from
 //! the same loads), which vectorizes on baseline x86-64. The full-block
-//! kernels in `kern` are additionally compiled a second time with
-//! AVX2 enabled (`kern_avx2`) and dispatched by one runtime CPUID
-//! check per batch — doubling the lane width from SSE2's two `f64`s to
-//! four where the hardware allows. Multiversioning happens at *kernel*
-//! granularity (one call per op per block), not per amplitude row:
-//! `#[target_feature]` functions cannot inline into baseline callers,
-//! so a per-row boundary would pay a call per 32-lane sweep. The
-//! dispatch is bit-safe: wider vectors evaluate the *same* scalar
-//! expression per lane, and rustc never contracts separate multiplies
-//! and adds into FMAs, so both paths produce identical bits.
+//! kernels in `kern` are additionally compiled with AVX2 and with
+//! AVX-512 enabled and dispatched by one runtime CPUID check per batch
+//! — the lane-tier machinery this engine shares with the exact tape
+//! (`replay::lanes`; `HGP_REPLAY_LANES` overrides the probed tier for
+//! both). Multiversioning happens at *kernel* granularity (one call per
+//! op per block), not per amplitude row: `#[target_feature]` functions
+//! cannot inline into baseline callers, so a per-row boundary would pay
+//! a call per 32-lane sweep. The dispatch is bit-safe: wider vectors
+//! evaluate the *same* scalar expression per lane, and rustc never
+//! contracts separate multiplies and adds into FMAs, so every tier
+//! produces identical bits (pinned by this module's tier-parity test).
 //! `BENCH_replay.json`'s `replay_batched_expectation_*` entries record
 //! the measured advantage over the reference [`crate::TrajectoryEngine`]
 //! on the same schedule at 12 and 16 qubits.
@@ -100,15 +101,18 @@ use hgp_math::pauli::PauliSum;
 use hgp_math::{Complex64, Matrix};
 use hgp_obs::profile::{timed, ProfileSink, ReplayOpKind};
 
+use crate::kernels::DiagOp;
 use crate::statevector::StateVector;
 
+use super::lanes::{kernel, lane_isa, lane_tiers, Lanes};
 use super::{
-    BranchApply, CompiledChannel, GeneralChannel, MixedChannel, ReplayOp, ReplayProgram, WeightScan,
+    BranchApply, CompiledChannel, GeneralChannel, MixedChannel, ReplayOp, ReplayProgram, Row1q,
+    WeightScan,
 };
 
 /// Full-block kernel bodies: each sweeps one op over every resident
 /// shot of the arena. Bodies are `#[inline(always)]` so the
-/// [`kern_avx2`] wrappers re-compile the identical expressions under
+/// `lane_tiers!` wrappers re-compile the identical expressions under
 /// the wider ISA; every inner loop is the batched transliteration of
 /// the [`StateVector`] kernel's per-amplitude `Complex64` expression
 /// (see the module docs for the exact correspondences being preserved).
@@ -572,268 +576,55 @@ mod kern {
     }
 }
 
-/// Generates a re-compile of the [`kern`] kernels under a wider ISA.
-/// Each wrapper inlines the identical `#[inline(always)]` body under the
-/// listed target features: same per-lane expressions, same results bit
-/// for bit (rustc emits no FMA contraction), just more `f64` lanes per
-/// vector op than the baseline build's SSE2 pair. Multiversioning sits
-/// at whole-kernel granularity — one dispatched call per op per block —
-/// because `#[target_feature]` functions cannot inline into baseline
-/// callers, so a finer split would pay a call per amplitude row.
-macro_rules! lane_module {
-    ($(#[$doc:meta])* $mod_name:ident, $features:literal) => {
-        $(#[$doc])*
-        #[cfg(target_arch = "x86_64")]
-        mod $mod_name {
-            use hgp_math::Complex64;
-
-            use super::super::Row1q;
-            use super::kern;
-            use crate::kernels::DiagOp;
-
-            /// # Safety
-            ///
-            /// The running CPU must provide this module's target
-            /// features — the *only* precondition. The body is the safe
-            /// [`kern::diag_run`] recompiled under wider codegen: every
-            /// slice access keeps its bounds check and `f64` slices
-            /// carry no ISA-dependent alignment requirement, so the
-            /// sole UB hazard is executing the wider instructions on a
-            /// CPU that lacks them.
-            #[target_feature(enable = $features)]
-            pub unsafe fn diag_run(
-                re: &mut [f64],
-                im: &mut [f64],
-                s_n: usize,
-                ops: &[DiagOp],
-                factors: &mut Vec<Complex64>,
-                inv: Option<&[f64]>,
-            ) {
-                kern::diag_run(re, im, s_n, ops, factors, inv);
-            }
-
-            /// # Safety
-            ///
-            /// The running CPU must provide this module's target
-            /// features — the *only* precondition. The body is the safe
-            /// [`kern::dense1q_all`] recompiled under wider codegen:
-            /// bounds checks remain, no alignment obligations arise,
-            /// so unavailable instructions are the sole UB hazard.
-            #[target_feature(enable = $features)]
-            pub unsafe fn dense1q_all(
-                re: &mut [f64],
-                im: &mut [f64],
-                s_n: usize,
-                target: usize,
-                m: [Complex64; 4],
-                inv: Option<&[f64]>,
-            ) {
-                kern::dense1q_all(re, im, s_n, target, m, inv);
-            }
-
-            /// # Safety
-            ///
-            /// The running CPU must provide this module's target
-            /// features — the *only* precondition. The body is the safe
-            /// [`kern::dense2q_all`] recompiled under wider codegen:
-            /// bounds checks remain, no alignment obligations arise,
-            /// so unavailable instructions are the sole UB hazard.
-            #[target_feature(enable = $features)]
-            #[allow(clippy::too_many_arguments)]
-            pub unsafe fn dense2q_all(
-                re: &mut [f64],
-                im: &mut [f64],
-                s_n: usize,
-                t_hi: usize,
-                t_lo: usize,
-                mm: &[[Complex64; 4]; 4],
-                quad_re: &mut [f64],
-                quad_im: &mut [f64],
-                inv: Option<&[f64]>,
-            ) {
-                kern::dense2q_all(re, im, s_n, t_hi, t_lo, mm, quad_re, quad_im, inv);
-            }
-
-            /// # Safety
-            ///
-            /// The running CPU must provide this module's target
-            /// features — the *only* precondition. The body is the safe
-            /// [`kern::weights_1q_scan`] recompiled under wider codegen:
-            /// bounds checks remain, no alignment obligations arise,
-            /// so unavailable instructions are the sole UB hazard.
-            #[target_feature(enable = $features)]
-            #[allow(clippy::too_many_arguments)]
-            pub unsafe fn weights_1q_scan(
-                weights: &mut [f64],
-                re: &mut [f64],
-                im: &mut [f64],
-                s_n: usize,
-                target: usize,
-                rows: &[(Row1q, Row1q)],
-                inv: Option<&[f64]>,
-            ) {
-                kern::weights_1q_scan(weights, re, im, s_n, target, rows, inv);
-            }
-
-            /// # Safety
-            ///
-            /// The running CPU must provide this module's target
-            /// features — the *only* precondition. The body is the safe
-            /// [`kern::norm_acc_all`] recompiled under wider codegen:
-            /// bounds checks remain, no alignment obligations arise,
-            /// so unavailable instructions are the sole UB hazard.
-            #[target_feature(enable = $features)]
-            pub unsafe fn norm_acc_all(norms: &mut [f64], re: &[f64], im: &[f64], s_n: usize) {
-                kern::norm_acc_all(norms, re, im, s_n);
-            }
-
-            /// # Safety
-            ///
-            /// The running CPU must provide this module's target
-            /// features — the *only* precondition. The body is the safe
-            /// [`kern::diag1q_norm_all`] recompiled under wider codegen:
-            /// bounds checks remain, no alignment obligations arise,
-            /// so unavailable instructions are the sole UB hazard.
-            #[target_feature(enable = $features)]
-            pub unsafe fn diag1q_norm_all(
-                re: &mut [f64],
-                im: &mut [f64],
-                norms: &mut [f64],
-                s_n: usize,
-                target: usize,
-                d: [Complex64; 2],
-            ) {
-                kern::diag1q_norm_all(re, im, norms, s_n, target, d);
-            }
-
-            /// # Safety
-            ///
-            /// The running CPU must provide this module's target
-            /// features — the *only* precondition. The body is the safe
-            /// [`kern::scale_all`] recompiled under wider codegen:
-            /// bounds checks remain, no alignment obligations arise,
-            /// so unavailable instructions are the sole UB hazard.
-            #[target_feature(enable = $features)]
-            pub unsafe fn scale_all(re: &mut [f64], im: &mut [f64], s_n: usize, inv: &[f64]) {
-                kern::scale_all(re, im, s_n, inv);
-            }
-
-            /// # Safety
-            ///
-            /// The running CPU must provide this module's target
-            /// features — the *only* precondition. The body is the safe
-            /// [`kern::diag_expect_all`] recompiled under wider codegen:
-            /// bounds checks remain, no alignment obligations arise,
-            /// so unavailable instructions are the sole UB hazard.
-            #[target_feature(enable = $features)]
-            pub unsafe fn diag_expect_all(
-                out: &mut [f64],
-                re: &[f64],
-                im: &[f64],
-                s_n: usize,
-                diag: &[f64],
-            ) {
-                kern::diag_expect_all(out, re, im, s_n, diag);
-            }
-        }
-    };
-}
-
-lane_module!(
-    /// [`kern`] under AVX2 codegen: four `f64` lanes per vector op.
-    kern_avx2,
-    "avx2"
-);
-lane_module!(
-    /// [`kern`] under AVX-512 codegen: eight `f64` lanes per vector op.
-    /// `vl`/`dq` let LLVM use the 512-bit register file for the mixed
-    /// 128/256-bit tails the sweeps produce at small shot counts.
-    kern_avx512,
-    "avx512f,avx512vl,avx512dq"
-);
-
-/// The widest kernel build the running CPU supports, decided by one
-/// CPUID probe when a [`ReplayBatch`] is built and cached for every
-/// dispatch after that.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Lanes {
-    /// Eight `f64` lanes ([`kern_avx512`]).
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    /// Four `f64` lanes ([`kern_avx2`]).
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// The crate's baseline build (SSE2 on x86-64).
-    Baseline,
-}
-
-/// Calls one [`kern`] kernel through the batch's cached ISA choice.
-macro_rules! kernel {
-    ($lanes:expr, $name:ident($($arg:expr),* $(,)?)) => {{
-        #[cfg(target_arch = "x86_64")]
-        {
-            match $lanes {
-                Lanes::Avx512 => {
-                    // SAFETY: `Lanes::Avx512` is only ever constructed by
-                    // `lane_isa` after `is_x86_feature_detected!` confirmed
-                    // avx512f, avx512vl, and avx512dq on this CPU — the
-                    // wrapper's sole precondition (its body is the safe
-                    // `kern` kernel; see the `lane_module!` contracts).
-                    unsafe { kern_avx512::$name($($arg),*) }
-                }
-                Lanes::Avx2 => {
-                    // SAFETY: `Lanes::Avx2` is only ever constructed by
-                    // `lane_isa` after `is_x86_feature_detected!` confirmed
-                    // avx2 on this CPU — the wrapper's sole precondition
-                    // (its body is the safe `kern` kernel; see the
-                    // `lane_module!` contracts).
-                    unsafe { kern_avx2::$name($($arg),*) }
-                }
-                Lanes::Baseline => kern::$name($($arg),*),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = $lanes;
-            kern::$name($($arg),*)
-        }
-    }};
-}
-
-/// Probes the running CPU and picks the kernel build.
-///
-/// The default choice is AVX2 when the CPU has it. The measurements it
-/// rests on, from a 2-core Xeon with AVX-512, one rayon thread: at 16
-/// qubits with 8-shot blocks, AVX2 ran 63.5 ms/shot, AVX-512 74.5 and
-/// the baseline build 73.8 — 512-bit ops there pay frequency licensing
-/// and issue on a single fused port — while at 12 qubits AVX-512 was
-/// the fastest tier. So AVX2 is the default for the widest served
-/// shapes, not a tier that wins everywhere. `HGP_REPLAY_LANES`
-/// overrides the choice (`avx512` / `avx2` / `baseline`) — every tier
-/// computes bit-identical results, so the knob only trades lane width;
-/// `avx512` may pay off at narrower widths or on cores with dual
-/// 512-bit ports. Unsupported or unknown requests fall back to the
-/// probed default.
-fn lane_isa() -> Lanes {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let want = std::env::var("HGP_REPLAY_LANES").unwrap_or_default();
-        if want == "baseline" {
-            return Lanes::Baseline;
-        }
-        if want == "avx512"
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-        {
-            return Lanes::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Lanes::Avx2;
-        }
-    }
-    Lanes::Baseline
-}
+lane_tiers!(kern {
+    fn diag_run(
+        re: &mut [f64],
+        im: &mut [f64],
+        s_n: usize,
+        ops: &[DiagOp],
+        factors: &mut Vec<Complex64>,
+        inv: Option<&[f64]>,
+    );
+    fn dense1q_all(
+        re: &mut [f64],
+        im: &mut [f64],
+        s_n: usize,
+        target: usize,
+        m: [Complex64; 4],
+        inv: Option<&[f64]>,
+    );
+    fn dense2q_all(
+        re: &mut [f64],
+        im: &mut [f64],
+        s_n: usize,
+        t_hi: usize,
+        t_lo: usize,
+        mm: &[[Complex64; 4]; 4],
+        quad_re: &mut [f64],
+        quad_im: &mut [f64],
+        inv: Option<&[f64]>,
+    );
+    fn weights_1q_scan(
+        weights: &mut [f64],
+        re: &mut [f64],
+        im: &mut [f64],
+        s_n: usize,
+        target: usize,
+        rows: &[(Row1q, Row1q)],
+        inv: Option<&[f64]>,
+    );
+    fn norm_acc_all(norms: &mut [f64], re: &[f64], im: &[f64], s_n: usize);
+    fn diag1q_norm_all(
+        re: &mut [f64],
+        im: &mut [f64],
+        norms: &mut [f64],
+        s_n: usize,
+        target: usize,
+        d: [Complex64; 2],
+    );
+    fn scale_all(re: &mut [f64], im: &mut [f64], s_n: usize, inv: &[f64]);
+    fn diag_expect_all(out: &mut [f64], re: &[f64], im: &[f64], s_n: usize, diag: &[f64]);
+});
 
 /// Arena bytes one shot block may occupy: a memory ceiling of 32 MiB
 /// per rayon worker, not a cache target. Blocks are sized for lane fill
@@ -892,8 +683,8 @@ pub struct ReplayBatch {
     inv: Vec<f64>,
     /// A deferred scale pass is outstanding in `inv`.
     pending: bool,
-    /// Widest kernel build the CPU supports (CPUID-checked once per
-    /// batch, dispatched through [`kernel!`](macro) per op).
+    /// Kernel build the batch dispatches to (probed once per batch by
+    /// `lane_isa`, called through `kernel!` per op).
     lanes: Lanes,
     /// Per-shot fallback state: operators wider than two qubits (which
     /// no recorded schedule in this workspace produces) and
@@ -1524,4 +1315,91 @@ fn quad_matrix(m: &Matrix) -> [[Complex64; 4]; 4] {
         }
     }
     mm
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::lanes::detected_tiers;
+    use super::*;
+    use crate::trajectory::{ChannelOp, TrajectoryProgram};
+    use hgp_circuit::{Gate, Param};
+    use hgp_math::c64;
+    use hgp_math::pauli::{sigma_x, sigma_y, sigma_z};
+    use hgp_obs::profile::NoProfile;
+
+    /// Pauli mix, amplitude damping and a three-Kraus thermal-like
+    /// channel (non-identity `K_0`, so shots of a block diverge).
+    fn channels(p: f64) -> [ChannelOp; 3] {
+        let real = |e: [f64; 4]| Matrix::from_vec(2, 2, e.map(|x| c64(x, 0.0)).to_vec());
+        let s = |w: f64| c64(w.sqrt(), 0.0);
+        [
+            ChannelOp::general(vec![
+                Matrix::identity(2).scale(s(1.0 - 0.75 * p)),
+                sigma_x().scale(s(p / 4.0)),
+                sigma_y().scale(s(p / 4.0)),
+                sigma_z().scale(s(p / 4.0)),
+            ]),
+            ChannelOp::general(vec![
+                real([1.0, 0.0, 0.0, (1.0 - p).sqrt()]),
+                real([0.0, p.sqrt(), 0.0, 0.0]),
+            ]),
+            ChannelOp::general(vec![
+                real([(1.0 - p).sqrt(), 0.0, 0.0, (1.0 - 2.0 * p).sqrt()]),
+                real([0.0, p.sqrt(), 0.0, 0.0]),
+                real([(p / 2.0).sqrt(), 0.0, 0.0, -(p / 2.0).sqrt()]),
+            ]),
+        ]
+    }
+
+    /// Every lane tier the CPU runs replays a block of shots to the same
+    /// amplitude bits, diagonal expectations and drawn outcomes as the
+    /// baseline build — the dispatch only widens vectors.
+    #[test]
+    fn every_lane_tier_replays_the_block_bit_identically() {
+        let n = 7;
+        let mut program = TrajectoryProgram::new(n);
+        for q in 0..n {
+            program.push_gate(Gate::H, &[q]);
+        }
+        for (a, b) in [(0, 1), (1, 4), (2, 6), (5, 3)] {
+            program.push_gate(Gate::Rzz(Param::bound(0.3 * (a + b) as f64)), &[a, b]);
+        }
+        for q in 0..n {
+            program.push_gate(Gate::Rx(Param::bound(0.2 + 0.15 * q as f64)), &[q]);
+            let [pauli, damping, thermal] = channels(0.05 + 0.04 * q as f64);
+            program.push_channel([pauli, damping, thermal][q % 3].clone(), &[q]);
+        }
+        program.push_gate(Gate::CX, &[0, 5]);
+        program.push_gate(Gate::CX, &[6, 2]);
+        let [_, _, thermal] = channels(0.3);
+        program.push_channel(thermal, &[4]);
+        let tape = ReplayProgram::compile(&program);
+        // An odd block: lane tails at every vector width.
+        let seeds: Vec<u64> = (0..13).map(|s| 9_000 + 7 * s).collect();
+        let diag: Vec<f64> = (0..1usize << n).map(|b| b.count_ones() as f64).collect();
+
+        let mut baseline = None;
+        for lanes in detected_tiers() {
+            let mut batch = ReplayBatch::for_program(&tape, seeds.len());
+            batch.lanes = lanes;
+            batch.run(&tape, &seeds, &NoProfile);
+            let amps: Vec<(u64, u64)> = batch
+                .re
+                .iter()
+                .zip(&batch.im)
+                .map(|(r, i)| (r.to_bits(), i.to_bits()))
+                .collect();
+            let expect: Vec<u64> = batch
+                .diagonal_expectations(&diag)
+                .iter()
+                .map(|e| e.to_bits())
+                .collect();
+            let got = (amps, expect, batch.draw_outcomes());
+            let baseline = baseline.get_or_insert_with(|| got.clone());
+            assert!(
+                *baseline == got,
+                "{lanes:?} differs from the baseline build"
+            );
+        }
+    }
 }

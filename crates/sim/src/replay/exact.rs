@@ -35,32 +35,67 @@
 //! once the matrix is large enough ([`kernels::PAR_QUBIT_THRESHOLD`]
 //! total entries).
 //!
+//! # Layout: split planes
+//!
+//! The arena keeps `rho` as two `f64` planes, `Re(rho[i][j])` at
+//! `re[i * dim + j]` and `Im` at `im[i * dim + j]`, not as interleaved
+//! [`Complex64`] pairs: a complex multiply over interleaved pairs needs
+//! cross-lane shuffles, while over planes every sweep is straight-line
+//! lane arithmetic. The sweeps are written once, as safe
+//! `#[inline(always)]` bodies in `kern`, compiled again under AVX2 and
+//! AVX-512 by the lane dispatch the trajectory engine uses
+//! (`replay::lanes`: one CPUID probe per arena, `HGP_REPLAY_LANES`
+//! overrides it for both engines), and called per op per row chunk:
+//!
+//! - fused diagonal runs take lanes along each row, the factor tables
+//!   split like the state;
+//! - one-qubit dense conjugations walk `(lo, hi)` entry pairs, row
+//!   pairs for the left pass and column pairs for the right; pair
+//!   strides below a vector's width walk const-size chunks so the
+//!   vectorizer sees them;
+//! - resolved channels and two-qubit conjugations gather `G` blocks'
+//!   entries into lane arrays (one array per block entry), fold each
+//!   output chain's terms in the outer loop and the lanes in the inner
+//!   loop, and scatter back — the per-entry chain is hoisted out of
+//!   the lanes, never re-dispatched per entry;
+//! - wider dense ops and `KrausBlocks` stay scalar over the planes
+//!   (no recorded schedule in this workspace produces them).
+//!
+//! The split changes where each `f64` lives, not one bit of what is
+//! computed from it. Every entry keeps its exact `mul_add` chain — the
+//! same coefficients in the same order, started from `+0.0` — written
+//! out over the components with the separate multiplies and adds of
+//! [`Complex64::mul_add`]; rustc never contracts them into FMAs, so a
+//! lane of any width computes the same IEEE operations as the scalar
+//! code, and every lane tier produces the same bits. The
+//! [`DensityMatrix`] that [`ExactReplayEngine::run`] and
+//! [`ExactReplayEngine::evolve`] return is joined from the planes once,
+//! at the end of a replay; [`ExactReplayEngine::run_probabilities`]
+//! skips that and reads the diagonal straight from the real plane.
+//!
 //! # Arity-specialized sweeps
 //!
 //! Every kernel enumerates its blocks directly instead of testing each
-//! row and column index against the target mask:
-//!
-//! - one-target sweeps (dense conjugations and resolved channels) walk
-//!   row pairs `(i, i | bit)` as two disjoint row slices and column
-//!   pairs `(j, j | bit)` block by block, with no branch per entry;
-//! - two-target channel sweeps gather each 4×4 block at its fixed
-//!   offsets and evaluate its sixteen term lists; two-target dense
-//!   conjugations run on fixed-size copies of the matrix and offsets.
-//!   Wider operators enumerate bases the same way over a gather buffer.
+//! row and column index against the target mask: one-target sweeps
+//! split row pairs `(i, i | bit)` into disjoint row slices and column
+//! pairs `(j, j | bit)` by block, two-target sweeps walk the block
+//! bases of both target bits, and wider operators enumerate bases the
+//! same way over a gather buffer.
 //!
 //! Each output entry keeps the `mul_add` chain the sparse
 //! row-by-row (CSR) interpreter these sweeps replaced evaluated: the
 //! same coefficients, in ascending input-index order, started from
 //! `ZERO`. The evolved state is therefore **bit-identical** to that
-//! interpreter's — not merely close. The unit tests pin it directly: a
-//! property test checks every sweep against a transliteration of the
-//! CSR chain (and every dense conjugation against the density walk)
-//! `to_bits` for every entry, on random damping, depolarizing,
-//! dephasing and dense Kraus sets with targets on bit 0 and the top bit
-//! at up to six qubits; a 10-qubit test checks every op shape swept
-//! over aligned row chunks, as the fan-out path runs them, against one
-//! whole-matrix sweep. The Table II goldens (`tests/table2_goldens.rs`)
-//! pin the training outcome on top.
+//! interpreter's — not merely close. The unit tests pin it directly, at
+//! every lane tier the CPU reports: a property test checks every sweep
+//! against a transliteration of the CSR chain (and every dense
+//! conjugation against the density walk) `to_bits` for every entry, on
+//! random damping, depolarizing, dephasing and dense Kraus sets with
+//! targets on bit 0 and the top bit at up to seven qubits; a 10-qubit
+//! test checks every op shape swept over aligned row chunks, as the
+//! fan-out path runs them, against one whole-matrix sweep; and a whole
+//! noisy tape replays to the same bits at every tier. The Table II
+//! goldens (`tests/table2_goldens.rs`) pin the training outcome on top.
 //!
 //! # The parity contract
 //!
@@ -97,7 +132,13 @@
 //! channels into one resolved superoperator (products of coefficients
 //! replace two rounded sweeps). Dense conjugations keep their two
 //! passes (all left updates of a chunk, then all right updates), the
-//! structure the parity argument above rests on.
+//! structure the parity argument above rests on. Fusing consecutive
+//! ops on one target into a single pass keeps every chain but was not
+//! faster: at 6 qubits the sweeps are compute-bound, not memory-bound.
+//! What is left on the plane sweeps is the gather/scatter of low target
+//! bits (column pairs and quads closer than a vector's width) and the
+//! two-qubit dense conjugation, which multiplies every zero of a `CX`
+//! because its chains keep them (`BENCH_exact.json` profiles).
 //!
 //! # Example
 //!
@@ -127,6 +168,7 @@ use crate::density::DensityMatrix;
 use crate::kernels::{self, DiagOp};
 use crate::trajectory::{ChannelOp, TrajectoryOp, TrajectoryProgram};
 
+use super::lanes::{kernel, lane_isa, lane_tiers, Lanes};
 use super::ReplaySlot;
 
 /// Minimum rows per parallel chunk (widened to each op's alignment).
@@ -149,25 +191,33 @@ fn chunk_height(align_rows: usize) -> usize {
     align_rows.max(PAR_CHUNK_ROWS)
 }
 
-/// Runs `sweep(rows, row0)` over the whole row-major matrix, or over
-/// row chunks on the rayon pool once [`fan_out`] says so. Each chunk
-/// starts on a multiple of `align_rows` (a power of two), so every
-/// operator block stays chunk-local, a local row index carries the same
-/// target bits as the absolute one, and each entry's arithmetic is
-/// independent of the worker count.
+/// Runs `sweep(re, im, row0)` over the whole pair of row-major planes,
+/// or over row chunks on the rayon pool once [`fan_out`] says so. Both
+/// planes are cut at the same heights, and each chunk starts on a
+/// multiple of `align_rows` (a power of two), so every operator block
+/// stays chunk-local, a local row index carries the same target bits as
+/// the absolute one, and each entry's arithmetic is independent of the
+/// worker count.
 fn sweep_rows(
-    data: &mut [Complex64],
+    re: &mut [f64],
+    im: &mut [f64],
     dim: usize,
     align_rows: usize,
-    sweep: impl Fn(&mut [Complex64], usize) + Sync,
+    sweep: impl Fn(&mut [f64], &mut [f64], usize) + Sync,
 ) {
     let height = chunk_height(align_rows);
-    if fan_out(data.len()) && dim > height {
-        data.par_chunks_mut(height * dim)
+    if fan_out(re.len()) && dim > height {
+        let entries = height * dim;
+        let chunks: Vec<_> = re
+            .chunks_mut(entries)
+            .zip(im.chunks_mut(entries))
             .enumerate()
-            .for_each(|(c, chunk)| sweep(chunk, c * height));
+            .collect();
+        chunks
+            .into_par_iter()
+            .for_each(|(c, (re, im))| sweep(re, im, c * height));
     } else {
-        sweep(data, 0);
+        sweep(re, im, 0);
     }
 }
 
@@ -181,30 +231,449 @@ fn block_bases(mask: usize, end: usize) -> impl Iterator<Item = usize> {
         .take_while(move |&b| b < end)
 }
 
-/// Calls `f` on every `(lo, hi)` entry pair of `data` whose flat
-/// indices differ by exactly `stride` within a `2 * stride` block — for
-/// `stride = bit` the column pairs `(j, j | bit)`, for
-/// `stride = bit * dim` the row pairs `(i, i | bit)`. `data` must be a
-/// whole number of blocks.
+/// `c.mul_add(v, acc)` of [`Complex64`] over split components: the
+/// same separate multiplies and adds in the same association, so a lane
+/// computes exactly the interleaved chain's bits (rustc never fuses
+/// them into FMAs).
+#[inline(always)]
+fn madd(c: Complex64, vr: f64, vi: f64, ar: f64, ai: f64) -> (f64, f64) {
+    (c.re * vr - c.im * vi + ar, c.re * vi + c.im * vr + ai)
+}
+
+/// Lanes per gathered group of the resolved-channel and two-target
+/// sweeps: each group gathers this many blocks' entries into lane
+/// arrays, folds every output chain over them, and scatters back.
+const G: usize = 16;
+
+/// Calls `f(lo_re, lo_im, hi_re, hi_im)` on every `(lo, hi)` entry pair
+/// of the planes whose flat indices differ by exactly `stride` within a
+/// `2 * stride` block — for `stride = bit` the column pairs
+/// `(j, j | bit)`, for `stride = bit * dim` the row pairs
+/// `(i, i | bit)`. The planes must be a whole number of blocks.
+///
+/// Strides below a vector's width get const-size chunk walks, which
+/// LLVM vectorizes across chunks; a runtime-stride inner loop that
+/// short stays scalar.
 #[inline(always)]
 fn for_pairs(
-    data: &mut [Complex64],
+    re: &mut [f64],
+    im: &mut [f64],
     stride: usize,
-    mut f: impl FnMut(&mut Complex64, &mut Complex64),
+    f: impl FnMut(&mut f64, &mut f64, &mut f64, &mut f64),
 ) {
-    if stride == 1 {
-        // Adjacent pairs: one flat walk instead of a block per pair.
-        for [lo, hi] in data.as_chunks_mut::<2>().0 {
-            f(lo, hi);
+    match stride {
+        1 => pairs_const::<2>(re, im, f),
+        2 => pairs_const::<4>(re, im, f),
+        4 => pairs_const::<8>(re, im, f),
+        _ => pairs_runs(re, im, stride, f),
+    }
+}
+
+/// [`for_pairs`] at the compile-time block size `C = 2 * stride`.
+#[inline(always)]
+fn pairs_const<const C: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    mut f: impl FnMut(&mut f64, &mut f64, &mut f64, &mut f64),
+) {
+    let blocks = re.as_chunks_mut::<C>().0.iter_mut();
+    for (br, bi) in blocks.zip(im.as_chunks_mut::<C>().0) {
+        let (lr, hr) = br.split_at_mut(C / 2);
+        let (li, hi) = bi.split_at_mut(C / 2);
+        for k in 0..C / 2 {
+            f(&mut lr[k], &mut li[k], &mut hr[k], &mut hi[k]);
         }
+    }
+}
+
+/// [`for_pairs`] over runs of `stride` contiguous lanes. The lanes are
+/// indexed over four equal-length reslices: a four-way `zip` of the
+/// runs kept this loop scalar (measured 2-3x slower at AVX2).
+#[inline(always)]
+fn pairs_runs(
+    re: &mut [f64],
+    im: &mut [f64],
+    stride: usize,
+    mut f: impl FnMut(&mut f64, &mut f64, &mut f64, &mut f64),
+) {
+    let blocks = re.chunks_exact_mut(2 * stride);
+    for (br, bi) in blocks.zip(im.chunks_exact_mut(2 * stride)) {
+        let (lr, hr) = br.split_at_mut(stride);
+        let (li, hi) = bi.split_at_mut(stride);
+        let (li, hr, hi) = (
+            &mut li[..lr.len()],
+            &mut hr[..lr.len()],
+            &mut hi[..lr.len()],
+        );
+        for k in 0..lr.len() {
+            f(&mut lr[k], &mut li[k], &mut hr[k], &mut hi[k]);
+        }
+    }
+}
+
+/// Copies column pairs `k0..k0 + lo.len()` of one plane row — pair `k`
+/// is `(j_k, j_k | bit)` in ascending `j_k` — into `lo` and `hi`. A
+/// group is a power of two no longer than a row's pair count and starts
+/// on a multiple of its length, so it is either two contiguous runs
+/// (`bit` at least the group) or whole `2 * bit` blocks.
+#[inline(always)]
+fn gather_pairs(row: &[f64], bit: usize, k0: usize, lo: &mut [f64], hi: &mut [f64]) {
+    let g = lo.len();
+    if bit >= g {
+        let j0 = (k0 / bit) * 2 * bit + k0 % bit;
+        lo.copy_from_slice(&row[j0..j0 + g]);
+        hi.copy_from_slice(&row[j0 + bit..j0 + bit + g]);
         return;
     }
-    for block in data.chunks_exact_mut(2 * stride) {
-        let (lo, hi) = block.split_at_mut(stride);
-        for (lo, hi) in lo.iter_mut().zip(hi) {
-            f(lo, hi);
+    let src = &row[2 * k0..2 * (k0 + g)];
+    match bit {
+        1 => deinterleave::<2>(src, lo, hi),
+        2 => deinterleave::<4>(src, lo, hi),
+        4 => deinterleave::<8>(src, lo, hi),
+        8 => deinterleave::<16>(src, lo, hi),
+        _ => unreachable!("bit {bit} below a group of at most {G} lanes"),
+    }
+}
+
+/// The inverse of [`gather_pairs`]: writes `lo`/`hi` back to the pairs.
+#[inline(always)]
+fn scatter_pairs(row: &mut [f64], bit: usize, k0: usize, lo: &[f64], hi: &[f64]) {
+    let g = lo.len();
+    if bit >= g {
+        let j0 = (k0 / bit) * 2 * bit + k0 % bit;
+        row[j0..j0 + g].copy_from_slice(lo);
+        row[j0 + bit..j0 + bit + g].copy_from_slice(hi);
+        return;
+    }
+    let dst = &mut row[2 * k0..2 * (k0 + g)];
+    match bit {
+        1 => interleave::<2>(dst, lo, hi),
+        2 => interleave::<4>(dst, lo, hi),
+        4 => interleave::<8>(dst, lo, hi),
+        8 => interleave::<16>(dst, lo, hi),
+        _ => unreachable!("bit {bit} below a group of at most {G} lanes"),
+    }
+}
+
+/// Splits `C`-entry blocks into their low and high halves.
+#[inline(always)]
+fn deinterleave<const C: usize>(src: &[f64], lo: &mut [f64], hi: &mut [f64]) {
+    let halves = lo.chunks_exact_mut(C / 2).zip(hi.chunks_exact_mut(C / 2));
+    for (block, (lo, hi)) in src.as_chunks::<C>().0.iter().zip(halves) {
+        lo.copy_from_slice(&block[..C / 2]);
+        hi.copy_from_slice(&block[C / 2..]);
+    }
+}
+
+/// Joins low and high halves back into `C`-entry blocks.
+#[inline(always)]
+fn interleave<const C: usize>(dst: &mut [f64], lo: &[f64], hi: &[f64]) {
+    let halves = lo.chunks_exact(C / 2).zip(hi.chunks_exact(C / 2));
+    for (block, (lo, hi)) in dst.as_chunks_mut::<C>().0.iter_mut().zip(halves) {
+        block[..C / 2].copy_from_slice(lo);
+        block[C / 2..].copy_from_slice(hi);
+    }
+}
+
+/// Copies `plane[at + cols[l]]` into lane `l` of `dst`; `run` says the
+/// columns are consecutive, so the gather is one slice copy.
+#[inline(always)]
+fn gather_cols(plane: &[f64], at: usize, cols: &[usize], run: bool, dst: &mut [f64]) {
+    if run {
+        let c0 = at + cols[0];
+        dst.copy_from_slice(&plane[c0..c0 + dst.len()]);
+    } else {
+        for (d, &c) in dst.iter_mut().zip(cols) {
+            *d = plane[at + c];
         }
     }
+}
+
+/// The inverse of [`gather_cols`].
+#[inline(always)]
+fn scatter_cols(plane: &mut [f64], at: usize, cols: &[usize], run: bool, src: &[f64]) {
+    if run {
+        let c0 = at + cols[0];
+        plane[c0..c0 + src.len()].copy_from_slice(src);
+    } else {
+        for (&s, &c) in src.iter().zip(cols) {
+            plane[at + c] = s;
+        }
+    }
+}
+
+/// Per-lane planes of `N` gathered entries: `[entry][lane]`.
+type LaneSet<const N: usize> = [[f64; G]; N];
+
+/// Evaluates every output chain over a gathered lane set: per output,
+/// the chain's terms fold in the outer loop and the lanes in the inner
+/// one, so each lane runs its entry's exact `mul_add` sequence from
+/// `+0.0` — the chain [`Chain`] describes, in the same order.
+#[inline(always)]
+fn eval_chains<const N: usize>(
+    chains: &[Chain<N>; N],
+    vr: &LaneSet<N>,
+    vi: &LaneSet<N>,
+    or: &mut LaneSet<N>,
+    oi: &mut LaneSet<N>,
+) {
+    for ((chain, outr), outi) in chains.iter().zip(or.iter_mut()).zip(oi.iter_mut()) {
+        let (mut ar, mut ai) = ([0.0f64; G], [0.0f64; G]);
+        for (&c, &x) in chain.coef[..chain.len].iter().zip(&chain.idx) {
+            let (xr, xi) = (&vr[x as usize], &vi[x as usize]);
+            for l in 0..G {
+                (ar[l], ai[l]) = madd(c, xr[l], xi[l], ar[l], ai[l]);
+            }
+        }
+        *outr = ar;
+        *outi = ai;
+    }
+}
+
+/// Exact-tape kernel bodies over split planes, re-compiled per lane
+/// tier by [`lane_tiers!`] and called through [`kernel!`]. Each takes
+/// one block-aligned chunk of rows of both planes.
+mod kern {
+    use super::*;
+
+    /// A fused diagonal run over rows `row0..`: per row, each gate's
+    /// factor `d(i) conj(d(j))` in op order multiplies every entry —
+    /// `*entry *= tab[i] * tab[j].conj()` over the planes.
+    #[inline(always)]
+    pub(super) fn diag_rows(
+        re: &mut [f64],
+        im: &mut [f64],
+        row0: usize,
+        dim: usize,
+        fre: &[f64],
+        fim: &[f64],
+    ) {
+        let rows = re.chunks_exact_mut(dim).zip(im.chunks_exact_mut(dim));
+        for (local, (rr, ri)) in rows.enumerate() {
+            let i = row0 + local;
+            for (tr, ti) in fre.chunks_exact(dim).zip(fim.chunks_exact(dim)) {
+                let (ar, ai) = (tr[i], ti[i]);
+                let lanes = rr.iter_mut().zip(ri.iter_mut()).zip(tr.iter().zip(ti));
+                for ((er, ei), (&br, &bi)) in lanes {
+                    let ci = -bi;
+                    let (fr, fi) = (ar * br - ai * ci, ar * ci + ai * br);
+                    let (xr, xi) = (*er, *ei);
+                    *er = xr * fr - xi * fi;
+                    *ei = xr * fi + xi * fr;
+                }
+            }
+        }
+    }
+
+    /// The one-qubit dense conjugation `rho -> M rho M†`: the left pass
+    /// walks row pairs `(i, i | bit)`, the right pass column pairs
+    /// `(j, j | bit)` with the conjugated entries. Each entry is the
+    /// chain `m[r][1].mul_add(v1, m[r][0].mul_add(v0, 0))`. `m` is
+    /// `[m00, m01, m10, m11]`.
+    #[inline(always)]
+    pub(super) fn dense1q_rows(
+        re: &mut [f64],
+        im: &mut [f64],
+        dim: usize,
+        bit: usize,
+        m: [Complex64; 4],
+    ) {
+        let pass = |re: &mut [f64], im: &mut [f64], stride: usize, m: [Complex64; 4]| {
+            let [m00, m01, m10, m11] = m;
+            for_pairs(re, im, stride, |lr, li, hr, hi| {
+                let (v0r, v0i, v1r, v1i) = (*lr, *li, *hr, *hi);
+                let (tr, ti) = madd(m00, v0r, v0i, 0.0, 0.0);
+                (*lr, *li) = madd(m01, v1r, v1i, tr, ti);
+                let (tr, ti) = madd(m10, v0r, v0i, 0.0, 0.0);
+                (*hr, *hi) = madd(m11, v1r, v1i, tr, ti);
+            });
+        };
+        // Left pass: rho -> M rho.
+        pass(re, im, bit * dim, m);
+        // Right pass: rho -> rho M†. `dim` is a multiple of `2 * bit`,
+        // so column pairs never straddle a row.
+        pass(re, im, bit, m.map(Complex64::conj));
+    }
+
+    /// The two-qubit dense conjugation over the 4×4 blocks at `offs`:
+    /// the left pass gathers each block row set's four rows lane by
+    /// column and folds the `left` chains (`M`'s rows, every entry
+    /// kept); the right pass gathers each row's column quads and folds
+    /// the `right` chains (`conj(M)`'s rows).
+    #[inline(always)]
+    pub(super) fn dense2q_rows(
+        re: &mut [f64],
+        im: &mut [f64],
+        dim: usize,
+        mask: usize,
+        offs: &[usize; 4],
+        left: &[Chain<4>; 4],
+        right: &[Chain<4>; 4],
+    ) {
+        let rows = re.len() / dim;
+        let (mut vr, mut vi) = ([[0.0; G]; 4], [[0.0; G]; 4]);
+        let (mut or, mut oi) = ([[0.0; G]; 4], [[0.0; G]; 4]);
+        let g = dim.min(G);
+        // Left pass: rho -> M rho, lanes along the block rows.
+        for bi in block_bases(mask, rows) {
+            let at = offs.map(|o| (bi + o) * dim);
+            for c0 in (0..dim).step_by(g) {
+                for (r, &a) in at.iter().enumerate() {
+                    vr[r][..g].copy_from_slice(&re[a + c0..a + c0 + g]);
+                    vi[r][..g].copy_from_slice(&im[a + c0..a + c0 + g]);
+                }
+                eval_chains(left, &vr, &vi, &mut or, &mut oi);
+                for (r, &a) in at.iter().enumerate() {
+                    re[a + c0..a + c0 + g].copy_from_slice(&or[r][..g]);
+                    im[a + c0..a + c0 + g].copy_from_slice(&oi[r][..g]);
+                }
+            }
+        }
+        // Right pass: rho -> rho M†, row-local, lanes across quads.
+        let quads = dim / 4;
+        let g = quads.min(G);
+        let run = (mask & mask.wrapping_neg()) >= g;
+        let mut cols = [0usize; G];
+        for at in (0..rows).map(|r| r * dim) {
+            let mut bases = block_bases(mask, dim);
+            for _ in (0..quads).step_by(g) {
+                for (c, b) in cols[..g].iter_mut().zip(&mut bases) {
+                    *c = b;
+                }
+                for (c, &o) in offs.iter().enumerate() {
+                    gather_cols(re, at + o, &cols[..g], run, &mut vr[c][..g]);
+                    gather_cols(im, at + o, &cols[..g], run, &mut vi[c][..g]);
+                }
+                eval_chains(right, &vr, &vi, &mut or, &mut oi);
+                for (c, &o) in offs.iter().enumerate() {
+                    scatter_cols(re, at + o, &cols[..g], run, &or[c][..g]);
+                    scatter_cols(im, at + o, &cols[..g], run, &oi[c][..g]);
+                }
+            }
+        }
+    }
+
+    /// The resolved one-target channel: row pairs `(T, B) = (i, i | bit)`
+    /// and, within them, column pairs gathered `G` at a time into the
+    /// block entries `x00 = T[j]`, `x01 = T[j | bit]`, `x10 = B[j]`,
+    /// `x11 = B[j | bit]` (entry `r * 2 + c`).
+    #[inline(always)]
+    pub(super) fn super1q_rows(
+        re: &mut [f64],
+        im: &mut [f64],
+        dim: usize,
+        bit: usize,
+        chains: &[Chain<4>; 4],
+    ) {
+        let (mut vr, mut vi) = ([[0.0; G]; 4], [[0.0; G]; 4]);
+        let (mut or, mut oi) = ([[0.0; G]; 4], [[0.0; G]; 4]);
+        let pairs = dim / 2;
+        let g = pairs.min(G);
+        let blocks = re
+            .chunks_exact_mut(2 * bit * dim)
+            .zip(im.chunks_exact_mut(2 * bit * dim));
+        for (br, bi) in blocks {
+            let (tr, brr) = br.split_at_mut(bit * dim);
+            let (ti, bii) = bi.split_at_mut(bit * dim);
+            let top = tr.chunks_exact_mut(dim).zip(ti.chunks_exact_mut(dim));
+            let bottom = brr.chunks_exact_mut(dim).zip(bii.chunks_exact_mut(dim));
+            for ((tr, ti), (br, bi)) in top.zip(bottom) {
+                for k0 in (0..pairs).step_by(g) {
+                    let [v0, v1, v2, v3] = &mut vr;
+                    gather_pairs(tr, bit, k0, &mut v0[..g], &mut v1[..g]);
+                    gather_pairs(br, bit, k0, &mut v2[..g], &mut v3[..g]);
+                    let [v0, v1, v2, v3] = &mut vi;
+                    gather_pairs(ti, bit, k0, &mut v0[..g], &mut v1[..g]);
+                    gather_pairs(bi, bit, k0, &mut v2[..g], &mut v3[..g]);
+                    eval_chains(chains, &vr, &vi, &mut or, &mut oi);
+                    scatter_pairs(tr, bit, k0, &or[0][..g], &or[1][..g]);
+                    scatter_pairs(br, bit, k0, &or[2][..g], &or[3][..g]);
+                    scatter_pairs(ti, bit, k0, &oi[0][..g], &oi[1][..g]);
+                    scatter_pairs(bi, bit, k0, &oi[2][..g], &oi[3][..g]);
+                }
+            }
+        }
+    }
+
+    /// The resolved two-target channel: every row base's four rows, and
+    /// within them column quads gathered `G` at a time into the sixteen
+    /// block entries (`r * 4 + c` at row offset `offs[r]`, column offset
+    /// `offs[c]`).
+    #[inline(always)]
+    pub(super) fn super2q_rows(
+        re: &mut [f64],
+        im: &mut [f64],
+        dim: usize,
+        mask: usize,
+        offs: &[usize; 4],
+        chains: &[Chain<16>; 16],
+    ) {
+        let rows = re.len() / dim;
+        let (mut vr, mut vi) = ([[0.0; G]; 16], [[0.0; G]; 16]);
+        let (mut or, mut oi) = ([[0.0; G]; 16], [[0.0; G]; 16]);
+        let quads = dim / 4;
+        let g = quads.min(G);
+        let run = (mask & mask.wrapping_neg()) >= g;
+        let mut cols = [0usize; G];
+        for bi in block_bases(mask, rows) {
+            let at = offs.map(|o| (bi + o) * dim);
+            let mut bases = block_bases(mask, dim);
+            for _ in (0..quads).step_by(g) {
+                for (c, b) in cols[..g].iter_mut().zip(&mut bases) {
+                    *c = b;
+                }
+                for (r, &a) in at.iter().enumerate() {
+                    for (c, &o) in offs.iter().enumerate() {
+                        gather_cols(re, a + o, &cols[..g], run, &mut vr[r * 4 + c][..g]);
+                        gather_cols(im, a + o, &cols[..g], run, &mut vi[r * 4 + c][..g]);
+                    }
+                }
+                eval_chains(chains, &vr, &vi, &mut or, &mut oi);
+                for (r, &a) in at.iter().enumerate() {
+                    for (c, &o) in offs.iter().enumerate() {
+                        scatter_cols(re, a + o, &cols[..g], run, &or[r * 4 + c][..g]);
+                        scatter_cols(im, a + o, &cols[..g], run, &oi[r * 4 + c][..g]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+lane_tiers!(kern {
+    fn diag_rows(re: &mut [f64], im: &mut [f64], row0: usize, dim: usize, fre: &[f64], fim: &[f64]);
+    fn dense1q_rows(re: &mut [f64], im: &mut [f64], dim: usize, bit: usize, m: [Complex64; 4]);
+    fn dense2q_rows(
+        re: &mut [f64],
+        im: &mut [f64],
+        dim: usize,
+        mask: usize,
+        offs: &[usize; 4],
+        left: &[Chain<4>; 4],
+        right: &[Chain<4>; 4],
+    );
+    fn super1q_rows(re: &mut [f64], im: &mut [f64], dim: usize, bit: usize, chains: &[Chain<4>; 4]);
+    fn super2q_rows(
+        re: &mut [f64],
+        im: &mut [f64],
+        dim: usize,
+        mask: usize,
+        offs: &[usize; 4],
+        chains: &[Chain<16>; 16],
+    );
+});
+
+/// Reads entry `at` of the planes as a [`Complex64`].
+#[inline(always)]
+fn load(re: &[f64], im: &[f64], at: usize) -> Complex64 {
+    Complex64::new(re[at], im[at])
+}
+
+/// Writes `z` to entry `at` of the planes.
+#[inline(always)]
+fn store(re: &mut [f64], im: &mut [f64], at: usize, z: Complex64) {
+    re[at] = z.re;
+    im[at] = z.im;
 }
 
 /// A dense operator with its embedding resolved at compile time:
@@ -252,127 +721,94 @@ impl DenseOp {
         }
     }
 
-    /// `rho -> M rho M†` over row-major `data`.
+    /// `rho -> M rho M†` over the row-major planes.
     ///
     /// Bit-identical to `apply_left` followed by `apply_right_dagger`:
     /// the left pass's (base, col) block updates and the right pass's
     /// row-local updates touch disjoint entry sets, so sweeping aligned
     /// row chunks (left then right per chunk) only reorders independent
     /// writes — for any chunking and any worker count.
-    fn conjugate(&self, data: &mut [Complex64], dim: usize) {
-        sweep_rows(data, dim, self.align_rows, |chunk, row0| {
-            self.conjugate_rows(chunk, row0, dim)
+    fn conjugate(&self, re: &mut [f64], im: &mut [f64], dim: usize, lanes: Lanes) {
+        sweep_rows(re, im, dim, self.align_rows, |re, im, row0| {
+            self.conjugate_rows(re, im, row0, dim, lanes)
         });
     }
 
-    /// Conjugates the rows `row0..` held in `chunk`, enumerating blocks
-    /// from the chunk's own (block-aligned) start.
-    fn conjugate_rows(&self, chunk: &mut [Complex64], row0: usize, dim: usize) {
+    /// Conjugates the rows `row0..` held in the plane chunks,
+    /// enumerating blocks from the chunk's own (block-aligned) start.
+    fn conjugate_rows(
+        &self,
+        re: &mut [f64],
+        im: &mut [f64],
+        row0: usize,
+        dim: usize,
+        lanes: Lanes,
+    ) {
         debug_assert_eq!(row0 % self.align_rows, 0, "chunk is not block-aligned");
         let m = self.matrix.as_slice();
         match self.offs.len() {
-            2 => self.conjugate_rows_1q(chunk, dim),
-            // Fixed-size copies let the two-qubit sweep unroll.
+            2 => {
+                let m = [m[0], m[1], m[2], m[3]];
+                kernel!(lanes, dense1q_rows(re, im, dim, self.offs[1], m))
+            }
             4 => {
-                let m: [Complex64; 16] = m.try_into().expect("4x4 operator");
                 let offs: [usize; 4] = self.offs[..].try_into().expect("4 offsets");
-                let vin = &mut [Complex64::ZERO; 4];
-                conjugate_blocks(&m, self.all_mask, &offs, vin, chunk, dim)
+                let left =
+                    std::array::from_fn(|r| Chain::full(m[r * 4..(r + 1) * 4].iter().copied()));
+                let right = std::array::from_fn(|r| {
+                    Chain::full(m[r * 4..(r + 1) * 4].iter().map(|z| z.conj()))
+                });
+                kernel!(
+                    lanes,
+                    dense2q_rows(re, im, dim, self.all_mask, &offs, &left, &right)
+                )
             }
-            n => conjugate_blocks(
-                m,
-                self.all_mask,
-                &self.offs,
-                &mut vec![Complex64::ZERO; n],
-                chunk,
-                dim,
-            ),
+            _ => self.conjugate_wide(re, im, dim),
         }
     }
 
-    /// One-qubit specialization of [`conjugate_blocks`]:
-    /// matrix entries (and their conjugates for the right pass) hoist
-    /// out of the sweeps, and both passes walk `(lo, hi)` entry pairs
-    /// directly — rows `(i, i | bit)` for the left pass, columns
-    /// `(j, j | bit)` for the right. Each entry's accumulation chain is
-    /// exactly the generic `m[r][1].mul_add(v1, m[r][0].mul_add(v0, 0))`
-    /// — bit parity holds.
-    fn conjugate_rows_1q(&self, chunk: &mut [Complex64], dim: usize) {
-        let m = self.matrix.as_ref();
-        let bit = self.offs[1];
-        let (m00, m01) = (m[(0, 0)], m[(0, 1)]);
-        let (m10, m11) = (m[(1, 0)], m[(1, 1)]);
-        // Left pass: rho -> M rho.
-        for_pairs(chunk, bit * dim, |lo, hi| {
-            let (v0, v1) = (*lo, *hi);
-            // hgp-analysis: allow(d4) -- this fused chain IS the pinned
-            // reference arithmetic the parity tests fix.
-            *lo = m01.mul_add(v1, m00.mul_add(v0, Complex64::ZERO));
-            // hgp-analysis: allow(d4) -- same pinned reference chain.
-            *hi = m11.mul_add(v1, m10.mul_add(v0, Complex64::ZERO));
-        });
-        // Right pass: rho -> rho M†. `dim` is a multiple of `2 * bit`,
-        // so column pairs never straddle a row.
-        let (c00, c01) = (m00.conj(), m01.conj());
-        let (c10, c11) = (m10.conj(), m11.conj());
-        for_pairs(chunk, bit, |lo, hi| {
-            let (v0, v1) = (*lo, *hi);
-            // hgp-analysis: allow(d4) -- this fused chain IS the pinned
-            // reference arithmetic the parity tests fix.
-            *lo = c01.mul_add(v1, c00.mul_add(v0, Complex64::ZERO));
-            // hgp-analysis: allow(d4) -- same pinned reference chain.
-            *hi = c11.mul_add(v1, c10.mul_add(v0, Complex64::ZERO));
-        });
-    }
-}
-
-/// The dense block conjugation `rho -> M rho M†` for any arity, over
-/// a row-major `2^k`-square `m`, the block offsets `offs`, and a
-/// `2^k`-entry gather buffer `vin`. Each output is the chain
-/// `m[r][c].mul_add(v_c, ..)` over ascending `c` from `ZERO`.
-#[inline(always)]
-fn conjugate_blocks(
-    m: &[Complex64],
-    mask: usize,
-    offs: &[usize],
-    vin: &mut [Complex64],
-    chunk: &mut [Complex64],
-    dim: usize,
-) {
-    let n = offs.len();
-    let rows = chunk.len() / dim;
-    // Left pass: rho -> M rho, per block row set, column by column.
-    for base in block_bases(mask, rows) {
-        for col in 0..dim {
-            for (v, &off) in vin.iter_mut().zip(offs) {
-                *v = chunk[(base + off) * dim + col];
-            }
-            for (r, &off) in offs.iter().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (&mrc, &v) in m[r * n..(r + 1) * n].iter().zip(vin.iter()) {
-                    // hgp-analysis: allow(d4) -- this fused chain IS the
-                    // pinned reference arithmetic the parity tests fix.
-                    acc = mrc.mul_add(v, acc);
+    /// The dense block conjugation for three or more targets (which no
+    /// recorded schedule in this workspace produces), scalar over the
+    /// planes: each output is the chain `m[r][c].mul_add(v_c, ..)` over
+    /// ascending `c` from `ZERO`.
+    fn conjugate_wide(&self, re: &mut [f64], im: &mut [f64], dim: usize) {
+        let (m, offs) = (self.matrix.as_slice(), &self.offs);
+        let n = offs.len();
+        let rows = re.len() / dim;
+        let mut vin = vec![Complex64::ZERO; n];
+        // Left pass: rho -> M rho, per block row set, column by column.
+        for base in block_bases(self.all_mask, rows) {
+            for col in 0..dim {
+                for (v, &off) in vin.iter_mut().zip(offs) {
+                    *v = load(re, im, (base + off) * dim + col);
                 }
-                chunk[(base + off) * dim + col] = acc;
+                for (r, &off) in offs.iter().enumerate() {
+                    let mut acc = Complex64::ZERO;
+                    for (&mrc, &v) in m[r * n..(r + 1) * n].iter().zip(&vin) {
+                        // hgp-analysis: allow(d4) -- this fused chain IS the
+                        // pinned reference arithmetic the parity tests fix.
+                        acc = mrc.mul_add(v, acc);
+                    }
+                    store(re, im, (base + off) * dim + col, acc);
+                }
             }
         }
-    }
-    // Right pass: rho -> rho M†, row-local.
-    for row in chunk.chunks_exact_mut(dim) {
-        for base in block_bases(mask, dim) {
-            for (v, &off) in vin.iter_mut().zip(offs) {
-                *v = row[base + off];
-            }
-            // (rho M†)[row, c'] = sum_c rho[row, c] conj(M[c', c])
-            for (cp, &off) in offs.iter().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (&mcc, &v) in m[cp * n..(cp + 1) * n].iter().zip(vin.iter()) {
-                    // hgp-analysis: allow(d4) -- this fused chain IS the
-                    // pinned reference arithmetic the parity tests fix.
-                    acc = mcc.conj().mul_add(v, acc);
+        // Right pass: rho -> rho M†, row-local.
+        for row in (0..rows).map(|r| r * dim) {
+            for base in block_bases(self.all_mask, dim) {
+                for (v, &off) in vin.iter_mut().zip(offs) {
+                    *v = load(re, im, row + base + off);
                 }
-                row[base + off] = acc;
+                // (rho M†)[row, c'] = sum_c rho[row, c] conj(M[c', c])
+                for (cp, &off) in offs.iter().enumerate() {
+                    let mut acc = Complex64::ZERO;
+                    for (&mcc, &v) in m[cp * n..(cp + 1) * n].iter().zip(&vin) {
+                        // hgp-analysis: allow(d4) -- this fused chain IS the
+                        // pinned reference arithmetic the parity tests fix.
+                        acc = mcc.conj().mul_add(v, acc);
+                    }
+                    store(re, im, row + base + off, acc);
+                }
             }
         }
     }
@@ -384,10 +820,10 @@ fn conjugate_blocks(
 /// 64×64 per block and the blockwise Kraus form wins again.
 const SUPEROP_MAX_TARGETS: usize = 2;
 
-/// One output entry of a resolved superoperator, hoisted out of its row
-/// at compile time: the row's nonzero terms in ascending input-index
-/// order. [`Chain::eval`] folds them with `mul_add` starting from
-/// `ZERO` — the chain a sparse row-by-row sweep evaluates.
+/// One output entry of a block sweep, hoisted out of its row at compile
+/// time: the terms in ascending input-index order. [`eval_chains`]
+/// folds them with `mul_add` starting from `ZERO` — the chain a sparse
+/// row-by-row sweep evaluates.
 #[derive(Debug, Clone, Copy)]
 struct Chain<const N: usize> {
     len: usize,
@@ -397,7 +833,7 @@ struct Chain<const N: usize> {
 }
 
 impl<const N: usize> Chain<N> {
-    /// The chain of one dense superoperator row (`N` entries). Exact
+    /// The chain of one resolved superoperator row (`N` entries). Exact
     /// zeros are dropped: structured channels are mostly zeros —
     /// damping/dephasing Kraus sets are diagonal or single-entry, and
     /// Pauli-mix channels cancel pairwise to IEEE-exact `0.0`
@@ -418,20 +854,18 @@ impl<const N: usize> Chain<N> {
         chain
     }
 
-    /// Evaluates the chain over one gathered block `v`. The one- and
-    /// two-term chains — every coherence of a damping, dephasing or
-    /// Pauli channel — are unrolled; longer ones fold in order.
-    #[inline(always)]
-    fn eval(&self, v: &[Complex64; N]) -> Complex64 {
-        // hgp-analysis: allow(d4) -- this fused chain IS the pinned
-        // reference arithmetic the parity tests fix.
-        let term = |t: usize, acc| self.coef[t].mul_add(v[self.idx[t] as usize], acc);
-        match self.len {
-            0 => Complex64::ZERO,
-            1 => term(0, Complex64::ZERO),
-            2 => term(1, term(0, Complex64::ZERO)),
-            len => (0..len).fold(Complex64::ZERO, |acc, t| term(t, acc)),
+    /// The chain of one dense operator row: every entry, zeros
+    /// included, as the dense block product multiplies them.
+    fn full(row: impl Iterator<Item = Complex64>) -> Self {
+        let mut chain = Chain {
+            len: N,
+            idx: std::array::from_fn(|i| i as u8),
+            coef: [Complex64::ZERO; N],
+        };
+        for (c, z) in chain.coef.iter_mut().zip(row) {
+            *c = z;
         }
+        chain
     }
 }
 
@@ -440,7 +874,7 @@ impl<const N: usize> Chain<N> {
 /// `s[(a,b)][(r,c)] = sum_k K_k[a,r] conj(K_k[b,c])`, one [`Chain`] per
 /// output entry `a * block + b`, swept over (row-block, col-block)
 /// index pairs in one pass — no per-Kraus `rho` clone, and no
-/// per-Kraus arithmetic at all. Each arity has its own straight-line
+/// per-Kraus arithmetic at all. Each arity has its own lane-group
 /// sweep.
 #[derive(Debug, Clone)]
 enum SuperOp {
@@ -488,24 +922,26 @@ impl SuperOp {
         }
     }
 
-    fn apply(&self, data: &mut [Complex64], dim: usize) {
-        sweep_rows(data, dim, self.align_rows(), |chunk, row0| {
-            self.apply_rows(chunk, row0, dim)
+    fn apply(&self, re: &mut [f64], im: &mut [f64], dim: usize, lanes: Lanes) {
+        sweep_rows(re, im, dim, self.align_rows(), |re, im, row0| {
+            self.apply_rows(re, im, row0, dim, lanes)
         });
     }
 
-    /// Sweeps the rows `row0..` held in `chunk`, enumerating blocks from
-    /// the chunk's own (block-aligned) start.
-    fn apply_rows(&self, chunk: &mut [Complex64], row0: usize, dim: usize) {
+    /// Sweeps the rows `row0..` held in the plane chunks, enumerating
+    /// blocks from the chunk's own (block-aligned) start.
+    fn apply_rows(&self, re: &mut [f64], im: &mut [f64], row0: usize, dim: usize, lanes: Lanes) {
         debug_assert_eq!(row0 % self.align_rows(), 0, "chunk is not block-aligned");
         match self {
-            SuperOp::OneQubit { bit, chains } => sweep_1q(chains, *bit, chunk, dim),
+            SuperOp::OneQubit { bit, chains } => {
+                kernel!(lanes, super1q_rows(re, im, dim, *bit, chains))
+            }
             SuperOp::TwoQubit {
                 all_mask,
                 offs,
                 chains,
                 ..
-            } => sweep_2q(chains, *all_mask, offs, chunk, dim),
+            } => kernel!(lanes, super2q_rows(re, im, dim, *all_mask, offs, chains)),
         }
     }
 }
@@ -530,63 +966,12 @@ fn resolve_superop(kraus: &[Matrix], block: usize) -> Vec<Complex64> {
     dense
 }
 
-/// The one-target channel sweep: row pairs `(i, i | bit)` as two
-/// disjoint row slices, column pairs `(j, j | bit)` by block within
-/// them; block entry `r * 2 + c` sits at row offset `r`, column offset
-/// `c`.
-fn sweep_1q(chains: &[Chain<4>; 4], bit: usize, chunk: &mut [Complex64], dim: usize) {
-    let [s00, s01, s10, s11] = chains;
-    for rows in chunk.chunks_exact_mut(2 * bit * dim) {
-        let (top, bottom) = rows.split_at_mut(bit * dim);
-        let blocks = top
-            .chunks_exact_mut(2 * bit)
-            .zip(bottom.chunks_exact_mut(2 * bit));
-        for (t, b) in blocks {
-            let (t0, t1) = t.split_at_mut(bit);
-            let (b0, b1) = b.split_at_mut(bit);
-            for ((x00, x01), (x10, x11)) in t0.iter_mut().zip(t1).zip(b0.iter_mut().zip(b1)) {
-                let v = [*x00, *x01, *x10, *x11];
-                *x00 = s00.eval(&v);
-                *x01 = s01.eval(&v);
-                *x10 = s10.eval(&v);
-                *x11 = s11.eval(&v);
-            }
-        }
-    }
-}
-
-/// The two-target channel sweep over every (row base, column base) pair
-/// of 4×4 blocks.
-fn sweep_2q(
-    chains: &[Chain<16>; 16],
-    mask: usize,
-    offs: &[usize; 4],
-    chunk: &mut [Complex64],
-    dim: usize,
-) {
-    let rows = chunk.len() / dim;
-    for bi in block_bases(mask, rows) {
-        let at = offs.map(|ro| (bi + ro) * dim);
-        for bj in block_bases(mask, dim) {
-            let mut v = [Complex64::ZERO; 16];
-            for (r, &row) in at.iter().enumerate() {
-                for (c, &co) in offs.iter().enumerate() {
-                    v[r * 4 + c] = chunk[row + bj + co];
-                }
-            }
-            for (r, &row) in at.iter().enumerate() {
-                for (c, &co) in offs.iter().enumerate() {
-                    chunk[row + bj + co] = chains[r * 4 + c].eval(&v);
-                }
-            }
-        }
-    }
-}
-
 /// A multi-qubit multi-Kraus channel: Kraus matrices precompiled
 /// alongside the block offsets, applied blockwise — for each (row base,
 /// col base) pair, load the `2^k × 2^k` sub-block `B` and replace it
 /// with `sum_k K_k B K_k†` — in one pass over `rho`, no full clones.
+/// Scalar over the planes: no recorded schedule in this workspace
+/// produces a channel this wide.
 #[derive(Debug, Clone)]
 struct KrausBlocks {
     kraus: Vec<Matrix>,
@@ -596,18 +981,18 @@ struct KrausBlocks {
 }
 
 impl KrausBlocks {
-    fn apply(&self, data: &mut [Complex64], dim: usize) {
-        sweep_rows(data, dim, self.align_rows, |chunk, row0| {
-            self.apply_rows(chunk, row0, dim)
+    fn apply(&self, re: &mut [f64], im: &mut [f64], dim: usize) {
+        sweep_rows(re, im, dim, self.align_rows, |re, im, row0| {
+            self.apply_rows(re, im, row0, dim)
         });
     }
 
-    /// Sweeps the rows `row0..` held in `chunk`, enumerating blocks from
-    /// the chunk's own (block-aligned) start.
-    fn apply_rows(&self, chunk: &mut [Complex64], row0: usize, dim: usize) {
+    /// Sweeps the rows `row0..` held in the plane chunks, enumerating
+    /// blocks from the chunk's own (block-aligned) start.
+    fn apply_rows(&self, re: &mut [f64], im: &mut [f64], row0: usize, dim: usize) {
         debug_assert_eq!(row0 % self.align_rows, 0, "chunk is not block-aligned");
         let block = self.offs.len();
-        let rows = chunk.len() / dim;
+        let rows = re.len() / dim;
         let mut b = vec![Complex64::ZERO; block * block];
         let mut kb = vec![Complex64::ZERO; block * block];
         let mut acc = vec![Complex64::ZERO; block * block];
@@ -616,7 +1001,7 @@ impl KrausBlocks {
                 for (r, &ro) in self.offs.iter().enumerate() {
                     let row = (bi + ro) * dim + bj;
                     for (c, &co) in self.offs.iter().enumerate() {
-                        b[r * block + c] = chunk[row + co];
+                        b[r * block + c] = load(re, im, row + co);
                     }
                 }
                 acc.fill(Complex64::ZERO);
@@ -651,7 +1036,7 @@ impl KrausBlocks {
                 for (r, &ro) in self.offs.iter().enumerate() {
                     let row = (bi + ro) * dim + bj;
                     for (c, &co) in self.offs.iter().enumerate() {
-                        chunk[row + co] = acc[r * block + c];
+                        store(re, im, row + co, acc[r * block + c]);
                     }
                 }
             }
@@ -692,11 +1077,11 @@ impl ExactChannel {
         })
     }
 
-    fn apply(&self, data: &mut [Complex64], dim: usize) {
+    fn apply(&self, re: &mut [f64], im: &mut [f64], dim: usize, lanes: Lanes) {
         match self {
-            ExactChannel::Unitary(op) => op.conjugate(data, dim),
-            ExactChannel::Super(s) => s.apply(data, dim),
-            ExactChannel::Blocks(b) => b.apply(data, dim),
+            ExactChannel::Unitary(op) => op.conjugate(re, im, dim, lanes),
+            ExactChannel::Super(s) => s.apply(re, im, dim, lanes),
+            ExactChannel::Blocks(b) => b.apply(re, im, dim),
         }
     }
 
@@ -877,8 +1262,9 @@ impl ExactReplayProgram {
     }
 
     /// Replays the tape into the scratch state (resetting it to
-    /// `|0...0><0...0|` first). The hot loop performs no per-op
-    /// allocation beyond tiny per-chunk block buffers.
+    /// `|0...0><0...0|` first), then joins the planes into the
+    /// arena's [`DensityMatrix`]. The hot loop performs no per-op
+    /// allocation beyond the fan-out's chunk list at 10+ qubits.
     pub fn run_into(&self, scratch: &mut ExactScratch) {
         self.run_into_profiled(scratch, &NoProfile);
     }
@@ -891,18 +1277,31 @@ impl ExactReplayProgram {
     /// unprofiled loop exactly; any sink leaves the sweeps untouched,
     /// so the evolved state stays bit-identical.
     pub fn run_into_profiled<P: ProfileSink>(&self, scratch: &mut ExactScratch, sink: &P) {
-        assert_eq!(scratch.rho.n_qubits(), self.n_qubits, "scratch width");
-        scratch.rho.reset_zero();
-        let dim = scratch.rho.dim();
+        self.replay_planes(scratch, sink);
+        scratch.rho = Some(DensityMatrix::from_planes(
+            self.n_qubits,
+            &scratch.re,
+            &scratch.im,
+        ));
+    }
+
+    /// The tape sweep itself: resets the planes (dropping any joined
+    /// state, which no longer describes them) and applies every op.
+    fn replay_planes<P: ProfileSink>(&self, scratch: &mut ExactScratch, sink: &P) {
+        assert_eq!(scratch.n_qubits, self.n_qubits, "scratch width");
+        scratch.rho = None;
+        let dim = 1usize << self.n_qubits;
+        let lanes = scratch.lanes;
+        let (re, im) = (&mut scratch.re[..], &mut scratch.im[..]);
+        re.fill(0.0);
+        im.fill(0.0);
+        re[0] = 1.0;
         for op in &self.ops {
             match op {
                 ExactOp::DiagRun { start, len } => timed(sink, ReplayOpKind::DiagRun, || {
-                    apply_diag_run(
-                        &self.diag[*start..*start + *len],
-                        &mut scratch.factors,
-                        scratch.rho.data_mut(),
-                        dim,
-                    )
+                    let run = &self.diag[*start..*start + *len];
+                    let (fre, fim) = (&mut scratch.fre, &mut scratch.fim);
+                    apply_diag_run(run, fre, fim, re, im, dim, lanes)
                 }),
                 ExactOp::Apply(dense) => {
                     let kind = if dense.offs.len() == 2 {
@@ -910,12 +1309,12 @@ impl ExactReplayProgram {
                     } else {
                         ReplayOpKind::Dense2q
                     };
-                    timed(sink, kind, || dense.conjugate(scratch.rho.data_mut(), dim))
+                    timed(sink, kind, || dense.conjugate(re, im, dim, lanes))
                 }
                 ExactOp::Channel(i) => {
                     let channel = &self.channels[*i];
                     timed(sink, channel.profile_kind(), || {
-                        channel.apply(scratch.rho.data_mut(), dim)
+                        channel.apply(re, im, dim, lanes)
                     })
                 }
             }
@@ -923,45 +1322,55 @@ impl ExactReplayProgram {
     }
 }
 
-/// Applies a fused diagonal run: per-gate factor tables, then one
-/// elementwise sweep multiplying each entry by every gate's
-/// `d(i) conj(d(j))` in op order — the same per-entry multiply sequence
-/// as gate-at-a-time `apply_diagonal_unitary`, hence bit-identical.
+/// Applies a fused diagonal run: per-gate factor tables (split like
+/// the state), then one elementwise sweep multiplying each entry by
+/// every gate's `d(i) conj(d(j))` in op order — the same per-entry
+/// multiply sequence as gate-at-a-time `apply_diagonal_unitary`, hence
+/// bit-identical.
 fn apply_diag_run(
     run: &[DiagOp],
-    factors: &mut Vec<Complex64>,
-    data: &mut [Complex64],
+    fre: &mut Vec<f64>,
+    fim: &mut Vec<f64>,
+    re: &mut [f64],
+    im: &mut [f64],
     dim: usize,
+    lanes: Lanes,
 ) {
-    factors.clear();
+    fre.clear();
+    fim.clear();
     for op in run {
         for i in 0..dim {
-            factors.push(op.factor(i));
+            let f = op.factor(i);
+            fre.push(f.re);
+            fim.push(f.im);
         }
     }
-    let tables: &[Complex64] = factors;
-    sweep_rows(data, dim, 1, |chunk, row0| {
-        diag_sweep(tables, chunk, row0, dim)
+    let (fre, fim): (&[f64], &[f64]) = (fre, fim);
+    sweep_rows(re, im, dim, 1, |re, im, row0| {
+        kernel!(lanes, diag_rows(re, im, row0, dim, fre, fim))
     });
 }
 
-fn diag_sweep(tables: &[Complex64], chunk: &mut [Complex64], row0: usize, dim: usize) {
-    for (local, row) in chunk.chunks_exact_mut(dim).enumerate() {
-        let i = row0 + local;
-        for (j, entry) in row.iter_mut().enumerate() {
-            for tab in tables.chunks_exact(dim) {
-                *entry *= tab[i] * tab[j].conj();
-            }
-        }
-    }
-}
-
-/// Reusable replay arena: the density matrix plus the diagonal
-/// factor-table scratch.
+/// Reusable replay arena: the state as split re/im planes, the diagonal
+/// factor-table scratch, the lane tier its sweeps dispatch to, and the
+/// [`DensityMatrix`] the last [`ExactReplayProgram::run_into`] joined.
 #[derive(Debug, Clone)]
 pub struct ExactScratch {
-    rho: DensityMatrix,
-    factors: Vec<Complex64>,
+    n_qubits: usize,
+    /// Real plane: `Re(rho[i][j])` at `re[i * dim + j]`.
+    re: Vec<f64>,
+    /// Imaginary plane, same indexing.
+    im: Vec<f64>,
+    /// Factor tables of the current diagonal run, real parts.
+    fre: Vec<f64>,
+    /// Factor tables, imaginary parts.
+    fim: Vec<f64>,
+    /// Kernel build, probed once per arena ([`lane_isa`]).
+    lanes: Lanes,
+    /// The joined state of the last replay; `None` when that replay
+    /// stopped at the planes ([`ExactReplayEngine::run_probabilities`])
+    /// or none ran yet.
+    rho: Option<DensityMatrix>,
 }
 
 impl ExactScratch {
@@ -969,14 +1378,39 @@ impl ExactScratch {
     pub fn for_program(program: &ExactReplayProgram) -> Self {
         let dim = 1usize << program.n_qubits;
         Self {
-            rho: DensityMatrix::zero_state(program.n_qubits),
-            factors: Vec::with_capacity(program.max_run * dim),
+            n_qubits: program.n_qubits,
+            re: vec![0.0; dim * dim],
+            im: vec![0.0; dim * dim],
+            fre: Vec::with_capacity(program.max_run * dim),
+            fim: Vec::with_capacity(program.max_run * dim),
+            lanes: lane_isa(),
+            rho: None,
         }
     }
 
     /// The current state (the result of the last replay).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last replay did not join its planes into a state
+    /// (none ran yet, or it was
+    /// [`ExactReplayEngine::run_probabilities`]).
     pub fn state(&self) -> &DensityMatrix {
-        &self.rho
+        self.rho
+            .as_ref()
+            .expect("replay a tape into the arena first")
+    }
+
+    /// The diagonal of the planes, clamped at zero — bit-equal to
+    /// [`DensityMatrix::probabilities`] of the same state, without
+    /// joining the planes.
+    fn probabilities(&self) -> Vec<f64> {
+        let dim = 1usize << self.n_qubits;
+        self.re
+            .iter()
+            .step_by(dim + 1)
+            .map(|p| p.max(0.0))
+            .collect()
     }
 }
 
@@ -1017,9 +1451,27 @@ impl ExactReplayEngine {
         self.scratch.state()
     }
 
+    /// Replays the tape and returns only its measurement probabilities
+    /// — bit-equal to `run(program).probabilities()`, read straight from
+    /// the planes' diagonal without building the `4^n` state.
+    pub fn run_probabilities<P: ProfileSink>(
+        &mut self,
+        program: &ExactReplayProgram,
+        sink: &P,
+    ) -> Vec<f64> {
+        program.replay_planes(&mut self.scratch, sink);
+        self.scratch.probabilities()
+    }
+
     /// Consumes the engine, yielding the arena's state.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same condition as [`ExactScratch::state`].
     pub fn into_state(self) -> DensityMatrix {
-        self.scratch.rho
+        self.scratch
+            .rho
+            .expect("replay a tape into the arena first")
     }
 
     /// One-shot convenience: compile-free replay to an owned state.
@@ -1032,6 +1484,7 @@ impl ExactReplayEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::lanes::detected_tiers;
     use super::*;
     use hgp_circuit::{Gate, Param};
     use hgp_math::c64;
@@ -1402,12 +1855,31 @@ mod tests {
             .collect()
     }
 
+    /// Splits row-major entries into the engine's planes.
+    fn planes(data: &[Complex64]) -> (Vec<f64>, Vec<f64>) {
+        (
+            data.iter().map(|z| z.re).collect(),
+            data.iter().map(|z| z.im).collect(),
+        )
+    }
+
+    fn plane_bits(re: &[f64], im: &[f64]) -> Vec<(u64, u64)> {
+        re.iter()
+            .zip(im)
+            .map(|(r, i)| (r.to_bits(), i.to_bits()))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
+        /// At every lane tier the CPU runs, each channel sweep equals
+        /// the CSR chain and each dense conjugation the density walk,
+        /// bit for bit; widths up to 7 qubits put several lane groups in
+        /// a row and every target bit below and above the group length.
         #[test]
         fn specialized_sweeps_match_the_csr_chain_bit_for_bit(
-            n in 1usize..7,
+            n in 1usize..8,
             arity in 1usize..3,
             family in 0usize..4,
             mode in 0usize..3,
@@ -1423,68 +1895,85 @@ mod tests {
             let targets = random_targets(n, arity, mode, &mut rng);
             let dim = 1usize << n;
             let rho = random_rho(dim, &mut rng);
-
-            let mut kernel = rho.clone();
-            SuperOp::compile(&kraus, &targets).apply(&mut kernel, dim);
             let mut reference = rho.clone();
             csr_sweep(&kraus, &targets, &mut reference, 0, dim);
-            prop_assert!(
-                bits(&kernel) == bits(&reference),
-                "channel sweep moved a bit (targets {targets:?})"
-            );
+            let channel = SuperOp::compile(&kraus, &targets);
 
             // The dense conjugation against the density walk's
             // left-then-right multiply, same targets.
             let m = random_matrix(1 << arity, &mut rng);
-            let mut walk = DensityMatrix::zero_state(n);
-            walk.data_mut().copy_from_slice(&rho);
+            let (re0, im0) = planes(&rho);
+            let mut walk = DensityMatrix::from_planes(n, &re0, &im0);
             walk.apply_unitary(&m, &targets);
-            let mut kernel = rho;
-            DenseOp::new(Arc::new(m), &targets).conjugate(&mut kernel, dim);
-            prop_assert!(
-                bits(&kernel) == bits(walk.data_mut()),
-                "dense conjugation moved a bit (targets {targets:?})"
-            );
+            let walk = bits(walk.to_matrix().as_slice());
+            let dense = DenseOp::new(Arc::new(m), &targets);
+
+            for lanes in detected_tiers() {
+                let (mut re, mut im) = (re0.clone(), im0.clone());
+                channel.apply(&mut re, &mut im, dim, lanes);
+                prop_assert!(
+                    plane_bits(&re, &im) == bits(&reference),
+                    "channel sweep moved a bit (targets {targets:?}, {lanes:?})"
+                );
+                let (mut re, mut im) = (re0.clone(), im0.clone());
+                dense.conjugate(&mut re, &mut im, dim, lanes);
+                prop_assert!(
+                    plane_bits(&re, &im) == walk,
+                    "dense conjugation moved a bit (targets {targets:?}, {lanes:?})"
+                );
+            }
         }
     }
 
     /// Every op shape swept over block-aligned row chunks — the fan-out
     /// path's partition, `row0 > 0` included — equals one whole-matrix
-    /// sweep bit for bit at 10 qubits.
+    /// sweep bit for bit at 10 qubits, at every lane tier, and every
+    /// tier's result equals the baseline build's.
     #[test]
     fn aligned_row_chunks_match_the_whole_matrix_sweep_at_10q() {
         let n = 10;
         let dim = 1usize << n;
         let mut rng = StdRng::seed_from_u64(10);
-        let rho = random_rho(dim, &mut rng);
-        let chunked = |align_rows: usize, sweep: &dyn Fn(&mut [Complex64], usize)| {
-            let mut whole = rho.clone();
-            sweep(&mut whole, 0);
+        let (re0, im0) = planes(&random_rho(dim, &mut rng));
+        type Sweep<'a> = &'a dyn Fn(&mut [f64], &mut [f64], usize, Lanes);
+        let chunked = |align_rows: usize, sweep: Sweep| {
             let height = chunk_height(align_rows);
-            let mut parts = rho.clone();
-            for (c, chunk) in parts.chunks_mut(height * dim).enumerate() {
-                sweep(chunk, c * height);
-            }
             assert!(height < dim, "align {align_rows} leaves a single chunk");
-            assert!(
-                bits(&whole) == bits(&parts),
-                "align {align_rows}: chunked sweep moved a bit"
-            );
+            let mut baseline = None;
+            for lanes in detected_tiers() {
+                let (mut re, mut im) = (re0.clone(), im0.clone());
+                sweep(&mut re, &mut im, 0, lanes);
+                let whole = plane_bits(&re, &im);
+                let (mut re, mut im) = (re0.clone(), im0.clone());
+                let parts = re.chunks_mut(height * dim).zip(im.chunks_mut(height * dim));
+                for (c, (re, im)) in parts.enumerate() {
+                    sweep(re, im, c * height, lanes);
+                }
+                assert!(
+                    whole == plane_bits(&re, &im),
+                    "align {align_rows}, {lanes:?}: chunked sweep moved a bit"
+                );
+                let baseline = baseline.get_or_insert_with(|| whole.clone());
+                assert!(
+                    *baseline == whole,
+                    "align {align_rows}: {lanes:?} differs from the baseline build"
+                );
+            }
         };
         for targets in [&[0][..], &[5], &[8], &[0, 5], &[6, 2], &[8, 0], &[1, 4, 0]] {
             let k = targets.len();
             let dense = DenseOp::new(Arc::new(random_matrix(1 << k, &mut rng)), targets);
-            chunked(dense.align_rows, &|c, row0| {
-                dense.conjugate_rows(c, row0, dim)
+            chunked(dense.align_rows, &|re, im, row0, lanes| {
+                dense.conjugate_rows(re, im, row0, dim, lanes)
             });
             let kraus: Vec<Matrix> = (0..3).map(|_| random_matrix(1 << k, &mut rng)).collect();
             match ExactChannel::compile(&ChannelOp::general(kraus), targets) {
-                ExactChannel::Super(s) => {
-                    chunked(s.align_rows(), &|c, row0| s.apply_rows(c, row0, dim))
-                }
-                ExactChannel::Blocks(b) => {
-                    chunked(b.align_rows, &|c, row0| b.apply_rows(c, row0, dim))
-                }
+                ExactChannel::Super(s) => chunked(s.align_rows(), &|re, im, row0, lanes| {
+                    s.apply_rows(re, im, row0, dim, lanes)
+                }),
+                ExactChannel::Blocks(b) => chunked(b.align_rows, &|re, im, row0, _| {
+                    b.apply_rows(re, im, row0, dim)
+                }),
                 ExactChannel::Unitary(_) => unreachable!("three Kraus operators"),
             }
         }
@@ -1496,6 +1985,67 @@ mod tests {
             .iter()
             .flat_map(|op| (0..dim).map(|i| op.factor(i)))
             .collect();
-        chunked(1, &|c, row0| diag_sweep(&tables, c, row0, dim));
+        let (fre, fim) = planes(&tables);
+        chunked(1, &|re, im, row0, lanes| {
+            kernel!(lanes, diag_rows(re, im, row0, dim, &fre, &fim))
+        });
+    }
+
+    /// A whole noisy tape — fused diagonal runs, 1q and 2q dense ops,
+    /// resolved 1q and 2q channels, a single-Kraus channel and a 3q
+    /// Kraus-block channel — replays to the same bits at every lane
+    /// tier, and its plane-read probabilities equal the joined state's
+    /// (a plane-only replay drops the stale joined state).
+    #[test]
+    fn every_lane_tier_replays_the_tape_bit_identically() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let n = 7;
+        let mut program = TrajectoryProgram::new(n);
+        for q in 0..n {
+            program.push_gate(Gate::H, &[q]);
+        }
+        for (a, b) in [(0, 1), (1, 4), (2, 6), (5, 3)] {
+            program.push_gate(Gate::Rzz(Param::bound(0.2 * (a + b) as f64)), &[a, b]);
+        }
+        program.push_gate(Gate::Rz(Param::bound(-0.7)), &[6]);
+        for q in 0..n {
+            program.push_gate(Gate::Rx(Param::bound(0.3 + 0.1 * q as f64)), &[q]);
+            program.push_channel(ChannelOp::general(kraus_1q(q % 4, &mut rng)), &[q]);
+        }
+        program.push_gate(Gate::CX, &[0, 5]);
+        program.push_channel(ChannelOp::general(kraus_2q(1, &mut rng)), &[5, 0]);
+        program.push_unitary(random_matrix(4, &mut rng), &[3, 6]);
+        program.push_channel(ChannelOp::general(kraus_2q(0, &mut rng)), &[2, 3]);
+        program.push_channel(
+            ChannelOp::general(vec![Gate::CX.matrix().unwrap()]),
+            &[4, 1],
+        );
+        let kraus: Vec<Matrix> = (0..2).map(|_| random_matrix(8, &mut rng)).collect();
+        program.push_channel(ChannelOp::general(kraus), &[1, 6, 2]);
+        let tape = ExactReplayProgram::compile(&program);
+
+        let mut baseline: Option<Vec<(u64, u64)>> = None;
+        for lanes in detected_tiers() {
+            let mut engine = ExactReplayEngine::for_program(&tape);
+            engine.scratch.lanes = lanes;
+            let rho = engine.run(&tape).clone();
+            let got = bits(rho.to_matrix().as_slice());
+            let probs = engine.run_probabilities(&tape, &NoProfile);
+            assert!(
+                engine.scratch.rho.is_none(),
+                "a plane-only replay left the previous joined state behind"
+            );
+            let joined: Vec<u64> = rho.probabilities().iter().map(|p| p.to_bits()).collect();
+            assert_eq!(
+                probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                joined,
+                "{lanes:?}: plane-read probabilities differ from the joined state's"
+            );
+            let baseline = baseline.get_or_insert_with(|| got.clone());
+            assert!(
+                *baseline == got,
+                "{lanes:?} differs from the baseline build"
+            );
+        }
     }
 }
