@@ -38,7 +38,7 @@ use hgp_core::models::{GateModel, GateModelOptions, HybridModel, VqaModel};
 use hgp_core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hgp_device::Backend;
 use hgp_graph::{generators, instances};
-use hgp_sim::{OpProfile, ReplayOpKind, SimBackend};
+use hgp_sim::{OpProfile, SimBackend};
 
 /// A 10-qubit path in `ibmq_guadalupe`'s heavy-hex coupling map (the
 /// prefix of the 12q region the replay benches use).
@@ -138,28 +138,13 @@ fn bench_cell_tape(c: &mut Criterion, id: &str, model: &dyn VqaModel) {
     for _ in 0..PROFILE_REPLAYS {
         exec.run_exact_replay_profiled(&tape, &profile);
     }
-    let snap = profile.snapshot();
-    let total = snap.total_ns().max(1) as f64;
-    let kinds: Vec<String> = ReplayOpKind::ALL
-        .into_iter()
-        .filter(|k| snap.calls[k.index()] > 0)
-        .map(|k| {
-            let (calls, ns) = (snap.calls[k.index()], snap.ns[k.index()]);
-            format!(
-                "\"{}\":{{\"calls_per_replay\":{},\"ns_per_call\":{:.0},\"pct\":{:.1}}}",
-                k.name(),
-                calls / PROFILE_REPLAYS,
-                ns as f64 / calls as f64,
-                100.0 * ns as f64 / total,
-            )
-        })
-        .collect();
-    hgp_bench::emit_bench_line(&format!(
-        "{{\"id\":\"profile:{id}\",\"replays\":{PROFILE_REPLAYS},\"ops\":{},\"channels\":{},{}}}",
+    hgp_bench::emit_profile_line(
+        id,
+        PROFILE_REPLAYS,
         tape.n_ops(),
         tape.n_channels(),
-        kinds.join(","),
-    ));
+        &profile.snapshot(),
+    );
 }
 
 criterion_group!(

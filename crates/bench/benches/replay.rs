@@ -15,11 +15,19 @@
 //!   branch-weight block machinery, and the per-shot re-evaluation of
 //!   the diagonal observable, and sweeps each op over a block of shots
 //!   at once,
+//!   Each replay entry is followed by its per-op-kind profile
+//!   (`profile:<id>`, the split `exact_replay_cell_6q` prints for the
+//!   exact tape), the numbers the lane-tier table in
+//!   `BENCH_replay.json` records per tier,
 //! - **template bind vs the full schedule walk**: the per-dispatch cost
 //!   of producing an executable replay tape from a parameter binding —
 //!   `CompiledCircuit::bind_replay` (clone the compile-time tape,
 //!   substitute the parametric slots) vs bind + ASAP walk + tape
 //!   compile (the path it replaces, ~0.5 ms/job of pure re-derivation).
+//!
+//! `cargo bench -p hgp_bench --bench replay -- replay_batched` runs only
+//! the replay entries (skipping the multi-second reference runs);
+//! `HGP_REPLAY_LANES` picks the lane tier they dispatch to.
 //!
 //! [`TrajectoryProgram`]: hgp_sim::TrajectoryProgram
 
@@ -30,7 +38,7 @@ use hgp_core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hgp_device::Backend;
 use hgp_graph::generators;
 use hgp_math::pauli::PauliSum;
-use hgp_sim::{NoProfile, ReplayEngine, ReplayProgram, TrajectoryEngine};
+use hgp_sim::{NoProfile, OpProfile, ReplayEngine, ReplayProgram, TrajectoryEngine};
 
 /// A 12-qubit path in `ibmq_guadalupe`'s heavy-hex coupling map (the
 /// same region the noise benches compile into).
@@ -67,11 +75,32 @@ fn wide_shape(backend: &Backend) -> (CompiledCircuit, PauliSum) {
     compiled_shape(backend, 16, 1, (0..16).collect())
 }
 
+/// Ensemble runs profiled after a replay entry's timing.
+const PROFILE_RUNS: u64 = 3;
+
+/// Emits `engine`'s per-op-kind profile of `replay` over
+/// [`PROFILE_RUNS`] ensembles as a `profile:<id>` line, with the
+/// profile counted per shot block (the unit the tape replays in).
+fn emit_replay_profile(id: &str, engine: &ReplayEngine, replay: &ReplayProgram, obs: &PauliSum) {
+    let profile = OpProfile::new();
+    for _ in 0..PROFILE_RUNS {
+        engine.expectation_with_error(replay, obs, &profile);
+    }
+    let blocks = engine.shot_blocks(replay).count() as u64;
+    hgp_bench::emit_profile_line(
+        id,
+        PROFILE_RUNS * blocks,
+        replay.n_ops(),
+        replay.n_channels(),
+        &profile.snapshot(),
+    );
+}
+
 /// 256 trajectories of the noisy 12q QAOA layer on the compiled replay
 /// tape (template-bound outside the loop — the serving hot path), in
-/// the blocks the default policy picks. Also emits the machine metadata
-/// line (`meta:replay`) the checked-in baseline's `host`/`workload`
-/// fields are filled from.
+/// the blocks the default policy picks, then its per-op-kind profile.
+/// Also emits the machine metadata line (`meta:replay`) the checked-in
+/// baseline's `host`/`workload` fields are filled from.
 fn bench_replay_12q(c: &mut Criterion) {
     let backend = Backend::ibmq_guadalupe();
     let (compiled, obs) = narrow_shape(&backend);
@@ -84,7 +113,14 @@ fn bench_replay_12q(c: &mut Criterion) {
     // group's shared config cannot shrink per target).
     let mut slow = Criterion::default().sample_size(9);
     slow.bench_function("replay_batched_expectation_12q_256shots", |b| {
-        b.iter(|| engine.expectation_with_error(black_box(&replay), &obs, &NoProfile))
+        b.iter(|| engine.expectation_with_error(black_box(&replay), &obs, &NoProfile));
+        // After the timing, and only when a filter keeps this entry.
+        emit_replay_profile(
+            "replay_batched_expectation_12q_256shots",
+            &engine,
+            &replay,
+            &obs,
+        );
     });
     let _ = c;
 }
@@ -104,8 +140,9 @@ fn bench_trajectory_12q(c: &mut Criterion) {
 }
 
 /// 8 trajectories of the served 16q job on the replay tape, in the
-/// blocks the default policy picks (one 8-shot block). Emits its own
-/// `meta:replay_16q` line with that block size.
+/// blocks the default policy picks (one 8-shot block), then its
+/// per-op-kind profile. Emits its own `meta:replay_16q` line with that
+/// block size.
 fn bench_replay_16q(c: &mut Criterion) {
     let backend = Backend::ibmq_guadalupe();
     let (compiled, obs) = wide_shape(&backend);
@@ -115,7 +152,14 @@ fn bench_replay_16q(c: &mut Criterion) {
     hgp_bench::emit_bench_meta("meta:replay_16q", engine.block_size_for(&replay));
     let mut slow = Criterion::default().sample_size(5);
     slow.bench_function("replay_batched_expectation_16q_8shots", |b| {
-        b.iter(|| engine.expectation_with_error(black_box(&replay), &obs, &NoProfile))
+        b.iter(|| engine.expectation_with_error(black_box(&replay), &obs, &NoProfile));
+        // After the timing, and only when a filter keeps this entry.
+        emit_replay_profile(
+            "replay_batched_expectation_16q_8shots",
+            &engine,
+            &replay,
+            &obs,
+        );
     });
     let _ = c;
 }

@@ -59,6 +59,39 @@ pub fn emit_bench_line(json: &str) {
     append_bench_jsonl(json);
 }
 
+/// Emits a replay's per-op-kind profile as one `profile:<id>` line
+/// (via [`emit_bench_line`]): the tape's op and channel counts, then
+/// per op kind that ran its calls per replay, mean ns per call and
+/// share of the profiled time. `replays` is how many replays `snap`
+/// accumulated.
+pub fn emit_profile_line(
+    id: &str,
+    replays: u64,
+    ops: usize,
+    channels: usize,
+    snap: &hgp_sim::OpProfileSnapshot,
+) {
+    let total = snap.total_ns().max(1) as f64;
+    let kinds: Vec<String> = hgp_sim::ReplayOpKind::ALL
+        .into_iter()
+        .filter(|k| snap.calls[k.index()] > 0)
+        .map(|k| {
+            let (calls, ns) = (snap.calls[k.index()], snap.ns[k.index()]);
+            format!(
+                "\"{}\":{{\"calls_per_replay\":{},\"ns_per_call\":{:.0},\"pct\":{:.1}}}",
+                k.name(),
+                calls / replays,
+                ns as f64 / calls as f64,
+                100.0 * ns as f64 / total,
+            )
+        })
+        .collect();
+    emit_bench_line(&format!(
+        "{{\"id\":\"profile:{id}\",\"replays\":{replays},\"ops\":{ops},\"channels\":{channels},{}}}",
+        kinds.join(","),
+    ));
+}
+
 /// Appends one line to the criterion JSONL sink (`CRITERION_OUTPUT`,
 /// default `target/criterion-results.jsonl`), best effort.
 fn append_bench_jsonl(line: &str) {

@@ -18,9 +18,10 @@
 //!   the hot loop never calls `Gate::matrix()`,
 //! - channels are precompiled into sampling tables: cumulative branch
 //!   probabilities for mixed-unitary channels (with the identity-branch
-//!   skip), sparsity-classified single-qubit weight rows and
-//!   precomputed block offsets for general channels (with the
-//!   `K_0`-identity skip),
+//!   skip), single-qubit weight rows with their sparsity pattern
+//!   resolved (thermal relaxation's four-operator shape as its own
+//!   kernel instantiation) and precomputed block offsets for general
+//!   channels (with the `K_0`-identity skip),
 //!
 //! and [`ReplayEngine`] replays the tape over blocks of shots held in
 //! per-worker [`ReplayBatch`] arenas — the per-shot work performs **zero
@@ -163,53 +164,68 @@ struct MixedChannel {
     branches: Vec<BranchApply>,
 }
 
-/// One row of a single-qubit Kraus operator, classified by which of its
-/// entries are exactly zero (the standard channel constructors produce
-/// structurally sparse operators: thermal relaxation's set is one
-/// diagonal, two single-entry, and one zero operator).
-///
-/// Sparsity is *safe* for weight sweeps specifically: a skipped
-/// `0 * a` term changes the row value only in the sign of zero
-/// components, and the row enters the total through `norm_sqr`, which
-/// squares them away — the accumulated weights are **bit-identical** to
-/// the dense two-`mul_add` chain. (State *application* is not sparsified:
-/// there the signed zeros would land in the amplitudes themselves.)
-#[derive(Debug, Clone, Copy)]
-enum Row1q {
-    /// Both entries zero: the row contributes exactly `+0.0` — skipped.
-    Zero,
-    /// Only the `a0` (bit-clear) entry: `|m * a0|^2`.
-    Lo(Complex64),
-    /// Only the `a1` (bit-set) entry: `|m * a1|^2`.
-    Hi(Complex64),
-    /// Dense row: the reference `mul_add` chain.
-    Both(Complex64, Complex64),
+/// The weight rows of a single-qubit general channel, with their row
+/// pattern resolved when the tape is compiled: the weight scan
+/// instantiates one kernel body per pattern, so the recorded shape pays
+/// no per-operator dispatch in its lane loop.
+#[derive(Debug, Clone)]
+enum Rows1q {
+    /// `hgp_noise::channels::thermal_relaxation`'s compose order (the
+    /// only general channel a backend's noise model records): rows
+    /// `[Lo·Hi, Hi·Zero, Zero·Hi, Zero·Zero]` with real coefficients
+    /// `[K0[0][0], K0[1][1], K1[0][1], K2[1][1]]`. Only the structural
+    /// zeros (and the coefficients' zero imaginary parts) are checked; a
+    /// coefficient may itself be zero (`lambda = 0` zeroes `K2`). Every
+    /// term the pattern keeps beyond the operator's own non-zero entries
+    /// — a zero coefficient's product, a `0.0 * im` product — is a
+    /// `±0.0` that squaring erases, so the weights are the bits the
+    /// reference's dense chain gives.
+    Thermal([f64; 4]),
+    /// Any other shape: per Kraus operator, `[K[0][0], K[0][1], K[1][0],
+    /// K[1][1]]`, each row swept as the reference's dense two-term
+    /// chain.
+    Dense(Vec<[Complex64; 4]>),
 }
 
-impl Row1q {
-    fn classify(lo: Complex64, hi: Complex64) -> Self {
-        let z = |c: Complex64| c.re == 0.0 && c.im == 0.0;
-        match (z(lo), z(hi)) {
-            (true, true) => Row1q::Zero,
-            (false, true) => Row1q::Lo(lo),
-            (true, false) => Row1q::Hi(hi),
-            (false, false) => Row1q::Both(lo, hi),
+impl Rows1q {
+    fn classify(kraus: &[Matrix]) -> Self {
+        // Entries (row, col) that may be non-zero (and must be real),
+        // per operator.
+        const THERMAL: [&[(usize, usize)]; 4] = [&[(0, 0), (1, 1)], &[(0, 1)], &[(1, 1)], &[]];
+        let thermal = kraus.len() == 4
+            && kraus.iter().zip(THERMAL).all(|(k, free)| {
+                (0..2).all(|r| {
+                    (0..2).all(|c| {
+                        let e = k[(r, c)];
+                        e.im == 0.0 && (e.re == 0.0 || free.contains(&(r, c)))
+                    })
+                })
+            });
+        if thermal {
+            return Rows1q::Thermal([
+                kraus[0][(0, 0)].re,
+                kraus[0][(1, 1)].re,
+                kraus[1][(0, 1)].re,
+                kraus[2][(1, 1)].re,
+            ]);
         }
+        Rows1q::Dense(
+            kraus
+                .iter()
+                .map(|k| [k[(0, 0)], k[(0, 1)], k[(1, 0)], k[(1, 1)]])
+                .collect(),
+        )
     }
 }
 
 /// The branch-weight sweep of a general channel.
 #[derive(Debug, Clone)]
 enum WeightScan {
-    /// Strided single-qubit kernel: direct pair enumeration with each
-    /// Kraus operator's rows pre-classified by sparsity, replacing the
+    /// Strided single-qubit kernel: direct pair enumeration with the
+    /// operators' rows pattern-resolved at compile time, replacing the
     /// generic scan's per-base index construction. Same pairs in the
     /// same order, bit-identical totals.
-    One {
-        target: usize,
-        /// Per Kraus operator: its two classified rows.
-        rows: Vec<(Row1q, Row1q)>,
-    },
+    One { target: usize, rows: Rows1q },
     /// The generic block scan with masks and block offsets precomputed
     /// (multi-qubit channels; rare).
     Generic {
@@ -269,18 +285,9 @@ impl CompiledChannel {
         }
         let kraus = channel.kraus().to_vec();
         let scan = if targets.len() == 1 {
-            let rows = kraus
-                .iter()
-                .map(|k| {
-                    (
-                        Row1q::classify(k[(0, 0)], k[(0, 1)]),
-                        Row1q::classify(k[(1, 0)], k[(1, 1)]),
-                    )
-                })
-                .collect();
             WeightScan::One {
                 target: targets[0],
-                rows,
+                rows: Rows1q::classify(&kraus),
             }
         } else {
             // `branch_weight`'s MSB-first block offsets, built once: the
@@ -978,6 +985,42 @@ mod tests {
             engine.sample_counts_with(&replay, keep, &NoProfile),
             single.sample_counts_with(&replay, keep, &NoProfile)
         );
+    }
+
+    /// `compose(amplitude_damping(gamma), phase_damping(lambda))` in
+    /// `hgp_noise::channels::thermal_relaxation`'s order.
+    fn thermal_kraus(gamma: f64, lambda: f64) -> Vec<Matrix> {
+        let diag = |a: f64, b: f64| {
+            Matrix::from_rows(&[&[c64(a, 0.0), c64(0.0, 0.0)], &[c64(0.0, 0.0), c64(b, 0.0)]])
+        };
+        let k1 = Matrix::from_rows(&[
+            &[c64(0.0, 0.0), c64(gamma.sqrt(), 0.0)],
+            &[c64(0.0, 0.0), c64(0.0, 0.0)],
+        ]);
+        let amplitude = [diag(1.0, (1.0 - gamma).sqrt()), k1];
+        let phase = [diag(1.0, (1.0 - lambda).sqrt()), diag(0.0, lambda.sqrt())];
+        phase
+            .iter()
+            .flat_map(|b| amplitude.iter().map(move |a| b.matmul(a)))
+            .collect()
+    }
+
+    #[test]
+    fn thermal_relaxation_compiles_to_its_weight_pattern() {
+        for (gamma, lambda) in [(0.1, 0.2), (0.3, 0.0), (0.0, 0.4), (1e-4, 1e-3)] {
+            let rows = Rows1q::classify(&thermal_kraus(gamma, lambda));
+            assert!(matches!(rows, Rows1q::Thermal(_)), "{gamma} {lambda}");
+        }
+        // A complex coefficient, a misplaced entry, or another operator
+        // count falls back to the dense rows.
+        let mut phased = thermal_kraus(0.1, 0.2);
+        phased[1] = phased[1].scale(c64(0.0, 1.0));
+        let mut flipped = thermal_kraus(0.1, 0.2);
+        flipped[1] = flipped[1].adjoint();
+        let three = thermal_kraus(0.1, 0.2)[..3].to_vec();
+        for kraus in [phased, flipped, three] {
+            assert!(matches!(Rows1q::classify(&kraus), Rows1q::Dense(_)));
+        }
     }
 
     #[test]

@@ -67,11 +67,25 @@
 //! *identical* per-trajectory stream [`crate::TrajectoryEngine`] uses)
 //! and draws exactly where the reference draws — one `f64` per channel
 //! per shot. The branch *picks* therefore match the reference run bit
-//! for bit; application is then regrouped: shots that picked the same
-//! branch are swept together, shots that picked an identity(-skip)
-//! branch are masked out entirely, and general channels accumulate all
-//! per-shot branch weights in strided passes over the block before any
-//! shot draws.
+//! for bit; only application is regrouped:
+//!
+//! - general channels accumulate every shot's branch weights before any
+//!   shot draws. A 1q channel's weights come from one read-only pass
+//!   over the block whose row pattern was resolved when the tape was
+//!   compiled: thermal relaxation (the only general channel a backend's
+//!   noise model records) runs one lane loop per amplitude pair that
+//!   accumulates all four Kraus weights with no per-operator dispatch;
+//! - a 1q general channel then applies every pick in one lane-tier
+//!   sweep. If all shots picked the same diagonal branch (thermal
+//!   relaxation's `K0`, the common pick), the apply fuses with the norm
+//!   scan; otherwise — divergent picks — each lane applies its own
+//!   picked operator's coefficients, shots that took a skipped identity
+//!   `K0` keep their amplitudes through a per-lane select, and one norm
+//!   pass follows;
+//! - mixed-unitary channels (where a rare pick touches few lanes) and
+//!   multi-qubit general channels sweep each picked branch over its
+//!   shot group with strided masked loops; shots that picked an
+//!   identity(-skip) branch are masked out entirely.
 //!
 //! # Why this is bit-identical, not just equivalent
 //!
@@ -106,7 +120,7 @@ use crate::statevector::StateVector;
 
 use super::lanes::{kernel, lane_isa, lane_tiers, Lanes};
 use super::{
-    BranchApply, CompiledChannel, GeneralChannel, MixedChannel, ReplayOp, ReplayProgram, Row1q,
+    BranchApply, CompiledChannel, GeneralChannel, MixedChannel, ReplayOp, ReplayProgram, Rows1q,
     WeightScan,
 };
 
@@ -119,7 +133,6 @@ use super::{
 mod kern {
     use hgp_math::Complex64;
 
-    use super::super::Row1q;
     use super::rows2_mut;
     use crate::kernels::DiagOp;
 
@@ -378,116 +391,343 @@ mod kern {
         }
     }
 
-    /// Single-qubit branch weights for all shots and all Kraus
-    /// operators in one pass: one sparsity-specialized sweep per
-    /// [`Row1q`] pattern, run amplitude-major, each shot accumulating
-    /// over the same pairs in the same ascending-base order as
-    /// `StateVector::branch_weight` (per pair: bit-clear term, then
-    /// bit-set term).
+    /// One row of a single-qubit Kraus operator as the weight scan
+    /// evaluates it, by which of its entries are exact zeros (the
+    /// standard channel constructors produce structurally sparse, real
+    /// operators: thermal relaxation's set is one diagonal, two
+    /// single-entry, and one zero operator).
     ///
-    /// The branch loop runs *inside* the pair loop, so the lo/hi rows
-    /// stay L1-resident across all Kraus operators instead of the state
-    /// being re-streamed once per operator. The swap is bit-exact:
-    /// weight rows accumulate independently, and each row still sees
-    /// its pairs in the same ascending order with the same per-pair
-    /// term sequence.
-    /// `inv`, when present, is a deferred renormalization: the lo/hi
-    /// rows are scaled in place (the scan does not overwrite the state,
-    /// so the scaled amplitudes must be stored for later ops) while
-    /// L1-hot, before the weight terms read them — the same `a * inv`
-    /// the reference stores in its own scale pass.
+    /// Sparsity is *safe* for weight sweeps specifically: a skipped
+    /// `0 * a` term (a zero entry, or the zero imaginary part of a real
+    /// one) changes the row value only in the sign of zero components,
+    /// and the row enters the total through `norm_sqr`, which squares
+    /// them away — the accumulated weights are **bit-identical** to the
+    /// dense two-`mul_add` chain. (State *application* is not
+    /// sparsified: there the signed zeros would land in the amplitudes
+    /// themselves.)
+    #[derive(Clone, Copy)]
+    enum Row1q {
+        /// Both entries zero: the row contributes exactly `+0.0` —
+        /// skipped.
+        Zero,
+        /// Only the `a0` (bit-clear) entry, real: `|m * a0|^2`.
+        Lo(f64),
+        /// Only the `a1` (bit-set) entry, real: `|m * a1|^2`.
+        Hi(f64),
+        /// Dense row: the reference `mul_add` chain.
+        Both(Complex64, Complex64),
+    }
+
+    /// The weight rows of a 1q general channel as the scan kernel reads
+    /// them: `G` operators per lane loop, group `g` of
+    /// [`WeightRows::groups`] covering operators `g * G..(g + 1) * G`.
+    /// Both patterns return row kinds that are constant at compile
+    /// time, so once the body is instantiated its per-lane match folds
+    /// away and the lane loop vectorizes.
+    trait WeightRows<const G: usize>: Copy {
+        /// Operator groups (the channel's Kraus count over `G`).
+        fn groups(self) -> usize;
+        /// The rows of group `g`'s operators.
+        fn group(self, g: usize) -> [(Row1q, Row1q); G];
+    }
+
+    /// `thermal_relaxation`'s rows `[Lo·Hi, Hi·Zero, Zero·Hi,
+    /// Zero·Zero]` with real coefficients `[K0 lo, K0 hi, K1 hi, K2 hi]`
+    /// (see `Rows1q::Thermal`): all four operators in one lane loop.
+    #[derive(Clone, Copy)]
+    struct Thermal([f64; 4]);
+
+    impl WeightRows<4> for Thermal {
+        #[inline(always)]
+        fn groups(self) -> usize {
+            1
+        }
+
+        #[inline(always)]
+        fn group(self, _: usize) -> [(Row1q, Row1q); 4] {
+            let [k0_lo, k0_hi, k1_hi, k2_hi] = self.0;
+            [
+                (Row1q::Lo(k0_lo), Row1q::Hi(k0_hi)),
+                (Row1q::Hi(k1_hi), Row1q::Zero),
+                (Row1q::Zero, Row1q::Hi(k2_hi)),
+                (Row1q::Zero, Row1q::Zero),
+            ]
+        }
+    }
+
+    /// Any other shape, one operator per lane loop, each row the
+    /// reference's dense chain (`Both`, exact zeros included — the
+    /// reference's own arithmetic).
+    impl WeightRows<1> for &[[Complex64; 4]] {
+        #[inline(always)]
+        fn groups(self) -> usize {
+            self.len()
+        }
+
+        #[inline(always)]
+        fn group(self, g: usize) -> [(Row1q, Row1q); 1] {
+            let [m00, m01, m10, m11] = self[g];
+            [(Row1q::Both(m00, m01), Row1q::Both(m10, m11))]
+        }
+    }
+
+    /// `w + ||row · (a0, a1)||^2` for one classified row: the terms of
+    /// `StateVector::branch_weight`'s two-`mul_add` chain that are not
+    /// exact zeros (`Both` keeps the literal `+ 0.0` of
+    /// `mul_add(a0, ZERO)`; a `Zero` row's `+ 0.0` leaves the
+    /// non-negative accumulator's bits unchanged).
     #[inline(always)]
-    pub fn weights_1q_scan(
+    fn add_row(w: f64, r: Row1q, a0r: f64, a0i: f64, a1r: f64, a1i: f64) -> f64 {
+        match r {
+            Row1q::Zero => w,
+            Row1q::Lo(m) => {
+                let (tr, ti) = (m * a0r, m * a0i);
+                w + (tr * tr + ti * ti)
+            }
+            Row1q::Hi(m) => {
+                let (tr, ti) = (m * a1r, m * a1i);
+                w + (tr * tr + ti * ti)
+            }
+            Row1q::Both(l, h) => {
+                let tr = (l.re * a0r - l.im * a0i) + 0.0;
+                let ti = (l.re * a0i + l.im * a0r) + 0.0;
+                let ur = (h.re * a1r - h.im * a1i) + tr;
+                let ui = (h.re * a1i + h.im * a1r) + ti;
+                w + (ur * ur + ui * ui)
+            }
+        }
+    }
+
+    /// Single-qubit branch weights for all shots and all Kraus
+    /// operators in one read-only pass over the state, amplitude-major:
+    /// each shot accumulates over the same pairs in the same
+    /// ascending-base order as `StateVector::branch_weight` (per pair:
+    /// bit-clear term, then bit-set term).
+    ///
+    /// The pairs run in tiles of [`PAIR_TILE`] and the lanes in register
+    /// blocks of [`WEIGHT_LANES`] (a ragged tail one lane at a time).
+    /// Per tile and block, one loop accumulates every operator of a
+    /// group in registers: the lo/hi lanes are loaded once per pair, and
+    /// a group's row kinds come from `rows`' pattern, resolved when the
+    /// tape was compiled. The recorded thermal pattern is one group of
+    /// constant kinds, so its loop is straight-line arithmetic with no
+    /// per-operator dispatch, and its three live weights stay in
+    /// registers across the tile instead of a load and a store per
+    /// pair. The reordering is bit-exact: weights accumulate
+    /// independently per operator and lane, and each still sees its
+    /// pairs in ascending order with the same per-pair term sequence.
+    ///
+    /// `inv` is the outstanding deferred renormalization (all `1.0`
+    /// when none is; `a * 1.0 == a` bit for bit): each amplitude is
+    /// scaled in registers before the weight terms read it — the same
+    /// `a * inv` the reference stores in its own scale pass. The scaled
+    /// values are not stored: the branch apply that follows every 1q
+    /// scan rewrites each amplitude from the same product.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn weights_1q<const G: usize, P: WeightRows<G>>(
         weights: &mut [f64],
+        re: &[f64],
+        im: &[f64],
+        s_n: usize,
+        target: usize,
+        rows: P,
+        inv: &[f64],
+    ) {
+        assert!(inv.len() == s_n);
+        weights[..rows.groups() * G * s_n].fill(0.0);
+        let pairs = re.len() / s_n / 2;
+        let full = s_n - s_n % WEIGHT_LANES;
+        for p0 in (0..pairs).step_by(PAIR_TILE) {
+            let tile = p0..(p0 + PAIR_TILE).min(pairs);
+            for s0 in (0..full).step_by(WEIGHT_LANES) {
+                let block = s0..s0 + WEIGHT_LANES;
+                weights_1q_tile::<WEIGHT_LANES, G, P>(
+                    weights,
+                    re,
+                    im,
+                    s_n,
+                    target,
+                    rows,
+                    inv,
+                    block,
+                    tile.clone(),
+                );
+            }
+            for s0 in full..s_n {
+                let block = s0..s0 + 1;
+                weights_1q_tile::<1, G, P>(
+                    weights,
+                    re,
+                    im,
+                    s_n,
+                    target,
+                    rows,
+                    inv,
+                    block,
+                    tile.clone(),
+                );
+            }
+        }
+    }
+
+    /// Lanes per register block of [`weights_1q`]: one AVX-512 vector,
+    /// two AVX2 ones.
+    const WEIGHT_LANES: usize = 8;
+
+    /// Amplitude pairs per tile of [`weights_1q`]: a tile's rows stay
+    /// L1-resident while every lane block of a 64-shot arena reads them.
+    const PAIR_TILE: usize = 16;
+
+    /// [`weights_1q`] over `W` lanes and one tile of pairs: each
+    /// group's weights are loaded into registers, accumulate over the
+    /// tile's pairs in ascending order, and are stored back — the same
+    /// sequence of additions as accumulating in memory, without a load
+    /// and a store per pair.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn weights_1q_tile<const W: usize, const G: usize, P: WeightRows<G>>(
+        weights: &mut [f64],
+        re: &[f64],
+        im: &[f64],
+        s_n: usize,
+        target: usize,
+        rows: P,
+        inv: &[f64],
+        lanes: std::ops::Range<usize>,
+        tile: std::ops::Range<usize>,
+    ) {
+        let bit = 1usize << target;
+        let low = bit - 1;
+        let s0 = lanes.start;
+        let load = |plane: &[f64], row: usize| -> [f64; W] {
+            plane[row * s_n + s0..row * s_n + s0 + W]
+                .try_into()
+                .expect("W lanes")
+        };
+        let inv: [f64; W] = inv[lanes].try_into().expect("W lanes");
+        for g in 0..rows.groups() {
+            let ops = rows.group(g);
+            let mut acc = [[0.0f64; W]; G];
+            for (k, acc_k) in acc.iter_mut().enumerate() {
+                *acc_k = load(weights, g * G + k);
+            }
+            for p in tile.clone() {
+                let lo = ((p & !low) << 1) | (p & low);
+                let hi = lo | bit;
+                let (lo_re, lo_im) = (load(re, lo), load(im, lo));
+                let (hi_re, hi_im) = (load(re, hi), load(im, hi));
+                for l in 0..W {
+                    let (a0r, a0i) = (lo_re[l] * inv[l], lo_im[l] * inv[l]);
+                    let (a1r, a1i) = (hi_re[l] * inv[l], hi_im[l] * inv[l]);
+                    for (acc_k, &(r0, r1)) in acc.iter_mut().zip(ops.iter()) {
+                        let w = add_row(acc_k[l], r0, a0r, a0i, a1r, a1i);
+                        acc_k[l] = add_row(w, r1, a0r, a0i, a1r, a1i);
+                    }
+                }
+            }
+            for (k, acc_k) in acc.iter().enumerate() {
+                let row = (g * G + k) * s_n + s0;
+                weights[row..row + W].copy_from_slice(acc_k);
+            }
+        }
+    }
+
+    /// [`weights_1q`] over the thermal-relaxation pattern.
+    #[inline(always)]
+    pub fn weights_1q_thermal(
+        weights: &mut [f64],
+        re: &[f64],
+        im: &[f64],
+        s_n: usize,
+        target: usize,
+        coef: [f64; 4],
+        inv: &[f64],
+    ) {
+        weights_1q(weights, re, im, s_n, target, Thermal(coef), inv)
+    }
+
+    /// [`weights_1q`] over any other 1q Kraus set, one `[m00, m01, m10,
+    /// m11]` per operator.
+    #[inline(always)]
+    pub fn weights_1q_dense(
+        weights: &mut [f64],
+        re: &[f64],
+        im: &[f64],
+        s_n: usize,
+        target: usize,
+        ops: &[[Complex64; 4]],
+        inv: &[f64],
+    ) {
+        weights_1q(weights, re, im, s_n, target, ops, inv)
+    }
+
+    /// A 1q operator picked per lane: shot `s` applies its own branch,
+    /// `coef_*[q * s_n + s]` holding entry `q` of `[m00, m01, m10, m11]`
+    /// — per lane, the full dense `m00 * a + m01 * b` update
+    /// `dense_1q_masked` computes for one branch group (no sparsity
+    /// skip), so divergent picks cost one vectorized sweep instead of
+    /// one strided masked sweep per picked branch. Lanes with
+    /// `keep[s]` set (a skipped identity `K0`) keep their amplitudes
+    /// through a per-lane select.
+    ///
+    /// `inv` is the outstanding deferred renormalization (all `1.0`
+    /// when none is): the pair inputs are scaled as they are loaded —
+    /// the same `a * inv` the reference stores in its own scale pass —
+    /// and a kept lane stores its scaled input.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn dense1q_lanes(
         re: &mut [f64],
         im: &mut [f64],
         s_n: usize,
         target: usize,
-        rows: &[(Row1q, Row1q)],
-        inv: Option<&[f64]>,
+        coef_re: &[f64],
+        coef_im: &[f64],
+        inv: &[f64],
+        keep: Option<&[bool]>,
     ) {
         let bit = 1usize << target;
+        let low = bit - 1;
         let dim = re.len() / s_n;
-        weights[..rows.len() * s_n].fill(0.0);
-        if let Some(inv) = inv {
-            assert!(inv.len() == s_n);
+        let (mut c_re, mut c_im) = (coef_re.chunks_exact(s_n), coef_im.chunks_exact(s_n));
+        let [c00r, c01r, c10r, c11r]: [&[f64]; 4] =
+            std::array::from_fn(|_| c_re.next().expect("four coefficient rows"));
+        let [c00i, c01i, c10i, c11i]: [&[f64]; 4] =
+            std::array::from_fn(|_| c_im.next().expect("four coefficient rows"));
+        assert!(inv.len() == s_n);
+        if let Some(keep) = keep {
+            assert!(keep.len() == s_n);
         }
-        for base in (0..dim).step_by(2 * bit) {
-            for off in 0..bit {
-                let lo = base + off;
-                let hi = base + bit + off;
-                let (lo_re, hi_re) = rows2_mut(re, s_n, lo, hi);
-                let (lo_im, hi_im) = rows2_mut(im, s_n, lo, hi);
-                if let Some(inv) = inv {
+        for g in 0..dim / 2 {
+            let i = ((g & !low) << 1) | (g & low);
+            let j = i | bit;
+            let (ri_re, rj_re) = rows2_mut(re, s_n, i, j);
+            let (ri_im, rj_im) = rows2_mut(im, s_n, i, j);
+            match keep {
+                None => {
                     for s in 0..s_n {
-                        lo_re[s] *= inv[s];
-                        lo_im[s] *= inv[s];
-                        hi_re[s] *= inv[s];
-                        hi_im[s] *= inv[s];
+                        let (xr, xi) = (ri_re[s] * inv[s], ri_im[s] * inv[s]);
+                        let (yr, yi) = (rj_re[s] * inv[s], rj_im[s] * inv[s]);
+                        ri_re[s] = (c00r[s] * xr - c00i[s] * xi) + (c01r[s] * yr - c01i[s] * yi);
+                        ri_im[s] = (c00r[s] * xi + c00i[s] * xr) + (c01r[s] * yi + c01i[s] * yr);
+                        rj_re[s] = (c10r[s] * xr - c10i[s] * xi) + (c11r[s] * yr - c11i[s] * yi);
+                        rj_im[s] = (c10r[s] * xi + c10i[s] * xr) + (c11r[s] * yi + c11i[s] * yr);
                     }
                 }
-                let (lo_re, lo_im) = (&*lo_re, &*lo_im);
-                let (hi_re, hi_im) = (&*hi_re, &*hi_im);
-                for (k, &r) in rows.iter().enumerate() {
-                    let w = &mut weights[k * s_n..(k + 1) * s_n];
-                    match r {
-                        (Row1q::Zero, Row1q::Zero) => {}
-                        (Row1q::Lo(m0), Row1q::Hi(m1)) => {
-                            for (s, ws) in w.iter_mut().enumerate() {
-                                let tr = m0.re * lo_re[s] - m0.im * lo_im[s];
-                                let ti = m0.re * lo_im[s] + m0.im * lo_re[s];
-                                *ws += tr * tr + ti * ti;
-                                let ur = m1.re * hi_re[s] - m1.im * hi_im[s];
-                                let ui = m1.re * hi_im[s] + m1.im * hi_re[s];
-                                *ws += ur * ur + ui * ui;
-                            }
-                        }
-                        (Row1q::Hi(m), Row1q::Zero) | (Row1q::Zero, Row1q::Hi(m)) => {
-                            for (s, ws) in w.iter_mut().enumerate() {
-                                let tr = m.re * hi_re[s] - m.im * hi_im[s];
-                                let ti = m.re * hi_im[s] + m.im * hi_re[s];
-                                *ws += tr * tr + ti * ti;
-                            }
-                        }
-                        (Row1q::Lo(m), Row1q::Zero) | (Row1q::Zero, Row1q::Lo(m)) => {
-                            for (s, ws) in w.iter_mut().enumerate() {
-                                let tr = m.re * lo_re[s] - m.im * lo_im[s];
-                                let ti = m.re * lo_im[s] + m.im * lo_re[s];
-                                *ws += tr * tr + ti * ti;
-                            }
-                        }
-                        (r0, r1) => {
-                            // The reference two-row `mul_add`
-                            // chains, over plane lanes (`Both` keeps
-                            // the literal `+ 0.0` of
-                            // `mul_add(a0, ZERO)`).
-                            let row = |r: Row1q, a0r: f64, a0i: f64, a1r: f64, a1i: f64| match r {
-                                Row1q::Zero => 0.0,
-                                Row1q::Lo(m) => {
-                                    let tr = m.re * a0r - m.im * a0i;
-                                    let ti = m.re * a0i + m.im * a0r;
-                                    tr * tr + ti * ti
-                                }
-                                Row1q::Hi(m) => {
-                                    let tr = m.re * a1r - m.im * a1i;
-                                    let ti = m.re * a1i + m.im * a1r;
-                                    tr * tr + ti * ti
-                                }
-                                Row1q::Both(l, h) => {
-                                    let tr = (l.re * a0r - l.im * a0i) + 0.0;
-                                    let ti = (l.re * a0i + l.im * a0r) + 0.0;
-                                    let ur = (h.re * a1r - h.im * a1i) + tr;
-                                    let ui = (h.re * a1i + h.im * a1r) + ti;
-                                    ur * ur + ui * ui
-                                }
-                            };
-                            for (s, ws) in w.iter_mut().enumerate() {
-                                let (a0r, a0i) = (lo_re[s], lo_im[s]);
-                                let (a1r, a1i) = (hi_re[s], hi_im[s]);
-                                *ws += row(r0, a0r, a0i, a1r, a1i);
-                                *ws += row(r1, a0r, a0i, a1r, a1i);
-                            }
-                        }
+                Some(keep) => {
+                    for s in 0..s_n {
+                        let (xr, xi) = (ri_re[s] * inv[s], ri_im[s] * inv[s]);
+                        let (yr, yi) = (rj_re[s] * inv[s], rj_im[s] * inv[s]);
+                        let nr = (c00r[s] * xr - c00i[s] * xi) + (c01r[s] * yr - c01i[s] * yi);
+                        let ni = (c00r[s] * xi + c00i[s] * xr) + (c01r[s] * yi + c01i[s] * yr);
+                        let mr = (c10r[s] * xr - c10i[s] * xi) + (c11r[s] * yr - c11i[s] * yi);
+                        let mi = (c10r[s] * xi + c10i[s] * xr) + (c11r[s] * yi + c11i[s] * yr);
+                        let k = keep[s];
+                        ri_re[s] = if k { xr } else { nr };
+                        ri_im[s] = if k { xi } else { ni };
+                        rj_re[s] = if k { yr } else { mr };
+                        rj_im[s] = if k { yi } else { mi };
                     }
                 }
             }
@@ -515,6 +755,10 @@ mod kern {
     /// stored results in [`norm_acc_all`]'s ascending-row order. State
     /// and norms are therefore bit-identical to the two separate passes,
     /// minus one full read of the arena.
+    ///
+    /// `inv` is the outstanding deferred renormalization (all `1.0`
+    /// when none is), applied to each amplitude as it is loaded — the
+    /// same `a * inv` the reference stores in its own scale pass.
     #[inline(always)]
     pub fn diag1q_norm_all(
         re: &mut [f64],
@@ -523,8 +767,9 @@ mod kern {
         s_n: usize,
         target: usize,
         d: [Complex64; 2],
+        inv: &[f64],
     ) {
-        assert!(norms.len() == s_n);
+        assert!(norms.len() == s_n && inv.len() == s_n);
         let bit = 1usize << target;
         for (b, (row_re, row_im)) in re
             .chunks_exact_mut(s_n)
@@ -532,12 +777,13 @@ mod kern {
             .enumerate()
         {
             let m = d[usize::from(b & bit != 0)];
-            for ((vr, vi), acc) in row_re
+            for (((vr, vi), acc), &k) in row_re
                 .iter_mut()
                 .zip(row_im.iter_mut())
                 .zip(norms.iter_mut())
+                .zip(inv)
             {
-                let (r, i) = (*vr, *vi);
+                let (r, i) = (*vr * k, *vi * k);
                 let nr = m.re * r - m.im * i;
                 let ni = m.re * i + m.im * r;
                 *vr = nr;
@@ -604,14 +850,33 @@ lane_tiers!(kern {
         quad_im: &mut [f64],
         inv: Option<&[f64]>,
     );
-    fn weights_1q_scan(
+    fn weights_1q_thermal(
         weights: &mut [f64],
+        re: &[f64],
+        im: &[f64],
+        s_n: usize,
+        target: usize,
+        coef: [f64; 4],
+        inv: &[f64],
+    );
+    fn weights_1q_dense(
+        weights: &mut [f64],
+        re: &[f64],
+        im: &[f64],
+        s_n: usize,
+        target: usize,
+        ops: &[[Complex64; 4]],
+        inv: &[f64],
+    );
+    fn dense1q_lanes(
         re: &mut [f64],
         im: &mut [f64],
         s_n: usize,
         target: usize,
-        rows: &[(Row1q, Row1q)],
-        inv: Option<&[f64]>,
+        coef_re: &[f64],
+        coef_im: &[f64],
+        inv: &[f64],
+        keep: Option<&[bool]>,
     );
     fn norm_acc_all(norms: &mut [f64], re: &[f64], im: &[f64], s_n: usize);
     fn diag1q_norm_all(
@@ -621,6 +886,7 @@ lane_tiers!(kern {
         s_n: usize,
         target: usize,
         d: [Complex64; 2],
+        inv: &[f64],
     );
     fn scale_all(re: &mut [f64], im: &mut [f64], s_n: usize, inv: &[f64]);
     fn diag_expect_all(out: &mut [f64], re: &[f64], im: &[f64], s_n: usize, diag: &[f64]);
@@ -668,6 +934,13 @@ pub struct ReplayBatch {
     norms: Vec<f64>,
     /// Per-shot branch picks of the channel being applied.
     picks: Vec<usize>,
+    /// Per-lane picked 1q operator, `coef_re[q * n_shots + s]` = real
+    /// part of entry `q` of `[m00, m01, m10, m11]` of shot `s`'s branch.
+    coef_re: Vec<f64>,
+    /// Imaginary half of the per-lane operator scratch.
+    coef_im: Vec<f64>,
+    /// Per-lane "picked a skipped identity `K0`" flags.
+    keep: Vec<bool>,
     /// Shot-index scratch for branch application groups.
     group: Vec<usize>,
     /// Diagonal factor scratch for fused runs.
@@ -683,6 +956,9 @@ pub struct ReplayBatch {
     inv: Vec<f64>,
     /// A deferred scale pass is outstanding in `inv`.
     pending: bool,
+    /// `1.0` per shot: the scale a kernel that always takes one applies
+    /// when no scale pass is outstanding.
+    ones: Vec<f64>,
     /// Kernel build the batch dispatches to (probed once per batch by
     /// `lane_isa`, called through `kernel!` per op).
     lanes: Lanes,
@@ -712,12 +988,16 @@ impl ReplayBatch {
             weights: vec![0.0; program.max_branches * n_shots],
             norms: vec![0.0; n_shots],
             picks: vec![0; n_shots],
+            coef_re: vec![0.0; 4 * n_shots],
+            coef_im: vec![0.0; 4 * n_shots],
+            keep: vec![false; n_shots],
             group: Vec::with_capacity(n_shots),
             factors: Vec::new(),
             quad_re: vec![0.0; 4 * n_shots],
             quad_im: vec![0.0; 4 * n_shots],
             inv: vec![1.0; n_shots],
             pending: false,
+            ones: vec![1.0; n_shots],
             lanes: lane_isa(),
             psi: StateVector::zero_state(n_qubits),
         }
@@ -1056,35 +1336,46 @@ impl ReplayBatch {
         self.group = group;
     }
 
-    /// A general channel: every shot's branch weights accumulate in
-    /// strided passes over the block, then each shot draws and picks in
-    /// the reference order, and the picked branches apply in shot groups
-    /// (K0 identity-skips masked out entirely) with grouped
-    /// renormalization. When every shot picked the same diagonal branch
-    /// of a 1q channel, the apply and the norm scan fuse into one pass
-    /// ([`kern::diag1q_norm_all`]).
+    /// A general channel: every shot's branch weights accumulate in one
+    /// pass over the block (the 1q scan's row pattern resolved when the
+    /// tape was compiled), then each shot draws and picks in the
+    /// reference order. A 1q channel then applies every pick in one
+    /// sweep that also consumes any deferred scale pass: when every
+    /// shot picked the same diagonal branch, the apply and the norm
+    /// scan fuse ([`kern::diag1q_norm_all`]); otherwise, divergent or
+    /// not, each lane applies its own pick
+    /// ([`ReplayBatch::apply_picks_1q`]). Multi-qubit channels apply
+    /// their picked branches in shot groups (`K0` identity-skips masked
+    /// out entirely) with grouped renormalization.
     fn apply_general(&mut self, gen: &GeneralChannel) {
         let s_n = self.n_shots;
         let n_k = gen.kraus.len();
         match &gen.scan {
-            WeightScan::One { target, rows } => {
-                // The scan reads every amplitude exactly once, so a
-                // deferred scale pass from the previous channel rides
-                // along for free (rows scaled in place while L1-hot).
+            WeightScan::One { rows, target } => {
+                // The scan reads the deferred scale in registers and
+                // leaves it outstanding: the apply below rewrites every
+                // amplitude and consumes it there.
                 let lanes = self.lanes;
-                let pending = std::mem::replace(&mut self.pending, false);
                 let Self {
                     weights,
                     re,
                     im,
                     inv,
+                    ones,
+                    pending,
                     ..
                 } = self;
-                let inv = pending.then_some(&inv[..]);
-                kernel!(
-                    lanes,
-                    weights_1q_scan(weights, re, im, s_n, *target, rows, inv)
-                );
+                let inv = if *pending { &inv[..] } else { &ones[..] };
+                match rows {
+                    Rows1q::Thermal(coef) => kernel!(
+                        lanes,
+                        weights_1q_thermal(weights, re, im, s_n, *target, *coef, inv)
+                    ),
+                    Rows1q::Dense(ops) => kernel!(
+                        lanes,
+                        weights_1q_dense(weights, re, im, s_n, *target, ops, inv)
+                    ),
+                }
             }
             WeightScan::Generic { all_mask, offs } => {
                 self.resolve_pending();
@@ -1111,25 +1402,10 @@ impl ReplayBatch {
             }
             self.picks[s] = pick;
         }
-        let mut group = std::mem::take(&mut self.group);
-        if let Some(d) = uniform_diag_pick(gen, &self.picks) {
-            // Every shot picked the same diagonal 1q branch (thermal
-            // relaxation's K0, the common pick): apply it and scan the
-            // norms in one pass, then defer the scale exactly as
-            // `renormalize_group` would for the all-shot group.
-            let lanes = self.lanes;
-            self.norms.fill(0.0);
-            let Self { re, im, norms, .. } = self;
-            kernel!(
-                lanes,
-                diag1q_norm_all(re, im, norms, s_n, gen.targets[0], d)
-            );
-            group.clear();
-            group.extend(0..s_n);
-            self.defer_scale(&group);
-            self.group = group;
-            return;
+        if let WeightScan::One { target, .. } = gen.scan {
+            return self.apply_picks_1q(gen, target);
         }
+        let mut group = std::mem::take(&mut self.group);
         for k in 0..n_k {
             if k == 0 && gen.k0_identity {
                 continue;
@@ -1141,6 +1417,88 @@ impl ReplayBatch {
                 self.renormalize_group(&group);
             }
         }
+        self.group = group;
+    }
+
+    /// Applies each shot's picked branch of a 1q general channel in one
+    /// lane-tier sweep, consuming any deferred scale pass as it loads,
+    /// then scans the norms and defers the new scale. When every shot
+    /// picked the same diagonal branch (thermal relaxation's `K0`, the
+    /// common pick), [`kern::diag1q_norm_all`] applies it and scans the
+    /// norms in one pass. Otherwise [`kern::dense1q_lanes`] gives each
+    /// lane its own operator's coefficients and one
+    /// [`kern::norm_acc_all`] pass follows. Per shot this is the
+    /// grouped path's arithmetic exactly: the masked sweep's dense
+    /// update, the norm over ascending rows, one reciprocal. Shots that
+    /// picked a skipped identity `K0` keep their (scaled) amplitudes
+    /// and get `inv = 1.0`; if every shot did, nothing is swept.
+    fn apply_picks_1q(&mut self, gen: &GeneralChannel, target: usize) {
+        let s_n = self.n_shots;
+        let lanes = self.lanes;
+        let pending = std::mem::replace(&mut self.pending, false);
+        if let Some(d) = uniform_diag_pick(gen, &self.picks) {
+            self.norms.fill(0.0);
+            let Self {
+                re,
+                im,
+                norms,
+                inv,
+                ones,
+                group,
+                ..
+            } = self;
+            let inv = if pending { &inv[..] } else { &ones[..] };
+            kernel!(lanes, diag1q_norm_all(re, im, norms, s_n, target, d, inv));
+            group.clear();
+            group.extend(0..s_n);
+        } else {
+            let mut any_keep = false;
+            let mut all_keep = true;
+            for s in 0..s_n {
+                let pick = self.picks[s];
+                let keep = pick == 0 && gen.k0_identity;
+                self.keep[s] = keep;
+                any_keep |= keep;
+                all_keep &= keep;
+                let k = &gen.kraus[pick];
+                for (q, e) in [k[(0, 0)], k[(0, 1)], k[(1, 0)], k[(1, 1)]]
+                    .into_iter()
+                    .enumerate()
+                {
+                    self.coef_re[q * s_n + s] = e.re;
+                    self.coef_im[q * s_n + s] = e.im;
+                }
+            }
+            if all_keep {
+                // Nothing moves; an outstanding scale stays outstanding.
+                self.pending = pending;
+                return;
+            }
+            let Self {
+                re,
+                im,
+                coef_re,
+                coef_im,
+                keep,
+                norms,
+                inv,
+                ones,
+                group,
+                ..
+            } = self;
+            let inv = if pending { &inv[..] } else { &ones[..] };
+            let keep_lanes = any_keep.then_some(&keep[..]);
+            kernel!(
+                lanes,
+                dense1q_lanes(re, im, s_n, target, coef_re, coef_im, inv, keep_lanes)
+            );
+            norms.fill(0.0);
+            kernel!(lanes, norm_acc_all(norms, re, im, s_n));
+            group.clear();
+            group.extend((0..s_n).filter(|&s| !keep[s]));
+        }
+        let group = std::mem::take(&mut self.group);
+        self.defer_scale(&group);
         self.group = group;
     }
 
@@ -1293,11 +1651,10 @@ fn rows2_mut(plane: &mut [f64], s_n: usize, i: usize, j: usize) -> (&mut [f64], 
 /// The diagonal `[K[0][0], K[1][1]]` of the branch every resident shot
 /// of a 1q general channel picked, when that branch is applied (not a
 /// skipped identity `K0`) and diagonal by [`kern::dense1q_all`]'s own
-/// exact-zero test. `None` sends the channel down the grouped path.
+/// exact-zero test. `None` sends the channel down the per-lane sweep.
 fn uniform_diag_pick(gen: &GeneralChannel, picks: &[usize]) -> Option<[Complex64; 2]> {
     let pick = picks[0];
-    if gen.targets.len() != 1 || (pick == 0 && gen.k0_identity) || picks.iter().any(|&p| p != pick)
-    {
+    if (pick == 0 && gen.k0_identity) || picks.iter().any(|&p| p != pick) {
         return None;
     }
     let k = &gen.kraus[pick];
@@ -1327,11 +1684,16 @@ mod tests {
     use hgp_math::pauli::{sigma_x, sigma_y, sigma_z};
     use hgp_obs::profile::NoProfile;
 
-    /// Pauli mix, amplitude damping and a three-Kraus thermal-like
-    /// channel (non-identity `K_0`, so shots of a block diverge).
-    fn channels(p: f64) -> [ChannelOp; 3] {
+    /// Pauli mix (a skippable identity `K_0`), amplitude damping, a
+    /// three-Kraus thermal-like channel (non-identity `K_0`, so shots
+    /// of a block diverge) and thermal relaxation in the four-operator
+    /// shape backends record (`compose(amplitude damping, phase
+    /// damping)`), which the weight scan runs as its compile-time
+    /// pattern.
+    fn channels(p: f64) -> [ChannelOp; 4] {
         let real = |e: [f64; 4]| Matrix::from_vec(2, 2, e.map(|x| c64(x, 0.0)).to_vec());
         let s = |w: f64| c64(w.sqrt(), 0.0);
+        let lambda = p / 2.0;
         [
             ChannelOp::general(vec![
                 Matrix::identity(2).scale(s(1.0 - 0.75 * p)),
@@ -1347,6 +1709,12 @@ mod tests {
                 real([(1.0 - p).sqrt(), 0.0, 0.0, (1.0 - 2.0 * p).sqrt()]),
                 real([0.0, p.sqrt(), 0.0, 0.0]),
                 real([(p / 2.0).sqrt(), 0.0, 0.0, -(p / 2.0).sqrt()]),
+            ]),
+            ChannelOp::general(vec![
+                real([1.0, 0.0, 0.0, ((1.0 - lambda) * (1.0 - p)).sqrt()]),
+                real([0.0, p.sqrt(), 0.0, 0.0]),
+                real([0.0, 0.0, 0.0, (lambda * (1.0 - p)).sqrt()]),
+                real([0.0; 4]),
             ]),
         ]
     }
@@ -1366,14 +1734,25 @@ mod tests {
         }
         for q in 0..n {
             program.push_gate(Gate::Rx(Param::bound(0.2 + 0.15 * q as f64)), &[q]);
-            let [pauli, damping, thermal] = channels(0.05 + 0.04 * q as f64);
-            program.push_channel([pauli, damping, thermal][q % 3].clone(), &[q]);
+            let channel = channels(0.05 + 0.04 * q as f64)[q % 4].clone();
+            program.push_channel(channel, &[q]);
         }
         program.push_gate(Gate::CX, &[0, 5]);
         program.push_gate(Gate::CX, &[6, 2]);
-        let [_, _, thermal] = channels(0.3);
-        program.push_channel(thermal, &[4]);
+        // Strong enough that the block's picks diverge at both.
+        let [_, _, thermal_like, thermal] = channels(0.3);
+        program.push_channel(thermal_like, &[4]);
+        program.push_channel(thermal, &[1]);
         let tape = ReplayProgram::compile(&program);
+        let thermal_scans = tape.channels.iter().filter(|c| {
+            matches!(c, CompiledChannel::General(g)
+                if matches!(g.scan, WeightScan::One { rows: Rows1q::Thermal(_), .. }))
+        });
+        assert_eq!(
+            thermal_scans.count(),
+            2,
+            "thermal channels take the compiled pattern"
+        );
         // An odd block: lane tails at every vector width.
         let seeds: Vec<u64> = (0..13).map(|s| 9_000 + 7 * s).collect();
         let diag: Vec<f64> = (0..1usize << n).map(|b| b.count_ones() as f64).collect();

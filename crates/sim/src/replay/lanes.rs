@@ -58,29 +58,30 @@ pub fn lane_tier() -> &'static str {
 /// Probes the running CPU and picks the kernel build for both engines.
 ///
 /// The default choice is AVX2 when the CPU has it. Measured on a 2-core
-/// Xeon with AVX-512:
+/// Xeon with AVX-512, each engine's lane-tier table, two interleaved
+/// rounds per tier:
 ///
-/// - trajectories (`BENCH_replay.json`, one rayon thread): at 16
-///   qubits with 8-shot blocks AVX2 ran 63.5 ms/shot, AVX-512 74.5 and
-///   the baseline build 73.8 — 512-bit ops there pay frequency
-///   licensing and issue on a single fused port — while at 12 qubits
-///   AVX-512 was the fastest tier;
-/// - the exact tape (`BENCH_exact.json`, `lane_tiers`: two interleaved
-///   rounds per tier): the Table II cell's gate and hybrid tapes at 6
-///   qubits ran 1.3–1.6 ms under AVX-512, 1.7–2.1 ms under AVX2 and
-///   1.7–2.6 ms under the baseline build (2.9–3.7 ms for the
-///   interleaved-`Complex64` kernels the planes replaced); the 10-qubit
-///   expectation at two threads 0.64–0.68 s, 0.68–0.75 s and
-///   1.05–1.13 s.
+/// - trajectories (`BENCH_replay.json`, `lane_tiers`, one rayon
+///   thread): the served 16-qubit job (one 8-shot block) ran 394–397
+///   ms under AVX2, 432–531 ms under AVX-512 and 521–591 ms under the
+///   baseline build; the 12-qubit 256-shot expectation (64-shot blocks)
+///   575–608 ms, 585–683 ms and 837–1071 ms. AVX2 is the fastest tier
+///   at 16 qubits and at least level with AVX-512 at 12;
+/// - the exact tape (`BENCH_exact.json`, `lane_tiers`): the Table II
+///   cell's gate and hybrid tapes at 6 qubits ran 1.3–1.6 ms under
+///   AVX-512, 1.7–2.1 ms under AVX2 and 1.7–2.6 ms under the baseline
+///   build (2.9–3.7 ms for the interleaved-`Complex64` kernels the
+///   planes replaced); the 10-qubit expectation at two threads
+///   0.64–0.68 s, 0.68–0.75 s and 1.05–1.13 s.
 ///
-/// So AVX2 is the one default for both engines: it wins the widest
-/// trajectory shape and cuts the exact tape's 10-qubit time by 30–40%
-/// against the baseline build (at 6 qubits it won three of the four
-/// comparisons), while AVX-512 is fastest on the exact tape and at 12
-/// qubits, by up to a quarter. `HGP_REPLAY_LANES` overrides the choice for both engines
-/// (`avx512` / `avx2` / `baseline`) — every tier computes bit-identical
-/// results, so the knob only trades lane width. Unsupported or unknown
-/// requests fall back to the probed default.
+/// So AVX2 is the one default for both engines: it wins or ties every
+/// served trajectory width and cuts the exact tape's 10-qubit time by 30–40%
+/// against the baseline build, while AVX-512 is fastest on the exact
+/// tape alone, by up to a quarter. `HGP_REPLAY_LANES` overrides the
+/// choice for both engines (`avx512` / `avx2` / `baseline`) — every
+/// tier computes bit-identical results, so the knob only trades lane
+/// width. Unsupported or unknown requests fall back to the probed
+/// default.
 pub(crate) fn lane_isa() -> Lanes {
     #[cfg(target_arch = "x86_64")]
     {

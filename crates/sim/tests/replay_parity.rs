@@ -11,14 +11,20 @@
 //!   unitaries, and all three channel sampling families, on the default
 //!   block policy;
 //! - divergence-heavy programs (general channels whose `K_0` is *not*
-//!   an identity multiple, so resident shots of one block pick
-//!   different Kraus branches and the lockstep sweeps must mask), on
+//!   an identity multiple — the recorded four-operator thermal
+//!   relaxation among them — so resident shots of one block pick
+//!   different Kraus branches and one per-lane sweep applies them, plus
+//!   a skippable identity `K_0` at strong noise, where some lanes keep
+//!   their state), on
 //!   odd and non-power-of-two ensembles and block sizes that do not
 //!   divide them, single-shot blocks and blocks larger than the
 //!   ensemble included;
 //! - weak-noise programs, where every resident shot of a block picks
 //!   the diagonal `K_0` of a thermal relaxation and the engine fuses
 //!   that branch's apply with its norm scan.
+//!
+//! `thermal_relaxation_matches_at_served_block_sizes` pins the recorded
+//! shape at the block sizes served jobs run.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -133,6 +139,30 @@ fn thermal_like_op(gamma: f64, p: f64) -> ChannelOp {
     ChannelOp::general(vec![k0, k1, k2])
 }
 
+/// Thermal relaxation exactly as a backend's noise model records it:
+/// `hgp_noise::channels::thermal_relaxation`'s `compose(amplitude
+/// damping, phase damping)` order, `[PD0·AD0, PD0·AD1, PD1·AD0,
+/// PD1·AD1]` — a diagonal `K_0`, single-entry `K_1` and `K_2`, and an
+/// exactly-zero `K_3` (with `lambda = 0`, `K_2` is exactly zero too).
+fn thermal_relaxation_op(gamma: f64, lambda: f64) -> ChannelOp {
+    let diag = |a: f64, b: f64| {
+        Matrix::from_rows(&[&[c64(a, 0.0), c64(0.0, 0.0)], &[c64(0.0, 0.0), c64(b, 0.0)]])
+    };
+    let amplitude = [
+        diag(1.0, (1.0 - gamma).sqrt()),
+        Matrix::from_rows(&[
+            &[c64(0.0, 0.0), c64(gamma.sqrt(), 0.0)],
+            &[c64(0.0, 0.0), c64(0.0, 0.0)],
+        ]),
+    ];
+    let phase = [diag(1.0, (1.0 - lambda).sqrt()), diag(0.0, lambda.sqrt())];
+    let kraus = phase
+        .iter()
+        .flat_map(|b| amplitude.iter().map(move |a| b.matmul(a)))
+        .collect();
+    ChannelOp::general(kraus)
+}
+
 /// A random program drawn from `shape_seed`, weighted so roughly half
 /// the ops are general channels with non-identity `K_0` at strong noise
 /// — the divergence-heavy regime where resident shots split across
@@ -166,15 +196,35 @@ fn divergent_program(n: usize, n_ops: usize, shape_seed: u64) -> TrajectoryProgr
                 program.push_unitary(Gate::Rx(Param::bound(angle)).matrix().unwrap(), &[q]);
             }
             4 => {
-                program.push_channel(depolarizing_op(rng.gen_range(0.2f64..0.8)), &[q]);
+                if rng.gen::<bool>() {
+                    program.push_channel(depolarizing_op(rng.gen_range(0.2f64..0.8)), &[q]);
+                } else {
+                    // A skippable identity `K_0` at strong noise: some
+                    // shots of a block keep their state, others jump.
+                    program.push_channel(identity_k0_op(rng.gen_range(0.2f64..0.6)), &[q]);
+                }
             }
             _ => {
                 // Strong decay/dephasing: branch weights spread far from
                 // the K0-dominant regime.
-                if rng.gen::<bool>() {
-                    program.push_channel(thermal_like_op(rng.gen_range(0.1f64..0.7), 0.2), &[q]);
-                } else {
-                    program.push_channel(amplitude_damping_op(rng.gen_range(0.1f64..0.8)), &[q]);
+                match rng.gen_range(0u64..4) {
+                    0 => {
+                        let gamma = rng.gen_range(0.1f64..0.7);
+                        program.push_channel(thermal_like_op(gamma, 0.2), &[q]);
+                    }
+                    1 => {
+                        let gamma = rng.gen_range(0.1f64..0.8);
+                        program.push_channel(amplitude_damping_op(gamma), &[q]);
+                    }
+                    2 => {
+                        let gamma = rng.gen_range(0.1f64..0.7);
+                        let lambda = rng.gen_range(0.1f64..0.7);
+                        program.push_channel(thermal_relaxation_op(gamma, lambda), &[q]);
+                    }
+                    _ => {
+                        let gamma = rng.gen_range(0.1f64..0.7);
+                        program.push_channel(thermal_relaxation_op(gamma, 0.0), &[q]);
+                    }
                 }
             }
         }
@@ -192,7 +242,12 @@ fn weak_noise_program(n: usize, n_ops: usize, shape_seed: u64) -> TrajectoryProg
     let mut rng = StdRng::seed_from_u64(shape_seed);
     let mut program = TrajectoryProgram::new(n);
     let weak = |rng: &mut StdRng| {
-        thermal_like_op(rng.gen_range(1e-4f64..1e-3), rng.gen_range(1e-4f64..1e-3))
+        let (gamma, p) = (rng.gen_range(1e-4f64..1e-3), rng.gen_range(1e-4f64..1e-3));
+        match rng.gen_range(0u64..3) {
+            0 => thermal_like_op(gamma, p),
+            1 => thermal_relaxation_op(gamma, p),
+            _ => thermal_relaxation_op(gamma, 0.0),
+        }
     };
     for _ in 0..n_ops {
         let q = rng.gen_range(0usize..n);
@@ -209,11 +264,13 @@ fn weak_noise_program(n: usize, n_ops: usize, shape_seed: u64) -> TrajectoryProg
             }
             3 => {
                 // A strong channel: resident shots split across branches.
-                if rng.gen::<bool>() {
-                    program.push_channel(thermal_like_op(0.4, 0.2), &[q]);
-                } else {
-                    program.push_channel(amplitude_damping_op(0.5), &[q]);
-                }
+                let channel = match rng.gen_range(0u64..4) {
+                    0 => thermal_like_op(0.4, 0.2),
+                    1 => amplitude_damping_op(0.5),
+                    2 => thermal_relaxation_op(0.4, 0.3),
+                    _ => identity_k0_op(0.4),
+                };
+                program.push_channel(channel, &[q]);
             }
             _ => {
                 program.push_gate(Gate::Rz(Param::bound(angle)), &[q]);
@@ -480,6 +537,35 @@ fn every_block_split_of_an_odd_ensemble_matches() {
     let program = divergent_program(3, 14, 0xDECAF);
     for block in 1..=30 {
         assert_block_parity(&program, 29, 7, block);
+    }
+}
+
+/// The recorded thermal-relaxation shape (both its `lambda > 0` and its
+/// `lambda = 0` form) and a skippable identity `K_0`, in programs where
+/// resident shots pick different branches and programs where they
+/// mostly fuse, at the block sizes the served shapes run (1, 3, 8 and
+/// 64 shots per block) on a 67-shot ensemble.
+#[test]
+fn thermal_relaxation_matches_at_served_block_sizes() {
+    let n = 5;
+    let mut divergent = TrajectoryProgram::new(n);
+    for q in 0..n {
+        divergent.push_gate(Gate::H, &[q]);
+    }
+    for layer in 0..3 {
+        for q in 0..n {
+            let theta = 0.3 + 0.2 * (q + layer) as f64;
+            divergent.push_unitary(Gate::Rx(Param::bound(theta)).matrix().unwrap(), &[q]);
+            let lambda = if q % 2 == 0 { 0.0 } else { 0.35 };
+            divergent.push_channel(thermal_relaxation_op(0.3, lambda), &[q]);
+        }
+        divergent.push_gate(Gate::CX, &[layer, (layer + 2) % n]);
+        divergent.push_channel(identity_k0_op(0.35), &[(layer + 1) % n]);
+    }
+    for program in [divergent, weak_noise_program(n, 14, 0x7E57)] {
+        for block in [1, 3, 8, 64] {
+            assert_block_parity(&program, 67, 13, block);
+        }
     }
 }
 
