@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hgp_math::fnv::Fnv1a;
 use hgp_math::Matrix;
 
@@ -13,7 +11,7 @@ use crate::gate::Gate;
 use crate::param::{Param, ParamId};
 
 /// One step of a circuit: a gate application, barrier, or measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {
     /// A gate applied to the listed qubits (operand order matters for
     /// directed gates such as [`Gate::CX`]).
@@ -73,7 +71,7 @@ impl Instruction {
 /// let bound = var.bind(&[PI / 4.0]);
 /// assert!(bound.is_bound());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     n_qubits: usize,
     n_params: usize,

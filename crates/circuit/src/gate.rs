@@ -7,8 +7,6 @@
 use std::f64::consts::FRAC_1_SQRT_2;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hgp_math::{c64, Complex64, Matrix};
 
 use crate::param::Param;
@@ -21,7 +19,7 @@ use crate::param::Param;
 /// assert!(h.matrix().expect("bound").is_unitary(1e-12));
 /// assert_eq!(Gate::CX.n_qubits(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
     /// Identity (explicit idle).
     I,

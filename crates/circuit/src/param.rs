@@ -6,10 +6,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a free parameter within a circuit's parameter vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ParamId(pub usize);
 
 impl fmt::Display for ParamId {
@@ -30,7 +28,7 @@ impl fmt::Display for ParamId {
 /// assert_eq!(p.evaluate(&[0.5]), 1.0);
 /// assert_eq!(Param::bound(0.3).evaluate(&[]), 0.3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Param {
     /// A concrete value.
     Bound(f64),

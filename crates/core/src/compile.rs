@@ -97,8 +97,8 @@ use hgp_math::Matrix;
 use hgp_noise::NoiseModel;
 use hgp_pulse::propagator::drive_propagator;
 use hgp_pulse::Waveform;
-use hgp_sim::Counts;
-use hgp_sim::{ExactReplayProgram, ReplayProgram};
+use hgp_sim::replay::{Tape, TapeKind};
+use hgp_sim::{Counts, ExactReplayProgram, ReplayProgram};
 use hgp_transpile::cancellation::cancel_gates;
 use hgp_transpile::sabre::{choose_initial_layout, route};
 use hgp_transpile::Layout;
@@ -111,7 +111,7 @@ use crate::models::{
 use crate::program::{BlockKind, Program};
 use crate::qaoa::append_hamiltonian_layer;
 use crate::template::{
-    parametric_gate_specs, ExactTemplate, ParamScope, SlotValue, Tape, Template, TemplateSlot,
+    parametric_gate_specs, ExactTemplate, ParamScope, SlotValue, Template, TemplateSlot,
     TrajectoryTemplate,
 };
 
@@ -623,13 +623,13 @@ impl<F: ProgramFamily> Compiled<F> {
     /// The template-bind skeleton both paths share: the compatibility
     /// check with its full-walk fallback (`walk`), the lazy record at a
     /// reference binding, and the per-dispatch slot substitution.
-    fn bind_template<T: Tape>(
+    fn bind_template<K: TapeKind>(
         &self,
-        template: &OnceLock<Template<T>>,
+        template: &OnceLock<Template<K>>,
         exec: &Executor,
         params: &[f64],
-        walk: impl FnOnce(&Program) -> T,
-    ) -> T {
+        walk: impl FnOnce(&Program) -> Tape<K>,
+    ) -> Tape<K> {
         assert_eq!(params.len(), self.n_params(), "parameter count");
         if !self.template_compatible(exec) {
             return walk(&self.bind(params));

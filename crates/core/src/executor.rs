@@ -220,23 +220,22 @@ impl<'a> Executor<'a> {
     /// Replays an exact tape from `|0...0><0...0|`, producing the same
     /// mixed state [`Executor::run`] walks to (bit-identical on
     /// diagonal runs and unitary applications, ≤ 1e-12 elementwise for
-    /// resolved multi-Kraus channels — see `hgp_sim::replay::exact`).
+    /// resolved multi-Kraus channels — see
+    /// `crates/sim/src/replay/exact.rs`).
     pub fn run_exact_replay(&self, tape: &ExactReplayProgram) -> DensityMatrix {
         self.run_exact_replay_profiled(tape, &NoProfile)
     }
 
     /// [`Executor::run_exact_replay`] with an opt-in
     /// [`hgp_sim::ProfileSink`] attributing per-op-kind wall time (see
-    /// `hgp_sim::replay::exact`); the evolved state is bit-identical
-    /// for any sink.
+    /// `crates/sim/src/replay/exact.rs`); the evolved state is
+    /// bit-identical for any sink.
     pub fn run_exact_replay_profiled<P: ProfileSink>(
         &self,
         tape: &ExactReplayProgram,
         sink: &P,
     ) -> DensityMatrix {
-        let mut engine = ExactReplayEngine::for_program(tape);
-        engine.run_profiled(tape, sink);
-        engine.into_state()
+        ExactReplayEngine::for_program(tape).run(tape, sink).clone()
     }
 
     /// Walks the ASAP schedule into an arbitrary sink — the entry point
@@ -444,7 +443,8 @@ impl<'a> Executor<'a> {
     /// ([`Executor::exact_replay_program`]), which
     /// [`Executor::sample_tape`] replays from `|0...0><0...0|` and
     /// samples. Its probabilities agree with the reference walk
-    /// [`Executor::run`] to ≤ 1e-12 (see `hgp_sim::replay::exact`).
+    /// [`Executor::run`] to ≤ 1e-12 (see
+    /// `crates/sim/src/replay/exact.rs`).
     /// Training and the serving tier skip the per-call walk: they bind a
     /// compiled shape's cached exact template into the tape
     /// ([`crate::models::VqaModel::exact_tape`],

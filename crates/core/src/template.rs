@@ -12,11 +12,12 @@
 //! the first bind of its path, so a shape serving only exact jobs never
 //! records a trajectory tape and vice versa) — walked by the same
 //! [`Executor`] walk that serves exact and trajectory dispatches, so it
-//! cannot drift — into a compiled tape, and remembers where each
+//! cannot drift — into a compiled [`Tape`], and remembers where each
 //! parametric program op landed ([`ReplaySlot`]). The template is generic
-//! over its tape: [`TrajectoryTemplate`] holds a [`ReplayProgram`],
-//! [`ExactTemplate`] an [`ExactReplayProgram`] superoperator tape, and
-//! both record, resolve slots, and bind through the one code path here.
+//! over the tape's kind: [`TrajectoryTemplate`] holds a
+//! [`hgp_sim::ReplayProgram`], [`ExactTemplate`] an
+//! [`hgp_sim::ExactReplayProgram`] superoperator tape, and both record,
+//! resolve slots, and bind through the one code path here.
 //! Binding substitutes only the parametric entries:
 //!
 //! - bound-angle diagonals (`RZZ(gamma)` cost layers) re-derive their
@@ -39,12 +40,13 @@ use hgp_math::Matrix;
 use hgp_noise::sink::{RecordSink, ScheduleSink};
 use hgp_noise::{NoiseChannel, NoiseModel};
 use hgp_sim::kernels::diagonal_2q;
-use hgp_sim::{ExactReplayProgram, ReplayProgram, ReplaySlot, TrajectoryProgram};
+use hgp_sim::replay::{ExactKind, Tape, TapeKind, TrajectoryKind};
+use hgp_sim::{ReplaySlot, TrajectoryProgram};
 
 use crate::executor::Executor;
 use crate::program::Program;
 
-pub(crate) use vocabulary::{ParamScope, SlotValue, Tape, TemplateSlot};
+pub(crate) use vocabulary::{ParamScope, SlotValue, TemplateSlot};
 
 /// The crate-private template vocabulary. Its items are `pub` inside a
 /// private module, so the public [`Template`] and
@@ -54,7 +56,6 @@ mod vocabulary {
     use hgp_circuit::Gate;
     use hgp_math::Matrix;
     use hgp_sim::kernels::DiagOp;
-    use hgp_sim::{ExactReplayProgram, ReplayProgram, ReplaySlot, TrajectoryProgram};
 
     use crate::executor::Executor;
 
@@ -146,36 +147,6 @@ mod vocabulary {
             }
         }
     }
-
-    /// The tape a [`Template`](super::Template) records into and binds:
-    /// the four operations [`ReplayProgram`] and [`ExactReplayProgram`]
-    /// share with identical signatures.
-    pub trait Tape: Clone {
-        fn compile_with_slots(recorded: &TrajectoryProgram) -> (Self, Vec<ReplaySlot>);
-        fn substitute_diag(&mut self, slot: ReplaySlot, d: DiagOp);
-        fn substitute_unitary(&mut self, slot: ReplaySlot, m: &Matrix);
-        fn n_ops(&self) -> usize;
-    }
-
-    macro_rules! tape {
-        ($($tape:ty),*) => {$(
-            impl Tape for $tape {
-                fn compile_with_slots(recorded: &TrajectoryProgram) -> (Self, Vec<ReplaySlot>) {
-                    <$tape>::compile_with_slots(recorded)
-                }
-                fn substitute_diag(&mut self, slot: ReplaySlot, d: DiagOp) {
-                    <$tape>::substitute_diag(self, slot, d)
-                }
-                fn substitute_unitary(&mut self, slot: ReplaySlot, m: &Matrix) {
-                    <$tape>::substitute_unitary(self, slot, m)
-                }
-                fn n_ops(&self) -> usize {
-                    <$tape>::n_ops(self)
-                }
-            }
-        )*};
-    }
-    tape!(ReplayProgram, ExactReplayProgram);
 }
 
 /// Scans a (possibly parametrized) circuit for the program ops a
@@ -307,27 +278,27 @@ fn resolve_slots(
         .collect()
 }
 
-/// The compile-time artifact: the shape-constant schedule as a tape —
-/// a trajectory [`ReplayProgram`] or an exact [`ExactReplayProgram`] —
-/// plus the substitution plan for its parametric entries. Both tapes
-/// record through the same walk and bind through the same plan. See the
-/// module docs.
+/// The compile-time artifact: the shape-constant schedule as a [`Tape`]
+/// of kind `K` — trajectory or exact — plus the substitution plan for
+/// its parametric entries. Both kinds record through the same walk and
+/// bind through the same plan. See the module docs.
 #[derive(Debug, Clone)]
-pub struct Template<T> {
-    tape: T,
+pub struct Template<K: TapeKind> {
+    tape: Tape<K>,
     slots: Vec<(ReplaySlot, TemplateSlot)>,
 }
 
-/// The trajectory-path template: a [`ReplayProgram`] tape, recorded
-/// lazily on the first trajectory bind.
-pub type TrajectoryTemplate = Template<ReplayProgram>;
+/// The trajectory-path template: a [`hgp_sim::ReplayProgram`] tape,
+/// recorded lazily on the first trajectory bind.
+pub type TrajectoryTemplate = Template<TrajectoryKind>;
 
-/// The exact-path template: an [`ExactReplayProgram`] superoperator
-/// tape (fused diagonal runs, resolved dense conjugations, resolved
-/// channels), recorded lazily on the first exact bind.
-pub type ExactTemplate = Template<ExactReplayProgram>;
+/// The exact-path template: an [`hgp_sim::ExactReplayProgram`]
+/// superoperator tape (fused diagonal runs, resolved dense
+/// conjugations, resolved channels), recorded lazily on the first exact
+/// bind.
+pub type ExactTemplate = Template<ExactKind>;
 
-impl<T: Tape> Template<T> {
+impl<K: TapeKind> Template<K> {
     /// Records `reference` (the shape bound at an arbitrary reference
     /// point) through `exec`'s schedule walk, compiles the tape, and
     /// resolves each spec'd program op to its tape slot.
@@ -337,7 +308,7 @@ impl<T: Tape> Template<T> {
         specs: Vec<(usize, TemplateSlot)>,
     ) -> Self {
         let (recorded, positions) = record_positions(exec, reference);
-        let (tape, tape_slots) = T::compile_with_slots(&recorded);
+        let (tape, tape_slots) = Tape::compile_with_slots(&recorded);
         let slots = resolve_slots(&positions, &tape_slots, specs);
         Self { tape, slots }
     }
@@ -355,7 +326,7 @@ impl<T: Tape> Template<T> {
     /// Clones the shape-constant tape (channel tables are shared, not
     /// copied) and substitutes every parametric slot through `eval` —
     /// the whole per-dispatch cost of the template path.
-    pub(crate) fn bind_with(&self, mut eval: impl FnMut(&TemplateSlot) -> SlotValue) -> T {
+    pub(crate) fn bind_with(&self, mut eval: impl FnMut(&TemplateSlot) -> SlotValue) -> Tape<K> {
         let mut tape = self.tape.clone();
         for (slot, spec) in &self.slots {
             match eval(spec) {

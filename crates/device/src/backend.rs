@@ -4,14 +4,13 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::calibration::Calibration;
 use crate::coupling::CouplingMap;
 use crate::{DT_NS, PULSE_1Q_DT};
 
 /// Physics and error parameters of one qubit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QubitParams {
     /// Qubit transition frequency, GHz.
     pub frequency_ghz: f64,
@@ -42,7 +41,7 @@ pub struct QubitParams {
 }
 
 /// Physics and error parameters of one coupler (edge).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoQubitParams {
     /// CNOT gate error.
     pub cx_error: f64,
@@ -68,7 +67,7 @@ pub struct TwoQubitParams {
 /// let cx_dt = b.cx_duration_dt(0, 1);
 /// assert!(cx_dt > 500);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Backend {
     name: String,
     coupling: CouplingMap,

@@ -1,14 +1,12 @@
 //! Backend-level calibration summaries (the paper's Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// Backend-average calibration data, exactly as reported in Table I of the
 /// paper.
 ///
 /// The paper's table labels T1/T2 "ms"; the values (~100-170) are plainly
 /// microseconds for these Falcon processors, and are stored here as
 /// microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Average Pauli-X (single-qubit) gate error.
     pub x_error: f64,

@@ -1,7 +1,5 @@
 //! Qubit connectivity graphs (coupling maps).
 
-use serde::{Deserialize, Serialize};
-
 /// Undirected qubit connectivity with an all-pairs distance table.
 ///
 /// The distance table drives SABRE's heuristic cost; it is computed once
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!line.are_coupled(0, 3));
 /// assert_eq!(line.distance(0, 3), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CouplingMap {
     n_qubits: usize,
     edges: Vec<(usize, usize)>,

@@ -3,10 +3,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A weighted undirected edge `(u, v, w)` with `u < v`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Smaller endpoint.
     pub u: usize,
@@ -25,7 +23,7 @@ pub struct Edge {
 /// assert_eq!(g.n_edges(), 4);
 /// assert_eq!(g.degree(1), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     n_nodes: usize,
     edges: Vec<Edge>,

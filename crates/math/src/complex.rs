@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number with `f64` real and imaginary parts.
 ///
 /// ```
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(z.norm(), 5.0);
 /// assert_eq!(z.conj(), Complex64::new(3.0, -4.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::Complex64;
 
 /// A dense complex matrix stored in row-major order.
@@ -24,7 +22,7 @@ use crate::complex::Complex64;
 /// assert_eq!(&x * &x, id);
 /// assert!(x.is_unitary(1e-12));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

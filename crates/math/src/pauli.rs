@@ -6,13 +6,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::c64;
 use crate::matrix::Matrix;
 
 /// A single-qubit Pauli operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pauli {
     /// Identity.
     I,
@@ -101,7 +99,7 @@ pub fn sigma_z() -> Matrix {
 /// assert_eq!(m[(0, 0)].re, 1.0);
 /// assert_eq!(m[(1, 1)].re, -1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PauliString {
     n_qubits: usize,
     /// Non-identity factors, sorted by qubit index.
@@ -224,7 +222,7 @@ impl fmt::Display for PauliString {
 /// assert_eq!(h.eval_diagonal(0b01), 1.0); // cut edge
 /// assert_eq!(h.eval_diagonal(0b00), 0.0); // uncut edge
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PauliSum {
     terms: Vec<PauliString>,
 }

@@ -30,7 +30,6 @@ use hgp_device::{dt_to_us, Backend};
 use hgp_math::pauli::{sigma_x, sigma_y, sigma_z};
 use hgp_math::{c64, Matrix};
 use hgp_sim::trajectory::ChannelOp;
-use serde::{Deserialize, Serialize};
 
 use crate::channels;
 use crate::readout::{QubitReadout, ReadoutModel};
@@ -185,7 +184,7 @@ impl NoiseChannel {
 
 /// Decoherence and error parameters of one logical qubit (copied from
 /// the physical qubit its layout entry names).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QubitNoise {
     /// Relaxation time, microseconds.
     pub t1_us: f64,
@@ -198,7 +197,7 @@ pub struct QubitNoise {
 }
 
 /// Two-qubit parameters of one coupled logical pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairNoise {
     /// Depolarizing error per CX-equivalent.
     pub cx_error: f64,

@@ -7,13 +7,12 @@
 //! qubit-by-qubit in `O(n 2^n)`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hgp_device::Backend;
 use hgp_sim::Counts;
 
 /// Per-qubit readout confusion parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QubitReadout {
     /// Probability of reading 1 when the state was 0.
     pub p01: f64,
@@ -37,7 +36,7 @@ impl QubitReadout {
 /// // P(read 00 | true 00) = 0.81.
 /// assert!((observed[0] - 0.81).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadoutModel {
     qubits: Vec<QubitReadout>,
 }

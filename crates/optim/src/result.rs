@@ -1,9 +1,7 @@
 //! Optimization results.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a minimization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeResult {
     /// Best parameter vector found.
     pub x: Vec<f64>,

@@ -5,12 +5,10 @@
 //! and acquire channels exist so schedules can represent full programs and
 //! account for readout duration.
 
-use serde::{Deserialize, Serialize};
-
 /// A hardware channel that pulses are played on.
 ///
 /// Qubit indices are *physical* backend qubits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Channel {
     /// Single-qubit drive line (`D<q>`), the primary channel of a qubit.
     Drive(usize),

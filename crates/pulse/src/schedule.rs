@@ -1,12 +1,10 @@
 //! Pulse schedules: pulses played at start times on channels.
 
-use serde::{Deserialize, Serialize};
-
 use crate::channel::Channel;
 use crate::waveform::Waveform;
 
 /// The physical content of one played pulse.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PulseSpec {
     /// A resonant (or detuned) drive: envelope times amplitude, with a
     /// carrier phase and an optional frequency shift of the drive tone.
@@ -60,7 +58,7 @@ impl PulseSpec {
 }
 
 /// One pulse placed on a channel at an absolute start time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayedPulse {
     /// Channel the pulse plays on.
     pub channel: Channel,
@@ -93,7 +91,7 @@ impl PlayedPulse {
 /// );
 /// assert_eq!(sched.duration(), 160);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {
     items: Vec<PlayedPulse>,
 }

@@ -7,10 +7,8 @@
 //! should be multiples of 32 dt (enforced by [`Waveform::validate`], which
 //! the duration binary search relies on).
 
-use serde::{Deserialize, Serialize};
-
 /// A pulse envelope shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Waveform {
     /// Truncated Gaussian `exp(-(t - T/2)^2 / (2 sigma^2))`.
     Gaussian {

@@ -10,14 +10,10 @@
 //! used, whether the compiled program came from the cache, and the
 //! execution latency.
 //!
-//! All types serialize through [`crate::json`] (see the `JsonCodec`
-//! round-trip property suite) and derive the workspace's serde
-//! annotations, so swapping a real serde backend in later is a
-//! manifest-only change.
+//! All types serialize through [`crate::json`], the workspace's one
+//! codec (see the `JsonCodec` round-trip property suite).
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
 
 use hgp_circuit::Circuit;
 use hgp_core::compile::HybridShape;
@@ -30,7 +26,7 @@ use hgp_sim::Counts;
 /// stream: the default sampling seed is
 /// `hgp_sim::seed::stream_seed(base_seed, id)`, which is what makes any
 /// concurrent schedule bit-identical to sequential execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
@@ -48,9 +44,7 @@ impl std::fmt::Display for JobId {
 /// is a pure function of `(compiled shape, params, seed)`, all fixed at
 /// admission, the *results* are bit-identical under any priority mix;
 /// priority only decides who waits.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Latency-sensitive probes (an optimizer waiting on its objective).
     Interactive,
@@ -95,7 +89,7 @@ impl fmt::Display for Priority {
 /// job's seed. Contrast with [`JobError`]: an *admitted* job that fails
 /// validation or compilation still consumes its position and is
 /// answered through its result stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rejected {
     /// The bounded submission queue cannot take the group. Back off and
     /// resubmit; nothing was admitted (groups are all-or-nothing).
@@ -143,7 +137,7 @@ impl std::error::Error for Rejected {}
 /// and the same id/seed stream; they differ only in what the compile
 /// step produces (a routed wire circuit vs a hybrid gate-pulse
 /// artifact) and which [`JobSpec`]s apply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobProgram {
     /// A (possibly parametrized) logical circuit. Submit the
     /// *parametrized* circuit (not a pre-bound copy) so repeated shapes
@@ -188,7 +182,7 @@ impl JobProgram {
 }
 
 /// What a job computes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
     /// Ideal (noiseless) statevector simulation; returns the
     /// computational-basis probabilities in logical qubit order.
@@ -319,7 +313,7 @@ impl JobSpec {
 }
 
 /// One unit of work submitted to the service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// The program to execute (a circuit or a hybrid shape).
     pub program: JobProgram,
@@ -362,7 +356,7 @@ impl JobRequest {
 }
 
 /// The stage at which a job failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStage {
     /// Request validation (parameter counts, observable widths, shot
     /// counts, spec/program pairing) — before any execution.
@@ -390,7 +384,7 @@ impl fmt::Display for JobStage {
 /// id/seed stream advances exactly as if the job had succeeded — so a
 /// retried batch with the bad job fixed reproduces the good jobs bit
 /// for bit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
     /// Where the job failed.
     pub stage: JobStage,
@@ -433,7 +427,7 @@ impl fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// The computed payload of a finished job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobOutput {
     /// Ideal probabilities, logical qubit order.
     StateVector {
@@ -468,7 +462,7 @@ pub enum JobOutput {
 }
 
 /// A finished job: payload (or typed failure) plus provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
     /// The job's id (submission order).
     pub id: JobId,

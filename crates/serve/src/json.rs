@@ -1,12 +1,12 @@
 //! Canonical JSON serialization for the service's wire types.
 //!
-//! The workspace's `serde` is a vendored no-op facade (the build
-//! container has no registry access), so the serve layer ships its own
-//! self-contained JSON codec: a minimal [`Value`] model, a strict
-//! parser, and [`JsonCodec`] implementations for every public job and
-//! result type plus the simulator types they embed ([`Counts`],
-//! [`Circuit`], [`PauliSum`]). When the real serde comes back, these
-//! codecs define the wire format its derives must reproduce.
+//! The workspace has no serialization framework (it builds offline,
+//! with no registry access), so the serve layer ships its own
+//! self-contained JSON codec — the one codec in the workspace: a
+//! minimal [`Value`] model, a strict parser, and [`JsonCodec`]
+//! implementations for every public job and result type plus the
+//! simulator types they embed ([`Counts`], [`Circuit`], [`PauliSum`]).
+//! These codecs *are* the wire format.
 //!
 //! # Fidelity
 //!

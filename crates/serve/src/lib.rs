@@ -9,7 +9,7 @@
 //! re-allocates per call; this crate is the serving layer that
 //! amortizes all of that:
 //!
-//! - [`job`]: serde-annotated, JSON-serializable [`JobRequest`] /
+//! - [`job`]: JSON-serializable [`JobRequest`] /
 //!   [`JobResult`] types covering statevector, density-matrix,
 //!   sampled-counts, and expectation-value workloads, plus the
 //!   stochastic-trajectory pair [`JobSpec::TrajectoryCounts`] /
@@ -32,8 +32,8 @@
 //! - [`metrics`]: throughput/latency/cache accounting
 //!   ([`ServeMetrics`]) — uptime, per-stage latencies, the queue gauge
 //!   and per-priority admission counters,
-//! - [`json`]: the canonical wire format ([`json::JsonCodec`]),
-//!   self-contained because the vendored serde facade is a no-op,
+//! - [`json`]: the canonical wire format ([`json::JsonCodec`]), the
+//!   workspace's one serialization codec,
 //! - [`wire`]: the TCP front end — line-delimited JSON
 //!   [`WireRequest`] / [`WireResponse`] envelopes over a socket,
 //!   served by [`WireServer`] and spoken by [`WireClient`].

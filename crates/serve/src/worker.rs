@@ -375,9 +375,10 @@ fn execute_spec<P: ProfileSink>(
 /// matrix with resolved channels — no schedule walk, no Kraus
 /// re-embedding — pinned against the reference density walk
 /// (bit-identical on order-preserving ops, ≤ 1e-12 elementwise on
-/// resolved multi-Kraus channels; see `hgp_sim::replay::exact`). The
-/// trajectory kinds bind the replay tape ([`Compiled::bind_replay`]) and
-/// the replay engine runs the shots with zero per-shot allocation,
+/// resolved multi-Kraus channels; see
+/// `crates/sim/src/replay/exact.rs`). The trajectory kinds bind the
+/// replay tape ([`Compiled::bind_replay`]) and the replay engine runs
+/// the shots with zero per-shot allocation,
 /// bit-identical to the reference trajectory engine; trajectory `i`
 /// draws its randomness from stream position (job seed, `i`).
 fn execute_noisy<F: ProgramFamily, P: ProfileSink>(

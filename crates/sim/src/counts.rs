@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Histogram of measured bitstrings.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(counts.total(), 100);
 /// assert!((counts.frequency(0b11) - 0.6).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counts {
     n_qubits: usize,
     counts: BTreeMap<usize, u64>,

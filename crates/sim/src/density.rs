@@ -102,7 +102,7 @@ impl DensityMatrix {
 
     /// Assembles a state from split row-major planes, entry `(i, j)` at
     /// `re[i * dim + j]` / `im[i * dim + j]` — the exact replay tape's
-    /// layout ([`crate::replay::exact`]), joined once per replay.
+    /// layout (`replay/exact.rs`), joined once per replay.
     pub(crate) fn from_planes(n_qubits: usize, re: &[f64], im: &[f64]) -> Self {
         let dim = 1usize << n_qubits;
         assert!(re.len() == dim * dim && im.len() == dim * dim, "plane size");

@@ -30,12 +30,13 @@
 //! arenas swept op-major) — pinned **bit-identical** to the trajectory
 //! engine, which stays as the reference implementation, for every block
 //! size.
-//! The exact density path has the analogous layer ([`replay::exact`]):
-//! recorded programs compile into an [`ExactReplayProgram`]
-//! superoperator tape — fused diagonal-run sweeps, resolved dense
-//! conjugations, channels collapsed into superoperators or blockwise
-//! Kraus passes — replayed by [`ExactReplayEngine`] with the
-//! `apply_exact` walk kept as the pinned reference.
+//! The exact density path has the analogous layer, from the same
+//! compile front end ([`replay::Tape`]): recorded programs compile into
+//! an [`ExactReplayProgram`] superoperator tape — fused diagonal-run
+//! sweeps, resolved dense conjugations, channels collapsed into
+//! superoperators or blockwise Kraus passes — replayed by
+//! [`ExactReplayEngine`] with the `apply_exact` walk kept as the pinned
+//! reference.
 //!
 //! Measurement statistics come out as [`Counts`] — multisets of observed
 //! bitstrings — which downstream crates feed to error mitigation and cost
@@ -71,8 +72,7 @@ pub use density::DensityMatrix;
 // re-exported so engine callers name one crate for tape + sink.
 pub use hgp_obs::profile::{NoProfile, OpProfile, OpProfileSnapshot, ProfileSink, ReplayOpKind};
 pub use replay::{
-    ExactReplayEngine, ExactReplayProgram, ExactScratch, ReplayBatch, ReplayEngine, ReplayProgram,
-    ReplaySlot,
+    ExactReplayEngine, ExactReplayProgram, ReplayBatch, ReplayEngine, ReplayProgram, ReplaySlot,
 };
 pub use statevector::StateVector;
 pub use trajectory::{ChannelOp, TrajectoryEngine, TrajectoryOp, TrajectoryProgram};

@@ -29,6 +29,23 @@
 //! wider than two qubits fall back to the generic embed path, which no
 //! recorded schedule in this workspace produces).
 //!
+//! # One tape, two kinds
+//!
+//! The exact density-matrix walk compiles the same way into an
+//! [`ExactReplayProgram`] superoperator tape (fused elementwise
+//! diagonal-run sweeps, resolved dense conjugations, channels collapsed
+//! into superoperators or blockwise Kraus passes) that
+//! [`ExactReplayEngine`] replays without per-dispatch interpretation —
+//! pinned against the `apply_exact` walk, which stays the reference.
+//! Both are one [`Tape`] over a [`TapeKind`]: the front end — diagonal
+//! fusion, the [`ReplaySlot`] map schedule templates bind through, and
+//! slot substitution — is written once, and the kind
+//! ([`TrajectoryKind`], [`ExactKind`]) supplies only what differs: how a
+//! dense entry is built and re-bound, and how a channel compiles. The
+//! trajectory kind and its batched engine live in `replay/batch.rs`, the
+//! exact kind, its sweeps and their parity contract in
+//! `replay/exact.rs`.
+//!
 //! # Shot blocks
 //!
 //! The engine runs the tape *op-major*: a [`ReplayBatch`] holds a block
@@ -36,16 +53,15 @@
 //! every resident shot before the next is decoded, so each amplitude
 //! row's fixed cost (slicing, index surgery, shape branches) is paid
 //! once for `S` lanes of arithmetic. Blocks are therefore sized to fill
-//! the lanes, not to fit a cache: up to 64 shots within 32 MiB of arena
-//! ([`batch::default_block_size`]). [`ReplayEngine::shot_blocks`] is the
-//! partition — deterministic boundaries, independent of the worker
-//! count — and the blocks fan out over the shared rayon pool. The
-//! engine has one entry point per output shape: per-shot values
-//! ([`ReplayEngine::expectations`]), mean and standard error
-//! ([`ReplayEngine::expectation_with_error`]), and counts
-//! ([`ReplayEngine::sample_counts_with`]). Each takes a
-//! [`ProfileSink`]; [`crate::NoProfile`] compiles to the bare loop. See the
-//! [`batch`] module docs for the layout and divergence-masking design.
+//! the lanes, not to fit a cache: up to 64 shots within 32 MiB of arena.
+//! [`ReplayEngine::shot_blocks`] is the partition — deterministic
+//! boundaries, independent of the worker count — and the blocks fan out
+//! over the shared rayon pool. The engine has one entry point per output
+//! shape: per-shot values ([`ReplayEngine::expectations`]), mean and
+//! standard error ([`ReplayEngine::expectation_with_error`]), and counts
+//! ([`ReplayEngine::sample_counts_with`]). Each takes a [`ProfileSink`];
+//! [`crate::NoProfile`] compiles to the bare loop. `replay/batch.rs`'s
+//! module docs cover the layout and divergence-masking design.
 //!
 //! # The bit-parity contract
 //!
@@ -59,17 +75,6 @@
 //! `crates/sim/tests/replay_parity.rs` pin this across random programs,
 //! ensemble sizes, and block splits; the serve-layer suites pin it end
 //! to end.
-//!
-//! # Exact-path mode
-//!
-//! The same compile-once idea applies to the exact density-matrix walk:
-//! the [`exact`] submodule compiles a recorded program into an
-//! [`ExactReplayProgram`] superoperator tape (fused elementwise
-//! diagonal-run sweeps, resolved dense conjugations, channels collapsed
-//! into superoperators or blockwise Kraus passes) that
-//! [`ExactReplayEngine`] replays without per-dispatch interpretation —
-//! pinned against the `apply_exact` walk, which stays the reference.
-//! See the [`exact`] module docs for the parity contract.
 //!
 //! # Example
 //!
@@ -93,6 +98,7 @@
 //! assert_eq!(fast.to_bits(), reference.to_bits());
 //! ```
 
+use std::fmt::Debug;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -100,7 +106,7 @@ use rand::rngs::StdRng;
 use rayon::prelude::*;
 
 use hgp_math::pauli::PauliSum;
-use hgp_math::{Complex64, Matrix};
+use hgp_math::Matrix;
 use hgp_obs::profile::ProfileSink;
 
 use crate::counts::Counts;
@@ -108,18 +114,44 @@ use crate::kernels::DiagOp;
 use crate::seed::{mix64, stream_seed};
 use crate::trajectory::{ChannelOp, TrajectoryOp, TrajectoryProgram};
 
-pub mod batch;
-pub mod exact;
+mod batch;
+mod exact;
 pub(crate) mod lanes;
 
-pub use batch::ReplayBatch;
-pub use exact::{ExactReplayEngine, ExactReplayProgram, ExactScratch};
+pub use batch::{ReplayBatch, TrajectoryKind};
+pub use exact::{ExactKind, ExactReplayEngine};
 pub use lanes::lane_tier;
 
-/// One instruction of a compiled replay tape.
+/// What one engine's tape holds that the other's does not: its dense
+/// entry (a gate or fixed unitary with the matrix resolved at compile
+/// time) and its compiled channel. [`Tape`] owns everything else.
+/// Implemented by [`TrajectoryKind`] and [`ExactKind`].
+pub trait TapeKind {
+    /// A dense operator application.
+    type Dense: Clone + Debug;
+    /// A precompiled noise channel.
+    type Channel: Debug;
+
+    /// The entry applying `matrix` to `targets` (`targets[0]` = the
+    /// operator's most-significant bit).
+    fn dense(matrix: Matrix, targets: &[usize]) -> Self::Dense;
+
+    /// Re-binds `dense` to `matrix`; its targets, and everything
+    /// derived from them, are shape-constant and stay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimension disagrees with the recorded targets.
+    fn rebind(dense: &mut Self::Dense, matrix: &Matrix);
+
+    /// Compiles `channel` acting on `targets`.
+    fn channel(channel: &ChannelOp, targets: &[usize]) -> Self::Channel;
+}
+
+/// One instruction of a compiled tape.
 #[derive(Debug, Clone)]
-enum ReplayOp {
-    /// A fused run of consecutive diagonal gates: one blocked sweep over
+enum TapeOp<D> {
+    /// A fused run of consecutive diagonal gates: one sweep over
     /// `diag[start..start + len]`.
     DiagRun {
         /// First op in the diagonal arena.
@@ -127,202 +159,10 @@ enum ReplayOp {
         /// Run length.
         len: usize,
     },
-    /// A dense operator application with its matrix resolved at compile
-    /// time (dense gates, pulse-backed unitaries, frame drift). The
-    /// matrix sits behind an [`Arc`] so template binds — which clone the
-    /// tape and substitute only parametric slots — share the
-    /// shape-constant matrices instead of deep-copying them.
-    Apply {
-        /// Targets, `targets[0]` = most-significant operator bit.
-        targets: Vec<usize>,
-        /// The resolved matrix.
-        matrix: Arc<Matrix>,
-    },
+    /// A dense operator application.
+    Apply(D),
     /// A precompiled noise channel (index into the channel table).
     Channel(usize),
-}
-
-/// How one branch of a mixed-unitary channel is applied.
-#[derive(Debug, Clone)]
-enum BranchApply {
-    /// Exact-identity branch: a no-op (the dominant case for weak
-    /// depolarizing noise).
-    Identity,
-    /// A branch unitary, applied through the dense kernels.
-    Apply(Matrix),
-}
-
-/// A mixed-unitary channel with its cumulative branch distribution
-/// resolved once at compile time.
-#[derive(Debug, Clone)]
-struct MixedChannel {
-    targets: Vec<usize>,
-    /// Running sums of the branch probabilities, accumulated in the
-    /// exact order [`ChannelOp::apply_sampled`]'s walk accumulates them
-    /// — the comparisons (and therefore the picks) are bit-identical.
-    cum: Vec<f64>,
-    branches: Vec<BranchApply>,
-}
-
-/// The weight rows of a single-qubit general channel, with their row
-/// pattern resolved when the tape is compiled: the weight scan
-/// instantiates one kernel body per pattern, so the recorded shape pays
-/// no per-operator dispatch in its lane loop.
-#[derive(Debug, Clone)]
-enum Rows1q {
-    /// `hgp_noise::channels::thermal_relaxation`'s compose order (the
-    /// only general channel a backend's noise model records): rows
-    /// `[Lo·Hi, Hi·Zero, Zero·Hi, Zero·Zero]` with real coefficients
-    /// `[K0[0][0], K0[1][1], K1[0][1], K2[1][1]]`. Only the structural
-    /// zeros (and the coefficients' zero imaginary parts) are checked; a
-    /// coefficient may itself be zero (`lambda = 0` zeroes `K2`). Every
-    /// term the pattern keeps beyond the operator's own non-zero entries
-    /// — a zero coefficient's product, a `0.0 * im` product — is a
-    /// `±0.0` that squaring erases, so the weights are the bits the
-    /// reference's dense chain gives.
-    Thermal([f64; 4]),
-    /// Any other shape: per Kraus operator, `[K[0][0], K[0][1], K[1][0],
-    /// K[1][1]]`, each row swept as the reference's dense two-term
-    /// chain.
-    Dense(Vec<[Complex64; 4]>),
-}
-
-impl Rows1q {
-    fn classify(kraus: &[Matrix]) -> Self {
-        // Entries (row, col) that may be non-zero (and must be real),
-        // per operator.
-        const THERMAL: [&[(usize, usize)]; 4] = [&[(0, 0), (1, 1)], &[(0, 1)], &[(1, 1)], &[]];
-        let thermal = kraus.len() == 4
-            && kraus.iter().zip(THERMAL).all(|(k, free)| {
-                (0..2).all(|r| {
-                    (0..2).all(|c| {
-                        let e = k[(r, c)];
-                        e.im == 0.0 && (e.re == 0.0 || free.contains(&(r, c)))
-                    })
-                })
-            });
-        if thermal {
-            return Rows1q::Thermal([
-                kraus[0][(0, 0)].re,
-                kraus[0][(1, 1)].re,
-                kraus[1][(0, 1)].re,
-                kraus[2][(1, 1)].re,
-            ]);
-        }
-        Rows1q::Dense(
-            kraus
-                .iter()
-                .map(|k| [k[(0, 0)], k[(0, 1)], k[(1, 0)], k[(1, 1)]])
-                .collect(),
-        )
-    }
-}
-
-/// The branch-weight sweep of a general channel.
-#[derive(Debug, Clone)]
-enum WeightScan {
-    /// Strided single-qubit kernel: direct pair enumeration with the
-    /// operators' rows pattern-resolved at compile time, replacing the
-    /// generic scan's per-base index construction. Same pairs in the
-    /// same order, bit-identical totals.
-    One { target: usize, rows: Rows1q },
-    /// The generic block scan with masks and block offsets precomputed
-    /// (multi-qubit channels; rare).
-    Generic {
-        all_mask: usize,
-        /// Block offsets in `branch_weight`'s MSB-first order.
-        offs: Vec<usize>,
-    },
-}
-
-/// A general (state-dependent-branch) channel in replay form.
-#[derive(Debug, Clone)]
-struct GeneralChannel {
-    targets: Vec<usize>,
-    kraus: Vec<Matrix>,
-    scan: WeightScan,
-    /// Skip branch-0 application + renormalization (`K_0` is a scalar
-    /// multiple of the identity; see [`ChannelOp::skips_identity_k0`]).
-    k0_identity: bool,
-}
-
-/// A precompiled channel of either sampling family.
-#[derive(Debug, Clone)]
-enum CompiledChannel {
-    Mixed(MixedChannel),
-    General(GeneralChannel),
-}
-
-impl CompiledChannel {
-    fn compile(channel: &ChannelOp, targets: &[usize]) -> Self {
-        if let Some(mix) = channel.mixed_parts() {
-            let mut acc = 0.0;
-            let cum = mix
-                .probs
-                .iter()
-                .map(|&p| {
-                    acc += p;
-                    acc
-                })
-                .collect();
-            let branches = mix
-                .unitaries
-                .iter()
-                .zip(mix.identity.iter())
-                .map(|(u, &id)| {
-                    if id {
-                        BranchApply::Identity
-                    } else {
-                        BranchApply::Apply(u.clone())
-                    }
-                })
-                .collect();
-            return CompiledChannel::Mixed(MixedChannel {
-                targets: targets.to_vec(),
-                cum,
-                branches,
-            });
-        }
-        let kraus = channel.kraus().to_vec();
-        let scan = if targets.len() == 1 {
-            WeightScan::One {
-                target: targets[0],
-                rows: Rows1q::classify(&kraus),
-            }
-        } else {
-            // `branch_weight`'s MSB-first block offsets, built once: the
-            // offset of block slot `r` sets mask `pos` exactly when bit
-            // `k - 1 - pos` of `r` is set.
-            let k = targets.len();
-            let masks: Vec<usize> = targets.iter().map(|&t| 1usize << t).collect();
-            let all_mask: usize = masks.iter().sum();
-            let offs = (0..1usize << k)
-                .map(|r| {
-                    let mut off = 0usize;
-                    for (pos, &m) in masks.iter().enumerate() {
-                        if (r >> (k - 1 - pos)) & 1 == 1 {
-                            off |= m;
-                        }
-                    }
-                    off
-                })
-                .collect();
-            WeightScan::Generic { all_mask, offs }
-        };
-        CompiledChannel::General(GeneralChannel {
-            targets: targets.to_vec(),
-            kraus,
-            scan,
-            k0_identity: channel.skips_identity_k0(),
-        })
-    }
-
-    fn n_branches(&self) -> usize {
-        match self {
-            CompiledChannel::Mixed(m) => m.cum.len(),
-            CompiledChannel::General(g) => g.kraus.len(),
-        }
-    }
 }
 
 /// Where a trajectory op landed in the compiled tape — the handle
@@ -332,56 +172,76 @@ impl CompiledChannel {
 pub enum ReplaySlot {
     /// An entry of the fused diagonal arena.
     Diag(usize),
-    /// A dense `ReplayOp::Apply` entry.
+    /// A dense entry of the tape.
     Op(usize),
     /// A precompiled channel (not substitutable — channel structure is
     /// shape-constant).
     Channel(usize),
 }
 
-/// A flat, precompiled trajectory tape. See the module docs.
-#[derive(Debug, Clone)]
-pub struct ReplayProgram {
+/// A flat, precompiled tape of a recorded [`TrajectoryProgram`], for
+/// the engine of kind `K`. See the module docs.
+#[derive(Debug)]
+pub struct Tape<K: TapeKind> {
     n_qubits: usize,
-    ops: Vec<ReplayOp>,
-    /// Arena of fused diagonal ops, referenced by [`ReplayOp::DiagRun`].
+    ops: Vec<TapeOp<K::Dense>>,
+    /// Arena of fused diagonal ops, referenced by `TapeOp::DiagRun`.
     diag: Vec<DiagOp>,
-    /// Channel tables, shared (never parametric) across template binds.
-    channels: Arc<Vec<CompiledChannel>>,
-    /// Largest branch count of any channel — sizes the weight scratch.
-    max_branches: usize,
+    /// Compiled channels, shared (never parametric) across template
+    /// binds, which clone the tape and substitute only its parametric
+    /// slots.
+    channels: Arc<Vec<K::Channel>>,
 }
 
-impl ReplayProgram {
-    /// Compiles a recorded trajectory program into a replay tape.
+impl<K: TapeKind> Clone for Tape<K> {
+    /// Copies the ops and the diagonal arena; the channel table is
+    /// shared.
+    fn clone(&self) -> Self {
+        Self {
+            n_qubits: self.n_qubits,
+            ops: self.ops.clone(),
+            diag: self.diag.clone(),
+            channels: Arc::clone(&self.channels),
+        }
+    }
+}
+
+/// The trajectory tape [`ReplayEngine`] runs.
+pub type ReplayProgram = Tape<TrajectoryKind>;
+
+/// The superoperator tape [`ExactReplayEngine`] runs.
+pub type ExactReplayProgram = Tape<ExactKind>;
+
+impl<K: TapeKind> Tape<K> {
+    /// Compiles a recorded trajectory program into a tape.
     pub fn compile(program: &TrajectoryProgram) -> Self {
         Self::compile_with_slots(program).0
     }
 
-    /// [`ReplayProgram::compile`] returning, for each trajectory op, the
-    /// tape slot it compiled into (in trajectory-op order) — the
+    /// [`Tape::compile`] returning, for each trajectory op, the tape
+    /// slot it compiled into (in trajectory-op order) — the
     /// substitution map schedule templates are built from.
     pub fn compile_with_slots(program: &TrajectoryProgram) -> (Self, Vec<ReplaySlot>) {
-        let mut ops: Vec<ReplayOp> = Vec::new();
+        let mut ops = Vec::new();
         let mut diag: Vec<DiagOp> = Vec::new();
-        let mut channels: Vec<CompiledChannel> = Vec::new();
+        let mut channels = Vec::new();
         let mut slots: Vec<ReplaySlot> = Vec::with_capacity(program.ops().len());
         let mut run_open = false;
         for op in program.ops() {
             match op {
                 TrajectoryOp::Gate { gate, qubits } => {
-                    // Mirror StateVector::apply_gate's dispatch rule:
-                    // diagonal gates take the phase-only path, everything
-                    // else the dense kernels.
+                    // Mirror the backends' `apply_gate` dispatch rule:
+                    // diagonal gates take the phase-only path,
+                    // everything else the dense kernels.
                     if let Some(d) = DiagOp::from_gate(gate, qubits) {
                         slots.push(ReplaySlot::Diag(diag.len()));
                         if run_open {
                             match ops.last_mut() {
-                                Some(ReplayOp::DiagRun { len, .. }) => *len += 1,
+                                Some(TapeOp::DiagRun { len, .. }) => *len += 1,
                                 _ => unreachable!("open run is the last op"),
                             }
                         } else {
-                            ops.push(ReplayOp::DiagRun {
+                            ops.push(TapeOp::DiagRun {
                                 start: diag.len(),
                                 len: 1,
                             });
@@ -392,35 +252,28 @@ impl ReplayProgram {
                     }
                     run_open = false;
                     slots.push(ReplaySlot::Op(ops.len()));
-                    ops.push(ReplayOp::Apply {
-                        targets: qubits.clone(),
-                        matrix: Arc::new(gate.matrix().expect("trajectory programs are bound")),
-                    });
+                    let matrix = gate.matrix().expect("trajectory programs are bound");
+                    ops.push(TapeOp::Apply(K::dense(matrix, qubits)));
                 }
                 TrajectoryOp::Unitary { matrix, targets } => {
                     run_open = false;
                     slots.push(ReplaySlot::Op(ops.len()));
-                    ops.push(ReplayOp::Apply {
-                        targets: targets.clone(),
-                        matrix: Arc::new(matrix.clone()),
-                    });
+                    ops.push(TapeOp::Apply(K::dense(matrix.clone(), targets)));
                 }
                 TrajectoryOp::Channel { channel, targets } => {
                     run_open = false;
                     slots.push(ReplaySlot::Channel(channels.len()));
-                    ops.push(ReplayOp::Channel(channels.len()));
-                    channels.push(CompiledChannel::compile(channel, targets));
+                    ops.push(TapeOp::Channel(channels.len()));
+                    channels.push(K::channel(channel, targets));
                 }
             }
         }
-        let max_branches = channels.iter().map(CompiledChannel::n_branches).max();
         (
             Self {
                 n_qubits: program.n_qubits(),
                 ops,
                 diag,
                 channels: Arc::new(channels),
-                max_branches: max_branches.unwrap_or(0),
             },
             slots,
         )
@@ -471,10 +324,7 @@ impl ReplayProgram {
     pub fn substitute_unitary(&mut self, slot: ReplaySlot, m: &Matrix) {
         match slot {
             ReplaySlot::Op(i) => match &mut self.ops[i] {
-                ReplayOp::Apply { targets, matrix } => {
-                    assert_eq!(m.rows(), 1 << targets.len(), "dimension mismatch");
-                    *matrix = Arc::new(m.clone());
-                }
+                TapeOp::Apply(dense) => K::rebind(dense, m),
                 other => panic!("slot points at {other:?}, not a dense op"),
             },
             other => panic!("slot {other:?} is not a dense op"),
@@ -528,9 +378,9 @@ impl ReplayEngine {
     }
 
     /// The shot-block size the engine will use for `program`: the
-    /// [`ReplayEngine::with_block_size`] override if set, otherwise
-    /// [`batch::default_block_size`] (up to 64 shots within 32 MiB of
-    /// arena), never more than the ensemble.
+    /// [`ReplayEngine::with_block_size`] override if set, otherwise the
+    /// width's default (up to 64 shots within 32 MiB of arena), never
+    /// more than the ensemble.
     pub fn block_size_for(&self, program: &ReplayProgram) -> usize {
         self.block_size
             .unwrap_or_else(|| batch::default_block_size(program.n_qubits()))
@@ -694,11 +544,12 @@ impl ReplayEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::batch::Rows1q;
     use super::*;
     use crate::trajectory::TrajectoryEngine;
     use hgp_circuit::{Gate, Param};
-    use hgp_math::c64;
     use hgp_math::pauli::{sigma_x, sigma_y, sigma_z, Pauli, PauliString, PauliSum};
+    use hgp_math::{c64, Complex64};
     use hgp_obs::profile::NoProfile;
     use rand::Rng;
 

@@ -108,6 +108,8 @@
 //! `crates/sim/tests/replay_parity.rs` pin the whole surface against
 //! [`crate::TrajectoryEngine`] across block sizes, splits, and seeds.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,12 +119,236 @@ use hgp_obs::profile::{timed, ProfileSink, ReplayOpKind};
 
 use crate::kernels::DiagOp;
 use crate::statevector::StateVector;
+use crate::trajectory::ChannelOp;
 
 use super::lanes::{kernel, lane_isa, lane_tiers, Lanes};
-use super::{
-    BranchApply, CompiledChannel, GeneralChannel, MixedChannel, ReplayOp, ReplayProgram, Rows1q,
-    WeightScan,
-};
+use super::{ReplayProgram, TapeKind, TapeOp};
+
+/// The trajectory tape's kind: dense entries keep their targets and
+/// matrix, and channels compile into sampling tables.
+#[derive(Debug, Clone, Copy)]
+pub struct TrajectoryKind;
+
+/// A dense operator application with its matrix resolved at compile
+/// time (dense gates, pulse-backed unitaries, frame drift). The matrix
+/// sits behind an [`Arc`] so template binds — which clone the tape and
+/// substitute only parametric slots — share the shape-constant
+/// matrices instead of deep-copying them.
+#[derive(Debug, Clone)]
+pub struct DenseApply {
+    /// Targets, `targets[0]` = most-significant operator bit.
+    targets: Vec<usize>,
+    /// The resolved matrix.
+    matrix: Arc<Matrix>,
+}
+
+impl TapeKind for TrajectoryKind {
+    type Dense = DenseApply;
+    type Channel = CompiledChannel;
+
+    fn dense(matrix: Matrix, targets: &[usize]) -> DenseApply {
+        DenseApply {
+            targets: targets.to_vec(),
+            matrix: Arc::new(matrix),
+        }
+    }
+
+    fn rebind(dense: &mut DenseApply, matrix: &Matrix) {
+        assert_eq!(
+            matrix.rows(),
+            1 << dense.targets.len(),
+            "dimension mismatch"
+        );
+        dense.matrix = Arc::new(matrix.clone());
+    }
+
+    fn channel(channel: &ChannelOp, targets: &[usize]) -> CompiledChannel {
+        CompiledChannel::compile(channel, targets)
+    }
+}
+
+/// How one branch of a mixed-unitary channel is applied.
+#[derive(Debug, Clone)]
+enum BranchApply {
+    /// Exact-identity branch: a no-op (the dominant case for weak
+    /// depolarizing noise).
+    Identity,
+    /// A branch unitary, applied through the dense kernels.
+    Apply(Matrix),
+}
+
+/// A mixed-unitary channel with its cumulative branch distribution
+/// resolved once at compile time.
+#[derive(Debug, Clone)]
+pub struct MixedChannel {
+    targets: Vec<usize>,
+    /// Running sums of the branch probabilities, accumulated in the
+    /// exact order [`ChannelOp::apply_sampled`]'s walk accumulates them
+    /// — the comparisons (and therefore the picks) are bit-identical.
+    cum: Vec<f64>,
+    branches: Vec<BranchApply>,
+}
+
+/// The weight rows of a single-qubit general channel, with their row
+/// pattern resolved when the tape is compiled: the weight scan
+/// instantiates one kernel body per pattern, so the recorded shape pays
+/// no per-operator dispatch in its lane loop.
+#[derive(Debug, Clone)]
+pub(super) enum Rows1q {
+    /// `hgp_noise::channels::thermal_relaxation`'s compose order (the
+    /// only general channel a backend's noise model records): rows
+    /// `[Lo·Hi, Hi·Zero, Zero·Hi, Zero·Zero]` with real coefficients
+    /// `[K0[0][0], K0[1][1], K1[0][1], K2[1][1]]`. Only the structural
+    /// zeros (and the coefficients' zero imaginary parts) are checked; a
+    /// coefficient may itself be zero (`lambda = 0` zeroes `K2`). Every
+    /// term the pattern keeps beyond the operator's own non-zero entries
+    /// — a zero coefficient's product, a `0.0 * im` product — is a
+    /// `±0.0` that squaring erases, so the weights are the bits the
+    /// reference's dense chain gives.
+    Thermal([f64; 4]),
+    /// Any other shape: per Kraus operator, `[K[0][0], K[0][1], K[1][0],
+    /// K[1][1]]`, each row swept as the reference's dense two-term
+    /// chain.
+    Dense(Vec<[Complex64; 4]>),
+}
+
+impl Rows1q {
+    pub(super) fn classify(kraus: &[Matrix]) -> Self {
+        // Entries (row, col) that may be non-zero (and must be real),
+        // per operator.
+        const THERMAL: [&[(usize, usize)]; 4] = [&[(0, 0), (1, 1)], &[(0, 1)], &[(1, 1)], &[]];
+        let thermal = kraus.len() == 4
+            && kraus.iter().zip(THERMAL).all(|(k, free)| {
+                (0..2).all(|r| {
+                    (0..2).all(|c| {
+                        let e = k[(r, c)];
+                        e.im == 0.0 && (e.re == 0.0 || free.contains(&(r, c)))
+                    })
+                })
+            });
+        if thermal {
+            return Rows1q::Thermal([
+                kraus[0][(0, 0)].re,
+                kraus[0][(1, 1)].re,
+                kraus[1][(0, 1)].re,
+                kraus[2][(1, 1)].re,
+            ]);
+        }
+        Rows1q::Dense(
+            kraus
+                .iter()
+                .map(|k| [k[(0, 0)], k[(0, 1)], k[(1, 0)], k[(1, 1)]])
+                .collect(),
+        )
+    }
+}
+
+/// The branch-weight sweep of a general channel.
+#[derive(Debug, Clone)]
+enum WeightScan {
+    /// Strided single-qubit kernel: direct pair enumeration with the
+    /// operators' rows pattern-resolved at compile time, replacing the
+    /// generic scan's per-base index construction. Same pairs in the
+    /// same order, bit-identical totals.
+    One { target: usize, rows: Rows1q },
+    /// The generic block scan with masks and block offsets precomputed
+    /// (multi-qubit channels; rare).
+    Generic {
+        all_mask: usize,
+        /// Block offsets in `branch_weight`'s MSB-first order.
+        offs: Vec<usize>,
+    },
+}
+
+/// A general (state-dependent-branch) channel in replay form.
+#[derive(Debug, Clone)]
+pub struct GeneralChannel {
+    targets: Vec<usize>,
+    kraus: Vec<Matrix>,
+    scan: WeightScan,
+    /// Skip branch-0 application + renormalization (`K_0` is a scalar
+    /// multiple of the identity; see [`ChannelOp::skips_identity_k0`]).
+    k0_identity: bool,
+}
+
+/// A precompiled channel of either sampling family.
+#[derive(Debug, Clone)]
+pub enum CompiledChannel {
+    Mixed(MixedChannel),
+    General(GeneralChannel),
+}
+
+impl CompiledChannel {
+    fn compile(channel: &ChannelOp, targets: &[usize]) -> Self {
+        if let Some(mix) = channel.mixed_parts() {
+            let mut acc = 0.0;
+            let cum = mix
+                .probs
+                .iter()
+                .map(|&p| {
+                    acc += p;
+                    acc
+                })
+                .collect();
+            let branches = mix
+                .unitaries
+                .iter()
+                .zip(mix.identity.iter())
+                .map(|(u, &id)| {
+                    if id {
+                        BranchApply::Identity
+                    } else {
+                        BranchApply::Apply(u.clone())
+                    }
+                })
+                .collect();
+            return CompiledChannel::Mixed(MixedChannel {
+                targets: targets.to_vec(),
+                cum,
+                branches,
+            });
+        }
+        let kraus = channel.kraus().to_vec();
+        let scan = if targets.len() == 1 {
+            WeightScan::One {
+                target: targets[0],
+                rows: Rows1q::classify(&kraus),
+            }
+        } else {
+            // `branch_weight`'s MSB-first block offsets, built once: the
+            // offset of block slot `r` sets mask `pos` exactly when bit
+            // `k - 1 - pos` of `r` is set.
+            let k = targets.len();
+            let masks: Vec<usize> = targets.iter().map(|&t| 1usize << t).collect();
+            let all_mask: usize = masks.iter().sum();
+            let offs = (0..1usize << k)
+                .map(|r| {
+                    let mut off = 0usize;
+                    for (pos, &m) in masks.iter().enumerate() {
+                        if (r >> (k - 1 - pos)) & 1 == 1 {
+                            off |= m;
+                        }
+                    }
+                    off
+                })
+                .collect();
+            WeightScan::Generic { all_mask, offs }
+        };
+        CompiledChannel::General(GeneralChannel {
+            targets: targets.to_vec(),
+            kraus,
+            scan,
+            k0_identity: channel.skips_identity_k0(),
+        })
+    }
+
+    fn n_branches(&self) -> usize {
+        match self {
+            CompiledChannel::Mixed(m) => m.cum.len(),
+            CompiledChannel::General(g) => g.kraus.len(),
+        }
+    }
+}
 
 /// Full-block kernel bodies: each sweeps one op over every resident
 /// shot of the arena. Bodies are `#[inline(always)]` so the
@@ -979,13 +1205,15 @@ impl ReplayBatch {
         assert!(n_shots > 0, "need at least one resident shot");
         let n_qubits = program.n_qubits();
         let dim = 1usize << n_qubits;
+        let max_branches = program.channels.iter().map(CompiledChannel::n_branches);
+        let max_branches = max_branches.max().unwrap_or(0);
         Self {
             n_qubits,
             n_shots,
             re: vec![0.0; dim * n_shots],
             im: vec![0.0; dim * n_shots],
             rngs: Vec::with_capacity(n_shots),
-            weights: vec![0.0; program.max_branches * n_shots],
+            weights: vec![0.0; max_branches * n_shots],
             norms: vec![0.0; n_shots],
             picks: vec![0; n_shots],
             coef_re: vec![0.0; 4 * n_shots],
@@ -1049,7 +1277,7 @@ impl ReplayBatch {
         self.reset_zero();
         for op in &program.ops {
             match op {
-                ReplayOp::DiagRun { start, len } => timed(sink, ReplayOpKind::DiagRun, || {
+                TapeOp::DiagRun { start, len } => timed(sink, ReplayOpKind::DiagRun, || {
                     let ops = &program.diag[*start..*start + *len];
                     let lanes = self.lanes;
                     let s_n = self.n_shots;
@@ -1064,7 +1292,7 @@ impl ReplayBatch {
                     let inv = pending.then_some(&inv[..]);
                     kernel!(lanes, diag_run(re, im, s_n, ops, factors, inv));
                 }),
-                ReplayOp::Apply { targets, matrix } => {
+                TapeOp::Apply(DenseApply { targets, matrix }) => {
                     let kind = if targets.len() == 1 {
                         ReplayOpKind::Dense1q
                     } else {
@@ -1072,7 +1300,7 @@ impl ReplayBatch {
                     };
                     timed(sink, kind, || self.apply_dense_fused(matrix, targets))
                 }
-                ReplayOp::Channel(c) => match &program.channels[*c] {
+                TapeOp::Channel(c) => match &program.channels[*c] {
                     CompiledChannel::Mixed(mix) => {
                         timed(sink, ReplayOpKind::MixedChannel, || self.apply_mixed(mix))
                     }

@@ -8,8 +8,9 @@
 //! [`DensityMatrix::apply_kraus`] clones the full `rho` and performs two
 //! embedded multiplies per Kraus operator, every time it fires.
 //!
-//! [`ExactReplayProgram`] compiles the recording once into a flat
-//! superoperator tape, mirroring what [`super::ReplayProgram`] does for
+//! [`ExactReplayProgram`] — the shared [`super::Tape`] front end over
+//! this module's [`ExactKind`] — compiles the recording once into a flat
+//! superoperator tape, as [`super::ReplayProgram`] does for
 //! trajectories:
 //!
 //! - maximal runs of consecutive diagonal gates fuse into a single
@@ -30,10 +31,9 @@
 //!   but work blockwise — `sum_k K B K†` per index block — in one pass
 //!   over `rho` with no `dim²` clones,
 //!
-//! and [`ExactReplayEngine`] replays the tape over a reusable
-//! [`ExactScratch`] arena, fanning row chunks out across rayon workers
-//! once the matrix is large enough ([`kernels::PAR_QUBIT_THRESHOLD`]
-//! total entries).
+//! and [`ExactReplayEngine`] replays the tape over its reusable arena,
+//! fanning row chunks out across rayon workers once the matrix is large
+//! enough ([`kernels::PAR_QUBIT_THRESHOLD`] total entries).
 //!
 //! # Layout: split planes
 //!
@@ -68,10 +68,10 @@
 //! [`Complex64::mul_add`]; rustc never contracts them into FMAs, so a
 //! lane of any width computes the same IEEE operations as the scalar
 //! code, and every lane tier produces the same bits. The
-//! [`DensityMatrix`] that [`ExactReplayEngine::run`] and
-//! [`ExactReplayEngine::evolve`] return is joined from the planes once,
-//! at the end of a replay; [`ExactReplayEngine::run_probabilities`]
-//! skips that and reads the diagonal straight from the real plane.
+//! [`DensityMatrix`] that [`ExactReplayEngine::run`] returns is joined
+//! from the planes once, at the end of a replay;
+//! [`ExactReplayEngine::run_probabilities`] skips that and reads the
+//! diagonal straight from the real plane.
 //!
 //! # Arity-specialized sweeps
 //!
@@ -144,17 +144,20 @@
 //!
 //! ```
 //! use hgp_circuit::Gate;
-//! use hgp_sim::{DensityMatrix, ExactReplayEngine, ExactReplayProgram, TrajectoryProgram};
+//! use hgp_sim::{
+//!     DensityMatrix, ExactReplayEngine, ExactReplayProgram, NoProfile, TrajectoryProgram,
+//! };
 //!
 //! let mut program = TrajectoryProgram::new(2);
 //! program.push_gate(Gate::H, &[0]);
 //! program.push_gate(Gate::CX, &[0, 1]);
 //! let tape = ExactReplayProgram::compile(&program);
-//! let rho = ExactReplayEngine::evolve(&tape);
+//! let mut engine = ExactReplayEngine::for_program(&tape);
+//! let rho = engine.run(&tape, &NoProfile);
 //!
 //! let mut reference = DensityMatrix::zero_state(2);
 //! program.apply_exact(&mut reference);
-//! assert_eq!(rho, reference); // unitary-only tape: bit-identical
+//! assert_eq!(*rho, reference); // unitary-only tape: bit-identical
 //! ```
 
 use std::sync::Arc;
@@ -162,14 +165,14 @@ use std::sync::Arc;
 use rayon::prelude::*;
 
 use hgp_math::{Complex64, Matrix};
-use hgp_obs::profile::{timed, NoProfile, ProfileSink, ReplayOpKind};
+use hgp_obs::profile::{timed, ProfileSink, ReplayOpKind};
 
 use crate::density::DensityMatrix;
 use crate::kernels::{self, DiagOp};
-use crate::trajectory::{ChannelOp, TrajectoryOp, TrajectoryProgram};
+use crate::trajectory::ChannelOp;
 
 use super::lanes::{kernel, lane_isa, lane_tiers, Lanes};
-use super::ReplaySlot;
+use super::{ExactReplayProgram, TapeKind, TapeOp};
 
 /// Minimum rows per parallel chunk (widened to each op's alignment).
 const PAR_CHUNK_ROWS: usize = 64;
@@ -680,7 +683,7 @@ fn store(re: &mut [f64], im: &mut [f64], at: usize, z: Complex64) {
 /// matrix, target bit mask, and the `2^k` block row offsets that
 /// `DensityMatrix::apply_left`/`apply_right_dagger` re-derive per call.
 #[derive(Debug, Clone)]
-struct DenseOp {
+pub struct DenseOp {
     /// The resolved operator (`2^k` square). Behind an [`Arc`] so
     /// template binds — which clone the tape and substitute only
     /// parametric slots — share shape-constant matrices.
@@ -825,7 +828,7 @@ const SUPEROP_MAX_TARGETS: usize = 2;
 /// folds them with `mul_add` starting from `ZERO` — the chain a sparse
 /// row-by-row sweep evaluates.
 #[derive(Debug, Clone, Copy)]
-struct Chain<const N: usize> {
+pub struct Chain<const N: usize> {
     len: usize,
     /// Input entry `r * block + c` of each term.
     idx: [u8; N],
@@ -877,7 +880,7 @@ impl<const N: usize> Chain<N> {
 /// per-Kraus arithmetic at all. Each arity has its own lane-group
 /// sweep.
 #[derive(Debug, Clone)]
-enum SuperOp {
+pub enum SuperOp {
     /// One target `bit`: 2×2 blocks `(i | a·bit, j | b·bit)`.
     OneQubit {
         bit: usize,
@@ -973,7 +976,7 @@ fn resolve_superop(kraus: &[Matrix], block: usize) -> Vec<Complex64> {
 /// Scalar over the planes: no recorded schedule in this workspace
 /// produces a channel this wide.
 #[derive(Debug, Clone)]
-struct KrausBlocks {
+pub struct KrausBlocks {
     kraus: Vec<Matrix>,
     all_mask: usize,
     offs: Vec<usize>,
@@ -1047,7 +1050,7 @@ impl KrausBlocks {
 /// A noise channel resolved into its cheapest exact form at compile
 /// time.
 #[derive(Debug, Clone)]
-enum ExactChannel {
+pub enum ExactChannel {
     /// Single-Kraus channel: applied in place like a unitary — no
     /// clone, no accumulator.
     Unitary(DenseOp),
@@ -1097,228 +1100,26 @@ impl ExactChannel {
     }
 }
 
-/// One instruction of a compiled exact tape.
-#[derive(Debug, Clone)]
-enum ExactOp {
-    /// A fused run of consecutive diagonal gates: one elementwise sweep
-    /// over `diag[start..start + len]`.
-    DiagRun { start: usize, len: usize },
-    /// A dense operator conjugation `rho -> M rho M†`.
-    Apply(DenseOp),
-    /// A precompiled channel.
-    Channel(usize),
-}
+/// The exact tape's kind: dense entries carry their precomputed block
+/// offsets, and channels resolve into their cheapest exact form.
+#[derive(Debug, Clone, Copy)]
+pub struct ExactKind;
 
-/// A flat, precompiled superoperator tape for the exact density-matrix
-/// path. See the module docs.
-#[derive(Debug, Clone)]
-pub struct ExactReplayProgram {
-    n_qubits: usize,
-    ops: Vec<ExactOp>,
-    /// Arena of fused diagonal ops, referenced by [`ExactOp::DiagRun`].
-    diag: Vec<DiagOp>,
-    /// Resolved channels, shared (never parametric) across template
-    /// binds.
-    channels: Arc<Vec<ExactChannel>>,
-    /// Longest fused diagonal run — sizes the factor-table scratch.
-    max_run: usize,
-}
+impl TapeKind for ExactKind {
+    type Dense = DenseOp;
+    type Channel = ExactChannel;
 
-impl ExactReplayProgram {
-    /// Compiles a recorded trajectory program into an exact tape.
-    pub fn compile(program: &TrajectoryProgram) -> Self {
-        Self::compile_with_slots(program).0
+    fn dense(matrix: Matrix, targets: &[usize]) -> DenseOp {
+        DenseOp::new(Arc::new(matrix), targets)
     }
 
-    /// [`ExactReplayProgram::compile`] returning, for each trajectory
-    /// op, the tape slot it compiled into (in trajectory-op order) —
-    /// the substitution map exact schedule templates are built from.
-    pub fn compile_with_slots(program: &TrajectoryProgram) -> (Self, Vec<ReplaySlot>) {
-        let mut ops: Vec<ExactOp> = Vec::new();
-        let mut diag: Vec<DiagOp> = Vec::new();
-        let mut channels: Vec<ExactChannel> = Vec::new();
-        let mut slots: Vec<ReplaySlot> = Vec::with_capacity(program.ops().len());
-        let mut run_open = false;
-        for op in program.ops() {
-            match op {
-                TrajectoryOp::Gate { gate, qubits } => {
-                    // Mirror DensityMatrix::apply_gate's dispatch rule:
-                    // diagonal gates take the phase-only path, everything
-                    // else the dense kernels.
-                    if let Some(d) = DiagOp::from_gate(gate, qubits) {
-                        slots.push(ReplaySlot::Diag(diag.len()));
-                        if run_open {
-                            match ops.last_mut() {
-                                Some(ExactOp::DiagRun { len, .. }) => *len += 1,
-                                _ => unreachable!("open run is the last op"),
-                            }
-                        } else {
-                            ops.push(ExactOp::DiagRun {
-                                start: diag.len(),
-                                len: 1,
-                            });
-                            run_open = true;
-                        }
-                        diag.push(d);
-                        continue;
-                    }
-                    run_open = false;
-                    slots.push(ReplaySlot::Op(ops.len()));
-                    ops.push(ExactOp::Apply(DenseOp::new(
-                        Arc::new(gate.matrix().expect("trajectory programs are bound")),
-                        qubits,
-                    )));
-                }
-                TrajectoryOp::Unitary { matrix, targets } => {
-                    run_open = false;
-                    slots.push(ReplaySlot::Op(ops.len()));
-                    ops.push(ExactOp::Apply(DenseOp::new(
-                        Arc::new(matrix.clone()),
-                        targets,
-                    )));
-                }
-                TrajectoryOp::Channel { channel, targets } => {
-                    run_open = false;
-                    slots.push(ReplaySlot::Channel(channels.len()));
-                    ops.push(ExactOp::Channel(channels.len()));
-                    channels.push(ExactChannel::compile(channel, targets));
-                }
-            }
-        }
-        let max_run = ops
-            .iter()
-            .map(|op| match op {
-                ExactOp::DiagRun { len, .. } => *len,
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        (
-            Self {
-                n_qubits: program.n_qubits(),
-                ops,
-                diag,
-                channels: Arc::new(channels),
-                max_run,
-            },
-            slots,
-        )
+    fn rebind(dense: &mut DenseOp, matrix: &Matrix) {
+        assert_eq!(matrix.rows(), dense.offs.len(), "dimension mismatch");
+        dense.matrix = Arc::new(matrix.clone());
     }
 
-    /// Register width.
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-
-    /// Tape length (fused diagonal runs count as one op).
-    pub fn n_ops(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Number of resolved channels.
-    pub fn n_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Number of fused diagonal entries.
-    pub fn n_diag_ops(&self) -> usize {
-        self.diag.len()
-    }
-
-    /// Overwrites a diagonal slot with a re-bound diagonal op — the
-    /// template substitution step for bound-angle `RZ`/`RZZ`/`CZ`
-    /// entries. The new op must target the same qubits the recorded op
-    /// targeted (templates guarantee this by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot does not point into the diagonal arena.
-    pub fn substitute_diag(&mut self, slot: ReplaySlot, d: DiagOp) {
-        match slot {
-            ReplaySlot::Diag(i) => self.diag[i] = d,
-            other => panic!("slot {other:?} is not a diagonal entry"),
-        }
-    }
-
-    /// Overwrites a dense slot's matrix — the template substitution
-    /// step for re-integrated pulse unitaries and re-bound dense gates.
-    /// The precomputed block offsets are shape-constant and stay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is not a dense op or the dimension disagrees
-    /// with the recorded targets.
-    pub fn substitute_unitary(&mut self, slot: ReplaySlot, m: &Matrix) {
-        match slot {
-            ReplaySlot::Op(i) => match &mut self.ops[i] {
-                ExactOp::Apply(dense) => {
-                    assert_eq!(m.rows(), dense.offs.len(), "dimension mismatch");
-                    dense.matrix = Arc::new(m.clone());
-                }
-                other => panic!("slot points at {other:?}, not a dense op"),
-            },
-            other => panic!("slot {other:?} is not a dense op"),
-        }
-    }
-
-    /// Replays the tape into the scratch state (resetting it to
-    /// `|0...0><0...0|` first), then joins the planes into the
-    /// arena's [`DensityMatrix`]. The hot loop performs no per-op
-    /// allocation beyond the fan-out's chunk list at 10+ qubits.
-    pub fn run_into(&self, scratch: &mut ExactScratch) {
-        self.run_into_profiled(scratch, &NoProfile);
-    }
-
-    /// [`ExactReplayProgram::run_into`] with an opt-in [`ProfileSink`]
-    /// attributing each tape op's wall time to its [`ReplayOpKind`]
-    /// (dense conjugations by arity, channels via
-    /// `ExactChannel::profile_kind`; the exact path never
-    /// renormalizes). With [`NoProfile`] this monomorphizes to the
-    /// unprofiled loop exactly; any sink leaves the sweeps untouched,
-    /// so the evolved state stays bit-identical.
-    pub fn run_into_profiled<P: ProfileSink>(&self, scratch: &mut ExactScratch, sink: &P) {
-        self.replay_planes(scratch, sink);
-        scratch.rho = Some(DensityMatrix::from_planes(
-            self.n_qubits,
-            &scratch.re,
-            &scratch.im,
-        ));
-    }
-
-    /// The tape sweep itself: resets the planes (dropping any joined
-    /// state, which no longer describes them) and applies every op.
-    fn replay_planes<P: ProfileSink>(&self, scratch: &mut ExactScratch, sink: &P) {
-        assert_eq!(scratch.n_qubits, self.n_qubits, "scratch width");
-        scratch.rho = None;
-        let dim = 1usize << self.n_qubits;
-        let lanes = scratch.lanes;
-        let (re, im) = (&mut scratch.re[..], &mut scratch.im[..]);
-        re.fill(0.0);
-        im.fill(0.0);
-        re[0] = 1.0;
-        for op in &self.ops {
-            match op {
-                ExactOp::DiagRun { start, len } => timed(sink, ReplayOpKind::DiagRun, || {
-                    let run = &self.diag[*start..*start + *len];
-                    let (fre, fim) = (&mut scratch.fre, &mut scratch.fim);
-                    apply_diag_run(run, fre, fim, re, im, dim, lanes)
-                }),
-                ExactOp::Apply(dense) => {
-                    let kind = if dense.offs.len() == 2 {
-                        ReplayOpKind::Dense1q
-                    } else {
-                        ReplayOpKind::Dense2q
-                    };
-                    timed(sink, kind, || dense.conjugate(re, im, dim, lanes))
-                }
-                ExactOp::Channel(i) => {
-                    let channel = &self.channels[*i];
-                    timed(sink, channel.profile_kind(), || {
-                        channel.apply(re, im, dim, lanes)
-                    })
-                }
-            }
-        }
+    fn channel(channel: &ChannelOp, targets: &[usize]) -> ExactChannel {
+        ExactChannel::compile(channel, targets)
     }
 }
 
@@ -1351,11 +1152,20 @@ fn apply_diag_run(
     });
 }
 
-/// Reusable replay arena: the state as split re/im planes, the diagonal
-/// factor-table scratch, the lane tier its sweeps dispatch to, and the
-/// [`DensityMatrix`] the last [`ExactReplayProgram::run_into`] joined.
+/// Replays [`ExactReplayProgram`] tapes over a reusable arena: the
+/// state as split re/im planes, the diagonal factor-table scratch, and
+/// the lane tier its sweeps dispatch to.
+///
+/// Unlike the trajectory [`super::ReplayEngine`] there is no ensemble:
+/// one replay produces the exact mixed state. The engine exists so
+/// repeated dispatches (serving, optimization loops) reuse the `4^n`
+/// allocation. It has one entry per output shape — the state
+/// ([`ExactReplayEngine::run`]) and its measurement probabilities
+/// ([`ExactReplayEngine::run_probabilities`]) — and each replays from
+/// `|0...0><0...0|`, so an engine may serve any sequence of entries and
+/// tapes of its width.
 #[derive(Debug, Clone)]
-pub struct ExactScratch {
+pub struct ExactReplayEngine {
     n_qubits: usize,
     /// Real plane: `Re(rho[i][j])` at `re[i * dim + j]`.
     re: Vec<f64>,
@@ -1365,46 +1175,70 @@ pub struct ExactScratch {
     fre: Vec<f64>,
     /// Factor tables, imaginary parts.
     fim: Vec<f64>,
-    /// Kernel build, probed once per arena ([`lane_isa`]).
+    /// Kernel build, probed once per engine ([`lane_isa`]).
     lanes: Lanes,
-    /// The joined state of the last replay; `None` when that replay
-    /// stopped at the planes ([`ExactReplayEngine::run_probabilities`])
-    /// or none ran yet.
+    /// The state the last [`ExactReplayEngine::run`] joined from the
+    /// planes, held so `run` can lend it.
     rho: Option<DensityMatrix>,
 }
 
-impl ExactScratch {
-    /// Allocates an arena sized for `program`.
+impl ExactReplayEngine {
+    /// Allocates an engine sized for `program`.
     pub fn for_program(program: &ExactReplayProgram) -> Self {
         let dim = 1usize << program.n_qubits;
+        let max_run = program.ops.iter().map(|op| match op {
+            TapeOp::DiagRun { len, .. } => *len,
+            _ => 0,
+        });
+        let factors = max_run.max().unwrap_or(0) * dim;
         Self {
             n_qubits: program.n_qubits,
             re: vec![0.0; dim * dim],
             im: vec![0.0; dim * dim],
-            fre: Vec::with_capacity(program.max_run * dim),
-            fim: Vec::with_capacity(program.max_run * dim),
+            fre: Vec::with_capacity(factors),
+            fim: Vec::with_capacity(factors),
             lanes: lane_isa(),
             rho: None,
         }
     }
 
-    /// The current state (the result of the last replay).
+    /// Replays the tape and returns the resulting state (borrowed from
+    /// the engine), joined from the planes once at the end.
+    ///
+    /// `sink` attributes each tape op's wall time to its
+    /// [`ReplayOpKind`] (dense conjugations by arity, channels via
+    /// `ExactChannel::profile_kind`; the exact path never
+    /// renormalizes). With [`crate::NoProfile`] this monomorphizes to
+    /// the unprofiled loop exactly; any sink leaves the sweeps
+    /// untouched, so the evolved state stays bit-identical.
     ///
     /// # Panics
     ///
-    /// Panics if the last replay did not join its planes into a state
-    /// (none ran yet, or it was
-    /// [`ExactReplayEngine::run_probabilities`]).
-    pub fn state(&self) -> &DensityMatrix {
-        self.rho
-            .as_ref()
-            .expect("replay a tape into the arena first")
+    /// Panics if the tape's width differs from the engine's.
+    pub fn run<P: ProfileSink>(
+        &mut self,
+        program: &ExactReplayProgram,
+        sink: &P,
+    ) -> &DensityMatrix {
+        self.replay(program, sink);
+        self.rho.insert(DensityMatrix::from_planes(
+            self.n_qubits,
+            &self.re,
+            &self.im,
+        ))
     }
 
-    /// The diagonal of the planes, clamped at zero — bit-equal to
-    /// [`DensityMatrix::probabilities`] of the same state, without
-    /// joining the planes.
-    fn probabilities(&self) -> Vec<f64> {
+    /// Replays the tape and returns only its measurement probabilities
+    /// — bit-equal to `run(program, sink).probabilities()`, read
+    /// straight from the planes' diagonal (clamped at zero) without
+    /// building the `4^n` state. `sink` and panics as in
+    /// [`ExactReplayEngine::run`].
+    pub fn run_probabilities<P: ProfileSink>(
+        &mut self,
+        program: &ExactReplayProgram,
+        sink: &P,
+    ) -> Vec<f64> {
+        self.replay(program, sink);
         let dim = 1usize << self.n_qubits;
         self.re
             .iter()
@@ -1412,73 +1246,41 @@ impl ExactScratch {
             .map(|p| p.max(0.0))
             .collect()
     }
-}
 
-/// Replays [`ExactReplayProgram`] tapes over a reusable arena.
-///
-/// Unlike the trajectory [`super::ReplayEngine`] there is no ensemble:
-/// one replay produces the exact mixed state. The engine exists so
-/// repeated dispatches (serving, optimization loops) reuse the `4^n`
-/// allocation.
-#[derive(Debug, Clone)]
-pub struct ExactReplayEngine {
-    scratch: ExactScratch,
-}
-
-impl ExactReplayEngine {
-    /// Allocates an engine sized for `program`.
-    pub fn for_program(program: &ExactReplayProgram) -> Self {
-        Self {
-            scratch: ExactScratch::for_program(program),
+    /// The tape sweep itself: resets the planes to `|0...0><0...0|` and
+    /// applies every op. The hot loop performs no per-op allocation
+    /// beyond the fan-out's chunk list at 10+ qubits.
+    fn replay<P: ProfileSink>(&mut self, program: &ExactReplayProgram, sink: &P) {
+        assert_eq!(program.n_qubits, self.n_qubits, "engine width");
+        let dim = 1usize << self.n_qubits;
+        let lanes = self.lanes;
+        let (re, im) = (&mut self.re[..], &mut self.im[..]);
+        re.fill(0.0);
+        im.fill(0.0);
+        re[0] = 1.0;
+        for op in &program.ops {
+            match op {
+                TapeOp::DiagRun { start, len } => timed(sink, ReplayOpKind::DiagRun, || {
+                    let run = &program.diag[*start..*start + *len];
+                    let (fre, fim) = (&mut self.fre, &mut self.fim);
+                    apply_diag_run(run, fre, fim, re, im, dim, lanes)
+                }),
+                TapeOp::Apply(dense) => {
+                    let kind = if dense.offs.len() == 2 {
+                        ReplayOpKind::Dense1q
+                    } else {
+                        ReplayOpKind::Dense2q
+                    };
+                    timed(sink, kind, || dense.conjugate(re, im, dim, lanes))
+                }
+                TapeOp::Channel(i) => {
+                    let channel = &program.channels[*i];
+                    timed(sink, channel.profile_kind(), || {
+                        channel.apply(re, im, dim, lanes)
+                    })
+                }
+            }
         }
-    }
-
-    /// Replays the tape from `|0...0><0...0|` and returns the resulting
-    /// state (borrowed from the arena).
-    pub fn run(&mut self, program: &ExactReplayProgram) -> &DensityMatrix {
-        program.run_into(&mut self.scratch);
-        self.scratch.state()
-    }
-
-    /// [`ExactReplayEngine::run`] with an opt-in [`ProfileSink`] (see
-    /// [`ExactReplayProgram::run_into_profiled`]).
-    pub fn run_profiled<P: ProfileSink>(
-        &mut self,
-        program: &ExactReplayProgram,
-        sink: &P,
-    ) -> &DensityMatrix {
-        program.run_into_profiled(&mut self.scratch, sink);
-        self.scratch.state()
-    }
-
-    /// Replays the tape and returns only its measurement probabilities
-    /// — bit-equal to `run(program).probabilities()`, read straight from
-    /// the planes' diagonal without building the `4^n` state.
-    pub fn run_probabilities<P: ProfileSink>(
-        &mut self,
-        program: &ExactReplayProgram,
-        sink: &P,
-    ) -> Vec<f64> {
-        program.replay_planes(&mut self.scratch, sink);
-        self.scratch.probabilities()
-    }
-
-    /// Consumes the engine, yielding the arena's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same condition as [`ExactScratch::state`].
-    pub fn into_state(self) -> DensityMatrix {
-        self.scratch
-            .rho
-            .expect("replay a tape into the arena first")
-    }
-
-    /// One-shot convenience: compile-free replay to an owned state.
-    pub fn evolve(program: &ExactReplayProgram) -> DensityMatrix {
-        let mut engine = Self::for_program(program);
-        program.run_into(&mut engine.scratch);
-        engine.into_state()
     }
 }
 
@@ -1486,12 +1288,21 @@ impl ExactReplayEngine {
 mod tests {
     use super::super::lanes::detected_tiers;
     use super::*;
+    use crate::trajectory::TrajectoryProgram;
     use hgp_circuit::{Gate, Param};
     use hgp_math::c64;
     use hgp_math::pauli::{sigma_x, sigma_y, sigma_z};
+    use hgp_obs::profile::NoProfile;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A fresh engine's replay of `tape`.
+    fn evolve(tape: &ExactReplayProgram) -> DensityMatrix {
+        ExactReplayEngine::for_program(tape)
+            .run(tape, &NoProfile)
+            .clone()
+    }
 
     fn depolarizing_op(p: f64) -> ChannelOp {
         let kraus = vec![
@@ -1561,7 +1372,7 @@ mod tests {
         program.push_gate(Gate::CX, &[0, 1]);
         program.push_unitary(Gate::Rx(Param::bound(1.1)).matrix().unwrap(), &[2]);
         let tape = ExactReplayProgram::compile(&program);
-        assert_eq!(ExactReplayEngine::evolve(&tape), reference(&program));
+        assert_eq!(evolve(&tape), reference(&program));
     }
 
     #[test]
@@ -1573,7 +1384,7 @@ mod tests {
             &[0, 1],
         );
         let tape = ExactReplayProgram::compile(&program);
-        assert_eq!(ExactReplayEngine::evolve(&tape), reference(&program));
+        assert_eq!(evolve(&tape), reference(&program));
     }
 
     #[test]
@@ -1584,7 +1395,7 @@ mod tests {
         program.push_channel(depolarizing_op(0.2), &[0]);
         program.push_channel(two_qubit_dephasing(0.3), &[0, 1]);
         let tape = ExactReplayProgram::compile(&program);
-        let rho = ExactReplayEngine::evolve(&tape);
+        let rho = evolve(&tape);
         assert_close(&rho, &reference(&program), 1e-12);
         assert!((rho.trace() - 1.0).abs() < 1e-12);
     }
@@ -1614,7 +1425,7 @@ mod tests {
             tape.channels.as_slice(),
             [ExactChannel::Blocks(_)]
         ));
-        let rho = ExactReplayEngine::evolve(&tape);
+        let rho = evolve(&tape);
         assert_close(&rho, &reference(&program), 1e-12);
         assert!((rho.trace() - 1.0).abs() < 1e-12);
     }
@@ -1633,7 +1444,7 @@ mod tests {
         // The cost layer fused into one run (after the three H ops).
         assert_eq!(tape.n_ops(), 4);
         assert_eq!(tape.n_diag_ops(), 4);
-        assert_eq!(ExactReplayEngine::evolve(&tape), reference(&program));
+        assert_eq!(evolve(&tape), reference(&program));
     }
 
     #[test]
@@ -1643,8 +1454,8 @@ mod tests {
         program.push_channel(depolarizing_op(0.4), &[0]);
         let tape = ExactReplayProgram::compile(&program);
         let mut engine = ExactReplayEngine::for_program(&tape);
-        let first = engine.run(&tape).clone();
-        let second = engine.run(&tape).clone();
+        let first = engine.run(&tape, &NoProfile).clone();
+        let second = engine.run(&tape, &NoProfile).clone();
         assert_eq!(first, second);
     }
 
@@ -1663,7 +1474,7 @@ mod tests {
         let mut rebound = TrajectoryProgram::new(2);
         rebound.push_gate(Gate::Rz(Param::bound(1.5)), &[0]);
         rebound.push_unitary(Gate::Rx(Param::bound(-0.8)).matrix().unwrap(), &[1]);
-        assert_eq!(ExactReplayEngine::evolve(&tape), reference(&rebound));
+        assert_eq!(evolve(&tape), reference(&rebound));
     }
 
     /// The CSR superoperator sweep the arity-specialized kernels
@@ -1994,8 +1805,7 @@ mod tests {
     /// A whole noisy tape — fused diagonal runs, 1q and 2q dense ops,
     /// resolved 1q and 2q channels, a single-Kraus channel and a 3q
     /// Kraus-block channel — replays to the same bits at every lane
-    /// tier, and its plane-read probabilities equal the joined state's
-    /// (a plane-only replay drops the stale joined state).
+    /// tier, and its plane-read probabilities equal the joined state's.
     #[test]
     fn every_lane_tier_replays_the_tape_bit_identically() {
         let mut rng = StdRng::seed_from_u64(23);
@@ -2027,14 +1837,10 @@ mod tests {
         let mut baseline: Option<Vec<(u64, u64)>> = None;
         for lanes in detected_tiers() {
             let mut engine = ExactReplayEngine::for_program(&tape);
-            engine.scratch.lanes = lanes;
-            let rho = engine.run(&tape).clone();
+            engine.lanes = lanes;
+            let rho = engine.run(&tape, &NoProfile).clone();
             let got = bits(rho.to_matrix().as_slice());
             let probs = engine.run_probabilities(&tape, &NoProfile);
-            assert!(
-                engine.scratch.rho.is_none(),
-                "a plane-only replay left the previous joined state behind"
-            );
             let joined: Vec<u64> = rho.probabilities().iter().map(|p| p.to_bits()).collect();
             assert_eq!(
                 probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),

@@ -16,7 +16,9 @@ use rand::{Rng, SeedableRng};
 use hgp_circuit::{Gate, Param};
 use hgp_math::pauli::{sigma_x, sigma_y, sigma_z};
 use hgp_math::{c64, Complex64, Matrix};
-use hgp_sim::{ChannelOp, DensityMatrix, ExactReplayEngine, ExactReplayProgram, TrajectoryProgram};
+use hgp_sim::{
+    ChannelOp, DensityMatrix, ExactReplayEngine, ExactReplayProgram, NoProfile, TrajectoryProgram,
+};
 
 fn depolarizing_op(p: f64) -> ChannelOp {
     let kraus = vec![
@@ -156,6 +158,25 @@ fn assert_physical(rho: &DensityMatrix) -> Result<(), String> {
     Ok(())
 }
 
+/// A fresh engine's replay of `tape`.
+fn evolve(tape: &ExactReplayProgram) -> DensityMatrix {
+    ExactReplayEngine::for_program(tape)
+        .run(tape, &NoProfile)
+        .clone()
+}
+
+fn probability_bits(probs: &[f64]) -> Vec<u64> {
+    probs.iter().map(|p| p.to_bits()).collect()
+}
+
+fn state_bits(rho: &DensityMatrix) -> Vec<(u64, u64)> {
+    let dim = rho.dim();
+    (0..dim * dim)
+        .map(|k| rho.get(k / dim, k % dim))
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -167,7 +188,7 @@ proptest! {
     ) {
         let program = random_program(n, n_ops, shape_seed, true);
         let tape = ExactReplayProgram::compile(&program);
-        let rho = ExactReplayEngine::evolve(&tape);
+        let rho = evolve(&tape);
         let reference = reference_walk(&program);
         assert_close(&rho, &reference)?;
         assert_physical(&rho)?;
@@ -185,7 +206,7 @@ proptest! {
         // forgives the sign of zero).
         let program = random_program(n, n_ops, shape_seed, false);
         let tape = ExactReplayProgram::compile(&program);
-        let rho = ExactReplayEngine::evolve(&tape);
+        let rho = evolve(&tape);
         let reference = reference_walk(&program);
         let dim = reference.dim();
         for i in 0..dim {
@@ -208,9 +229,36 @@ proptest! {
         let tape_a = ExactReplayProgram::compile(&random_program(n, n_ops_a, seed_a, true));
         let tape_b = ExactReplayProgram::compile(&random_program(n, n_ops_b, seed_b, true));
         let mut engine = ExactReplayEngine::for_program(&tape_a);
-        engine.run(&tape_a);
-        let reused = engine.run(&tape_b).clone();
-        prop_assert_eq!(reused, ExactReplayEngine::evolve(&tape_b));
+        engine.run(&tape_a, &NoProfile);
+        let reused = engine.run(&tape_b, &NoProfile).clone();
+        prop_assert_eq!(reused, evolve(&tape_b));
+    }
+
+    #[test]
+    fn one_engine_serves_every_output_shape_and_tape(
+        n in 1usize..4,
+        n_ops_a in 1usize..12,
+        n_ops_b in 1usize..12,
+        seed_a in 0u64..1_000_000,
+        seed_b in 0u64..1_000_000,
+    ) {
+        // One engine, reused for probabilities then the state, then
+        // across a second tape of the same width: every result equals
+        // a fresh engine's, bit for bit.
+        let tape_a = ExactReplayProgram::compile(&random_program(n, n_ops_a, seed_a, true));
+        let tape_b = ExactReplayProgram::compile(&random_program(n, n_ops_b, seed_b, true));
+        let fresh = |tape: &ExactReplayProgram| {
+            let probs = ExactReplayEngine::for_program(tape).run_probabilities(tape, &NoProfile);
+            (probability_bits(&probs), evolve(tape))
+        };
+        let (probs_a, rho_a) = fresh(&tape_a);
+        let (probs_b, rho_b) = fresh(&tape_b);
+        let mut engine = ExactReplayEngine::for_program(&tape_a);
+        prop_assert_eq!(probability_bits(&engine.run_probabilities(&tape_a, &NoProfile)), probs_a);
+        prop_assert!(state_bits(engine.run(&tape_a, &NoProfile)) == state_bits(&rho_a));
+        prop_assert_eq!(probability_bits(&engine.run_probabilities(&tape_b, &NoProfile)), probs_b);
+        prop_assert!(state_bits(engine.run(&tape_b, &NoProfile)) == state_bits(&rho_b));
+        prop_assert!(state_bits(engine.run(&tape_a, &NoProfile)) == state_bits(&rho_a));
     }
 
     #[test]
@@ -222,7 +270,7 @@ proptest! {
         // The strided probability/expectation sweeps compose with the
         // replayed state the same way they compose with the reference.
         let program = random_program(n, n_ops, shape_seed, true);
-        let rho = ExactReplayEngine::evolve(&ExactReplayProgram::compile(&program));
+        let rho = evolve(&ExactReplayProgram::compile(&program));
         let reference = reference_walk(&program);
         let p_fast = rho.probabilities();
         let p_ref = reference.probabilities();
@@ -250,7 +298,7 @@ fn kraus_block_heavy_program_stays_pinned() {
         program.push_gate(Gate::Rz(Param::bound(-theta)), &[2]);
         program.push_channel(depolarizing_op(0.05), &[step % n]);
     }
-    let rho = ExactReplayEngine::evolve(&ExactReplayProgram::compile(&program));
+    let rho = evolve(&ExactReplayProgram::compile(&program));
     let reference = reference_walk(&program);
     let dim = reference.dim();
     let mut worst: f64 = 0.0;
@@ -272,10 +320,10 @@ fn profiled_exact_replay_is_bit_identical_and_attributed() {
     use hgp_sim::OpProfile;
     let program = random_program(3, 14, 0x0B5EC, true);
     let tape = ExactReplayProgram::compile(&program);
-    let plain = ExactReplayEngine::evolve(&tape);
+    let plain = evolve(&tape);
     let sink = OpProfile::new();
     let mut engine = ExactReplayEngine::for_program(&tape);
-    let profiled = engine.run_profiled(&tape, &sink);
+    let profiled = engine.run(&tape, &sink);
     let dim = plain.dim();
     for i in 0..dim {
         for j in 0..dim {

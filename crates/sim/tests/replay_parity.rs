@@ -24,7 +24,11 @@
 //!   that branch's apply with its norm scan.
 //!
 //! `thermal_relaxation_matches_at_served_block_sizes` pins the recorded
-//! shape at the block sizes served jobs run.
+//! shape at the block sizes served jobs run, and
+//! `both_tapes_compile_one_front_end` pins the compile front end the
+//! trajectory and exact tapes share: the same slot map and tape shape
+//! from every family above, and template re-binds that land where a
+//! fresh compile of the re-bound program does.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,8 +37,10 @@ use rand::{Rng, SeedableRng};
 use hgp_circuit::{Gate, Param};
 use hgp_math::pauli::{sigma_x, sigma_y, sigma_z, Pauli, PauliString, PauliSum};
 use hgp_math::{c64, Matrix};
+use hgp_sim::kernels::DiagOp;
 use hgp_sim::{
-    ChannelOp, NoProfile, ReplayEngine, ReplayProgram, TrajectoryEngine, TrajectoryProgram,
+    ChannelOp, ExactReplayEngine, ExactReplayProgram, NoProfile, ReplayEngine, ReplayProgram,
+    TrajectoryEngine, TrajectoryOp, TrajectoryProgram,
 };
 
 fn depolarizing_op(p: f64) -> ChannelOp {
@@ -610,4 +616,126 @@ fn profiled_batched_runs_are_bit_identical_and_attributed() {
     let snap = sink.snapshot();
     assert_eq!(snap.total_calls(), 3 * calls_per_run);
     assert_eq!(snap.calls[ReplayOpKind::Renorm.index()], 3 * blocks);
+}
+
+/// A value a template bind substitutes into one tape slot.
+enum Rebound {
+    Diag(DiagOp),
+    Unitary(Matrix),
+}
+
+/// Re-binds every gate and unitary of `program` the way a template bind
+/// does, keeping each op's slot kind and targets: diagonal gates become
+/// `RZ`/`RZZ` at new angles, dense gates and unitaries become `RX`/`RZX`
+/// unitaries, channels stay. Returns the re-bound program and, per
+/// trajectory op, the value to substitute (`None` for channels).
+fn rebind(program: &TrajectoryProgram, shift: f64) -> (TrajectoryProgram, Vec<Option<Rebound>>) {
+    let mut rebound = TrajectoryProgram::new(program.n_qubits());
+    let mut values = Vec::new();
+    for (i, op) in program.ops().iter().enumerate() {
+        let angle = Param::bound(shift + 0.37 * i as f64);
+        let dense = |targets: &[usize]| match targets.len() {
+            1 => Gate::Rx(angle).matrix().unwrap(),
+            _ => Gate::Rzx(angle).matrix().unwrap(),
+        };
+        match op {
+            TrajectoryOp::Gate { gate, qubits } if DiagOp::from_gate(gate, qubits).is_some() => {
+                let gate = match qubits.len() {
+                    1 => Gate::Rz(angle),
+                    _ => Gate::Rzz(angle),
+                };
+                rebound.push_gate(gate, qubits);
+                values.push(Some(Rebound::Diag(
+                    DiagOp::from_gate(&gate, qubits).unwrap(),
+                )));
+            }
+            TrajectoryOp::Gate {
+                qubits: targets, ..
+            }
+            | TrajectoryOp::Unitary { targets, .. } => {
+                rebound.push_unitary(dense(targets), targets);
+                values.push(Some(Rebound::Unitary(dense(targets))));
+            }
+            TrajectoryOp::Channel { channel, targets } => {
+                rebound.push_channel(channel.clone(), targets);
+                values.push(None);
+            }
+        }
+    }
+    (rebound, values)
+}
+
+/// Every entry of two density matrices, `to_bits`.
+fn state_bits(rho: &hgp_sim::DensityMatrix) -> Vec<(u64, u64)> {
+    let dim = rho.dim();
+    (0..dim * dim)
+        .map(|k| rho.get(k / dim, k % dim))
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The trajectory and exact tapes compile one front end: equal slot
+    /// maps and tape shapes for every program family, and substituting
+    /// every gate and unitary slot leaves both tapes replaying the bits
+    /// a fresh compile of the re-bound program replays.
+    #[test]
+    fn both_tapes_compile_one_front_end(
+        n in 1usize..5,
+        n_ops in 1usize..20,
+        family in 0usize..3,
+        shape_seed in 0u64..1_000_000,
+        shift in -3.0f64..3.0,
+    ) {
+        let program = match family {
+            0 => random_program(n, n_ops, shape_seed),
+            1 => divergent_program(n, n_ops, shape_seed),
+            _ => weak_noise_program(n, n_ops, shape_seed),
+        };
+        let (mut traj, slots) = ReplayProgram::compile_with_slots(&program);
+        let (mut exact, exact_slots) = ExactReplayProgram::compile_with_slots(&program);
+        prop_assert_eq!(&slots, &exact_slots);
+        prop_assert_eq!(slots.len(), program.ops().len());
+        prop_assert_eq!(traj.n_ops(), exact.n_ops());
+        prop_assert_eq!(traj.n_diag_ops(), exact.n_diag_ops());
+        prop_assert_eq!(traj.n_channels(), exact.n_channels());
+
+        let (rebound, values) = rebind(&program, shift);
+        for (&slot, value) in slots.iter().zip(values) {
+            match value {
+                Some(Rebound::Diag(d)) => {
+                    traj.substitute_diag(slot, d);
+                    exact.substitute_diag(slot, d);
+                }
+                Some(Rebound::Unitary(m)) => {
+                    traj.substitute_unitary(slot, &m);
+                    exact.substitute_unitary(slot, &m);
+                }
+                None => {}
+            }
+        }
+        let fresh_traj = ReplayProgram::compile(&rebound);
+        let fresh_exact = ExactReplayProgram::compile(&rebound);
+        prop_assert_eq!(fresh_traj.n_ops(), traj.n_ops());
+        prop_assert_eq!(fresh_exact.n_diag_ops(), exact.n_diag_ops());
+
+        let obs = diag_observable(n);
+        let engine = ReplayEngine::new(24, shape_seed);
+        assert_same_bits(
+            &engine.expectations(&fresh_traj, &obs, &NoProfile),
+            &engine.expectations(&traj, &obs, &NoProfile),
+            0,
+        );
+        prop_assert_eq!(
+            engine.sample_counts_with(&fresh_traj, |bits, _| bits, &NoProfile),
+            engine.sample_counts_with(&traj, |bits, _| bits, &NoProfile)
+        );
+        let replay = |tape: &ExactReplayProgram| {
+            state_bits(ExactReplayEngine::for_program(tape).run(tape, &NoProfile))
+        };
+        let (substituted, fresh) = (replay(&exact), replay(&fresh_exact));
+        prop_assert!(substituted == fresh, "substituted exact tape moved a bit");
+    }
 }

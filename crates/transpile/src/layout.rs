@@ -1,7 +1,5 @@
 //! Logical-to-physical qubit layouts.
 
-use serde::{Deserialize, Serialize};
-
 /// A bijection from logical circuit qubits to physical device qubits
 /// (physical qubits outside the image are unused).
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// l.swap_physical(5, 2); // a SWAP gate on physical wires 5 and 2
 /// assert_eq!(l.physical(0), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     /// `log_to_phys[l]` = physical qubit of logical `l`.
     log_to_phys: Vec<usize>,
