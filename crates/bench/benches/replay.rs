@@ -19,6 +19,15 @@
 //!   (`profile:<id>`, the split `exact_replay_cell_6q` prints for the
 //!   exact tape), the numbers the lane-tier table in
 //!   `BENCH_replay.json` records per tier,
+//! - **the served 1-shot block**: the 16-qubit shape's warm-up job (one
+//!   trajectory, so one 1-shot block — the first job every trajectory
+//!   shape serves, and the block small ensembles run in), with its
+//!   profile;
+//! - **per-shot cost by block size**: `replay_block_sizes` runs the 12q
+//!   and 16q shapes as one block of `S` shots for `S` = 1, 2, 4, 8, 16
+//!   and 32 and prints one `block_size:` line per run with the per-shot
+//!   time (min of its repetitions) and the per-op-kind mean µs per call
+//!   — the `block_sizes` table of `BENCH_replay.json`;
 //! - **template bind vs the full schedule walk**: the per-dispatch cost
 //!   of producing an executable replay tape from a parameter binding —
 //!   `CompiledCircuit::bind_replay` (clone the compile-time tape,
@@ -164,6 +173,78 @@ fn bench_replay_16q(c: &mut Criterion) {
     let _ = c;
 }
 
+/// The served 16q shape's warm-up job: one trajectory, one 1-shot
+/// block, then its per-op-kind profile.
+fn bench_replay_16q_1shot(c: &mut Criterion) {
+    let backend = Backend::ibmq_guadalupe();
+    let (compiled, obs) = wide_shape(&backend);
+    let exec = compiled.executor(&backend);
+    let replay = compiled.bind_replay(&exec, &PARAMS);
+    let engine = ReplayEngine::new(1, 11);
+    let mut slow = Criterion::default().sample_size(9);
+    slow.bench_function("replay_batched_expectation_16q_1shot", |b| {
+        b.iter(|| engine.expectation_with_error(black_box(&replay), &obs, &NoProfile));
+        // After the timing, and only when a filter keeps this entry.
+        emit_replay_profile(
+            "replay_batched_expectation_16q_1shot",
+            &engine,
+            &replay,
+            &obs,
+        );
+    });
+    let _ = c;
+}
+
+/// Block sizes of the per-shot table.
+const BLOCK_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+/// Timed repetitions per block size (the line reports their minimum).
+const BLOCK_REPS: usize = 3;
+
+/// Each served shape as one block of `S` shots for every `S` in
+/// [`BLOCK_SIZES`]: per-shot wall time (min of [`BLOCK_REPS`] runs) and
+/// the per-op-kind mean µs per call of one profiled run, one
+/// `block_size:` line each. Runs only when a filter names it
+/// (`-- replay_block_sizes`): it takes about a minute.
+fn bench_block_sizes(c: &mut Criterion) {
+    if !std::env::args().any(|a| a == "replay_block_sizes") {
+        return;
+    }
+    let backend = Backend::ibmq_guadalupe();
+    for (width, (compiled, obs)) in [(12, narrow_shape(&backend)), (16, wide_shape(&backend))] {
+        let exec = compiled.executor(&backend);
+        let replay = compiled.bind_replay(&exec, &PARAMS);
+        for s in BLOCK_SIZES {
+            let engine = ReplayEngine::new(s, 11).with_block_size(s);
+            let best = (0..BLOCK_REPS)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    black_box(engine.expectation_with_error(&replay, &obs, &NoProfile));
+                    t0.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            let profile = OpProfile::new();
+            engine.expectation_with_error(&replay, &obs, &profile);
+            let snap = profile.snapshot();
+            let kinds: Vec<String> = hgp_sim::ReplayOpKind::ALL
+                .into_iter()
+                .filter(|k| snap.calls[k.index()] > 0)
+                .map(|k| {
+                    let us = snap.ns[k.index()] as f64 / snap.calls[k.index()] as f64 / 1e3;
+                    format!("\"{}_us\":{us:.1}", k.name())
+                })
+                .collect();
+            hgp_bench::emit_bench_line(&format!(
+                "block_size: {{\"qubits\":{width},\"shots_per_block\":{s},\"lanes\":\"{}\",\"ms_per_shot\":{:.2},{}}}",
+                hgp_sim::replay::lane_tier(),
+                best * 1e3 / s as f64,
+                kinds.join(",")
+            ));
+        }
+    }
+    let _ = c;
+}
+
 /// The same 8 trajectories of the 16q job through the reference
 /// engine on the recorded program.
 fn bench_trajectory_16q(c: &mut Criterion) {
@@ -199,7 +280,9 @@ criterion_group!(
     bench_replay_12q,
     bench_trajectory_12q,
     bench_replay_16q,
+    bench_replay_16q_1shot,
     bench_trajectory_16q,
+    bench_block_sizes,
     bench_bind_paths
 );
 criterion_main!(replay);

@@ -460,7 +460,7 @@ impl<'a> Executor<'a> {
     ///
     /// Same contract as [`Executor::run`].
     pub fn sample(&self, program: &Program, shots: usize, seed: u64) -> Counts {
-        self.sample_tape(&self.exact_replay_program(program), shots, seed)
+        self.sample_tape(&self.exact_replay_program(program), shots, seed, &NoProfile)
     }
 
     /// [`Executor::sample`] over an already-built exact tape — the
@@ -470,9 +470,17 @@ impl<'a> Executor<'a> {
     /// its measurement probabilities straight from the replay's planes
     /// ([`ExactReplayEngine::run_probabilities`], no `4^n` state is
     /// built), then samples like [`Executor::sample_state`] — the same
-    /// counts, bit for bit.
-    pub fn sample_tape(&self, tape: &ExactReplayProgram, shots: usize, seed: u64) -> Counts {
-        let probs = ExactReplayEngine::for_program(tape).run_probabilities(tape, &NoProfile);
+    /// counts, bit for bit. `sink` attributes the replay's per-op-kind
+    /// wall time (training passes [`NoProfile`]; a serving worker its
+    /// job profile); the counts are bit-identical for any sink.
+    pub fn sample_tape<P: ProfileSink>(
+        &self,
+        tape: &ExactReplayProgram,
+        shots: usize,
+        seed: u64,
+        sink: &P,
+    ) -> Counts {
+        let probs = ExactReplayEngine::for_program(tape).run_probabilities(tape, sink);
         self.sample_probabilities(&probs, tape.n_qubits(), shots, seed)
     }
 

@@ -32,6 +32,7 @@ use hgp_optim::{
     parameter_shift_gradient_batch, BatchObjective, Cobyla, OptimizeResult, STANDARD_SHIFT,
 };
 use hgp_sim::seed::stream_seed;
+use hgp_sim::NoProfile;
 use rayon::prelude::*;
 
 use crate::cost::CostEvaluator;
@@ -128,7 +129,8 @@ fn evaluate_probe(
     eval_id: u64,
 ) -> f64 {
     let tape = model.exact_tape(exec, params);
-    let counts = exec.sample_tape(&tape, config.shots, stream_seed(config.seed, eval_id));
+    let seed = stream_seed(config.seed, eval_id);
+    let counts = exec.sample_tape(&tape, config.shots, seed, &NoProfile);
     let logical = model.interpret_counts(&counts);
     // Minimize the negative AR.
     -evaluator.cost(&logical) / c_max
@@ -266,6 +268,7 @@ pub fn train(model: &dyn VqaModel, graph: &Graph, config: &TrainConfig) -> Train
         &model.exact_tape(&exec, &result.x),
         config.final_shots,
         stream_seed(config.seed, 0),
+        &NoProfile,
     );
     let logical = model.interpret_counts(&final_counts);
     let approximation_ratio = evaluator.cost(&logical) / c_max;

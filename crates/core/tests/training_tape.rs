@@ -13,7 +13,7 @@ use hgp_core::models::{GateModel, GateModelOptions, HybridModel, PulseModel, Vqa
 use hgp_core::training::{train, TrainConfig};
 use hgp_device::Backend;
 use hgp_graph::instances;
-use hgp_sim::ExactReplayProgram;
+use hgp_sim::{ExactReplayProgram, NoProfile};
 
 fn region() -> Vec<usize> {
     (0..6).collect()
@@ -57,7 +57,7 @@ fn assert_tapes_match_the_walk(model: &dyn VqaModel) {
         // Training samples from the replay's planes without joining
         // them into a state; the counts must not notice.
         assert_eq!(
-            exec.sample_tape(&bound, 512, 7),
+            exec.sample_tape(&bound, 512, 7, &NoProfile),
             exec.sample_state(&exec.run_exact_replay(&bound), 512, 7),
             "plane-sampled counts at {x:?}"
         );

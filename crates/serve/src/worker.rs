@@ -392,8 +392,7 @@ fn execute_noisy<F: ProgramFamily, P: ProfileSink>(
     match &job.spec {
         JobSpec::Counts { shots } | JobSpec::HybridCounts { shots } => {
             let tape = timed_bind(bind_ns, || compiled.bind_exact(&exec, &job.params));
-            let rho = exec.run_exact_replay_profiled(&tape, sink);
-            let counts = exec.sample_state(&rho, *shots, job.seed);
+            let counts = exec.sample_tape(&tape, *shots, job.seed, sink);
             Ok(JobOutput::Counts(compiled.decode_counts(&counts)))
         }
         JobSpec::Expectation { observable } | JobSpec::HybridExpectation { observable } => {

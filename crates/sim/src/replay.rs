@@ -117,6 +117,7 @@ use crate::trajectory::{ChannelOp, TrajectoryOp, TrajectoryProgram};
 mod batch;
 mod exact;
 pub(crate) mod lanes;
+mod sweep;
 
 pub use batch::{ReplayBatch, TrajectoryKind};
 pub use exact::{ExactKind, ExactReplayEngine};

@@ -9,8 +9,8 @@
 //! shots before the next entry is decoded. Tape decode, matrix loads,
 //! diagonal factor lookups, and channel-table reads are paid once per op
 //! per *block* instead of once per op per *shot*, and the innermost
-//! loops run over `S` contiguous lanes with loop-invariant coefficients
-//! — the shape the auto-vectorizer wants. [`super::ReplayEngine`] is the
+//! loops run over contiguous lanes with loop-invariant coefficients —
+//! the shape the auto-vectorizer wants. [`super::ReplayEngine`] is the
 //! one driver: it partitions an ensemble into blocks and runs each on a
 //! per-worker batch.
 //!
@@ -48,17 +48,32 @@
 //! the measured advantage over the reference [`crate::TrajectoryEngine`]
 //! on the same schedule at 12 and 16 qubits.
 //!
-//! # Block size: fill the lanes
+//! # Narrow blocks: sweep runs, not rows
 //!
-//! Every kernel pays a fixed cost per amplitude row — slicing the row
-//! out of each plane, the pair or quad index surgery, the branch on the
-//! op's shape — before its `S`-wide lane loop does any arithmetic. The
-//! block size therefore decides how much work each row's overhead is
-//! spread over, and that, not cache residency, is what the batched path
-//! gains or loses by: at 16 qubits an 8-shot block streams 8 MiB per
-//! sweep and runs more than twice as fast per shot as a 2-shot block
-//! sized to stay in L2. [`default_block_size`] therefore caps a block at
-//! 64 shots and 32 MiB of arena rather than at a cache size.
+//! In the `re[b * S + s]` layout the low and high halves of a target bit
+//! `t` are contiguous runs of `2^t * S` lanes, whatever `S` is. The
+//! elementwise kernels (dense 1q and 2q, per-lane picked operators, the
+//! scale pass and every deferred-scale load) sweep those runs with the
+//! pair walker both engines share (`replay::sweep`), so their vector
+//! loops fill at one shot per block as well as at 64; a per-row loop
+//! over `S` lanes would run one lane wide at `S = 1`, behind per-row
+//! index surgery. Per-shot values a lane needs (a deferred
+//! renormalization, a picked operator) come from a pattern that repeats
+//! every `S` lanes ([`ReplayBatch`]'s `period`). Diagonal runs go tile
+//! by tile: every gate of the run sweeps one L1-sized tile of rows before
+//! the next tile loads.
+//!
+//! Reductions (branch weights, norms, diagonal observables) must keep
+//! each shot's ascending serial sum. A block of eight or more shots
+//! vectorizes across its shots (each shot's sum is its own chain); a
+//! narrower block computes a tile's terms across all its lanes at once
+//! and then adds them per shot in order, so the floor at `S = 1` is the
+//! latency of the serial add chain. Measured at 16 qubits on one
+//! thread (`BENCH_replay.json`, `block_sizes`), the served 1-shot job
+//! runs at about the per-shot cost of an 8-shot block instead of three
+//! times it. [`default_block_size`] still caps a block at 64 shots and
+//! 32 MiB of arena rather than at a cache size: wide blocks amortize
+//! tape decode and the per-channel draws over more shots.
 //!
 //! # Divergence at channels
 //!
@@ -82,10 +97,13 @@
 //!   picked operator's coefficients, shots that took a skipped identity
 //!   `K0` keep their amplitudes through a per-lane select, and one norm
 //!   pass follows;
-//! - mixed-unitary channels (where a rare pick touches few lanes) and
-//!   multi-qubit general channels sweep each picked branch over its
-//!   shot group with strided masked loops; shots that picked an
-//!   identity(-skip) branch are masked out entirely.
+//! - a 1q mixed-unitary channel applies every pick in the same per-lane
+//!   sweep (identity picks keep their lanes; if every shot picked an
+//!   identity branch nothing is swept and a deferred scale stays
+//!   deferred), consuming any deferred scale as it loads;
+//! - multi-qubit channels sweep each picked branch over its shot group
+//!   with strided masked loops; shots that picked an identity(-skip)
+//!   branch are masked out entirely.
 //!
 //! # Why this is bit-identical, not just equivalent
 //!
@@ -356,66 +374,225 @@ impl CompiledChannel {
 /// the wider ISA; every inner loop is the batched transliteration of
 /// the [`StateVector`] kernel's per-amplitude `Complex64` expression
 /// (see the module docs for the exact correspondences being preserved).
+///
+/// Per-shot values a kernel reads lane by lane — a deferred
+/// renormalization's reciprocals, a per-lane picked operator, a keep
+/// flag — come as *patterns*: `pattern[k]` holds shot `k % S`'s value
+/// for `k` below the pattern's length, a multiple of `S` by a power of
+/// two (`ReplayBatch::period`). Every run and tile a kernel walks starts
+/// on a multiple of `S`, so lane `k` of a window of the pattern's
+/// length (or of a shorter run) belongs to shot `k % S`.
 mod kern {
     use hgp_math::Complex64;
 
-    use super::rows2_mut;
+    use super::super::sweep::{for_pairs, for_pairs_at, gather_pairs};
     use crate::kernels::DiagOp;
 
-    /// A fused diagonal run: per amplitude row, the factor sequence is
-    /// gathered once, then each factor multiplies every shot's lane in
-    /// sequence — per shot, the exact multiply order of gate-at-a-time
-    /// `apply_diag_1q`/`apply_diag_2q` (factors in op order), with the
-    /// per-amplitude factor lookups amortized `S`-fold.
+    /// Lanes one tile of a diagonal run or a fused apply-and-norm pass
+    /// spans: 16 KiB per plane, so both planes of a tile stay
+    /// L1-resident while every gate of a run sweeps it.
+    const TILE_LANES: usize = 2048;
+
+    /// Rows per tile of an `s_n`-shot arena of `rows` rows (a power of
+    /// two): the largest power of two whose lanes fit [`TILE_LANES`], at
+    /// least one row and at most the arena.
+    #[inline(always)]
+    fn tile_rows(s_n: usize, rows: usize) -> usize {
+        let fit = (TILE_LANES / s_n).max(1);
+        (1usize << fit.ilog2()).min(rows)
+    }
+
+    /// `(vr, vi) * f` over split components: the [`Complex64`] product,
+    /// `r * f.re - i * f.im` and `r * f.im + i * f.re`.
+    #[inline(always)]
+    fn cmul(vr: f64, vi: f64, f: Complex64) -> (f64, f64) {
+        (vr * f.re - vi * f.im, vr * f.im + vi * f.re)
+    }
+
+    /// Every lane times one factor.
+    #[inline(always)]
+    fn mul_all(re: &mut [f64], im: &mut [f64], f: Complex64) {
+        let im = &mut im[..re.len()];
+        for k in 0..re.len() {
+            (re[k], im[k]) = cmul(re[k], im[k], f);
+        }
+    }
+
+    /// The low lane of every `stride` pair times `f0`, the high lane
+    /// times `f1`.
+    #[inline(always)]
+    fn mul_pairs(re: &mut [f64], im: &mut [f64], stride: usize, f0: Complex64, f1: Complex64) {
+        for_pairs(re, im, stride, |lr, li, hr, hi| {
+            (*lr, *li) = cmul(*lr, *li, f0);
+            (*hr, *hi) = cmul(*hr, *hi, f1);
+        });
+    }
+
+    /// Rewrites every lane `(r, i)` as `f(r * c, i * c)`, `c` its shot's
+    /// entry of the deferred renormalization pattern `inv` — the `a *
+    /// inv` the reference stores in its own scale pass. `re` is a whole
+    /// number of pattern windows.
+    #[inline(always)]
+    fn map_lanes(re: &mut [f64], im: &mut [f64], inv: &[f64], f: impl Fn(f64, f64) -> (f64, f64)) {
+        let w = inv.len();
+        assert!(re.len().is_multiple_of(w));
+        for (wr, wi) in re.chunks_exact_mut(w).zip(im.chunks_exact_mut(w)) {
+            let wi = &mut wi[..wr.len()];
+            for k in 0..wr.len() {
+                (wr[k], wi[k]) = f(wr[k] * inv[k], wi[k] * inv[k]);
+            }
+        }
+    }
+
+    /// Rewrites every `stride` pair `(x, y)` as `upd(x, y)`, each input
+    /// first scaled by its shot's entry of the deferred renormalization
+    /// pattern when one is outstanding (`x * inv`, consumed in
+    /// registers: the update overwrites both lanes).
+    #[inline(always)]
+    fn pair_map(
+        re: &mut [f64],
+        im: &mut [f64],
+        stride: usize,
+        inv: Option<&[f64]>,
+        upd: impl Fn(f64, f64, f64, f64) -> [f64; 4],
+    ) {
+        match inv {
+            None => for_pairs(re, im, stride, |lr, li, hr, hi| {
+                [*lr, *li, *hr, *hi] = upd(*lr, *li, *hr, *hi);
+            }),
+            Some(inv) => {
+                let period = stride.min(inv.len());
+                let inv = &inv[..period];
+                for_pairs_at(re, im, stride, period, |k, lr, li, hr, hi| {
+                    let c = inv[k];
+                    [*lr, *li, *hr, *hi] = upd(*lr * c, *li * c, *hr * c, *hi * c);
+                });
+            }
+        }
+    }
+
+    /// Largest `2^c * S` run over which a two-qubit diagonal with both
+    /// bits inside a tile walks its upper bit with a per-lane pattern of
+    /// lower-bit factors; longer runs take two pair sweeps per block.
+    const DIAG_PATTERN: usize = 64;
+
+    /// A fused diagonal run, tile by tile: each L1-sized tile of rows
+    /// takes every gate of the run in op order before the next tile is
+    /// loaded, so each amplitude still takes its factors in gate order
+    /// — per shot, the exact multiply sequence of gate-at-a-time
+    /// `apply_diag_1q`/`apply_diag_2q` (the blocking of
+    /// [`crate::kernels::apply_diag_fused`], without its broadcast
+    /// pre-products, which would change the bits).
     ///
-    /// `inv`, when present, is a deferred renormalization: each row is
-    /// scaled by the per-shot reciprocal while L1-hot, before the
-    /// factor sweeps — the same `a * inv` the reference stores in
-    /// its own scale pass.
+    /// `inv`, when present, is a deferred renormalization pattern: each
+    /// tile is scaled by it while L1-hot, before the gates — the same
+    /// `a * inv` the reference stores in its own scale pass.
     #[inline(always)]
     pub fn diag_run(
         re: &mut [f64],
         im: &mut [f64],
         s_n: usize,
         ops: &[DiagOp],
-        factors: &mut Vec<Complex64>,
         inv: Option<&[f64]>,
     ) {
-        if let Some(inv) = inv {
-            assert!(inv.len() == s_n);
-        }
-        for ((b, row_re), row_im) in re
-            .chunks_exact_mut(s_n)
-            .enumerate()
-            .zip(im.chunks_exact_mut(s_n))
-        {
+        let t_rows = tile_rows(s_n, re.len() / s_n);
+        let tile = t_rows * s_n;
+        let tile_bits = t_rows.trailing_zeros() as usize;
+        let tiles = re.chunks_exact_mut(tile).zip(im.chunks_exact_mut(tile));
+        for (n, (tr, ti)) in tiles.enumerate() {
             if let Some(inv) = inv {
-                for s in 0..s_n {
-                    row_re[s] *= inv[s];
-                    row_im[s] *= inv[s];
+                map_lanes(tr, ti, &inv[..inv.len().min(tile)], |r, i| (r, i));
+            }
+            for op in ops {
+                diag_tile(tr, ti, s_n, n * t_rows, tile_bits, op);
+            }
+        }
+    }
+
+    /// One diagonal gate over the tile of rows `b0..b0 + 2^tile_bits`:
+    /// every amplitude times its row's factor. A target bit at or above
+    /// `tile_bits` is constant across the tile and selects entries of
+    /// the gate's diagonal; the bits below it alternate in runs the
+    /// pair walker sweeps.
+    #[inline(always)]
+    fn diag_tile(
+        re: &mut [f64],
+        im: &mut [f64],
+        s_n: usize,
+        b0: usize,
+        tile_bits: usize,
+        op: &DiagOp,
+    ) {
+        let bit = |t: usize| (b0 >> t) & 1;
+        match *op {
+            DiagOp::One { target, d } => {
+                if target >= tile_bits {
+                    mul_all(re, im, d[bit(target)]);
+                } else {
+                    mul_pairs(re, im, (1 << target) * s_n, d[0], d[1]);
                 }
             }
-            factors.clear();
-            factors.extend(ops.iter().map(|op| op.factor(b)));
-            for &f in factors.iter() {
-                for (vr, vi) in row_re.iter_mut().zip(row_im.iter_mut()) {
-                    let (r, i) = (*vr, *vi);
-                    *vr = r * f.re - i * f.im;
-                    *vi = r * f.im + i * f.re;
+            DiagOp::Two { t_hi, t_lo, d } => {
+                let at = |hi: usize, lo: usize| d[(hi << 1) | lo];
+                match (t_hi >= tile_bits, t_lo >= tile_bits) {
+                    (true, true) => mul_all(re, im, at(bit(t_hi), bit(t_lo))),
+                    (true, false) => {
+                        let h = bit(t_hi);
+                        mul_pairs(re, im, (1 << t_lo) * s_n, at(h, 0), at(h, 1));
+                    }
+                    (false, true) => {
+                        let l = bit(t_lo);
+                        mul_pairs(re, im, (1 << t_hi) * s_n, at(0, l), at(1, l));
+                    }
+                    (false, false) => {
+                        // `a` the lower target bit, `c` the upper; `g(c, a)`
+                        // the factor for their values.
+                        let (a, c) = (t_hi.min(t_lo), t_hi.max(t_lo));
+                        let g = |cv: usize, av: usize| {
+                            if t_hi == c {
+                                at(cv, av)
+                            } else {
+                                at(av, cv)
+                            }
+                        };
+                        let (run, half) = ((1 << a) * s_n, (1 << c) * s_n);
+                        if half >= DIAG_PATTERN {
+                            let blocks = re.chunks_exact_mut(2 * half);
+                            for (br, bi) in blocks.zip(im.chunks_exact_mut(2 * half)) {
+                                let (lr, hr) = br.split_at_mut(half);
+                                let (li, hi) = bi.split_at_mut(half);
+                                mul_pairs(lr, li, run, g(0, 0), g(0, 1));
+                                mul_pairs(hr, hi, run, g(1, 0), g(1, 1));
+                            }
+                        } else {
+                            let mut pat = [[Complex64::ZERO; DIAG_PATTERN]; 2];
+                            let [p0, p1] = &mut pat;
+                            let halves = p0[..half].iter_mut().zip(&mut p1[..half]);
+                            for (k, (f0, f1)) in halves.enumerate() {
+                                let av = (k / run) & 1;
+                                (*f0, *f1) = (g(0, av), g(1, av));
+                            }
+                            let (lo, hi) = (&pat[0][..half], &pat[1][..half]);
+                            for_pairs_at(re, im, half, half, |k, lr, li, hr, hi_| {
+                                (*lr, *li) = cmul(*lr, *li, lo[k]);
+                                (*hr, *hi_) = cmul(*hr, *hi_, hi[k]);
+                            });
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Dense 1q over every resident shot: `apply_dense_1q`'s pair
-    /// enumeration with the bit surgery hoisted out of the `S`-wide
-    /// inner loop. Per shot, the exact `m00 * a + m01 * b` update of
+    /// Dense 1q over every resident shot: one pair sweep over the runs
+    /// of `2^target * S` lanes the target bit splits the arena into.
+    /// Per shot, the exact `m00 * a + m01 * b` update of
     /// `apply_dense_1q`, written out over the planes. `m` is
     /// `[m00, m01, m10, m11]`.
     ///
-    /// `inv`, when present, is a deferred renormalization: the pair
-    /// inputs are scaled by the per-shot reciprocal as they are loaded
-    /// (the op overwrites every amplitude, so the scaled value is
+    /// `inv`, when present, is a deferred renormalization pattern: the
+    /// pair inputs are scaled by their shot's reciprocal as they are
+    /// loaded (the op overwrites every amplitude, so the scaled value is
     /// consumed, never stored) — the same `a * inv` the reference
     /// stores in its own scale pass.
     ///
@@ -443,106 +620,53 @@ mod kern {
         inv: Option<&[f64]>,
     ) {
         let [m00, m01, m10, m11] = m;
-        let bit = 1usize << target;
-        let low = bit - 1;
-        let dim = re.len() / s_n;
-        if let Some(inv) = inv {
-            assert!(inv.len() == s_n);
-        }
+        let stride = (1usize << target) * s_n;
         let zero = |c: Complex64| c.re == 0.0 && c.im == 0.0;
-        let diag = zero(m01) && zero(m10);
-        let anti = zero(m00) && zero(m11);
-        for g in 0..dim / 2 {
-            let i = ((g & !low) << 1) | (g & low);
-            let j = i | bit;
-            let (ri_re, rj_re) = rows2_mut(re, s_n, i, j);
-            let (ri_im, rj_im) = rows2_mut(im, s_n, i, j);
-            if diag {
-                match inv {
-                    None => {
-                        for s in 0..s_n {
-                            let (xr, xi) = (ri_re[s], ri_im[s]);
-                            let (yr, yi) = (rj_re[s], rj_im[s]);
-                            ri_re[s] = m00.re * xr - m00.im * xi;
-                            ri_im[s] = m00.re * xi + m00.im * xr;
-                            rj_re[s] = m11.re * yr - m11.im * yi;
-                            rj_im[s] = m11.re * yi + m11.im * yr;
-                        }
-                    }
-                    Some(inv) => {
-                        for s in 0..s_n {
-                            let (xr, xi) = (ri_re[s] * inv[s], ri_im[s] * inv[s]);
-                            let (yr, yi) = (rj_re[s] * inv[s], rj_im[s] * inv[s]);
-                            ri_re[s] = m00.re * xr - m00.im * xi;
-                            ri_im[s] = m00.re * xi + m00.im * xr;
-                            rj_re[s] = m11.re * yr - m11.im * yi;
-                            rj_im[s] = m11.re * yi + m11.im * yr;
-                        }
-                    }
-                }
-            } else if anti {
-                match inv {
-                    None => {
-                        for s in 0..s_n {
-                            let (xr, xi) = (ri_re[s], ri_im[s]);
-                            let (yr, yi) = (rj_re[s], rj_im[s]);
-                            ri_re[s] = m01.re * yr - m01.im * yi;
-                            ri_im[s] = m01.re * yi + m01.im * yr;
-                            rj_re[s] = m10.re * xr - m10.im * xi;
-                            rj_im[s] = m10.re * xi + m10.im * xr;
-                        }
-                    }
-                    Some(inv) => {
-                        for s in 0..s_n {
-                            let (xr, xi) = (ri_re[s] * inv[s], ri_im[s] * inv[s]);
-                            let (yr, yi) = (rj_re[s] * inv[s], rj_im[s] * inv[s]);
-                            ri_re[s] = m01.re * yr - m01.im * yi;
-                            ri_im[s] = m01.re * yi + m01.im * yr;
-                            rj_re[s] = m10.re * xr - m10.im * xi;
-                            rj_im[s] = m10.re * xi + m10.im * xr;
-                        }
-                    }
-                }
-            } else {
-                match inv {
-                    None => {
-                        for s in 0..s_n {
-                            let (xr, xi) = (ri_re[s], ri_im[s]);
-                            let (yr, yi) = (rj_re[s], rj_im[s]);
-                            ri_re[s] = (m00.re * xr - m00.im * xi) + (m01.re * yr - m01.im * yi);
-                            ri_im[s] = (m00.re * xi + m00.im * xr) + (m01.re * yi + m01.im * yr);
-                            rj_re[s] = (m10.re * xr - m10.im * xi) + (m11.re * yr - m11.im * yi);
-                            rj_im[s] = (m10.re * xi + m10.im * xr) + (m11.re * yi + m11.im * yr);
-                        }
-                    }
-                    Some(inv) => {
-                        for s in 0..s_n {
-                            let (xr, xi) = (ri_re[s] * inv[s], ri_im[s] * inv[s]);
-                            let (yr, yi) = (rj_re[s] * inv[s], rj_im[s] * inv[s]);
-                            ri_re[s] = (m00.re * xr - m00.im * xi) + (m01.re * yr - m01.im * yi);
-                            ri_im[s] = (m00.re * xi + m00.im * xr) + (m01.re * yi + m01.im * yr);
-                            rj_re[s] = (m10.re * xr - m10.im * xi) + (m11.re * yr - m11.im * yi);
-                            rj_im[s] = (m10.re * xi + m10.im * xr) + (m11.re * yi + m11.im * yr);
-                        }
-                    }
-                }
-            }
+        if zero(m01) && zero(m10) {
+            pair_map(re, im, stride, inv, |xr, xi, yr, yi| {
+                [
+                    m00.re * xr - m00.im * xi,
+                    m00.re * xi + m00.im * xr,
+                    m11.re * yr - m11.im * yi,
+                    m11.re * yi + m11.im * yr,
+                ]
+            });
+        } else if zero(m00) && zero(m11) {
+            pair_map(re, im, stride, inv, |xr, xi, yr, yi| {
+                [
+                    m01.re * yr - m01.im * yi,
+                    m01.re * yi + m01.im * yr,
+                    m10.re * xr - m10.im * xi,
+                    m10.re * xi + m10.im * xr,
+                ]
+            });
+        } else {
+            pair_map(re, im, stride, inv, |xr, xi, yr, yi| {
+                [
+                    (m00.re * xr - m00.im * xi) + (m01.re * yr - m01.im * yi),
+                    (m00.re * xi + m00.im * xr) + (m01.re * yi + m01.im * yr),
+                    (m10.re * xr - m10.im * xi) + (m11.re * yr - m11.im * yi),
+                    (m10.re * xi + m10.im * xr) + (m11.re * yi + m11.im * yr),
+                ]
+            });
         }
     }
 
-    /// Dense 2q over every resident shot: the quad enumeration of
-    /// `apply_dense_2q` with the index surgery hoisted.
-    /// The four rows are gathered into contiguous scratch, then each
-    /// output row runs the identical four-term `mul_add` accumulation
-    /// chain per shot (exact `(m.re * v.re - m.im * v.im) + acc`
-    /// association).
-    /// `inv`, when present, is a deferred renormalization: the quad
-    /// rows are scaled by the per-shot reciprocal during the gather
-    /// (the op overwrites every amplitude, so the scaled value is
+    /// Dense 2q over every resident shot, run by run: the upper target
+    /// bit `c` splits the arena into blocks of two `2^c * S`-lane
+    /// halves, the lower bit `a` splits each half into runs of
+    /// `2^a * S` lanes, and the four runs of a quad are swept together.
+    /// Per lane, each output runs the identical four-term `mul_add`
+    /// accumulation chain of `apply_dense_2q` (exact
+    /// `(m.re * v.re - m.im * v.im) + acc` association, operator basis
+    /// `|t_hi t_lo>`).
+    ///
+    /// `inv`, when present, is a deferred renormalization pattern: the
+    /// quad inputs are scaled by their shot's reciprocal as they are
+    /// loaded (the op overwrites every amplitude, so the scaled value is
     /// consumed, never stored) — the same `a * inv` the reference
     /// stores in its own scale pass.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     pub fn dense2q_all(
         re: &mut [f64],
         im: &mut [f64],
@@ -550,69 +674,104 @@ mod kern {
         t_hi: usize,
         t_lo: usize,
         mm: &[[Complex64; 4]; 4],
-        quad_re: &mut [f64],
-        quad_im: &mut [f64],
         inv: Option<&[f64]>,
     ) {
-        let bh = 1usize << t_hi;
-        let bl = 1usize << t_lo;
-        let (b_lo, b_hi) = (bh.min(bl), bh.max(bl));
-        let block = 2 * b_hi;
-        let quarter = block / 4;
-        let dim = re.len() / s_n;
-        if let Some(inv) = inv {
-            assert!(inv.len() == s_n);
+        match inv {
+            None => quads(re, im, s_n, t_hi, t_lo, mm, s_n << t_hi.min(t_lo), |_, x| x),
+            Some(inv) => {
+                let period = (s_n << t_hi.min(t_lo)).min(inv.len());
+                let inv = &inv[..period];
+                quads(re, im, s_n, t_hi, t_lo, mm, period, |k, x| x * inv[k]);
+            }
         }
-        for blk0 in (0..dim).step_by(block) {
-            for g in 0..quarter {
-                let low = g & (b_lo - 1);
-                let mid = (g ^ low) << 1;
-                let i0 = {
-                    let partial = mid | low;
-                    let lowpart = partial & (b_hi - 1);
-                    ((partial ^ lowpart) << 1) | lowpart
+    }
+
+    /// [`dense2q_all`]'s quad walk, loading each input through
+    /// `load(k, x)` with `k` the lane's offset in its `period`-lane
+    /// window of the run.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn quads(
+        re: &mut [f64],
+        im: &mut [f64],
+        s_n: usize,
+        t_hi: usize,
+        t_lo: usize,
+        mm: &[[Complex64; 4]; 4],
+        period: usize,
+        load: impl Fn(usize, f64) -> f64,
+    ) {
+        let (a, c) = (t_hi.min(t_lo), t_hi.max(t_lo));
+        let (run, half) = (s_n << a, s_n << c);
+        let blocks = re
+            .chunks_exact_mut(2 * half)
+            .zip(im.chunks_exact_mut(2 * half));
+        for (br, bi) in blocks {
+            let (ar, cr) = br.split_at_mut(half);
+            let (ai, ci) = bi.split_at_mut(half);
+            let lo = ar
+                .chunks_exact_mut(2 * run)
+                .zip(ai.chunks_exact_mut(2 * run));
+            let hi = cr
+                .chunks_exact_mut(2 * run)
+                .zip(ci.chunks_exact_mut(2 * run));
+            for ((ar, ai), (cr, ci)) in lo.zip(hi) {
+                let (r00, r01) = ar.split_at_mut(run);
+                let (i00, i01) = ai.split_at_mut(run);
+                let (r10, r11) = cr.split_at_mut(run);
+                let (i10, i11) = ci.split_at_mut(run);
+                // Runs in operator order `|t_hi t_lo>`: `(c, a)` bit
+                // values when `t_hi` is the upper bit, `(a, c)` otherwise.
+                let (r, i) = if t_hi == c {
+                    ([r00, r01, r10, r11], [i00, i01, i10, i11])
+                } else {
+                    ([r00, r10, r01, r11], [i00, i10, i01, i11])
                 };
-                // Row indices in operator basis order |t_hi t_lo>.
-                let base = blk0 + i0;
-                let rows = [base, base | bl, base | bh, base | bh | bl];
-                match inv {
-                    None => {
-                        for (q, &idx) in rows.iter().enumerate() {
-                            quad_re[q * s_n..(q + 1) * s_n]
-                                .copy_from_slice(&re[idx * s_n..idx * s_n + s_n]);
-                            quad_im[q * s_n..(q + 1) * s_n]
-                                .copy_from_slice(&im[idx * s_n..idx * s_n + s_n]);
-                        }
+                quad_runs(r, i, mm, period, &load);
+            }
+        }
+    }
+
+    /// The four runs of one quad, `period` lanes at a time.
+    #[inline(always)]
+    fn quad_runs(
+        re: [&mut [f64]; 4],
+        im: [&mut [f64]; 4],
+        mm: &[[Complex64; 4]; 4],
+        period: usize,
+        load: &impl Fn(usize, f64) -> f64,
+    ) {
+        let [r0, r1, r2, r3] = re;
+        let [i0, i1, i2, i3] = im;
+        let windows = r0
+            .chunks_exact_mut(period)
+            .zip(r1.chunks_exact_mut(period))
+            .zip(r2.chunks_exact_mut(period).zip(r3.chunks_exact_mut(period)))
+            .zip(
+                i0.chunks_exact_mut(period)
+                    .zip(i1.chunks_exact_mut(period))
+                    .zip(i2.chunks_exact_mut(period).zip(i3.chunks_exact_mut(period))),
+            );
+        for (((r0, r1), (r2, r3)), ((i0, i1), (i2, i3))) in windows {
+            let n = r0.len();
+            let (r1, r2, r3) = (&mut r1[..n], &mut r2[..n], &mut r3[..n]);
+            let (i0, i1, i2, i3) = (&mut i0[..n], &mut i1[..n], &mut i2[..n], &mut i3[..n]);
+            for k in 0..n {
+                let vr = [r0[k], r1[k], r2[k], r3[k]].map(|x| load(k, x));
+                let vi = [i0[k], i1[k], i2[k], i3[k]].map(|x| load(k, x));
+                let mut out = [(0.0, 0.0); 4];
+                for (o, row) in out.iter_mut().zip(mm) {
+                    let (mut ar, mut ai) = (0.0, 0.0);
+                    for (c, mc) in row.iter().enumerate() {
+                        ar += mc.re * vr[c] - mc.im * vi[c];
+                        ai += mc.re * vi[c] + mc.im * vr[c];
                     }
-                    Some(inv) => {
-                        for (q, &idx) in rows.iter().enumerate() {
-                            let src_re = &re[idx * s_n..idx * s_n + s_n];
-                            let src_im = &im[idx * s_n..idx * s_n + s_n];
-                            let dst_re = &mut quad_re[q * s_n..(q + 1) * s_n];
-                            let dst_im = &mut quad_im[q * s_n..(q + 1) * s_n];
-                            for s in 0..s_n {
-                                dst_re[s] = src_re[s] * inv[s];
-                                dst_im[s] = src_im[s] * inv[s];
-                            }
-                        }
-                    }
+                    *o = (ar, ai);
                 }
-                for (r, &idx) in rows.iter().enumerate() {
-                    let out_re = &mut re[idx * s_n..idx * s_n + s_n];
-                    let out_im = &mut im[idx * s_n..idx * s_n + s_n];
-                    let mr = mm[r];
-                    for s in 0..s_n {
-                        let mut ar = 0.0;
-                        let mut ai = 0.0;
-                        for (c, mc) in mr.iter().enumerate() {
-                            let (vr, vi) = (quad_re[c * s_n + s], quad_im[c * s_n + s]);
-                            ar += mc.re * vr - mc.im * vi;
-                            ai += mc.re * vi + mc.im * vr;
-                        }
-                        out_re[s] = ar;
-                        out_im[s] = ai;
-                    }
-                }
+                (r0[k], i0[k]) = out[0];
+                (r1[k], i1[k]) = out[1];
+                (r2[k], i2[k]) = out[2];
+                (r3[k], i3[k]) = out[3];
             }
         }
     }
@@ -697,30 +856,40 @@ mod kern {
         }
     }
 
-    /// `w + ||row · (a0, a1)||^2` for one classified row: the terms of
+    /// `||row · (a0, a1)||^2` for one classified row: the terms of
     /// `StateVector::branch_weight`'s two-`mul_add` chain that are not
     /// exact zeros (`Both` keeps the literal `+ 0.0` of
-    /// `mul_add(a0, ZERO)`; a `Zero` row's `+ 0.0` leaves the
-    /// non-negative accumulator's bits unchanged).
+    /// `mul_add(a0, ZERO)`). `Zero` rows are never added ([`add_row`]).
     #[inline(always)]
-    fn add_row(w: f64, r: Row1q, a0r: f64, a0i: f64, a1r: f64, a1i: f64) -> f64 {
+    fn row_term(r: Row1q, a0r: f64, a0i: f64, a1r: f64, a1i: f64) -> f64 {
         match r {
-            Row1q::Zero => w,
+            Row1q::Zero => 0.0,
             Row1q::Lo(m) => {
                 let (tr, ti) = (m * a0r, m * a0i);
-                w + (tr * tr + ti * ti)
+                tr * tr + ti * ti
             }
             Row1q::Hi(m) => {
                 let (tr, ti) = (m * a1r, m * a1i);
-                w + (tr * tr + ti * ti)
+                tr * tr + ti * ti
             }
             Row1q::Both(l, h) => {
                 let tr = (l.re * a0r - l.im * a0i) + 0.0;
                 let ti = (l.re * a0i + l.im * a0r) + 0.0;
                 let ur = (h.re * a1r - h.im * a1i) + tr;
                 let ui = (h.re * a1i + h.im * a1r) + ti;
-                w + (ur * ur + ui * ui)
+                ur * ur + ui * ui
             }
+        }
+    }
+
+    /// `w + term` for a row whose [`row_term`] is `term`; a `Zero` row
+    /// leaves `w` as it is (its `+ 0.0` would leave the non-negative
+    /// accumulator's bits unchanged anyway).
+    #[inline(always)]
+    fn add_row(w: f64, r: Row1q, term: f64) -> f64 {
+        match r {
+            Row1q::Zero => w,
+            _ => w + term,
         }
     }
 
@@ -731,24 +900,26 @@ mod kern {
     /// bit-clear term, then bit-set term).
     ///
     /// The pairs run in tiles of [`PAIR_TILE`] and the lanes in register
-    /// blocks of [`WEIGHT_LANES`] (a ragged tail one lane at a time).
-    /// Per tile and block, one loop accumulates every operator of a
-    /// group in registers: the lo/hi lanes are loaded once per pair, and
-    /// a group's row kinds come from `rows`' pattern, resolved when the
-    /// tape was compiled. The recorded thermal pattern is one group of
-    /// constant kinds, so its loop is straight-line arithmetic with no
-    /// per-operator dispatch, and its three live weights stay in
-    /// registers across the tile instead of a load and a store per
-    /// pair. The reordering is bit-exact: weights accumulate
-    /// independently per operator and lane, and each still sees its
-    /// pairs in ascending order with the same per-pair term sequence.
+    /// blocks of [`LANE_BLOCK`] (a ragged tail one lane at a time); a
+    /// block narrower than [`LANE_BLOCK`] runs [`weights_1q_flat`]. Per
+    /// tile and block, one loop accumulates every operator of a group in
+    /// registers: the lo/hi
+    /// lanes are loaded once per pair, and a group's row kinds come from
+    /// `rows`' pattern, resolved when the tape was compiled. The
+    /// recorded thermal pattern is one group of constant kinds, so its
+    /// loop is straight-line arithmetic with no per-operator dispatch,
+    /// and its three live weights stay in registers across the tile
+    /// instead of a load and a store per pair. The reordering is
+    /// bit-exact: weights accumulate independently per operator and
+    /// lane, and each still sees its pairs in ascending order with the
+    /// same per-pair term sequence.
     ///
-    /// `inv` is the outstanding deferred renormalization (all `1.0`
-    /// when none is; `a * 1.0 == a` bit for bit): each amplitude is
-    /// scaled in registers before the weight terms read it — the same
-    /// `a * inv` the reference stores in its own scale pass. The scaled
-    /// values are not stored: the branch apply that follows every 1q
-    /// scan rewrites each amplitude from the same product.
+    /// `inv` is the outstanding deferred renormalization pattern (all
+    /// `1.0` when none is; `a * 1.0 == a` bit for bit): each amplitude
+    /// is scaled in registers before the weight terms read it — the
+    /// same `a * inv` the reference stores in its own scale pass. The
+    /// scaled values are not stored: the branch apply that follows every
+    /// 1q scan rewrites each amplitude from the same product.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn weights_1q<const G: usize, P: WeightRows<G>>(
@@ -760,15 +931,15 @@ mod kern {
         rows: P,
         inv: &[f64],
     ) {
-        assert!(inv.len() == s_n);
         weights[..rows.groups() * G * s_n].fill(0.0);
         let pairs = re.len() / s_n / 2;
-        let full = s_n - s_n % WEIGHT_LANES;
-        for p0 in (0..pairs).step_by(PAIR_TILE) {
-            let tile = p0..(p0 + PAIR_TILE).min(pairs);
-            for s0 in (0..full).step_by(WEIGHT_LANES) {
-                let block = s0..s0 + WEIGHT_LANES;
-                weights_1q_tile::<WEIGHT_LANES, G, P>(
+        if s_n < LANE_BLOCK {
+            // Pair-major tiles of whole rows: a power of two of pairs.
+            let tile = (1usize << (TAIL_LANES / s_n).ilog2()).min(pairs);
+            let mut scratch = FlatScratch::<G>::default();
+            for p0 in (0..pairs).step_by(tile) {
+                let tile = p0..p0 + tile;
+                weights_1q_flat::<G, P>(
                     weights,
                     re,
                     im,
@@ -776,12 +947,30 @@ mod kern {
                     target,
                     rows,
                     inv,
-                    block,
+                    tile,
+                    &mut scratch,
+                );
+            }
+            return;
+        }
+        let full = s_n - s_n % LANE_BLOCK;
+        let inv = &inv[..s_n];
+        for p0 in (0..pairs).step_by(PAIR_TILE) {
+            let tile = p0..(p0 + PAIR_TILE).min(pairs);
+            for s0 in (0..full).step_by(LANE_BLOCK) {
+                weights_1q_tile::<LANE_BLOCK, G, P>(
+                    weights,
+                    re,
+                    im,
+                    s_n,
+                    target,
+                    rows,
+                    inv,
+                    s0,
                     tile.clone(),
                 );
             }
             for s0 in full..s_n {
-                let block = s0..s0 + 1;
                 weights_1q_tile::<1, G, P>(
                     weights,
                     re,
@@ -790,26 +979,31 @@ mod kern {
                     target,
                     rows,
                     inv,
-                    block,
+                    s0,
                     tile.clone(),
                 );
             }
         }
     }
 
-    /// Lanes per register block of [`weights_1q`]: one AVX-512 vector,
-    /// two AVX2 ones.
-    const WEIGHT_LANES: usize = 8;
+    /// Lanes per register block of [`weights_1q`] (one AVX-512 vector,
+    /// two AVX2 ones); narrower blocks take the reductions' serial tail.
+    const LANE_BLOCK: usize = 8;
+
+    /// Lanes a tile of a block narrower than [`LANE_BLOCK`] spans in the
+    /// reductions: their terms are computed across the tile at once,
+    /// then added serially per shot.
+    const TAIL_LANES: usize = 256;
 
     /// Amplitude pairs per tile of [`weights_1q`]: a tile's rows stay
     /// L1-resident while every lane block of a 64-shot arena reads them.
     const PAIR_TILE: usize = 16;
 
-    /// [`weights_1q`] over `W` lanes and one tile of pairs: each
-    /// group's weights are loaded into registers, accumulate over the
-    /// tile's pairs in ascending order, and are stored back — the same
-    /// sequence of additions as accumulating in memory, without a load
-    /// and a store per pair.
+    /// [`weights_1q`] over the `W` lanes from `s0` and one tile of pairs:
+    /// each group's weights are loaded into registers, accumulate over
+    /// the tile's pairs in ascending order, and are stored back — the
+    /// same sequence of additions as accumulating in memory, without a
+    /// load and a store per pair.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn weights_1q_tile<const W: usize, const G: usize, P: WeightRows<G>>(
@@ -820,24 +1014,23 @@ mod kern {
         target: usize,
         rows: P,
         inv: &[f64],
-        lanes: std::ops::Range<usize>,
+        s0: usize,
         tile: std::ops::Range<usize>,
     ) {
-        let bit = 1usize << target;
-        let low = bit - 1;
-        let s0 = lanes.start;
         let load = |plane: &[f64], row: usize| -> [f64; W] {
             plane[row * s_n + s0..row * s_n + s0 + W]
                 .try_into()
                 .expect("W lanes")
         };
-        let inv: [f64; W] = inv[lanes].try_into().expect("W lanes");
+        let inv: [f64; W] = inv[s0..s0 + W].try_into().expect("W lanes");
         for g in 0..rows.groups() {
             let ops = rows.group(g);
             let mut acc = [[0.0f64; W]; G];
             for (k, acc_k) in acc.iter_mut().enumerate() {
                 *acc_k = load(weights, g * G + k);
             }
+            let bit = 1usize << target;
+            let low = bit - 1;
             for p in tile.clone() {
                 let lo = ((p & !low) << 1) | (p & low);
                 let hi = lo | bit;
@@ -847,14 +1040,90 @@ mod kern {
                     let (a0r, a0i) = (lo_re[l] * inv[l], lo_im[l] * inv[l]);
                     let (a1r, a1i) = (hi_re[l] * inv[l], hi_im[l] * inv[l]);
                     for (acc_k, &(r0, r1)) in acc.iter_mut().zip(ops.iter()) {
-                        let w = add_row(acc_k[l], r0, a0r, a0i, a1r, a1i);
-                        acc_k[l] = add_row(w, r1, a0r, a0i, a1r, a1i);
+                        let w = add_row(acc_k[l], r0, row_term(r0, a0r, a0i, a1r, a1i));
+                        acc_k[l] = add_row(w, r1, row_term(r1, a0r, a0i, a1r, a1i));
                     }
                 }
             }
             for (k, acc_k) in acc.iter().enumerate() {
                 let row = (g * G + k) * s_n + s0;
                 weights[row..row + W].copy_from_slice(acc_k);
+            }
+        }
+    }
+
+    /// Lane arrays of [`weights_1q_flat`], reused across a scan's tiles:
+    /// the gathered pair amplitudes and each operator's two row terms.
+    struct FlatScratch<const G: usize> {
+        amps: [[f64; TAIL_LANES]; 4],
+        terms: [[[f64; TAIL_LANES]; 2]; G],
+    }
+
+    impl<const G: usize> Default for FlatScratch<G> {
+        fn default() -> Self {
+            Self {
+                amps: [[0.0; TAIL_LANES]; 4],
+                terms: [[[0.0; TAIL_LANES]; 2]; G],
+            }
+        }
+    }
+
+    /// [`weights_1q`] over a block narrower than [`LANE_BLOCK`] and one
+    /// tile of pairs: the tile's pairs are gathered pair-major (lane
+    /// `j * S + s` is shot `s` of the tile's pair `j`), scaled by the
+    /// deferred renormalization pattern `inv`, every row term of every
+    /// lane is computed across the tile at once (that is the part that
+    /// vectorizes), and then each shot's weights add them serially in
+    /// ascending pair order — the same additions in the same order as
+    /// one pair at a time.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn weights_1q_flat<const G: usize, P: WeightRows<G>>(
+        weights: &mut [f64],
+        re: &[f64],
+        im: &[f64],
+        s_n: usize,
+        target: usize,
+        rows: P,
+        inv: &[f64],
+        tile: std::ops::Range<usize>,
+        scratch: &mut FlatScratch<G>,
+    ) {
+        let n = tile.len() * s_n;
+        let (bit, k0) = ((1usize << target) * s_n, tile.start * s_n);
+        let FlatScratch { amps: a, terms } = scratch;
+        let [a0r, a0i, a1r, a1i] = a;
+        gather_pairs(re, bit, k0, &mut a0r[..n], &mut a1r[..n]);
+        gather_pairs(im, bit, k0, &mut a0i[..n], &mut a1i[..n]);
+        let inv = &inv[..n.min(inv.len())];
+        let [a0r, a0i, a1r, a1i] = &*a;
+        for g in 0..rows.groups() {
+            let ops = rows.group(g);
+            for w0 in (0..n).step_by(inv.len()) {
+                for (k, &c) in inv.iter().enumerate() {
+                    let i = w0 + k;
+                    let (x0r, x0i) = (a0r[i] * c, a0i[i] * c);
+                    let (x1r, x1i) = (a1r[i] * c, a1i[i] * c);
+                    for (t, &(r0, r1)) in terms.iter_mut().zip(ops.iter()) {
+                        t[0][i] = row_term(r0, x0r, x0i, x1r, x1i);
+                        t[1][i] = row_term(r1, x0r, x0i, x1r, x1i);
+                    }
+                }
+            }
+            for s in 0..s_n {
+                let mut acc = [0.0f64; G];
+                for (k, acc) in acc.iter_mut().enumerate() {
+                    *acc = weights[(g * G + k) * s_n + s];
+                }
+                for i in (0..n / s_n).map(|j| j * s_n + s) {
+                    let ts = terms.iter().zip(ops.iter());
+                    for (acc, (t, &(r0, r1))) in acc.iter_mut().zip(ts) {
+                        *acc = add_row(add_row(*acc, r0, t[0][i]), r1, t[1][i]);
+                    }
+                }
+                for (k, acc) in acc.iter().enumerate() {
+                    weights[(g * G + k) * s_n + s] = *acc;
+                }
             }
         }
     }
@@ -888,19 +1157,20 @@ mod kern {
         weights_1q(weights, re, im, s_n, target, ops, inv)
     }
 
-    /// A 1q operator picked per lane: shot `s` applies its own branch,
-    /// `coef_*[q * s_n + s]` holding entry `q` of `[m00, m01, m10, m11]`
-    /// — per lane, the full dense `m00 * a + m01 * b` update
-    /// `dense_1q_masked` computes for one branch group (no sparsity
-    /// skip), so divergent picks cost one vectorized sweep instead of
-    /// one strided masked sweep per picked branch. Lanes with
-    /// `keep[s]` set (a skipped identity `K0`) keep their amplitudes
-    /// through a per-lane select.
+    /// A 1q operator picked per lane: lane `k` of a pattern window
+    /// applies its shot's operator, `coef_*[q * period + k]` holding
+    /// entry `q` of `[m00, m01, m10, m11]` (`period` = `inv.len()`) —
+    /// per lane, the full dense `m00 * a + m01 * b` update of
+    /// `apply_dense_1q` (no sparsity skip), so divergent picks cost one
+    /// pair sweep instead of one strided masked sweep per picked branch.
+    /// Lanes with `keep` set (a skipped identity `K0`, an identity
+    /// branch of a mixed-unitary channel) keep their amplitudes through
+    /// a per-lane select.
     ///
-    /// `inv` is the outstanding deferred renormalization (all `1.0`
-    /// when none is): the pair inputs are scaled as they are loaded —
-    /// the same `a * inv` the reference stores in its own scale pass —
-    /// and a kept lane stores its scaled input.
+    /// `inv` is the outstanding deferred renormalization pattern (all
+    /// `1.0` when none is): the pair inputs are scaled as they are
+    /// loaded — the same `a * inv` the reference stores in its own
+    /// scale pass — and a kept lane stores its scaled input.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     pub fn dense1q_lanes(
@@ -913,78 +1183,113 @@ mod kern {
         inv: &[f64],
         keep: Option<&[bool]>,
     ) {
-        let bit = 1usize << target;
-        let low = bit - 1;
-        let dim = re.len() / s_n;
-        let (mut c_re, mut c_im) = (coef_re.chunks_exact(s_n), coef_im.chunks_exact(s_n));
+        let stride = (1usize << target) * s_n;
+        let period = stride.min(inv.len());
+        let (mut c_re, mut c_im) = (
+            coef_re.chunks_exact(inv.len()),
+            coef_im.chunks_exact(inv.len()),
+        );
         let [c00r, c01r, c10r, c11r]: [&[f64]; 4] =
-            std::array::from_fn(|_| c_re.next().expect("four coefficient rows"));
+            std::array::from_fn(|_| &c_re.next().expect("four coefficient rows")[..period]);
         let [c00i, c01i, c10i, c11i]: [&[f64]; 4] =
-            std::array::from_fn(|_| c_im.next().expect("four coefficient rows"));
-        assert!(inv.len() == s_n);
-        if let Some(keep) = keep {
-            assert!(keep.len() == s_n);
+            std::array::from_fn(|_| &c_im.next().expect("four coefficient rows")[..period]);
+        let inv = &inv[..period];
+        let update = |k: usize, xr: f64, xi: f64, yr: f64, yi: f64| {
+            [
+                (c00r[k] * xr - c00i[k] * xi) + (c01r[k] * yr - c01i[k] * yi),
+                (c00r[k] * xi + c00i[k] * xr) + (c01r[k] * yi + c01i[k] * yr),
+                (c10r[k] * xr - c10i[k] * xi) + (c11r[k] * yr - c11i[k] * yi),
+                (c10r[k] * xi + c10i[k] * xr) + (c11r[k] * yi + c11i[k] * yr),
+            ]
+        };
+        match keep {
+            None => for_pairs_at(re, im, stride, period, |k, lr, li, hr, hi| {
+                let c = inv[k];
+                [*lr, *li, *hr, *hi] = update(k, *lr * c, *li * c, *hr * c, *hi * c);
+            }),
+            Some(keep) => {
+                let keep = &keep[..period];
+                for_pairs_at(re, im, stride, period, |k, lr, li, hr, hi| {
+                    let c = inv[k];
+                    let x = [*lr * c, *li * c, *hr * c, *hi * c];
+                    let new = update(k, x[0], x[1], x[2], x[3]);
+                    [*lr, *li, *hr, *hi] = if keep[k] { x } else { new };
+                });
+            }
         }
-        for g in 0..dim / 2 {
-            let i = ((g & !low) << 1) | (g & low);
-            let j = i | bit;
-            let (ri_re, rj_re) = rows2_mut(re, s_n, i, j);
-            let (ri_im, rj_im) = rows2_mut(im, s_n, i, j);
-            match keep {
-                None => {
-                    for s in 0..s_n {
-                        let (xr, xi) = (ri_re[s] * inv[s], ri_im[s] * inv[s]);
-                        let (yr, yi) = (rj_re[s] * inv[s], rj_im[s] * inv[s]);
-                        ri_re[s] = (c00r[s] * xr - c00i[s] * xi) + (c01r[s] * yr - c01i[s] * yi);
-                        ri_im[s] = (c00r[s] * xi + c00i[s] * xr) + (c01r[s] * yi + c01i[s] * yr);
-                        rj_re[s] = (c10r[s] * xr - c10i[s] * xi) + (c11r[s] * yr - c11i[s] * yi);
-                        rj_im[s] = (c10r[s] * xi + c10i[s] * xr) + (c11r[s] * yi + c11i[s] * yr);
-                    }
+    }
+
+    /// `out[s] += |a_b|^2` (times `diag[b]` when `WEIGHTED`) over the
+    /// rows `b` of `re`/`im`, ascending — per shot, the reference's
+    /// ascending-index accumulation. A block at least [`LANE_BLOCK`]
+    /// wide sums row by row across its lanes, each shot's sum its own
+    /// chain. A narrower block runs in tiles of whole rows: every lane's
+    /// term is computed across the tile at once, then each shot adds its
+    /// terms serially, in row order.
+    #[inline(always)]
+    fn acc_rows<const WEIGHTED: bool>(
+        out: &mut [f64],
+        re: &[f64],
+        im: &[f64],
+        s_n: usize,
+        diag: &[f64],
+        t: &mut [f64; TAIL_LANES],
+    ) {
+        let weigh = |t: f64, b: usize| if WEIGHTED { t * diag[b] } else { t };
+        if s_n < LANE_BLOCK {
+            let tile = (TAIL_LANES / s_n) * s_n;
+            let tiles = re.chunks(tile).zip(im.chunks(tile));
+            for (c, (tr, ti)) in tiles.enumerate() {
+                let ti = &ti[..tr.len()];
+                for (i, t) in t[..tr.len()].iter_mut().enumerate() {
+                    *t = tr[i] * tr[i] + ti[i] * ti[i];
                 }
-                Some(keep) => {
-                    for s in 0..s_n {
-                        let (xr, xi) = (ri_re[s] * inv[s], ri_im[s] * inv[s]);
-                        let (yr, yi) = (rj_re[s] * inv[s], rj_im[s] * inv[s]);
-                        let nr = (c00r[s] * xr - c00i[s] * xi) + (c01r[s] * yr - c01i[s] * yi);
-                        let ni = (c00r[s] * xi + c00i[s] * xr) + (c01r[s] * yi + c01i[s] * yr);
-                        let mr = (c10r[s] * xr - c10i[s] * xi) + (c11r[s] * yr - c11i[s] * yi);
-                        let mi = (c10r[s] * xi + c10i[s] * xr) + (c11r[s] * yi + c11i[s] * yr);
-                        let k = keep[s];
-                        ri_re[s] = if k { xr } else { nr };
-                        ri_im[s] = if k { xi } else { ni };
-                        rj_re[s] = if k { yr } else { mr };
-                        rj_im[s] = if k { yi } else { mi };
+                let b0 = c * (tile / s_n);
+                for (s, out) in out.iter_mut().enumerate() {
+                    let mut acc = *out;
+                    for (j, row) in t[..tr.len()].chunks_exact(s_n).enumerate() {
+                        acc += weigh(row[s], b0 + j);
                     }
+                    *out = acc;
                 }
+            }
+            return;
+        }
+        let rows = re.chunks_exact(s_n).zip(im.chunks_exact(s_n));
+        for (b, (row_re, row_im)) in rows.enumerate() {
+            for (s, o) in out.iter_mut().enumerate() {
+                *o += weigh(row_re[s] * row_re[s] + row_im[s] * row_im[s], b);
             }
         }
     }
 
     /// `norms[s] += |a_b|^2` over the whole arena, rows ascending — the
     /// ascending-index squared-norm accumulation of
-    /// `StateVector::renormalize` and `draw_outcome`, all shots at once.
+    /// `StateVector::renormalize` and `draw_outcome`, all shots at once,
+    /// an L1-sized tile of rows at a time.
     #[inline(always)]
     pub fn norm_acc_all(norms: &mut [f64], re: &[f64], im: &[f64], s_n: usize) {
-        for (row_re, row_im) in re.chunks_exact(s_n).zip(im.chunks_exact(s_n)) {
-            for (s, acc) in norms.iter_mut().enumerate() {
-                *acc += row_re[s] * row_re[s] + row_im[s] * row_im[s];
-            }
+        let tile = tile_rows(s_n, re.len() / s_n) * s_n;
+        let mut t = [0.0; TAIL_LANES];
+        for (tr, ti) in re.chunks_exact(tile).zip(im.chunks_exact(tile)) {
+            acc_rows::<false>(norms, tr, ti, s_n, &[], &mut t);
         }
     }
 
     /// A diagonal 1q operator `diag(d[0], d[1])` over every resident
     /// shot, fused with the squared-norm scan that follows it: rows
-    /// ascending, each row multiplied by `d[0]` (target bit clear) or
-    /// `d[1]` (bit set), and each updated amplitude added into
-    /// `norms[s]` while still in registers. Per amplitude this is
-    /// [`dense1q_all`]'s diagonal branch; per shot the norm sums the
-    /// stored results in [`norm_acc_all`]'s ascending-row order. State
-    /// and norms are therefore bit-identical to the two separate passes,
-    /// minus one full read of the arena.
+    /// ascending, each multiplied by `d[0]` (target bit clear) or `d[1]`
+    /// (bit set) — [`dense1q_all`]'s diagonal update — and added into
+    /// `norms[s]` in [`norm_acc_all`]'s ascending-row order, while in
+    /// registers (rows that fill the lanes) or one L1-sized tile of rows
+    /// later (narrower blocks, whose tiles take the apply as a run sweep
+    /// and the scan as [`acc_rows`]' serial tail). State and norms are
+    /// therefore bit-identical to the two separate passes, minus one
+    /// full read of the arena.
     ///
-    /// `inv` is the outstanding deferred renormalization (all `1.0`
-    /// when none is), applied to each amplitude as it is loaded — the
-    /// same `a * inv` the reference stores in its own scale pass.
+    /// `inv` is the outstanding deferred renormalization pattern (all
+    /// `1.0` when none is), applied to each amplitude as it is loaded —
+    /// the same `a * inv` the reference stores in its own scale pass.
     #[inline(always)]
     pub fn diag1q_norm_all(
         re: &mut [f64],
@@ -995,55 +1300,75 @@ mod kern {
         d: [Complex64; 2],
         inv: &[f64],
     ) {
-        assert!(norms.len() == s_n && inv.len() == s_n);
-        let bit = 1usize << target;
-        for (b, (row_re, row_im)) in re
-            .chunks_exact_mut(s_n)
-            .zip(im.chunks_exact_mut(s_n))
-            .enumerate()
-        {
-            let m = d[usize::from(b & bit != 0)];
-            for (((vr, vi), acc), &k) in row_re
-                .iter_mut()
-                .zip(row_im.iter_mut())
-                .zip(norms.iter_mut())
-                .zip(inv)
-            {
-                let (r, i) = (*vr * k, *vi * k);
-                let nr = m.re * r - m.im * i;
-                let ni = m.re * i + m.im * r;
-                *vr = nr;
-                *vi = ni;
-                *acc += nr * nr + ni * ni;
+        assert!(norms.len() == s_n);
+        if s_n >= LANE_BLOCK {
+            // Rows fill the lanes: apply and scan in one pass.
+            let inv = &inv[..s_n];
+            let bit = 1usize << target;
+            let rows = re.chunks_exact_mut(s_n).zip(im.chunks_exact_mut(s_n));
+            for (b, (row_re, row_im)) in rows.enumerate() {
+                let m = d[usize::from(b & bit != 0)];
+                for (((vr, vi), acc), &k) in row_re
+                    .iter_mut()
+                    .zip(row_im.iter_mut())
+                    .zip(norms.iter_mut())
+                    .zip(inv)
+                {
+                    let (r, i) = (*vr * k, *vi * k);
+                    let nr = m.re * r - m.im * i;
+                    let ni = m.re * i + m.im * r;
+                    *vr = nr;
+                    *vi = ni;
+                    *acc += nr * nr + ni * ni;
+                }
             }
+            return;
+        }
+        let t_rows = tile_rows(s_n, re.len() / s_n);
+        let tile = t_rows * s_n;
+        let stride = (1usize << target) * s_n;
+        let [m0, m1] = d;
+        let mut t = [0.0; TAIL_LANES];
+        let tiles = re.chunks_exact_mut(tile).zip(im.chunks_exact_mut(tile));
+        for (n, (tr, ti)) in tiles.enumerate() {
+            if stride >= tile {
+                let m = d[((n * t_rows) >> target) & 1];
+                map_lanes(tr, ti, &inv[..inv.len().min(tile)], |r, i| {
+                    (m.re * r - m.im * i, m.re * i + m.im * r)
+                });
+            } else {
+                pair_map(tr, ti, stride, Some(inv), |xr, xi, yr, yi| {
+                    [
+                        m0.re * xr - m0.im * xi,
+                        m0.re * xi + m0.im * xr,
+                        m1.re * yr - m1.im * yi,
+                        m1.re * yi + m1.im * yr,
+                    ]
+                });
+            }
+            acc_rows::<false>(norms, tr, ti, s_n, &[], &mut t);
         }
     }
 
     /// `a *= inv[s]` over the whole arena — the renormalization scale
-    /// pass with each shot's own precomputed reciprocal.
+    /// pass with each shot's own precomputed reciprocal, one pattern
+    /// window at a time.
     #[inline(always)]
-    pub fn scale_all(re: &mut [f64], im: &mut [f64], s_n: usize, inv: &[f64]) {
-        for (row_re, row_im) in re.chunks_exact_mut(s_n).zip(im.chunks_exact_mut(s_n)) {
-            for s in 0..s_n {
-                row_re[s] *= inv[s];
-                row_im[s] *= inv[s];
-            }
-        }
+    pub fn scale_all(re: &mut [f64], im: &mut [f64], inv: &[f64]) {
+        map_lanes(re, im, inv, |r, i| (r, i));
     }
 
     /// `out[s] += |a_b|^2 * diag[b]` over the whole arena, rows
     /// ascending — the reference's diagonal observable reduction, all
-    /// shots at once.
+    /// shots at once, an L1-sized tile of rows at a time.
     #[inline(always)]
     pub fn diag_expect_all(out: &mut [f64], re: &[f64], im: &[f64], s_n: usize, diag: &[f64]) {
-        for ((row_re, row_im), &d) in re
-            .chunks_exact(s_n)
-            .zip(im.chunks_exact(s_n))
-            .zip(diag.iter())
-        {
-            for (s, o) in out.iter_mut().enumerate() {
-                *o += (row_re[s] * row_re[s] + row_im[s] * row_im[s]) * d;
-            }
+        let t_rows = tile_rows(s_n, re.len() / s_n);
+        let tile = t_rows * s_n;
+        let tiles = re.chunks_exact(tile).zip(im.chunks_exact(tile));
+        let mut t = [0.0; TAIL_LANES];
+        for ((tr, ti), d) in tiles.zip(diag.chunks_exact(t_rows)) {
+            acc_rows::<true>(out, tr, ti, s_n, d, &mut t);
         }
     }
 }
@@ -1054,7 +1379,6 @@ lane_tiers!(kern {
         im: &mut [f64],
         s_n: usize,
         ops: &[DiagOp],
-        factors: &mut Vec<Complex64>,
         inv: Option<&[f64]>,
     );
     fn dense1q_all(
@@ -1072,8 +1396,6 @@ lane_tiers!(kern {
         t_hi: usize,
         t_lo: usize,
         mm: &[[Complex64; 4]; 4],
-        quad_re: &mut [f64],
-        quad_im: &mut [f64],
         inv: Option<&[f64]>,
     );
     fn weights_1q_thermal(
@@ -1114,21 +1436,18 @@ lane_tiers!(kern {
         d: [Complex64; 2],
         inv: &[f64],
     );
-    fn scale_all(re: &mut [f64], im: &mut [f64], s_n: usize, inv: &[f64]);
+    fn scale_all(re: &mut [f64], im: &mut [f64], inv: &[f64]);
     fn diag_expect_all(out: &mut [f64], re: &[f64], im: &[f64], s_n: usize, diag: &[f64]);
 });
 
 /// Arena bytes one shot block may occupy: a memory ceiling of 32 MiB
-/// per rayon worker, not a cache target. Blocks are sized for lane fill
-/// (see "Block size: fill the lanes" in the module docs), and an arena
-/// larger than L2 costs less than rows too short to amortize their
-/// fixed per-row cost.
+/// per rayon worker, not a cache target (see "Narrow blocks" in the
+/// module docs).
 const BLOCK_ARENA_BYTES: usize = 1 << 25;
 
 /// The default shots-per-block of the batched path for an `n_qubits`
 /// program: as many shots as fit `BLOCK_ARENA_BYTES`, clamped to
-/// `1..=64` (past 64 lanes the per-row overhead is already amortized;
-/// states over 32 MiB run one shot per block).
+/// `1..=64` (states over 32 MiB run one shot per block).
 pub fn default_block_size(n_qubits: usize) -> usize {
     let per_shot = std::mem::size_of::<Complex64>() << n_qubits;
     (BLOCK_ARENA_BYTES / per_shot).clamp(1, 64)
@@ -1160,30 +1479,31 @@ pub struct ReplayBatch {
     norms: Vec<f64>,
     /// Per-shot branch picks of the channel being applied.
     picks: Vec<usize>,
-    /// Per-lane picked 1q operator, `coef_re[q * n_shots + s]` = real
-    /// part of entry `q` of `[m00, m01, m10, m11]` of shot `s`'s branch.
+    /// Lanes of one per-shot pattern: `n_shots` times a power of two,
+    /// at least [`PATTERN_LANES`] where the arena allows. Lane `k` of a
+    /// pattern holds shot `k % n_shots`'s value, so its first `n_shots`
+    /// entries are the per-shot values themselves.
+    period: usize,
+    /// Per-lane picked 1q operator pattern, `coef_re[q * period + k]` =
+    /// real part of entry `q` of `[m00, m01, m10, m11]` of lane `k`'s
+    /// branch.
     coef_re: Vec<f64>,
-    /// Imaginary half of the per-lane operator scratch.
+    /// Imaginary half of the per-lane operator pattern.
     coef_im: Vec<f64>,
-    /// Per-lane "picked a skipped identity `K0`" flags.
+    /// Per-lane "keeps its amplitudes" pattern (a skipped identity
+    /// `K0`, an identity branch of a mixed-unitary channel).
     keep: Vec<bool>,
     /// Shot-index scratch for branch application groups.
     group: Vec<usize>,
-    /// Diagonal factor scratch for fused runs.
-    factors: Vec<Complex64>,
-    /// Quad-row gather scratch for the dense 2q kernel (4 rows x S).
-    quad_re: Vec<f64>,
-    /// Imaginary half of the quad gather scratch.
-    quad_im: Vec<f64>,
-    /// Per-shot reciprocals of a deferred renormalization scale pass
+    /// Reciprocal pattern of a deferred renormalization scale pass
     /// (`1.0` for shots the pass does not touch). Valid while
     /// `pending` is set; fused into the next full sweep instead of
     /// paying a standalone read+write pass over the arena.
     inv: Vec<f64>,
     /// A deferred scale pass is outstanding in `inv`.
     pending: bool,
-    /// `1.0` per shot: the scale a kernel that always takes one applies
-    /// when no scale pass is outstanding.
+    /// A pattern of `1.0`: the scale a kernel that always takes one
+    /// applies when no scale pass is outstanding.
     ones: Vec<f64>,
     /// Kernel build the batch dispatches to (probed once per batch by
     /// `lane_isa`, called through `kernel!` per op).
@@ -1207,6 +1527,8 @@ impl ReplayBatch {
         let dim = 1usize << n_qubits;
         let max_branches = program.channels.iter().map(CompiledChannel::n_branches);
         let max_branches = max_branches.max().unwrap_or(0);
+        let reps = PATTERN_LANES.div_ceil(n_shots).next_power_of_two();
+        let period = n_shots * reps.min(dim);
         Self {
             n_qubits,
             n_shots,
@@ -1216,16 +1538,14 @@ impl ReplayBatch {
             weights: vec![0.0; max_branches * n_shots],
             norms: vec![0.0; n_shots],
             picks: vec![0; n_shots],
-            coef_re: vec![0.0; 4 * n_shots],
-            coef_im: vec![0.0; 4 * n_shots],
-            keep: vec![false; n_shots],
+            period,
+            coef_re: vec![0.0; 4 * period],
+            coef_im: vec![0.0; 4 * period],
+            keep: vec![false; period],
             group: Vec::with_capacity(n_shots),
-            factors: Vec::new(),
-            quad_re: vec![0.0; 4 * n_shots],
-            quad_im: vec![0.0; 4 * n_shots],
-            inv: vec![1.0; n_shots],
+            inv: vec![1.0; period],
             pending: false,
-            ones: vec![1.0; n_shots],
+            ones: vec![1.0; period],
             lanes: lane_isa(),
             psi: StateVector::zero_state(n_qubits),
         }
@@ -1282,15 +1602,9 @@ impl ReplayBatch {
                     let lanes = self.lanes;
                     let s_n = self.n_shots;
                     let pending = std::mem::replace(&mut self.pending, false);
-                    let Self {
-                        re,
-                        im,
-                        factors,
-                        inv,
-                        ..
-                    } = self;
+                    let Self { re, im, inv, .. } = self;
                     let inv = pending.then_some(&inv[..]);
-                    kernel!(lanes, diag_run(re, im, s_n, ops, factors, inv));
+                    kernel!(lanes, diag_run(re, im, s_n, ops, inv));
                 }),
                 TapeOp::Apply(DenseApply { targets, matrix }) => {
                     let kind = if targets.len() == 1 {
@@ -1330,11 +1644,7 @@ impl ReplayBatch {
     /// channels, generic weight scans, embed fallbacks, end of tape).
     fn resolve_pending(&mut self) {
         if std::mem::replace(&mut self.pending, false) {
-            let s_n = self.n_shots;
-            kernel!(
-                self.lanes,
-                scale_all(&mut self.re, &mut self.im, s_n, &self.inv)
-            );
+            kernel!(self.lanes, scale_all(&mut self.re, &mut self.im, &self.inv));
         }
     }
 
@@ -1357,20 +1667,11 @@ impl ReplayBatch {
                     debug_assert_eq!(m.rows(), 4);
                     debug_assert_ne!(targets[0], targets[1]);
                     let mm = quad_matrix(m);
-                    let Self {
-                        re,
-                        im,
-                        inv,
-                        quad_re,
-                        quad_im,
-                        ..
-                    } = self;
+                    let Self { re, im, inv, .. } = self;
                     let inv = pending.then_some(&inv[..]);
                     kernel!(
                         lanes,
-                        dense2q_all(
-                            re, im, s_n, targets[0], targets[1], &mm, quad_re, quad_im, inv
-                        )
+                        dense2q_all(re, im, s_n, targets[0], targets[1], &mm, inv)
                     );
                 }
             }
@@ -1382,87 +1683,18 @@ impl ReplayBatch {
         }
     }
 
-    /// Applies a dense operator to every resident shot, dispatching on
-    /// arity exactly like [`StateVector::apply_operator`]. Only called
-    /// with no deferred scale outstanding (channel-internal branch
-    /// applies).
-    fn apply_operator_all(&mut self, m: &Matrix, targets: &[usize]) {
-        debug_assert!(!self.pending);
-        match targets.len() {
-            1 => {
-                debug_assert_eq!(m.rows(), 2);
-                let mm = [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
-                kernel!(
-                    self.lanes,
-                    dense1q_all(
-                        &mut self.re,
-                        &mut self.im,
-                        self.n_shots,
-                        targets[0],
-                        mm,
-                        None
-                    )
-                );
-            }
-            2 => {
-                debug_assert_eq!(m.rows(), 4);
-                debug_assert_ne!(targets[0], targets[1]);
-                let mm = quad_matrix(m);
-                kernel!(
-                    self.lanes,
-                    dense2q_all(
-                        &mut self.re,
-                        &mut self.im,
-                        self.n_shots,
-                        targets[0],
-                        targets[1],
-                        &mm,
-                        &mut self.quad_re,
-                        &mut self.quad_im,
-                        None,
-                    )
-                );
-            }
-            _ => {
-                let all: Vec<usize> = (0..self.n_shots).collect();
-                self.embed_fallback(m, targets, &all);
-            }
-        }
-    }
-
-    /// Applies a dense operator to the listed shots, dispatching on
-    /// arity exactly like [`StateVector::apply_operator`].
+    /// Applies a multi-qubit channel branch to the listed shots (1q
+    /// channels apply every pick in one per-lane sweep instead): the
+    /// full-block kernels when every shot is listed (no deferred scale
+    /// is outstanding within a channel's branch groups), otherwise the
+    /// masked sweeps.
     fn apply_operator_group(&mut self, m: &Matrix, targets: &[usize], group: &[usize]) {
         if group.len() == self.n_shots {
-            return self.apply_operator_all(m, targets);
+            return self.apply_dense_fused(m, targets);
         }
         match targets.len() {
-            1 => self.dense_1q_masked(targets[0], m, group),
             2 => self.dense_2q_masked(targets[0], targets[1], m, group),
             _ => self.embed_fallback(m, targets, group),
-        }
-    }
-
-    /// Dense 1q restricted to the listed shots (divergent channel
-    /// branches): per listed shot, the same pair update via direct
-    /// indexing.
-    fn dense_1q_masked(&mut self, target: usize, m: &Matrix, group: &[usize]) {
-        let s_n = self.n_shots;
-        let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
-        let bit = 1usize << target;
-        let low = bit - 1;
-        let dim = self.re.len() / s_n;
-        for g in 0..dim / 2 {
-            let i = (((g & !low) << 1) | (g & low)) * s_n;
-            let j = i + bit * s_n;
-            for &s in group {
-                let (xr, xi) = (self.re[i + s], self.im[i + s]);
-                let (yr, yi) = (self.re[j + s], self.im[j + s]);
-                self.re[i + s] = (m00.re * xr - m00.im * xi) + (m01.re * yr - m01.im * yi);
-                self.im[i + s] = (m00.re * xi + m00.im * xr) + (m01.re * yi + m01.im * yr);
-                self.re[j + s] = (m10.re * xr - m10.im * xi) + (m11.re * yr - m11.im * yi);
-                self.im[j + s] = (m10.re * xi + m10.im * xr) + (m11.re * yi + m11.im * yr);
-            }
         }
     }
 
@@ -1532,12 +1764,14 @@ impl ReplayBatch {
 
     /// A mixed-unitary channel: per-shot pick from the cumulative table
     /// (same comparison sequence as
-    /// [`crate::ChannelOp::apply_sampled`]'s walk), then one grouped sweep per picked
-    /// non-identity branch — identity picks never touch the arena.
+    /// [`crate::ChannelOp::apply_sampled`]'s walk). A 1q channel then
+    /// applies every shot's pick in one per-lane sweep
+    /// ([`ReplayBatch::apply_lane_ops`]) that also consumes any deferred
+    /// scale: lanes that picked an identity branch keep their (scaled)
+    /// amplitudes, and if every lane did, nothing is swept and the
+    /// scale stays outstanding. Multi-qubit channels run one grouped
+    /// sweep per picked non-identity branch.
     fn apply_mixed(&mut self, mix: &MixedChannel) {
-        // Branch applies touch only their group's shots, so a deferred
-        // scale (which covers every shot) cannot ride along.
-        self.resolve_pending();
         let s_n = self.n_shots;
         for s in 0..s_n {
             let r: f64 = self.rngs[s].gen();
@@ -1550,6 +1784,18 @@ impl ReplayBatch {
             }
             self.picks[s] = pick;
         }
+        if let [target] = mix.targets[..] {
+            let picks = std::mem::take(&mut self.picks);
+            self.apply_lane_ops(target, |s| match &mix.branches[picks[s]] {
+                BranchApply::Identity => None,
+                BranchApply::Apply(u) => Some(entries_1q(u)),
+            });
+            self.picks = picks;
+            return;
+        }
+        // Branch applies touch only their group's shots, so a deferred
+        // scale (which covers every shot) cannot ride along.
+        self.resolve_pending();
         let mut group = std::mem::take(&mut self.group);
         for (k, branch) in mix.branches.iter().enumerate() {
             let BranchApply::Apply(u) = branch else {
@@ -1653,8 +1899,8 @@ impl ReplayBatch {
     /// then scans the norms and defers the new scale. When every shot
     /// picked the same diagonal branch (thermal relaxation's `K0`, the
     /// common pick), [`kern::diag1q_norm_all`] applies it and scans the
-    /// norms in one pass. Otherwise [`kern::dense1q_lanes`] gives each
-    /// lane its own operator's coefficients and one
+    /// norms in one pass. Otherwise [`ReplayBatch::apply_lane_ops`]
+    /// gives each lane its own operator's coefficients and one
     /// [`kern::norm_acc_all`] pass follows. Per shot this is the
     /// grouped path's arithmetic exactly: the masked sweep's dense
     /// update, the norm over ascending rows, one reciprocal. Shots that
@@ -1663,8 +1909,8 @@ impl ReplayBatch {
     fn apply_picks_1q(&mut self, gen: &GeneralChannel, target: usize) {
         let s_n = self.n_shots;
         let lanes = self.lanes;
-        let pending = std::mem::replace(&mut self.pending, false);
         if let Some(d) = uniform_diag_pick(gen, &self.picks) {
+            let pending = std::mem::replace(&mut self.pending, false);
             self.norms.fill(0.0);
             let Self {
                 re,
@@ -1680,46 +1926,24 @@ impl ReplayBatch {
             group.clear();
             group.extend(0..s_n);
         } else {
-            let mut any_keep = false;
-            let mut all_keep = true;
-            for s in 0..s_n {
-                let pick = self.picks[s];
+            let picks = std::mem::take(&mut self.picks);
+            let swept = self.apply_lane_ops(target, |s| {
+                let pick = picks[s];
                 let keep = pick == 0 && gen.k0_identity;
-                self.keep[s] = keep;
-                any_keep |= keep;
-                all_keep &= keep;
-                let k = &gen.kraus[pick];
-                for (q, e) in [k[(0, 0)], k[(0, 1)], k[(1, 0)], k[(1, 1)]]
-                    .into_iter()
-                    .enumerate()
-                {
-                    self.coef_re[q * s_n + s] = e.re;
-                    self.coef_im[q * s_n + s] = e.im;
-                }
-            }
-            if all_keep {
-                // Nothing moves; an outstanding scale stays outstanding.
-                self.pending = pending;
+                (!keep).then(|| entries_1q(&gen.kraus[pick]))
+            });
+            self.picks = picks;
+            if !swept {
                 return;
             }
             let Self {
                 re,
                 im,
-                coef_re,
-                coef_im,
                 keep,
                 norms,
-                inv,
-                ones,
                 group,
                 ..
             } = self;
-            let inv = if pending { &inv[..] } else { &ones[..] };
-            let keep_lanes = any_keep.then_some(&keep[..]);
-            kernel!(
-                lanes,
-                dense1q_lanes(re, im, s_n, target, coef_re, coef_im, inv, keep_lanes)
-            );
             norms.fill(0.0);
             kernel!(lanes, norm_acc_all(norms, re, im, s_n));
             group.clear();
@@ -1728,6 +1952,62 @@ impl ReplayBatch {
         let group = std::mem::take(&mut self.group);
         self.defer_scale(&group);
         self.group = group;
+    }
+
+    /// Applies a 1q operator per resident shot in one
+    /// [`kern::dense1q_lanes`] sweep on `target`: `op(s)` is shot `s`'s
+    /// `[m00, m01, m10, m11]`, or `None` to keep its amplitudes. The
+    /// sweep consumes any deferred scale (kept lanes store their scaled
+    /// amplitudes). Returns `false`, touching nothing and leaving an
+    /// outstanding scale outstanding, when every shot keeps.
+    fn apply_lane_ops(
+        &mut self,
+        target: usize,
+        op: impl Fn(usize) -> Option<[Complex64; 4]>,
+    ) -> bool {
+        let (s_n, p) = (self.n_shots, self.period);
+        let mut any_keep = false;
+        let mut all_keep = true;
+        for s in 0..s_n {
+            let m = op(s);
+            self.keep[s] = m.is_none();
+            any_keep |= m.is_none();
+            all_keep &= m.is_none();
+            let m = m.unwrap_or([Complex64::ZERO; 4]);
+            for (q, e) in m.into_iter().enumerate() {
+                self.coef_re[q * p + s] = e.re;
+                self.coef_im[q * p + s] = e.im;
+            }
+        }
+        if all_keep {
+            return false;
+        }
+        repeat_shots(&mut self.keep, s_n);
+        for row in self.coef_re.chunks_exact_mut(p) {
+            repeat_shots(row, s_n);
+        }
+        for row in self.coef_im.chunks_exact_mut(p) {
+            repeat_shots(row, s_n);
+        }
+        let pending = std::mem::replace(&mut self.pending, false);
+        let Self {
+            re,
+            im,
+            coef_re,
+            coef_im,
+            keep,
+            inv,
+            ones,
+            lanes,
+            ..
+        } = self;
+        let inv = if pending { &inv[..] } else { &ones[..] };
+        let keep_lanes = any_keep.then_some(&keep[..]);
+        kernel!(
+            *lanes,
+            dense1q_lanes(re, im, s_n, target, coef_re, coef_im, inv, keep_lanes)
+        );
+        true
     }
 
     /// Multi-qubit branch weights for all shots, mirroring
@@ -1802,6 +2082,7 @@ impl ReplayBatch {
             assert!(norm > 1e-300, "cannot renormalize a zero state");
             self.inv[s] = 1.0 / norm;
         }
+        repeat_shots(&mut self.inv, self.n_shots);
     }
 
     /// Per-shot expectation values of a diagonal observable from its
@@ -1868,12 +2149,23 @@ impl ReplayBatch {
     }
 }
 
-/// The two rows of a pair as disjoint mutable `S`-slices of one plane.
-#[inline(always)]
-fn rows2_mut(plane: &mut [f64], s_n: usize, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
-    debug_assert!(i < j);
-    let (head, tail) = plane.split_at_mut(j * s_n);
-    (&mut head[i * s_n..i * s_n + s_n], &mut tail[..s_n])
+/// Lanes a per-shot pattern spans at least, arena permitting: a few
+/// vectors' worth, so a pattern window fills the lanes even at one shot
+/// per block.
+const PATTERN_LANES: usize = 64;
+
+/// Extends a pattern's first `s_n` entries (the per-shot values) over
+/// the rest of it: lane `k` gets shot `k % s_n`'s value.
+fn repeat_shots<T: Copy>(pattern: &mut [T], s_n: usize) {
+    let (shots, rest) = pattern.split_at_mut(s_n);
+    for window in rest.chunks_mut(s_n) {
+        window.copy_from_slice(&shots[..window.len()]);
+    }
+}
+
+/// A 2x2 operator's entries `[m00, m01, m10, m11]`.
+fn entries_1q(m: &Matrix) -> [Complex64; 4] {
+    [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]]
 }
 
 /// The diagonal `[K[0][0], K[1][1]]` of the branch every resident shot
@@ -1949,15 +2241,23 @@ mod tests {
 
     /// Every lane tier the CPU runs replays a block of shots to the same
     /// amplitude bits, diagonal expectations and drawn outcomes as the
-    /// baseline build — the dispatch only widens vectors.
+    /// baseline build — the dispatch only widens vectors. An odd 13-shot
+    /// block at 7 qubits leaves lane tails at every vector width; 1- and
+    /// 3-shot blocks at 11 qubits run the narrow-block sweeps over runs
+    /// long enough to cross every vector and tile boundary.
     #[test]
     fn every_lane_tier_replays_the_block_bit_identically() {
-        let n = 7;
+        for (n, shots) in [(7, 13), (11, 1), (11, 3)] {
+            tier_parity(n, shots);
+        }
+    }
+
+    fn tier_parity(n: usize, shots: usize) {
         let mut program = TrajectoryProgram::new(n);
         for q in 0..n {
             program.push_gate(Gate::H, &[q]);
         }
-        for (a, b) in [(0, 1), (1, 4), (2, 6), (5, 3)] {
+        for (a, b) in [(0, 1), (1, 4), (2, 6), (5, 3), (n - 1, 0)] {
             program.push_gate(Gate::Rzz(Param::bound(0.3 * (a + b) as f64)), &[a, b]);
         }
         for q in 0..n {
@@ -1967,6 +2267,7 @@ mod tests {
         }
         program.push_gate(Gate::CX, &[0, 5]);
         program.push_gate(Gate::CX, &[6, 2]);
+        program.push_gate(Gate::CX, &[1, n - 1]);
         // Strong enough that the block's picks diverge at both.
         let [_, _, thermal_like, thermal] = channels(0.3);
         program.push_channel(thermal_like, &[4]);
@@ -1978,11 +2279,10 @@ mod tests {
         });
         assert_eq!(
             thermal_scans.count(),
-            2,
+            n / 4 + 1,
             "thermal channels take the compiled pattern"
         );
-        // An odd block: lane tails at every vector width.
-        let seeds: Vec<u64> = (0..13).map(|s| 9_000 + 7 * s).collect();
+        let seeds: Vec<u64> = (0..shots as u64).map(|s| 9_000 + 7 * s).collect();
         let diag: Vec<f64> = (0..1usize << n).map(|b| b.count_ones() as f64).collect();
 
         let mut baseline = None;
@@ -2005,7 +2305,7 @@ mod tests {
             let baseline = baseline.get_or_insert_with(|| got.clone());
             assert!(
                 *baseline == got,
-                "{lanes:?} differs from the baseline build"
+                "{lanes:?} differs from the baseline build at {n}q, {shots} shots"
             );
         }
     }

@@ -172,6 +172,7 @@ use crate::kernels::{self, DiagOp};
 use crate::trajectory::ChannelOp;
 
 use super::lanes::{kernel, lane_isa, lane_tiers, Lanes};
+use super::sweep::{for_pairs, gather_pairs, scatter_pairs};
 use super::{ExactReplayProgram, TapeKind, TapeOp};
 
 /// Minimum rows per parallel chunk (widened to each op's alignment).
@@ -247,136 +248,6 @@ fn madd(c: Complex64, vr: f64, vi: f64, ar: f64, ai: f64) -> (f64, f64) {
 /// sweeps: each group gathers this many blocks' entries into lane
 /// arrays, folds every output chain over them, and scatters back.
 const G: usize = 16;
-
-/// Calls `f(lo_re, lo_im, hi_re, hi_im)` on every `(lo, hi)` entry pair
-/// of the planes whose flat indices differ by exactly `stride` within a
-/// `2 * stride` block — for `stride = bit` the column pairs
-/// `(j, j | bit)`, for `stride = bit * dim` the row pairs
-/// `(i, i | bit)`. The planes must be a whole number of blocks.
-///
-/// Strides below a vector's width get const-size chunk walks, which
-/// LLVM vectorizes across chunks; a runtime-stride inner loop that
-/// short stays scalar.
-#[inline(always)]
-fn for_pairs(
-    re: &mut [f64],
-    im: &mut [f64],
-    stride: usize,
-    f: impl FnMut(&mut f64, &mut f64, &mut f64, &mut f64),
-) {
-    match stride {
-        1 => pairs_const::<2>(re, im, f),
-        2 => pairs_const::<4>(re, im, f),
-        4 => pairs_const::<8>(re, im, f),
-        _ => pairs_runs(re, im, stride, f),
-    }
-}
-
-/// [`for_pairs`] at the compile-time block size `C = 2 * stride`.
-#[inline(always)]
-fn pairs_const<const C: usize>(
-    re: &mut [f64],
-    im: &mut [f64],
-    mut f: impl FnMut(&mut f64, &mut f64, &mut f64, &mut f64),
-) {
-    let blocks = re.as_chunks_mut::<C>().0.iter_mut();
-    for (br, bi) in blocks.zip(im.as_chunks_mut::<C>().0) {
-        let (lr, hr) = br.split_at_mut(C / 2);
-        let (li, hi) = bi.split_at_mut(C / 2);
-        for k in 0..C / 2 {
-            f(&mut lr[k], &mut li[k], &mut hr[k], &mut hi[k]);
-        }
-    }
-}
-
-/// [`for_pairs`] over runs of `stride` contiguous lanes. The lanes are
-/// indexed over four equal-length reslices: a four-way `zip` of the
-/// runs kept this loop scalar (measured 2-3x slower at AVX2).
-#[inline(always)]
-fn pairs_runs(
-    re: &mut [f64],
-    im: &mut [f64],
-    stride: usize,
-    mut f: impl FnMut(&mut f64, &mut f64, &mut f64, &mut f64),
-) {
-    let blocks = re.chunks_exact_mut(2 * stride);
-    for (br, bi) in blocks.zip(im.chunks_exact_mut(2 * stride)) {
-        let (lr, hr) = br.split_at_mut(stride);
-        let (li, hi) = bi.split_at_mut(stride);
-        let (li, hr, hi) = (
-            &mut li[..lr.len()],
-            &mut hr[..lr.len()],
-            &mut hi[..lr.len()],
-        );
-        for k in 0..lr.len() {
-            f(&mut lr[k], &mut li[k], &mut hr[k], &mut hi[k]);
-        }
-    }
-}
-
-/// Copies column pairs `k0..k0 + lo.len()` of one plane row — pair `k`
-/// is `(j_k, j_k | bit)` in ascending `j_k` — into `lo` and `hi`. A
-/// group is a power of two no longer than a row's pair count and starts
-/// on a multiple of its length, so it is either two contiguous runs
-/// (`bit` at least the group) or whole `2 * bit` blocks.
-#[inline(always)]
-fn gather_pairs(row: &[f64], bit: usize, k0: usize, lo: &mut [f64], hi: &mut [f64]) {
-    let g = lo.len();
-    if bit >= g {
-        let j0 = (k0 / bit) * 2 * bit + k0 % bit;
-        lo.copy_from_slice(&row[j0..j0 + g]);
-        hi.copy_from_slice(&row[j0 + bit..j0 + bit + g]);
-        return;
-    }
-    let src = &row[2 * k0..2 * (k0 + g)];
-    match bit {
-        1 => deinterleave::<2>(src, lo, hi),
-        2 => deinterleave::<4>(src, lo, hi),
-        4 => deinterleave::<8>(src, lo, hi),
-        8 => deinterleave::<16>(src, lo, hi),
-        _ => unreachable!("bit {bit} below a group of at most {G} lanes"),
-    }
-}
-
-/// The inverse of [`gather_pairs`]: writes `lo`/`hi` back to the pairs.
-#[inline(always)]
-fn scatter_pairs(row: &mut [f64], bit: usize, k0: usize, lo: &[f64], hi: &[f64]) {
-    let g = lo.len();
-    if bit >= g {
-        let j0 = (k0 / bit) * 2 * bit + k0 % bit;
-        row[j0..j0 + g].copy_from_slice(lo);
-        row[j0 + bit..j0 + bit + g].copy_from_slice(hi);
-        return;
-    }
-    let dst = &mut row[2 * k0..2 * (k0 + g)];
-    match bit {
-        1 => interleave::<2>(dst, lo, hi),
-        2 => interleave::<4>(dst, lo, hi),
-        4 => interleave::<8>(dst, lo, hi),
-        8 => interleave::<16>(dst, lo, hi),
-        _ => unreachable!("bit {bit} below a group of at most {G} lanes"),
-    }
-}
-
-/// Splits `C`-entry blocks into their low and high halves.
-#[inline(always)]
-fn deinterleave<const C: usize>(src: &[f64], lo: &mut [f64], hi: &mut [f64]) {
-    let halves = lo.chunks_exact_mut(C / 2).zip(hi.chunks_exact_mut(C / 2));
-    for (block, (lo, hi)) in src.as_chunks::<C>().0.iter().zip(halves) {
-        lo.copy_from_slice(&block[..C / 2]);
-        hi.copy_from_slice(&block[C / 2..]);
-    }
-}
-
-/// Joins low and high halves back into `C`-entry blocks.
-#[inline(always)]
-fn interleave<const C: usize>(dst: &mut [f64], lo: &[f64], hi: &[f64]) {
-    let halves = lo.chunks_exact(C / 2).zip(hi.chunks_exact(C / 2));
-    for (block, (lo, hi)) in dst.as_chunks_mut::<C>().0.iter_mut().zip(halves) {
-        block[..C / 2].copy_from_slice(lo);
-        block[C / 2..].copy_from_slice(hi);
-    }
-}
 
 /// Copies `plane[at + cols[l]]` into lane `l` of `dst`; `run` says the
 /// columns are consecutive, so the gather is one slice copy.

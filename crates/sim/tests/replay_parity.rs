@@ -739,3 +739,123 @@ proptest! {
         prop_assert!(substituted == fresh, "substituted exact tape moved a bit");
     }
 }
+
+/// A two-qubit mixed-unitary channel (`I`, `XX`, `ZZ` branches): its
+/// picks apply through the grouped two-qubit sweeps.
+fn two_qubit_mixed_op(p: f64) -> ChannelOp {
+    let xx = sigma_x().kron(&sigma_x());
+    let zz = sigma_z().kron(&sigma_z());
+    let id = Matrix::identity(4);
+    let probs = vec![1.0 - p, p / 2.0, p / 2.0];
+    let kraus = vec![
+        id.scale(c64(probs[0].sqrt(), 0.0)),
+        xx.scale(c64(probs[1].sqrt(), 0.0)),
+        zz.scale(c64(probs[2].sqrt(), 0.0)),
+    ];
+    ChannelOp::mixed_unitary(kraus, probs, vec![id, xx, zz])
+}
+
+/// A fixed program at a served width that puts every op kind on the
+/// low target bits (0, 1 and 2) and on the top bit, where the kernels'
+/// amplitude runs are shortest and longest: fused diagonal runs of
+/// one- and two-qubit diagonals, dense 1q gates, dense 2q gates with
+/// both targets low (in both orders) and with the top bit, 1q and 2q
+/// mixed-unitary channels, the recorded thermal relaxation, the
+/// three-operator thermal-like and two-operator damping channels, and
+/// identity-`K0` channels on one and two qubits. Strong and weak noise
+/// alternate, so blocks both split and fuse at channels, and every
+/// deferred scale is consumed by a different successor kind.
+fn served_width_program(n: usize, seed: u64) -> TrajectoryProgram {
+    let top = n - 1;
+    let low = [0, 1, 2, top];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut angle = move || rng.gen_range(-3.0f64..3.0);
+    let mut program = TrajectoryProgram::new(n);
+    for q in 0..n {
+        program.push_gate(Gate::H, &[q]);
+    }
+    for (layer, strength) in [0.3, 2e-3, 0.45].into_iter().enumerate() {
+        // A diagonal run over every low-bit pairing and the top bit.
+        for q in low {
+            program.push_gate(Gate::Rz(Param::bound(angle())), &[q]);
+        }
+        for (a, b) in [
+            (0, 1),
+            (2, 1),
+            (0, 2),
+            (0, top),
+            (top, 1),
+            (top - 1, top),
+            (3, 7),
+        ] {
+            program.push_gate(Gate::Rzz(Param::bound(angle())), &[a, b]);
+        }
+        program.push_gate(Gate::CZ, &[1, 0]);
+        // Each channel kind on each low bit, each followed by a
+        // different successor kind.
+        for (i, &q) in low.iter().enumerate() {
+            let channel = match (i + layer) % 6 {
+                0 => thermal_relaxation_op(strength, strength / 2.0),
+                1 => depolarizing_op(strength),
+                2 => identity_k0_op(strength),
+                3 => thermal_like_op(strength, strength / 3.0),
+                4 => amplitude_damping_op(strength),
+                _ => thermal_relaxation_op(strength, 0.0),
+            };
+            program.push_channel(channel, &[q]);
+            match (i + layer) % 4 {
+                0 => program.push_gate(Gate::Rz(Param::bound(angle())), &[low[(i + 1) % 4]]),
+                1 => program.push_unitary(
+                    Gate::Rx(Param::bound(angle())).matrix().unwrap(),
+                    &[low[(i + 2) % 4]],
+                ),
+                2 => program.push_gate(Gate::CX, &[low[(i + 1) % 4], low[(i + 3) % 4]]),
+                _ => program.push_channel(depolarizing_op(strength), &[low[(i + 3) % 4]]),
+            };
+        }
+        // Dense 2q with both targets low, in both orders, and with the
+        // top bit; a dense 1q on every low bit.
+        for (a, b) in [
+            (0, 1),
+            (1, 0),
+            (0, 2),
+            (2, 1),
+            (top, 0),
+            (1, top),
+            (top - 1, top),
+            (3, 8),
+        ] {
+            program.push_gate(Gate::CX, &[a, b]);
+        }
+        for q in low {
+            program.push_unitary(Gate::Rx(Param::bound(angle())).matrix().unwrap(), &[q]);
+        }
+        program.push_channel(two_qubit_mixed_op(strength), &[0, top]);
+        let k0 = Matrix::identity(4).scale(c64((1.0 - strength).sqrt(), 0.0));
+        let xx = sigma_x().kron(&sigma_x()).scale(c64(strength.sqrt(), 0.0));
+        program.push_channel(ChannelOp::general(vec![k0, xx]), &[1, 2]);
+        for q in low {
+            program.push_channel(thermal_relaxation_op(strength, strength), &[q]);
+        }
+    }
+    program.push_channel(thermal_relaxation_op(0.3, 0.1), &[top]);
+    program
+}
+
+/// The served-width kernels against the reference at narrow blocks: at
+/// 10 and 11 qubits, every block size from 1 to 8 on an 11-shot
+/// ensemble (so every size but 1 and 11 leaves a ragged final block),
+/// and at 12 qubits the 1- to 3-shot blocks of a 5-shot ensemble.
+#[test]
+fn served_widths_match_at_narrow_blocks() {
+    for n in [10, 11] {
+        let program = served_width_program(n, 0x5EED + n as u64);
+        for block in 1..=8 {
+            assert_block_parity(&program, 11, 17, block);
+        }
+    }
+    let program = served_width_program(12, 0x5EED);
+    for block in 1..=3 {
+        assert_block_parity(&program, 5, 23, block);
+    }
+}

@@ -32,22 +32,62 @@
 //! `TrajectoryEngine` on the recorded schedule of the same hybrid
 //! binding, across block splits that cover single-shot blocks,
 //! non-dividing sizes, and blocks larger than the ensemble —
-//! expectations and sampled counts must match bit for bit. CI runs this
-//! after compiling the benches, so the acceptance contract is exercised
-//! on every push even though timing assertions are not.
+//! expectations and sampled counts must match bit for bit. It then
+//! times the served 12-qubit shape's tape in 1-shot and in 8-shot
+//! blocks on one thread and fails if a 1-shot block costs more than
+//! three times the 8-shot block per shot (an in-run ratio, so host
+//! speed cancels; row-wise narrow kernels read 3.7–4.8x): narrow blocks are the first job of every served shape, so
+//! a kernel that only runs fast on full vectors must fail a check. CI
+//! runs this after compiling the benches.
 
-use hybrid_gate_pulse::core::compile::HybridShape;
+use std::time::Instant;
+
+use hybrid_gate_pulse::core::compile::{CircuitCompiler, HybridShape};
 use hybrid_gate_pulse::core::models::{GateModelOptions, HybridModel, VqaModel};
-use hybrid_gate_pulse::core::qaoa::cost_hamiltonian;
+use hybrid_gate_pulse::core::qaoa::{cost_hamiltonian, qaoa_circuit};
 use hybrid_gate_pulse::device::Backend;
-use hybrid_gate_pulse::graph::instances;
+use hybrid_gate_pulse::graph::{generators, instances};
 use hybrid_gate_pulse::serve::{Daemon, DaemonConfig, JobOutput, JobRequest, JobSpec};
 use hybrid_gate_pulse::sim::seed::stream_seed;
-use hybrid_gate_pulse::sim::{NoProfile, ReplayEngine, TrajectoryEngine};
+use hybrid_gate_pulse::sim::{NoProfile, ReplayBatch, ReplayEngine, TrajectoryEngine};
 
-/// Replay-vs-reference bit parity on the served hybrid shape: every
-/// listed block split must reproduce the reference engine's
-/// expectations and counts on the recorded schedule exactly.
+/// Highest allowed ratio of a 1-shot block's per-shot replay time to an
+/// 8-shot block's on the 12-qubit served shape.
+const NARROW_BLOCK_MAX_RATIO: f64 = 3.0;
+
+/// Timed passes per block size in the narrow-block check.
+const ROUNDS: usize = 9;
+
+/// Per-shot replay time of the served 12-qubit trajectory shape
+/// (`random_regular(12, 3, 1)`, p = 1, on the guadalupe path the
+/// serving benchmark uses) in 1-shot and in 8-shot blocks: the best of
+/// [`ROUNDS`] alternating passes over the same eight seeds, each block size
+/// driving one [`ReplayBatch`] arena directly on this thread, so
+/// neither the rayon fan-out nor per-ensemble set-up enters the ratio.
+fn narrow_block_ratio() -> (f64, f64) {
+    let backend = Backend::ibmq_guadalupe();
+    let graph = generators::random_regular(12, 3, 1);
+    let layout = vec![0, 1, 2, 3, 5, 8, 11, 14, 13, 12, 10, 7];
+    let compiled = CircuitCompiler::new(&backend, layout)
+        .compile(&qaoa_circuit(&graph, 1))
+        .expect("shape compiles");
+    let exec = compiled.executor(&backend);
+    let replay = compiled.bind_replay(&exec, &[0.35, 0.25]);
+    let seeds: Vec<u64> = (0..8).map(|i| stream_seed(7, i)).collect();
+    let mut batches = [1, 8].map(|block| ReplayBatch::for_program(&replay, block));
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..ROUNDS {
+        for (batch, best) in batches.iter_mut().zip(best.iter_mut()) {
+            let t0 = Instant::now();
+            for chunk in seeds.chunks(batch.n_shots()) {
+                batch.run(&replay, chunk, &NoProfile);
+            }
+            *best = best.min(t0.elapsed().as_secs_f64() / seeds.len() as f64);
+        }
+    }
+    (best[0], best[1])
+}
+
 fn smoke() {
     let backend = Backend::ibmq_toronto();
     let graph = instances::task1_three_regular_6();
@@ -88,6 +128,18 @@ fn smoke() {
         );
     }
     println!("smoke: replay bit-identical to the reference TrajectoryEngine across block splits");
+
+    let (narrow, wide) = narrow_block_ratio();
+    let ratio = narrow / wide;
+    println!(
+        "smoke: 12q per-shot replay {:.2} ms in 1-shot blocks, {:.2} ms in 8-shot blocks ({ratio:.2}x)",
+        narrow * 1e3,
+        wide * 1e3
+    );
+    assert!(
+        ratio <= NARROW_BLOCK_MAX_RATIO,
+        "1-shot blocks cost {ratio:.2}x the 8-shot block per shot (limit {NARROW_BLOCK_MAX_RATIO}x)"
+    );
 }
 
 fn main() {
