@@ -24,8 +24,8 @@
 //!   shape serves, and the block small ensembles run in), with its
 //!   profile;
 //! - **per-shot cost by block size**: `replay_block_sizes` runs the 12q
-//!   and 16q shapes as one block of `S` shots for `S` = 1, 2, 4, 8, 16
-//!   and 32 and prints one `block_size:` line per run with the per-shot
+//!   and 16q shapes as one block of `S` shots for `S` = 1, 2, 4, 8, 16,
+//!   32 and 64 and prints one `block_size:` line per run with the per-shot
 //!   time (min of its repetitions) and the per-op-kind mean µs per call
 //!   — the `block_sizes` table of `BENCH_replay.json`;
 //! - **template bind vs the full schedule walk**: the per-dispatch cost
@@ -196,7 +196,7 @@ fn bench_replay_16q_1shot(c: &mut Criterion) {
 }
 
 /// Block sizes of the per-shot table.
-const BLOCK_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
+const BLOCK_SIZES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Timed repetitions per block size (the line reports their minimum).
 const BLOCK_REPS: usize = 3;

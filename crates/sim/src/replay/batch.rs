@@ -64,11 +64,15 @@
 //! the next tile loads.
 //!
 //! Reductions (branch weights, norms, diagonal observables) must keep
-//! each shot's ascending serial sum. A block of eight or more shots
-//! vectorizes across its shots (each shot's sum is its own chain); a
-//! narrower block computes a tile's terms across all its lanes at once
-//! and then adds them per shot in order, so the floor at `S = 1` is the
-//! latency of the serial add chain. Measured at 16 qubits on one
+//! each shot's ascending serial sum. They compute a tile's terms across
+//! all its lanes at once, which vectorizes at any `S`, and then add them
+//! per shot in order: shots in register blocks of eight lanes (each
+//! lane's sum its own chain), the rest — every shot of a narrower block
+//! — one lane at a time, so the floor at `S = 1` is the latency of the
+//! serial add chain. Two kernels keep a fused loop for the shots that
+//! fill register blocks, because it measured faster there: the 1q
+//! weight scan (whose remaining lanes take the same term tail) and the
+//! diagonal apply fused with its norm scan. Measured at 16 qubits on one
 //! thread (`BENCH_replay.json`, `block_sizes`), the served 1-shot job
 //! runs at about the per-shot cost of an 8-shot block instead of three
 //! times it. [`default_block_size`] still caps a block at 64 shots and
@@ -381,7 +385,9 @@ impl CompiledChannel {
 /// for `k` below the pattern's length, a multiple of `S` by a power of
 /// two (`ReplayBatch::period`). Every run and tile a kernel walks starts
 /// on a multiple of `S`, so lane `k` of a window of the pattern's
-/// length (or of a shorter run) belongs to shot `k % S`.
+/// length (or of a shorter run) belongs to shot `k % S`; the one
+/// exception, a reduction tile that covers part of a row wider than
+/// `TERM_LANES`, reads the pattern from its first lane's shot on.
 mod kern {
     use hgp_math::Complex64;
 
@@ -859,7 +865,9 @@ mod kern {
     /// `||row · (a0, a1)||^2` for one classified row: the terms of
     /// `StateVector::branch_weight`'s two-`mul_add` chain that are not
     /// exact zeros (`Both` keeps the literal `+ 0.0` of
-    /// `mul_add(a0, ZERO)`). `Zero` rows are never added ([`add_row`]).
+    /// `mul_add(a0, ZERO)`). A `Zero` row's term is `0.0` and is never
+    /// added ([`add_row`], and [`add_tile`]'s dead arrays): its `+ 0.0`
+    /// would leave the non-negative weight's bits unchanged anyway.
     #[inline(always)]
     fn row_term(r: Row1q, a0r: f64, a0i: f64, a1r: f64, a1i: f64) -> f64 {
         match r {
@@ -882,44 +890,153 @@ mod kern {
         }
     }
 
-    /// `w + term` for a row whose [`row_term`] is `term`; a `Zero` row
-    /// leaves `w` as it is (its `+ 0.0` would leave the non-negative
-    /// accumulator's bits unchanged anyway).
+    /// `w` plus row `r`'s [`row_term`]; a `Zero` row leaves `w` as it is.
     #[inline(always)]
-    fn add_row(w: f64, r: Row1q, term: f64) -> f64 {
+    fn add_row(w: f64, r: Row1q, a0r: f64, a0i: f64, a1r: f64, a1i: f64) -> f64 {
         match r {
             Row1q::Zero => w,
-            _ => w + term,
+            _ => w + row_term(r, a0r, a0i, a1r, a1i),
         }
     }
 
+    /// Lanes per register block of [`add_tile`] (one AVX-512 vector, two
+    /// AVX2 ones).
+    const LANE_BLOCK: usize = 8;
+
+    /// Lanes of one reduction tile: its terms are computed across the
+    /// tile at once, then added per shot in order.
+    const TERM_LANES: usize = 256;
+
+    /// The tiles a reduction over `rows` rows of `s_n` lanes walks, in
+    /// ascending lane order, as `(row, col, rows, cols)`: the tile's
+    /// lanes are `cols` lanes from `col` of each of `rows` rows from
+    /// `row` — contiguous, `rows * cols` of them. While a row fits
+    /// [`TERM_LANES`] a tile is a power of two of whole rows (`col == 0`,
+    /// `cols == s_n`); a wider row is one tile per [`TERM_LANES`] lanes.
+    #[inline(always)]
+    fn tiles(s_n: usize, rows: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        let t_rows = (1usize << (TERM_LANES / s_n).max(1).ilog2()).min(rows);
+        let cols = s_n.min(TERM_LANES);
+        (0..rows).step_by(t_rows).flat_map(move |row| {
+            (0..s_n)
+                .step_by(cols)
+                .map(move |col| (row, col, t_rows, cols.min(s_n - col)))
+        })
+    }
+
+    /// Adds a tile's terms into `K` rows of per-shot sums, one serial
+    /// chain per sum and shot in ascending tile-row order: sum `k` of
+    /// shot `l` is `sums[k * stride + l]` (`from <= l < cols`; lanes
+    /// below `from` are left alone), lane `j * cols + l` of each of its
+    /// `T` term arrays `terms[k]` holds its term for tile row `j`, and a
+    /// row adds them in array order, skipping the arrays `live` marks
+    /// dead. Lanes run in register blocks of [`LANE_BLOCK`] and the rest
+    /// — every lane of a block narrower than that — one at a time, the
+    /// `K` chains of a lane side by side; each chain is the same either
+    /// way.
+    #[inline(always)]
+    fn add_tile<const K: usize, const T: usize>(
+        sums: &mut [f64],
+        stride: usize,
+        cols: usize,
+        from: usize,
+        terms: [[&[f64]; T]; K],
+        live: [[bool; T]; K],
+    ) {
+        let full = from + (cols - from) / LANE_BLOCK * LANE_BLOCK;
+        for l0 in (from..full).step_by(LANE_BLOCK) {
+            add_lanes::<LANE_BLOCK, K, T>(sums, stride, cols, l0, &terms, live);
+        }
+        for l0 in full..cols {
+            add_lanes::<1, K, T>(sums, stride, cols, l0, &terms, live);
+        }
+    }
+
+    /// [`add_tile`] over the `W` lanes from `l0`, the sums kept in
+    /// registers across the tile's rows.
+    #[inline(always)]
+    fn add_lanes<const W: usize, const K: usize, const T: usize>(
+        sums: &mut [f64],
+        stride: usize,
+        cols: usize,
+        l0: usize,
+        terms: &[[&[f64]; T]; K],
+        live: [[bool; T]; K],
+    ) {
+        let lanes = |k: usize| k * stride + l0..k * stride + l0 + W;
+        let mut acc = [[0.0; W]; K];
+        for (k, acc) in acc.iter_mut().enumerate() {
+            acc.copy_from_slice(&sums[lanes(k)]);
+        }
+        for at in (l0..terms[0][0].len()).step_by(cols) {
+            for k in 0..K {
+                for j in 0..T {
+                    if live[k][j] {
+                        let t: &[f64; W] = terms[k][j][at..at + W].try_into().expect("W lanes");
+                        for l in 0..W {
+                            acc[k][l] += t[l];
+                        }
+                    }
+                }
+            }
+        }
+        for (k, acc) in acc.iter().enumerate() {
+            sums[lanes(k)].copy_from_slice(acc);
+        }
+    }
+
+    /// The low and high lanes of pairs `k0..k0 + lo.len()` of one plane
+    /// ([`gather_pairs`]' numbering): borrowed from the plane when each
+    /// is one contiguous run, otherwise gathered into `lo` and `hi` —
+    /// one [`gather_pairs`] call per `2 * bit` block when `bit` is not
+    /// one of its interleaved-copy widths (1, 2, 4, 8).
+    #[inline(always)]
+    fn pair_lanes<'a>(
+        plane: &'a [f64],
+        bit: usize,
+        k0: usize,
+        lo: &'a mut [f64],
+        hi: &'a mut [f64],
+    ) -> (&'a [f64], &'a [f64]) {
+        let n = lo.len();
+        if bit >= n {
+            let j0 = (k0 / bit) * 2 * bit + k0 % bit;
+            return (&plane[j0..j0 + n], &plane[j0 + bit..j0 + bit + n]);
+        }
+        if !matches!(bit, 1 | 2 | 4 | 8) {
+            let runs = lo.chunks_exact_mut(bit).zip(hi.chunks_exact_mut(bit));
+            for (r, (lo, hi)) in runs.enumerate() {
+                gather_pairs(plane, bit, k0 + r * bit, lo, hi);
+            }
+        } else {
+            gather_pairs(plane, bit, k0, lo, hi);
+        }
+        (lo, hi)
+    }
+
     /// Single-qubit branch weights for all shots and all Kraus
-    /// operators in one read-only pass over the state, amplitude-major:
-    /// each shot accumulates over the same pairs in the same
-    /// ascending-base order as `StateVector::branch_weight` (per pair:
-    /// bit-clear term, then bit-set term).
+    /// operators in one read-only pass over the state: each shot
+    /// accumulates over the same pairs in the same ascending-base order
+    /// as `StateVector::branch_weight` (per pair: bit-clear term, then
+    /// bit-set term).
     ///
-    /// The pairs run in tiles of [`PAIR_TILE`] and the lanes in register
-    /// blocks of [`LANE_BLOCK`] (a ragged tail one lane at a time); a
-    /// block narrower than [`LANE_BLOCK`] runs [`weights_1q_flat`]. Per
-    /// tile and block, one loop accumulates every operator of a group in
-    /// registers: the lo/hi
-    /// lanes are loaded once per pair, and a group's row kinds come from
-    /// `rows`' pattern, resolved when the tape was compiled. The
-    /// recorded thermal pattern is one group of constant kinds, so its
-    /// loop is straight-line arithmetic with no per-operator dispatch,
-    /// and its three live weights stay in registers across the tile
-    /// instead of a load and a store per pair. The reordering is
-    /// bit-exact: weights accumulate independently per operator and
-    /// lane, and each still sees its pairs in ascending order with the
-    /// same per-pair term sequence.
+    /// Shots that fill register blocks of [`LANE_BLOCK`] lanes run
+    /// [`weights_1q_block`], pairs in tiles of [`PAIR_TILE`]; the rest —
+    /// every shot of a narrower block, the ragged lanes of a wider one —
+    /// run [`weights_1q_tail`]. Either way a group's row kinds come from
+    /// `rows`' pattern, resolved when the tape was compiled, so the
+    /// recorded thermal pattern's loops are straight-line arithmetic with
+    /// no per-operator dispatch. The reordering is bit-exact: weights
+    /// accumulate independently per operator and shot, and each still
+    /// sees its pairs in ascending order with the same per-pair term
+    /// sequence.
     ///
     /// `inv` is the outstanding deferred renormalization pattern (all
     /// `1.0` when none is; `a * 1.0 == a` bit for bit): each amplitude
-    /// is scaled in registers before the weight terms read it — the
-    /// same `a * inv` the reference stores in its own scale pass. The
-    /// scaled values are not stored: the branch apply that follows every
-    /// 1q scan rewrites each amplitude from the same product.
+    /// is scaled as a term reads it — the same `a * inv` the reference
+    /// stores in its own scale pass. The scaled values are not stored:
+    /// the branch apply that follows every 1q scan rewrites each
+    /// amplitude from the same product.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn weights_1q<const G: usize, P: WeightRows<G>>(
@@ -933,80 +1050,33 @@ mod kern {
     ) {
         weights[..rows.groups() * G * s_n].fill(0.0);
         let pairs = re.len() / s_n / 2;
-        if s_n < LANE_BLOCK {
-            // Pair-major tiles of whole rows: a power of two of pairs.
-            let tile = (1usize << (TAIL_LANES / s_n).ilog2()).min(pairs);
-            let mut scratch = FlatScratch::<G>::default();
-            for p0 in (0..pairs).step_by(tile) {
-                let tile = p0..p0 + tile;
-                weights_1q_flat::<G, P>(
-                    weights,
-                    re,
-                    im,
-                    s_n,
-                    target,
-                    rows,
-                    inv,
-                    tile,
-                    &mut scratch,
-                );
-            }
-            return;
-        }
         let full = s_n - s_n % LANE_BLOCK;
-        let inv = &inv[..s_n];
         for p0 in (0..pairs).step_by(PAIR_TILE) {
             let tile = p0..(p0 + PAIR_TILE).min(pairs);
             for s0 in (0..full).step_by(LANE_BLOCK) {
-                weights_1q_tile::<LANE_BLOCK, G, P>(
-                    weights,
-                    re,
-                    im,
-                    s_n,
-                    target,
-                    rows,
-                    inv,
-                    s0,
-                    tile.clone(),
-                );
+                weights_1q_block(weights, re, im, s_n, target, rows, inv, s0, tile.clone());
             }
-            for s0 in full..s_n {
-                weights_1q_tile::<1, G, P>(
-                    weights,
-                    re,
-                    im,
-                    s_n,
-                    target,
-                    rows,
-                    inv,
-                    s0,
-                    tile.clone(),
-                );
-            }
+        }
+        if full < s_n {
+            weights_1q_tail(weights, re, im, s_n, target, rows, inv, full);
         }
     }
 
-    /// Lanes per register block of [`weights_1q`] (one AVX-512 vector,
-    /// two AVX2 ones); narrower blocks take the reductions' serial tail.
-    const LANE_BLOCK: usize = 8;
-
-    /// Lanes a tile of a block narrower than [`LANE_BLOCK`] spans in the
-    /// reductions: their terms are computed across the tile at once,
-    /// then added serially per shot.
-    const TAIL_LANES: usize = 256;
-
-    /// Amplitude pairs per tile of [`weights_1q`]: a tile's rows stay
-    /// L1-resident while every lane block of a 64-shot arena reads them.
+    /// Amplitude pairs per tile of [`weights_1q_block`]: a tile's rows
+    /// stay L1-resident while every lane block of a 64-shot arena reads
+    /// them.
     const PAIR_TILE: usize = 16;
 
-    /// [`weights_1q`] over the `W` lanes from `s0` and one tile of pairs:
-    /// each group's weights are loaded into registers, accumulate over
-    /// the tile's pairs in ascending order, and are stored back — the
-    /// same sequence of additions as accumulating in memory, without a
-    /// load and a store per pair.
+    /// [`weights_1q`] over the register block of lanes from `s0` and one
+    /// tile of pairs: each group's weights are loaded into registers,
+    /// accumulate over the tile's pairs in ascending order — every
+    /// operator of the group in one lane loop, the lo/hi lanes loaded
+    /// once per pair — and are stored back: the same sequence of
+    /// additions as accumulating in memory, without a load and a store
+    /// per pair.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn weights_1q_tile<const W: usize, const G: usize, P: WeightRows<G>>(
+    fn weights_1q_block<const G: usize, P: WeightRows<G>>(
         weights: &mut [f64],
         re: &[f64],
         im: &[f64],
@@ -1017,6 +1087,7 @@ mod kern {
         s0: usize,
         tile: std::ops::Range<usize>,
     ) {
+        const W: usize = LANE_BLOCK;
         let load = |plane: &[f64], row: usize| -> [f64; W] {
             plane[row * s_n + s0..row * s_n + s0 + W]
                 .try_into()
@@ -1040,8 +1111,8 @@ mod kern {
                     let (a0r, a0i) = (lo_re[l] * inv[l], lo_im[l] * inv[l]);
                     let (a1r, a1i) = (hi_re[l] * inv[l], hi_im[l] * inv[l]);
                     for (acc_k, &(r0, r1)) in acc.iter_mut().zip(ops.iter()) {
-                        let w = add_row(acc_k[l], r0, row_term(r0, a0r, a0i, a1r, a1i));
-                        acc_k[l] = add_row(w, r1, row_term(r1, a0r, a0i, a1r, a1i));
+                        let w = add_row(acc_k[l], r0, a0r, a0i, a1r, a1i);
+                        acc_k[l] = add_row(w, r1, a0r, a0i, a1r, a1i);
                     }
                 }
             }
@@ -1052,33 +1123,18 @@ mod kern {
         }
     }
 
-    /// Lane arrays of [`weights_1q_flat`], reused across a scan's tiles:
-    /// the gathered pair amplitudes and each operator's two row terms.
-    struct FlatScratch<const G: usize> {
-        amps: [[f64; TAIL_LANES]; 4],
-        terms: [[[f64; TAIL_LANES]; 2]; G],
-    }
-
-    impl<const G: usize> Default for FlatScratch<G> {
-        fn default() -> Self {
-            Self {
-                amps: [[0.0; TAIL_LANES]; 4],
-                terms: [[[0.0; TAIL_LANES]; 2]; G],
-            }
-        }
-    }
-
-    /// [`weights_1q`] over a block narrower than [`LANE_BLOCK`] and one
-    /// tile of pairs: the tile's pairs are gathered pair-major (lane
-    /// `j * S + s` is shot `s` of the tile's pair `j`), scaled by the
-    /// deferred renormalization pattern `inv`, every row term of every
-    /// lane is computed across the tile at once (that is the part that
-    /// vectorizes), and then each shot's weights add them serially in
-    /// ascending pair order — the same additions in the same order as
-    /// one pair at a time.
+    /// [`weights_1q`] over the lanes from `from` (every lane of a block
+    /// narrower than [`LANE_BLOCK`], the ragged lanes of a wider one),
+    /// in [`tiles`] (a pair's lanes form one row). Per tile, the pairs
+    /// are read pair-major ([`pair_lanes`]: lane `j * cols + l` is the
+    /// tile's pair `j`, shot `col + l`), every row term of every lane is
+    /// computed across the tile in one lane loop — the part that
+    /// vectorizes whatever the block's width — and then [`add_tile`]
+    /// adds them into the weights, per shot in ascending pair order, all
+    /// of a group's operators side by side.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn weights_1q_flat<const G: usize, P: WeightRows<G>>(
+    fn weights_1q_tail<const G: usize, P: WeightRows<G>>(
         weights: &mut [f64],
         re: &[f64],
         im: &[f64],
@@ -1086,44 +1142,45 @@ mod kern {
         target: usize,
         rows: P,
         inv: &[f64],
-        tile: std::ops::Range<usize>,
-        scratch: &mut FlatScratch<G>,
+        from: usize,
     ) {
-        let n = tile.len() * s_n;
-        let (bit, k0) = ((1usize << target) * s_n, tile.start * s_n);
-        let FlatScratch { amps: a, terms } = scratch;
-        let [a0r, a0i, a1r, a1i] = a;
-        gather_pairs(re, bit, k0, &mut a0r[..n], &mut a1r[..n]);
-        gather_pairs(im, bit, k0, &mut a0i[..n], &mut a1i[..n]);
-        let inv = &inv[..n.min(inv.len())];
-        let [a0r, a0i, a1r, a1i] = &*a;
-        for g in 0..rows.groups() {
-            let ops = rows.group(g);
-            for w0 in (0..n).step_by(inv.len()) {
-                for (k, &c) in inv.iter().enumerate() {
-                    let i = w0 + k;
-                    let (x0r, x0i) = (a0r[i] * c, a0i[i] * c);
-                    let (x1r, x1i) = (a1r[i] * c, a1i[i] * c);
-                    for (t, &(r0, r1)) in terms.iter_mut().zip(ops.iter()) {
-                        t[0][i] = row_term(r0, x0r, x0i, x1r, x1i);
-                        t[1][i] = row_term(r1, x0r, x0i, x1r, x1i);
-                    }
-                }
+        let bit = (1usize << target) * s_n;
+        let mut amps = [[0.0; TERM_LANES]; 4];
+        let mut terms = [[[0.0; TERM_LANES]; 2]; G];
+        for (p0, col, t_rows, cols) in tiles(s_n, re.len() / s_n / 2) {
+            if col + cols <= from {
+                continue;
             }
-            for s in 0..s_n {
-                let mut acc = [0.0f64; G];
-                for (k, acc) in acc.iter_mut().enumerate() {
-                    *acc = weights[(g * G + k) * s_n + s];
-                }
-                for i in (0..n / s_n).map(|j| j * s_n + s) {
-                    let ts = terms.iter().zip(ops.iter());
-                    for (acc, (t, &(r0, r1))) in acc.iter_mut().zip(ts) {
-                        *acc = add_row(add_row(*acc, r0, t[0][i]), r1, t[1][i]);
+            let (n, k0) = (t_rows * cols, p0 * s_n + col);
+            let [a0r, a0i, a1r, a1i] = &mut amps;
+            let (a0r, a1r) = pair_lanes(re, bit, k0, &mut a0r[..n], &mut a1r[..n]);
+            let (a0i, a1i) = pair_lanes(im, bit, k0, &mut a0i[..n], &mut a1i[..n]);
+            // Lane `i` of the tile is shot `col + i % cols`.
+            let inv = &inv[col..col + n.min(inv.len() - col)];
+            for g in 0..rows.groups() {
+                let ops = rows.group(g);
+                // Every row term of every lane in one lane loop: the
+                // row kinds are constants once `ops` is inlined, so the
+                // loop body is straight-line arithmetic.
+                for w0 in (0..n).step_by(inv.len()) {
+                    for (k, &c) in inv.iter().enumerate() {
+                        let i = w0 + k;
+                        let (x0r, x0i) = (a0r[i] * c, a0i[i] * c);
+                        let (x1r, x1i) = (a1r[i] * c, a1i[i] * c);
+                        for (t, &(r0, r1)) in terms.iter_mut().zip(ops.iter()) {
+                            t[0][i] = row_term(r0, x0r, x0i, x1r, x1i);
+                            t[1][i] = row_term(r1, x0r, x0i, x1r, x1i);
+                        }
                     }
                 }
-                for (k, acc) in acc.iter().enumerate() {
-                    weights[(g * G + k) * s_n + s] = *acc;
+                let t: [[&[f64]; 2]; G] =
+                    std::array::from_fn(|k| [&terms[k][0][..n], &terms[k][1][..n]]);
+                let mut live = [[true; 2]; G];
+                for (live, &(r0, r1)) in live.iter_mut().zip(ops.iter()) {
+                    *live = [!matches!(r0, Row1q::Zero), !matches!(r1, Row1q::Zero)];
                 }
+                let sums = &mut weights[g * G * s_n + col..];
+                add_tile(sums, s_n, cols, from.saturating_sub(col), t, live);
             }
         }
     }
@@ -1194,25 +1251,30 @@ mod kern {
         let [c00i, c01i, c10i, c11i]: [&[f64]; 4] =
             std::array::from_fn(|_| &c_im.next().expect("four coefficient rows")[..period]);
         let inv = &inv[..period];
-        let update = |k: usize, xr: f64, xi: f64, yr: f64, yi: f64| {
+        let coef = [c00r, c01r, c10r, c11r, c00i, c01i, c10i, c11i];
+        // A nested fn, not a closure: LLVM left a closure here as one
+        // call per pair in the pair walks.
+        #[inline(always)]
+        fn update(c: &[&[f64]; 8], k: usize, xr: f64, xi: f64, yr: f64, yi: f64) -> [f64; 4] {
+            let [c00r, c01r, c10r, c11r, c00i, c01i, c10i, c11i] = c.map(|c| c[k]);
             [
-                (c00r[k] * xr - c00i[k] * xi) + (c01r[k] * yr - c01i[k] * yi),
-                (c00r[k] * xi + c00i[k] * xr) + (c01r[k] * yi + c01i[k] * yr),
-                (c10r[k] * xr - c10i[k] * xi) + (c11r[k] * yr - c11i[k] * yi),
-                (c10r[k] * xi + c10i[k] * xr) + (c11r[k] * yi + c11i[k] * yr),
+                (c00r * xr - c00i * xi) + (c01r * yr - c01i * yi),
+                (c00r * xi + c00i * xr) + (c01r * yi + c01i * yr),
+                (c10r * xr - c10i * xi) + (c11r * yr - c11i * yi),
+                (c10r * xi + c10i * xr) + (c11r * yi + c11i * yr),
             ]
-        };
+        }
         match keep {
             None => for_pairs_at(re, im, stride, period, |k, lr, li, hr, hi| {
                 let c = inv[k];
-                [*lr, *li, *hr, *hi] = update(k, *lr * c, *li * c, *hr * c, *hi * c);
+                [*lr, *li, *hr, *hi] = update(&coef, k, *lr * c, *li * c, *hr * c, *hi * c);
             }),
             Some(keep) => {
                 let keep = &keep[..period];
                 for_pairs_at(re, im, stride, period, |k, lr, li, hr, hi| {
                     let c = inv[k];
                     let x = [*lr * c, *li * c, *hr * c, *hi * c];
-                    let new = update(k, x[0], x[1], x[2], x[3]);
+                    let new = update(&coef, k, x[0], x[1], x[2], x[3]);
                     [*lr, *li, *hr, *hi] = if keep[k] { x } else { new };
                 });
             }
@@ -1221,71 +1283,54 @@ mod kern {
 
     /// `out[s] += |a_b|^2` (times `diag[b]` when `WEIGHTED`) over the
     /// rows `b` of `re`/`im`, ascending — per shot, the reference's
-    /// ascending-index accumulation. A block at least [`LANE_BLOCK`]
-    /// wide sums row by row across its lanes, each shot's sum its own
-    /// chain. A narrower block runs in tiles of whole rows: every lane's
-    /// term is computed across the tile at once, then each shot adds its
-    /// terms serially, in row order.
+    /// ascending-index accumulation. Per [`tiles`] tile, every lane's
+    /// term is computed across the tile at once, then [`add_tile`] adds
+    /// them per shot in row order.
     #[inline(always)]
-    fn acc_rows<const WEIGHTED: bool>(
-        out: &mut [f64],
-        re: &[f64],
-        im: &[f64],
-        s_n: usize,
-        diag: &[f64],
-        t: &mut [f64; TAIL_LANES],
-    ) {
-        let weigh = |t: f64, b: usize| if WEIGHTED { t * diag[b] } else { t };
-        if s_n < LANE_BLOCK {
-            let tile = (TAIL_LANES / s_n) * s_n;
-            let tiles = re.chunks(tile).zip(im.chunks(tile));
-            for (c, (tr, ti)) in tiles.enumerate() {
-                let ti = &ti[..tr.len()];
-                for (i, t) in t[..tr.len()].iter_mut().enumerate() {
-                    *t = tr[i] * tr[i] + ti[i] * ti[i];
-                }
-                let b0 = c * (tile / s_n);
-                for (s, out) in out.iter_mut().enumerate() {
-                    let mut acc = *out;
-                    for (j, row) in t[..tr.len()].chunks_exact(s_n).enumerate() {
-                        acc += weigh(row[s], b0 + j);
+    fn acc_rows<const WEIGHTED: bool>(out: &mut [f64], re: &[f64], im: &[f64], diag: &[f64]) {
+        let s_n = out.len();
+        let mut t = [0.0; TERM_LANES];
+        for (b0, col, t_rows, cols) in tiles(s_n, re.len() / s_n) {
+            let (n, k0) = (t_rows * cols, b0 * s_n + col);
+            let (tr, ti, t) = (&re[k0..k0 + n], &im[k0..k0 + n], &mut t[..n]);
+            for i in 0..n {
+                t[i] = tr[i] * tr[i] + ti[i] * ti[i];
+            }
+            if WEIGHTED {
+                for (row, &d) in t.chunks_exact_mut(cols).zip(&diag[b0..b0 + t_rows]) {
+                    for x in row {
+                        *x *= d;
                     }
-                    *out = acc;
                 }
             }
-            return;
-        }
-        let rows = re.chunks_exact(s_n).zip(im.chunks_exact(s_n));
-        for (b, (row_re, row_im)) in rows.enumerate() {
-            for (s, o) in out.iter_mut().enumerate() {
-                *o += weigh(row_re[s] * row_re[s] + row_im[s] * row_im[s], b);
-            }
+            add_tile(&mut out[col..], s_n, cols, 0, [[&*t]], [[true]]);
         }
     }
 
     /// `norms[s] += |a_b|^2` over the whole arena, rows ascending — the
     /// ascending-index squared-norm accumulation of
-    /// `StateVector::renormalize` and `draw_outcome`, all shots at once,
-    /// an L1-sized tile of rows at a time.
+    /// `StateVector::renormalize` and `draw_outcome`, all shots at once.
     #[inline(always)]
     pub fn norm_acc_all(norms: &mut [f64], re: &[f64], im: &[f64], s_n: usize) {
-        let tile = tile_rows(s_n, re.len() / s_n) * s_n;
-        let mut t = [0.0; TAIL_LANES];
-        for (tr, ti) in re.chunks_exact(tile).zip(im.chunks_exact(tile)) {
-            acc_rows::<false>(norms, tr, ti, s_n, &[], &mut t);
-        }
+        acc_rows::<false>(&mut norms[..s_n], re, im, &[]);
     }
 
     /// A diagonal 1q operator `diag(d[0], d[1])` over every resident
     /// shot, fused with the squared-norm scan that follows it: rows
     /// ascending, each multiplied by `d[0]` (target bit clear) or `d[1]`
     /// (bit set) — [`dense1q_all`]'s diagonal update — and added into
-    /// `norms[s]` in [`norm_acc_all`]'s ascending-row order, while in
-    /// registers (rows that fill the lanes) or one L1-sized tile of rows
-    /// later (narrower blocks, whose tiles take the apply as a run sweep
-    /// and the scan as [`acc_rows`]' serial tail). State and norms are
-    /// therefore bit-identical to the two separate passes, minus one
-    /// full read of the arena.
+    /// `norms[s]` in [`norm_acc_all`]'s ascending-row order. State and
+    /// norms are therefore bit-identical to the two separate passes,
+    /// minus one full read of the arena.
+    ///
+    /// A block that fills a register block of [`LANE_BLOCK`] lanes
+    /// applies and adds row by row with each updated amplitude still in
+    /// registers. A narrower block would run that loop one lane wide, so
+    /// it applies each L1-sized tile as a run sweep and then adds the
+    /// tile's rows by [`acc_rows`] while it is L1-hot. The tile path
+    /// also serves wide blocks bit for bit, but measured slower there
+    /// (12 qubits, one thread, AVX2: 25/52/115/280 µs against the row
+    /// pass's 21/41/87/188 µs at 8/16/32/64 shots).
     ///
     /// `inv` is the outstanding deferred renormalization pattern (all
     /// `1.0` when none is), applied to each amplitude as it is loaded —
@@ -1300,11 +1345,9 @@ mod kern {
         d: [Complex64; 2],
         inv: &[f64],
     ) {
-        assert!(norms.len() == s_n);
+        let norms = &mut norms[..s_n];
         if s_n >= LANE_BLOCK {
-            // Rows fill the lanes: apply and scan in one pass.
-            let inv = &inv[..s_n];
-            let bit = 1usize << target;
+            let (inv, bit) = (&inv[..s_n], 1usize << target);
             let rows = re.chunks_exact_mut(s_n).zip(im.chunks_exact_mut(s_n));
             for (b, (row_re, row_im)) in rows.enumerate() {
                 let m = d[usize::from(b & bit != 0)];
@@ -1328,7 +1371,6 @@ mod kern {
         let tile = t_rows * s_n;
         let stride = (1usize << target) * s_n;
         let [m0, m1] = d;
-        let mut t = [0.0; TAIL_LANES];
         let tiles = re.chunks_exact_mut(tile).zip(im.chunks_exact_mut(tile));
         for (n, (tr, ti)) in tiles.enumerate() {
             if stride >= tile {
@@ -1346,7 +1388,7 @@ mod kern {
                     ]
                 });
             }
-            acc_rows::<false>(norms, tr, ti, s_n, &[], &mut t);
+            acc_rows::<false>(norms, tr, ti, &[]);
         }
     }
 
@@ -1360,16 +1402,10 @@ mod kern {
 
     /// `out[s] += |a_b|^2 * diag[b]` over the whole arena, rows
     /// ascending — the reference's diagonal observable reduction, all
-    /// shots at once, an L1-sized tile of rows at a time.
+    /// shots at once.
     #[inline(always)]
     pub fn diag_expect_all(out: &mut [f64], re: &[f64], im: &[f64], s_n: usize, diag: &[f64]) {
-        let t_rows = tile_rows(s_n, re.len() / s_n);
-        let tile = t_rows * s_n;
-        let tiles = re.chunks_exact(tile).zip(im.chunks_exact(tile));
-        let mut t = [0.0; TAIL_LANES];
-        for ((tr, ti), d) in tiles.zip(diag.chunks_exact(t_rows)) {
-            acc_rows::<true>(out, tr, ti, s_n, d, &mut t);
-        }
+        acc_rows::<true>(&mut out[..s_n], re, im, diag);
     }
 }
 

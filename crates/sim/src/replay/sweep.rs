@@ -109,7 +109,7 @@ fn pairs_runs(
 /// `(j_k, j_k + bit)` in ascending `j_k`, `j_k` with a clear `bit` in
 /// its `2 * bit` block — into `lo` and `hi`. A group either lies in one
 /// block's low run (`bit` at least the group, starting on a multiple of
-/// its length) or is whole `2 * bit` blocks.
+/// its length) or is whole `2 * bit` blocks with `bit` at most 8.
 #[inline(always)]
 pub(super) fn gather_pairs(row: &[f64], bit: usize, k0: usize, lo: &mut [f64], hi: &mut [f64]) {
     let g = lo.len();
@@ -125,13 +125,7 @@ pub(super) fn gather_pairs(row: &[f64], bit: usize, k0: usize, lo: &mut [f64], h
         2 => deinterleave::<4>(src, lo, hi),
         4 => deinterleave::<8>(src, lo, hi),
         8 => deinterleave::<16>(src, lo, hi),
-        _ => {
-            let halves = lo.chunks_exact_mut(bit).zip(hi.chunks_exact_mut(bit));
-            for (block, (lo, hi)) in src.chunks_exact(2 * bit).zip(halves) {
-                lo.copy_from_slice(&block[..bit]);
-                hi.copy_from_slice(&block[bit..]);
-            }
-        }
+        _ => unreachable!("bit {bit} below a group of {g} lanes"),
     }
 }
 

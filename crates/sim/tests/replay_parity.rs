@@ -575,6 +575,22 @@ fn thermal_relaxation_matches_at_served_block_sizes() {
     }
 }
 
+/// A block whose rows are wider than one reduction tile (256 lanes)
+/// sums each row in column chunks: a 300-shot block (a 256-lane chunk,
+/// then 44 lanes: five 8-lane register blocks and four single lanes)
+/// and a 260-shot one still match the reference bit for bit.
+#[test]
+fn blocks_wider_than_a_reduction_tile_match() {
+    for program in [
+        divergent_program(4, 24, 0xC0_01),
+        weak_noise_program(4, 14, 0xC0_02),
+    ] {
+        for block in [260, 300] {
+            assert_block_parity(&program, 300, 29, block);
+        }
+    }
+}
+
 /// A live profiling sink shared across the worker pool only observes:
 /// per-shot expectations, the ensemble mean and error, and sampled
 /// counts stay bit-identical, and every block attributes each tape op

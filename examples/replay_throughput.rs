@@ -36,8 +36,12 @@
 //! times the served 12-qubit shape's tape in 1-shot and in 8-shot
 //! blocks on one thread and fails if a 1-shot block costs more than
 //! three times the 8-shot block per shot (an in-run ratio, so host
-//! speed cancels; row-wise narrow kernels read 3.7–4.8x): narrow blocks are the first job of every served shape, so
-//! a kernel that only runs fast on full vectors must fail a check. CI
+//! speed cancels; row-wise narrow kernels read 3.7–4.8x): narrow
+//! blocks are the first job of every served shape, so a kernel that
+//! only runs fast on full vectors must fail a check. The ratio is
+//! gated on the default lane tier only; under an `HGP_REPLAY_LANES`
+//! override it is printed, not gated (AVX-512's wider vectors speed
+//! the 8-shot block but not the 1-shot block's serial reductions). CI
 //! runs this after compiling the benches.
 
 use std::time::Instant;
@@ -136,6 +140,10 @@ fn smoke() {
         narrow * 1e3,
         wide * 1e3
     );
+    if std::env::var_os("HGP_REPLAY_LANES").is_some() {
+        println!("smoke: lane tier overridden, narrow-block ratio not gated");
+        return;
+    }
     assert!(
         ratio <= NARROW_BLOCK_MAX_RATIO,
         "1-shot blocks cost {ratio:.2}x the 8-shot block per shot (limit {NARROW_BLOCK_MAX_RATIO}x)"
